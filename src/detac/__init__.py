@@ -12,16 +12,13 @@ from .envs import (EnvSpec, FiniteMdp, PointMass, QuadraticBandit,
                    make_quadratic_bandit, random_finite_mdp)
 from .nets import Adam, MlpNet, gradient_check
 from .oracle import (DpSolution, LipschitzGaussianChain, adaptive_simpson,
-                     check_lemma2_identity, dp_solve, epsilon_smoothed,
-                     estimate_gplus, gated_direction_ratio,
+                     dp_solve, epsilon_smoothed, gated_direction_ratio,
                      occupancy_shift_bound_check, performance_difference_residual,
-                     performance_j, theorem1_bound_check)
-from .policies import (GaussianExploration, LinearPolicy, MlpPolicy,
-                       TileCoding, TileCodingPolicy)
+                     performance_j)
+from .policies import GaussianExploration, LinearPolicy, MlpPolicy
 from .trajectory import Trajectory
 from .updates import (TrustRegionState, UpdateDirection, adapt_beta,
                       batch_gated_direction, cac_direction, cacla_direction,
-                      dpg_direction, penfac_actor_gradient,
-                      policy_distance_dhat, ro_accept, spg_direction)
+                      dpg_direction, policy_distance_dhat, spg_direction)
 
 __version__ = "0.1.0"

@@ -4,7 +4,7 @@ single-state bandit baselines (SPG, DPG, CACLA with a one-parameter critic).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,8 +14,7 @@ from .nets import Adam
 from .policies import GaussianExploration, LinearPolicy, MlpPolicy
 from .trajectory import Trajectory
 from .updates import (TrustRegionState, adapt_beta, batch_gated_direction,
-                      cac_direction, cacla_direction, policy_distance_dhat,
-                      ro_accept)
+                      cac_direction, cacla_direction, policy_distance_dhat)
 
 RULES = ("cacla", "cac", "nfac", "penfac", "spg", "dpg")
 
@@ -36,10 +35,6 @@ class AgentConfig:
     batch_norm: bool = True
     hidden: tuple = (32, 32)
     hidden_activation: str = "leaky_relu"
-    adam_beta1: float = 0.0
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    random_opt: bool = False
 
     def __post_init__(self):
         if self.rule not in RULES:
@@ -56,15 +51,18 @@ class AgentConfig:
             raise ValueError("fitted_iterations must be >= 1")
 
 
-def run_episode(policy_act, env, rng, horizon=None):
-    """Roll one episode; ``policy_act(state)`` supplies the actions."""
-    horizon = horizon if horizon is not None else env.spec.horizon
+def run_episode(policy_act, env, rng, on_step=None):
+    """Roll one episode; ``policy_act(state)`` supplies the actions, and
+    ``on_step(state, action, reward, next_state, terminal)``, when given,
+    sees each transition before the next action is chosen."""
     traj = Trajectory()
     state = env.reset(rng)
-    for _ in range(horizon):
+    for _ in range(env.spec.horizon):
         action = policy_act(state)
         next_state, reward, terminal = env.step(state, action, rng)
         traj.append(state, action, reward, next_state, terminal)
+        if on_step is not None:
+            on_step(state, action, reward, next_state, terminal)
         state = next_state
         if terminal:
             break
@@ -93,31 +91,21 @@ class IncrementalActorCritic:
             policy, config.sigma, decay=config.sigma_decay)
 
     def run_episode(self, env, rng):
-        cfg = self.config
-        traj = Trajectory()
-        state = env.reset(rng)
-        for _ in range(env.spec.horizon):
-            action = self.exploration.act(state, rng)
-            next_state, reward, terminal = env.step(state, action, rng)
-            traj.append(state, action, reward, next_state, terminal)
-
-            if cfg.random_opt:
-                action = ro_accept(self.critic, state, self.policy.act(state),
-                                   action, reward, next_state, cfg.gamma)
-            delta = td_error(self.critic, (state, action, reward, next_state,
-                                           terminal), cfg.gamma)
-            direction = (cac_direction if cfg.rule == "cac"
-                         else cacla_direction)(self.policy, state, action, delta)
-            if np.any(direction.vector):
-                self.policy.set_params(self.policy.get_params()
-                                       + cfg.lr_actor * direction.vector)
-            self.critic.td_update(state, delta, cfg.lr_critic)
-
-            state = next_state
-            if terminal:
-                break
+        traj = run_episode(lambda s: self.exploration.act(s, rng), env, rng,
+                           on_step=self._learn)
         self.exploration.anneal()
         return traj
+
+    def _learn(self, state, action, reward, next_state, terminal):
+        cfg = self.config
+        delta = td_error(self.critic, (state, action, reward, next_state,
+                                       terminal), cfg.gamma)
+        direction = (cac_direction if cfg.rule == "cac"
+                     else cacla_direction)(self.policy, state, action, delta)
+        if np.any(direction.vector):
+            self.policy.set_params(self.policy.get_params()
+                                   + cfg.lr_actor * direction.vector)
+        self.critic.td_update(state, delta, cfg.lr_critic)
 
 
 class BatchActorCritic:
@@ -134,9 +122,7 @@ class BatchActorCritic:
         self.config = config
         self.exploration = GaussianExploration(
             policy, config.sigma, decay=config.sigma_decay)
-        self.actor_adam = Adam(policy.n_params, alpha=config.lr_actor,
-                               beta1=config.adam_beta1, beta2=config.adam_beta2,
-                               eps=config.adam_eps)
+        self.actor_adam = Adam(policy.n_params, alpha=config.lr_actor)
         self.trust = TrustRegionState(d_target=config.d_target)
         self._batch = []
         self.dhat_history = []
@@ -158,10 +144,13 @@ class BatchActorCritic:
             [t.state_array().reshape(len(t), -1) for t in batch])
         if cfg.batch_norm:
             # refresh the first-layer normalization stats on this phase's
-            # states once, before the snapshot, so the penalty and d_hat
+            # states once, before mu_old, so the penalty and d_hat
             # measure pure weight movement under a fixed normalization
             self.policy.act_batch(states, training=True)
-        snapshot = self.policy.copy() if cfg.rule == "penfac" else None
+        penfac = cfg.rule == "penfac"
+        # the penalty and d_hat read the pre-update policy only through
+        # its actions on the gathered states
+        mu_old = self.policy.act_batch(states) if penfac else None
 
         fitted_value_iteration(self.critic, batch, cfg.gamma, cfg.lam,
                                cfg.fitted_iterations)
@@ -173,17 +162,16 @@ class BatchActorCritic:
              - self.critic.values(t.state_array().reshape(len(t), -1))
              for t in batch])
 
-        scale_by_delta = cfg.rule == "penfac"
-        beta = self.trust.beta if cfg.rule == "penfac" else 0.0
+        beta = self.trust.beta if penfac else 0.0
         for _ in range(cfg.actor_iterations):
             g = batch_gated_direction(self.policy, states, actions, advantages,
-                                      scale_by_delta=scale_by_delta,
-                                      snapshot=snapshot, beta=beta)
+                                      scale_by_delta=penfac, mu_old=mu_old,
+                                      beta=beta)
             self.policy.set_params(self.actor_adam.step(
                 self.policy.get_params(), g, ascent=True))
 
-        if cfg.rule == "penfac":
-            d_hat = policy_distance_dhat(snapshot, self.policy, list(states))
+        if penfac:
+            d_hat = policy_distance_dhat(mu_old, self.policy.act_batch(states))
             self.dhat_history.append(d_hat)
             adapt_beta(self.trust, d_hat)
 
@@ -197,8 +185,7 @@ def make_agent(config, env, rng):
                        batch_norm=config.batch_norm, rng=rng)
     critic = MlpVCritic(state_dim, hidden_sizes=config.hidden,
                         hidden=config.hidden_activation, lr=config.lr_critic,
-                        beta1=config.adam_beta1, beta2=config.adam_beta2,
-                        eps=config.adam_eps, rng=rng)
+                        rng=rng)
     if config.rule in ("cacla", "cac"):
         return IncrementalActorCritic(policy, critic, config)
     if config.rule in ("nfac", "penfac"):

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .agents import AgentConfig
 
 ENV_NAMES = ("pointmass", "bandit")

@@ -20,11 +20,10 @@ class MlpVCritic:
     fit."""
 
     def __init__(self, state_dim, hidden_sizes=(32, 32), hidden="tanh",
-                 lr=1e-3, beta1=0.0, beta2=0.999, eps=1e-8, rng=None):
+                 lr=1e-3, rng=None):
         self.net = MlpNet([state_dim, *hidden_sizes, 1], hidden=hidden,
                           output="linear", rng=rng)
-        self.adam = Adam(self.net.num_params, alpha=lr,
-                         beta1=beta1, beta2=beta2, eps=eps)
+        self.adam = Adam(self.net.num_params, alpha=lr)
 
     def value(self, state):
         return float(self.net.forward(np.asarray(state, float).reshape(-1))[0])
@@ -140,19 +139,17 @@ def fitted_value_iteration(critic, trajectories, gamma, lam, n_iterations):
 
 
 class CompatibleQCritic:
-    """Q(s, a) = (a - mu(s))^T J_mu(s) w + psi(s)^T v.
+    """Q(s, a) = (a - mu(s))^T J_mu(s) w + v.
 
     ``J_mu`` is the policy's parameter Jacobian, so grad_a Q at a = mu(s) is
-    exactly J_mu(s)^T w, and Q(s, mu(s)) = psi(s)^T v by construction.
+    exactly J_mu(s)^T w, and Q(s, mu(s)) = v by construction.  The state
+    value is one constant parameter, held as the 1-vector ``v``.
     """
 
-    def __init__(self, policy, state_features=None, ridge=1e-6):
+    def __init__(self, policy):
         self.policy = policy
-        self.state_features = state_features or (lambda s: np.ones(1))
-        self.ridge = ridge
         self.w = np.zeros(policy.n_params)
-        probe = self.state_features(None)
-        self.v = np.zeros(np.asarray(probe).size)
+        self.v = np.zeros(1)
 
     def _advantage_features(self, state, action):
         mu = np.asarray(self.policy.act(state), float).reshape(-1)
@@ -161,10 +158,10 @@ class CompatibleQCritic:
 
     def q(self, state, action):
         return float(self._advantage_features(state, action) @ self.w
-                     + self.state_features(state) @ self.v)
+                     + self.v[0])
 
     def value(self, state):
-        return float(self.state_features(state) @ self.v)
+        return float(self.v[0])
 
     def advantage(self, state, action):
         return float(self._advantage_features(state, action) @ self.w)
@@ -172,23 +169,9 @@ class CompatibleQCritic:
     def grad_a(self, state):
         return self.policy.jacobian(state) @ self.w
 
-    def fit(self, states, actions, targets):
-        """Ridge least squares of (w, v) on the stacked features."""
-        targets = np.asarray(targets, dtype=float).reshape(-1)
-        rows = []
-        for s, a in zip(states, actions):
-            rows.append(np.concatenate(
-                [self._advantage_features(s, a), self.state_features(s)]))
-        x = np.stack(rows)
-        reg = self.ridge * np.eye(x.shape[1])
-        sol = np.linalg.solve(x.T @ x + reg, x.T @ targets)
-        self.w = sol[:self.w.size]
-        self.v = sol[self.w.size:]
-
     def sgd_fit_step(self, state, action, target, lr):
         """One stochastic gradient step on the squared Bellman residual."""
         feat_w = self._advantage_features(state, action)
-        feat_v = self.state_features(state)
-        err = target - (feat_w @ self.w + feat_v @ self.v)
+        err = target - (feat_w @ self.w + self.v[0])
         self.w += lr * err * feat_w
-        self.v += lr * err * feat_v
+        self.v += lr * err

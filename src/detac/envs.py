@@ -149,34 +149,6 @@ class FiniteMdp:
         r = float(self.rewards[int(state), a])
         return s2, r, bool(self.terminal[s2])
 
-    # -- text round-trip: header "n k gamma", P rows, R rows, then T0 --------
-
-    def save(self, path):
-        lines = [f"{self.n_states} {self.n_actions} {self.gamma!r}"]
-        for s in range(self.n_states):
-            for a in range(self.n_actions):
-                lines.append(" ".join(repr(float(p)) for p in self.transitions[s, a]))
-        for s in range(self.n_states):
-            lines.append(" ".join(repr(float(r)) for r in self.rewards[s]))
-        lines.append(" ".join(repr(float(p)) for p in self.start))
-        with open(path, "w") as f:
-            f.write("\n".join(lines) + "\n")
-
-    @classmethod
-    def load(cls, path):
-        with open(path) as f:
-            tokens = f.read().split()
-        n, k = int(tokens[0]), int(tokens[1])
-        gamma = float(tokens[2])
-        vals = np.array([float(t) for t in tokens[3:]])
-        need = n * k * n + n * k + n
-        if vals.size != need:
-            raise ValueError(f"{path}: expected {need} values, found {vals.size}")
-        p = vals[:n * k * n].reshape(n, k, n)
-        r = vals[n * k * n:n * k * n + n * k].reshape(n, k)
-        t0 = vals[n * k * n + n * k:]
-        return cls(p, r, t0, gamma)
-
 
 def random_finite_mdp(n_states, n_actions, gamma, rng):
     """Dense random MDP with Dirichlet rows and uniform rewards in [-1, 1]."""

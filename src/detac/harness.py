@@ -9,12 +9,11 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .agents import evaluate_deterministic, make_agent
-from .envs import PointMass, make_quadratic_bandit
+from .envs import PointMass, make_quadratic_bandit, random_finite_mdp
 from .nets import MlpNet, gradient_check
 from .oracle import (LipschitzGaussianChain, epsilon_smoothed,
                      gated_direction_ratio, occupancy_shift_bound_check,
                      performance_difference_residual)
-from .envs import random_finite_mdp
 
 CSV_HEADER = "seed,env_steps,mean_return,returns..."
 

@@ -232,48 +232,6 @@ class MlpNet:
             - g_hat.sum(axis=0)
             - z_hat * (g_hat * z_hat).sum(axis=0))
 
-    # -- serialization ------------------------------------------------------
-
-    def save(self, path):
-        lines = [
-            "mlpnet v1",
-            "sizes " + " ".join(str(n) for n in self.layer_sizes),
-            f"hidden {self.hidden}",
-            f"output {self.output}",
-            f"batchnorm {int(self.batch_norm)}",
-        ]
-        vals = [self.get_params()]
-        if self.batch_norm:
-            vals.append(self.bn_running_mean)
-            vals.append(self.bn_running_var)
-        flat = np.concatenate(vals)
-        lines.append(f"values {flat.size}")
-        lines.extend(repr(float(v)) for v in flat)
-        with open(path, "w") as f:
-            f.write("\n".join(lines) + "\n")
-
-    @classmethod
-    def load(cls, path):
-        with open(path) as f:
-            lines = [ln.strip() for ln in f if ln.strip()]
-        if lines[0] != "mlpnet v1":
-            raise ValueError(f"not a network snapshot: {path}")
-        sizes = [int(t) for t in lines[1].split()[1:]]
-        hidden = lines[2].split()[1]
-        output = lines[3].split()[1]
-        batch_norm = bool(int(lines[4].split()[1]))
-        count = int(lines[5].split()[1])
-        flat = np.array([float(t) for t in lines[6:6 + count]])
-        net = cls(sizes, hidden, output, batch_norm=batch_norm)
-        n = net.num_params
-        net.set_params(flat[:n])
-        if batch_norm:
-            n1 = net.layer_sizes[1]
-            net.bn_running_mean = flat[n:n + n1].copy()
-            net.bn_running_var = flat[n + n1:n + 2 * n1].copy()
-        return net
-
-
 class Adam:
     """Adam state for one flat parameter vector."""
 
@@ -307,11 +265,24 @@ class Adam:
         return params - self.alpha * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
+def _leaky_pattern(net):
+    """On/off state of every leaky_relu unit in the last forward pass."""
+    if net.hidden != "leaky_relu":
+        return []
+    return [z > 0 for z in net._cache["pre"][:-1]]
+
+
 def gradient_check(net, x, upstream=None, h=1e-5, training=False):
     """Max relative error between analytic and central-difference gradients.
 
     The implied scalar loss is sum(upstream * net(x)); a fixed random
     upstream is drawn when none is given.
+
+    A central difference is only valid where the net is smooth.  If the
+    coordinate with the largest error was probed across a leaky_relu kink
+    (a +-h probe switched a unit on or off), it is probed again with the
+    step divided by 10 until no unit switches, and the next largest error
+    is examined the same way.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if upstream is None:
@@ -329,29 +300,53 @@ def gradient_check(net, x, upstream=None, h=1e-5, training=False):
             net.bn_running_var = saved[1].copy()
 
     net.forward(x, training=training)
+    pattern = _leaky_pattern(net)
     analytic = net.backward(np.asarray(upstream, dtype=float))
     restore()
 
     theta = net.get_params()
-    numeric = np.empty_like(theta)
-    for i in range(theta.size):
-        for sign, slot in ((1.0, 0), (-1.0, 1)):
+
+    def central(i, step, check=False):
+        """Central difference along coordinate i and, when ``check`` is
+        set, whether either probe switched a leaky_relu unit."""
+        loss = []
+        switched = False
+        for sign in (1.0, -1.0):
             probe = theta.copy()
-            probe[i] += sign * h
+            probe[i] += sign * step
             net.set_params(probe)
             out = net.forward(x, training=training)
             restore()
-            if slot == 0:
-                plus = float(np.sum(upstream * out))
-            else:
-                minus = float(np.sum(upstream * out))
-        numeric[i] = (plus - minus) / (2 * h)
+            loss.append(float(np.sum(upstream * out)))
+            if check and not switched:
+                switched = any(not np.array_equal(a, b)
+                               for a, b in zip(_leaky_pattern(net), pattern))
+        return (loss[0] - loss[1]) / (2 * step), switched
+
+    numeric = np.array([central(i, h)[0] for i in range(theta.size)])
+
+    def rel_err():
+        # floor the denominator at a fraction of the gradient's scale, so
+        # that entries whose true derivative is exactly zero (e.g. first-
+        # layer biases under batch norm) are judged against roundoff, not
+        # against 1e-8
+        floor = max(1e-8, 1e-4 * float(np.max(np.abs(analytic)
+                                               + np.abs(numeric))))
+        scale = np.maximum(np.abs(analytic) + np.abs(numeric), floor)
+        return np.abs(analytic - numeric) / scale
+
+    rechecked = set()
+    while pattern:
+        i = int(np.argmax(rel_err()))
+        if i in rechecked:
+            break
+        rechecked.add(i)
+        step = h
+        value, switched = central(i, step, check=True)
+        while switched and step > h * 1e-4:
+            step /= 10
+            value, switched = central(i, step, check=True)
+        numeric[i] = value
     net.set_params(theta)
     restore()
-
-    # floor the denominator at a fraction of the gradient's scale, so that
-    # entries whose true derivative is exactly zero (e.g. first-layer biases
-    # under batch norm) are judged against roundoff, not against 1e-8
-    floor = max(1e-8, 1e-4 * float(np.max(np.abs(analytic) + np.abs(numeric))))
-    scale = np.maximum(np.abs(analytic) + np.abs(numeric), floor)
-    return float(np.max(np.abs(analytic - numeric) / scale))
+    return float(np.max(rel_err()))

@@ -11,10 +11,10 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .envs import FiniteMdp
 
@@ -192,20 +192,6 @@ def gated_direction_ratio(target, theta, sigmas, tol=1e-8, zero_tol=1e-6):
     return out
 
 
-def check_lemma2_identity(mdp, mu, mu_tilde, pi):
-    """Residual of the performance-difference identity (should be ~0)."""
-    return performance_difference_residual(mdp, mu, mu_tilde, pi)
-
-
-def estimate_gplus(bandit, theta, sigmas, tol=1e-8, zero_tol=1e-6):
-    """Per-sigma ratio of the gated TD-scaled direction to the deterministic
-    gradient on a 1-D quadratic bandit."""
-    target = np.asarray(bandit.target, float).reshape(-1)
-    if target.size != 1:
-        raise ValueError("estimate_gplus needs a 1-D bandit")
-    return gated_direction_ratio(float(target[0]), theta, sigmas, tol, zero_tol)
-
-
 # ---------------------------------------------------------------------------
 # occupancy-shift bound on a Gaussian chain
 # ---------------------------------------------------------------------------
@@ -249,7 +235,7 @@ class LipschitzGaussianChain:
         continuous action."""
         mean = self.grid[state_idx] + self.gain * float(action)
         z = (self.edges - mean) / (self.tau * np.sqrt(2.0))
-        cdf = 0.5 * (1.0 + erf(z))
+        cdf = 0.5 * (1.0 + np.array([math.erf(v) for v in z]))
         return np.diff(cdf)
 
     def build_mdp(self, rewards, start=None):
@@ -304,8 +290,3 @@ def occupancy_shift_bound_check(chain, mdp, mu_idx, mu_tilde_idx, sigma):
     eps = float(np.max(np.abs(sol_pi.advantage)))
     rhs = eps * chain.lipschitz_constant() / (1.0 - mdp.gamma) * shift
     return lhs, rhs, lhs <= rhs
-
-
-def theorem1_bound_check(chain, mdp, mu, mu_tilde, sigma):
-    """(lhs, rhs, satisfied) for the occupancy-shift bound."""
-    return occupancy_shift_bound_check(chain, mdp, mu, mu_tilde, sigma)

@@ -41,13 +41,12 @@ class MlpPolicy:
         self.net.set_params(flat)
 
     def act(self, state):
-        return self.net.forward(_check_state(state), training=False)
+        return self.net.forward(state, training=False)
 
     def act_batch(self, states, training=False):
         return self.net.forward(np.atleast_2d(states), training=training)
 
     def jacobian(self, state):
-        state = _check_state(state)
         jac = np.empty((self.action_dim, self.n_params))
         for i in range(self.action_dim):
             self.net.forward(state, training=False)
@@ -93,83 +92,8 @@ class LinearPolicy:
             _check_state(state)
         return np.clip(self.theta, self.low, self.high)
 
-    def act_batch(self, states, training=False):
-        n = np.atleast_2d(states).shape[0]
-        return np.tile(self.act(), (n, 1))
-
     def jacobian(self, state=None):
         return np.eye(self.action_dim)
-
-    def copy(self):
-        return LinearPolicy(self.action_dim, self.low, self.high, self.theta)
-
-
-class TileCoding:
-    """Overlapping uniform tilings over a box, producing binary features."""
-
-    def __init__(self, low, high, n_tilings=8, n_tiles=8):
-        self.low = np.asarray(low, dtype=float)
-        self.high = np.asarray(high, dtype=float)
-        self.n_tilings = n_tilings
-        self.n_tiles = n_tiles
-        self.dim = self.low.size
-        self.n_features = n_tilings * n_tiles ** self.dim
-
-    def features(self, state):
-        state = np.asarray(state, dtype=float)
-        phi = np.zeros(self.n_features)
-        span = self.high - self.low
-        per_tiling = self.n_tiles ** self.dim
-        for t in range(self.n_tilings):
-            offset = t / (self.n_tilings * self.n_tiles)
-            rel = (state - self.low) / span + offset
-            idx = np.clip((rel * self.n_tiles).astype(int), 0, self.n_tiles - 1)
-            flat = 0
-            for d in range(self.dim):
-                flat = flat * self.n_tiles + int(idx[d])
-            phi[t * per_tiling + flat] = 1.0
-        return phi
-
-
-class TileCodingPolicy:
-    """Linear-in-features policy mu(s) = Theta phi(s), clipped to bounds."""
-
-    def __init__(self, coder, action_dim, low=-1.0, high=1.0):
-        self.coder = coder
-        self.action_dim = action_dim
-        self.low = np.broadcast_to(np.asarray(low, float), (action_dim,))
-        self.high = np.broadcast_to(np.asarray(high, float), (action_dim,))
-        self.theta = np.zeros((action_dim, coder.n_features))
-
-    @property
-    def n_params(self):
-        return self.theta.size
-
-    def get_params(self):
-        return self.theta.ravel().copy()
-
-    def set_params(self, flat):
-        self.theta = np.asarray(flat, dtype=float).reshape(self.theta.shape).copy()
-
-    def act(self, state):
-        phi = self.coder.features(_check_state(state))
-        return np.clip(self.theta @ phi, self.low, self.high)
-
-    def act_batch(self, states, training=False):
-        return np.stack([self.act(s) for s in np.atleast_2d(states)])
-
-    def jacobian(self, state):
-        phi = self.coder.features(_check_state(state))
-        jac = np.zeros((self.action_dim, self.theta.size))
-        n = self.coder.n_features
-        for i in range(self.action_dim):
-            jac[i, i * n:(i + 1) * n] = phi
-        return jac
-
-    def copy(self):
-        other = TileCodingPolicy(self.coder, self.action_dim, self.low, self.high)
-        other.theta = self.theta.copy()
-        return other
 
 
 class GaussianExploration:

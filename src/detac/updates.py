@@ -8,7 +8,7 @@ gated rules (which the source formulation writes as descent on
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,12 +29,10 @@ class UpdateDirection:
 
 @dataclass
 class TrustRegionState:
-    """Adaptive penalty coefficient and the snapshot of the pre-update policy."""
+    """Adaptive penalty coefficient and the distance it steers toward."""
 
     d_target: float = 0.03
     beta: float = 1.0
-    snapshot: object = None
-    gathered_states: list = field(default_factory=list)
 
 
 def _toward_action(policy, state, action):
@@ -76,18 +74,15 @@ def dpg_direction(policy, state, grad_a):
     return UpdateDirection(g, "dpg")
 
 
-def policy_distance_dhat(snapshot, policy, states):
+def policy_distance_dhat(mu_old, mu):
     """d_hat = (1 / sqrt(m L)) sum_s ||mu_old(s) - mu(s)||_2 over the L
-    gathered states (a sqrt(L)-scaled sum, not an average)."""
-    states = list(states)
-    if not states:
-        raise ValueError("empty state set")
-    m = policy.action_dim
-    total = 0.0
-    for s in states:
-        diff = np.asarray(snapshot.act(s), float) - np.asarray(policy.act(s), float)
-        total += float(np.linalg.norm(diff))
-    return total / np.sqrt(m * len(states))
+    gathered states (a sqrt(L)-scaled sum, not an average), from the
+    (L, m) actions of the pre-update and the current policy."""
+    diff = np.asarray(mu_old, float) - np.asarray(mu, float)
+    if diff.ndim != 2 or diff.shape[0] == 0:
+        raise ValueError("expected a non-empty (L, m) array of actions")
+    n_states, m = diff.shape
+    return float(np.linalg.norm(diff, axis=1).sum() / np.sqrt(m * n_states))
 
 
 def adapt_beta(trust, d_hat):
@@ -103,55 +98,26 @@ def adapt_beta(trust, d_hat):
     return trust.beta
 
 
-def penfac_actor_gradient(policy, snapshot, states, actions, advantages, beta):
-    """Mean gated TD-scaled direction plus the quadratic pull toward the
-    snapshot policy:
-
-        g = mean_t [ cac(s_t, a_t, A_t) - 2 beta (mu(s_t) - mu_old(s_t))^T J_mu(s_t) ]
-
-    The snapshot is treated as a constant (no gradient flows through it).
-    """
-    states = list(states)
-    if not (len(states) == len(actions) == len(advantages)):
-        raise ValueError("states, actions and advantages must have equal length")
-    if not states:
-        raise ValueError("empty batch")
-    g = np.zeros(policy.n_params)
-    for s, a, adv in zip(states, actions, advantages):
-        if adv > 0:
-            g += adv * _toward_action(policy, s, a)
-        drift = (np.asarray(policy.act(s), float).reshape(-1)
-                 - np.asarray(snapshot.act(s), float).reshape(-1))
-        g -= 2.0 * beta * (drift @ policy.jacobian(s))
-    return UpdateDirection(g / len(states), "penfac")
-
-
 def batch_gated_direction(policy, states, actions, advantages,
-                          scale_by_delta, snapshot=None, beta=0.0,
-                          training=False):
-    """Batched equivalent of the gated rules (and the penalty term) using a
-    single forward/backward pass; used by the batch agents where per-state
-    Jacobians would be too slow.
+                          scale_by_delta, mu_old=None, beta=0.0):
+    """Mean gated direction over a batch, with one forward/backward pass:
 
-    Returns the mean direction over the batch in the ascent convention.
+        g = mean_t [ w_t (a_t - mu(s_t)) - 2 beta (mu(s_t) - mu_old_t) ]^T J_mu(s_t)
+
+    where w_t = H(A_t), times A_t when ``scale_by_delta`` (the CAC/PeNFAC
+    scaling).  ``states`` and ``actions`` are (L, n) and (L, m) arrays;
+    ``mu_old`` holds the pre-update policy's actions on ``states`` and is
+    a constant (no gradient flows through it).  Ascent convention.
     """
-    states = np.stack([np.asarray(s, float).reshape(-1) for s in states])
-    actions = np.stack([np.asarray(a, float).reshape(-1) for a in actions])
     advantages = np.asarray(advantages, dtype=float)
-    mu = policy.act_batch(states, training=training)
+    if not len(states) == len(actions) == len(advantages):
+        raise ValueError("states, actions and advantages must have equal length")
+    if not len(states):
+        raise ValueError("empty batch")
+    mu = policy.act_batch(states)
     gate = (advantages > 0).astype(float)
     weight = gate * advantages if scale_by_delta else gate
     upstream = weight[:, None] * (actions - mu)
-    if snapshot is not None and beta != 0.0:
-        mu_old = snapshot.act_batch(states)
+    if mu_old is not None and beta != 0.0:
         upstream -= 2.0 * beta * (mu - mu_old)
     return policy.backward_batch(upstream) / len(states)
-
-
-def ro_accept(critic, state, a_current, a_proposed, r_proposed,
-              next_state_proposed, gamma):
-    """Action-space hill climbing: keep the proposal iff its one-step
-    bootstrapped value strictly improves on V(s)."""
-    if r_proposed + gamma * critic.value(next_state_proposed) > critic.value(state):
-        return a_proposed
-    return a_current

@@ -16,7 +16,8 @@ from detac.critics import ConstantVCritic, lambda_returns
 from detac.envs import PointMass, make_quadratic_bandit, random_finite_mdp
 from detac.harness import run_experiment, suite_gradcheck, suite_theorem1
 from detac.config import parse_config
-from detac.oracle import check_lemma2_identity, epsilon_smoothed, estimate_gplus
+from detac.oracle import (epsilon_smoothed, gated_direction_ratio,
+                          performance_difference_residual)
 from detac.policies import MlpPolicy
 from detac.trajectory import Trajectory
 from detac.updates import cac_direction, cacla_direction
@@ -77,7 +78,8 @@ def test_acceptance_1_lemma2_identity(report):
         mu = rng.integers(0, 3, size=4)
         mu_tilde = rng.integers(0, 3, size=4)
         pi = epsilon_smoothed(mdp, mu, rng.uniform(0.05, 0.5))
-        worst = max(worst, check_lemma2_identity(mdp, mu, mu_tilde, pi))
+        worst = max(worst, performance_difference_residual(mdp, mu, mu_tilde,
+                                                           pi))
     elapsed = time.time() - t0
     ok = worst < 1e-9 and elapsed < 10.0
     report(1, "performance-difference identity", ok,
@@ -90,10 +92,11 @@ def test_acceptance_2_gated_ratio(report):
     t0 = time.time()
     env = make_quadratic_bandit(1, 0)
     target = float(env.target[0])
-    rows = estimate_gplus(env, theta=0.0, sigmas=(0.5, 0.2, 0.1, 0.05))
+    rows = gated_direction_ratio(target, theta=0.0,
+                                 sigmas=(0.5, 0.2, 0.1, 0.05))
     ratios = [r["ratio"] for r in rows]
     in_range = all(0.0 <= r <= 1.0 for r in ratios)
-    zero = estimate_gplus(env, theta=target, sigmas=(0.01,))[0]
+    zero = gated_direction_ratio(target, theta=target, sigmas=(0.01,))[0]
     elapsed = time.time() - t0
     ok = in_range and zero["zero_ok"] and elapsed < 5.0
     report(2, "gated/deterministic direction ratio", ok,

@@ -4,7 +4,7 @@ import pytest
 from detac.agents import (AgentConfig, BanditConfig, BatchActorCritic,
                           IncrementalActorCritic, evaluate_deterministic,
                           make_agent, run_bandit, run_episode)
-from detac.critics import ConstantVCritic, MlpVCritic
+from detac.critics import ConstantVCritic
 from detac.envs import PointMass, QuadraticBandit, make_quadratic_bandit
 from detac.policies import LinearPolicy, MlpPolicy
 
@@ -108,6 +108,29 @@ def test_penfac_tracks_dhat_and_adapts_beta():
     assert len(agent.dhat_history) == 2
     assert all(d >= 0 for d in agent.dhat_history)
     assert 1e-6 <= agent.trust.beta <= 1e6
+
+
+def test_penfac_dhat_measures_against_pre_phase_policy():
+    # d_hat compares with the policy as it stood after the phase's
+    # training-mode batch-norm refresh, state by state; the critic is fitted
+    # hard enough that some advantages are positive and the actor moves
+    cfg = AgentConfig(rule="penfac", update_every=2, hidden=(8,),
+                      batch_norm=True, actor_iterations=3,
+                      fitted_iterations=20, lr_critic=0.05)
+    env = PointMass(horizon=10)
+    rng = np.random.default_rng(6)
+    agent = make_agent(cfg, env, np.random.default_rng(7))
+    batch = [run_episode(lambda s: agent.exploration.act(s, rng), env, rng)
+             for _ in range(2)]
+    states = np.concatenate([t.state_array() for t in batch])
+    before = agent.policy.copy()
+    before.act_batch(states, training=True)
+    agent.update_phase(batch)
+    after = agent.policy
+    assert not np.array_equal(after.get_params(), before.get_params())
+    expected = sum(np.linalg.norm(before.act(s) - after.act(s))
+                   for s in states) / np.sqrt(len(states))
+    assert abs(agent.dhat_history[-1] - expected) < 1e-12
 
 
 def test_nfac_update_is_deterministic_given_batch():

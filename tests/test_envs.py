@@ -126,21 +126,3 @@ def test_random_finite_mdp_rows_sum_to_one():
     assert np.allclose(mdp.transitions.sum(axis=2), 1.0, atol=1e-12)
     assert mdp.start.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(np.abs(mdp.rewards) <= 1.0)
-
-
-def test_finite_mdp_save_load_roundtrip(tmp_path):
-    mdp = random_finite_mdp(4, 3, 0.9, np.random.default_rng(11))
-    path = tmp_path / "mdp.txt"
-    mdp.save(path)
-    loaded = FiniteMdp.load(path)
-    assert np.array_equal(mdp.transitions, loaded.transitions)
-    assert np.array_equal(mdp.rewards, loaded.rewards)
-    assert np.array_equal(mdp.start, loaded.start)
-    assert mdp.gamma == loaded.gamma
-
-
-def test_finite_mdp_load_rejects_truncated_file(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("2 2 0.9\n0.5 0.5\n")
-    with pytest.raises(ValueError):
-        FiniteMdp.load(path)

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from detac.policies import (GaussianExploration, LinearPolicy, MlpPolicy,
-                            TileCoding, TileCodingPolicy)
+from detac.policies import GaussianExploration, LinearPolicy, MlpPolicy
 
 
 def _fd_jacobian(policy, state, h=1e-6):
@@ -70,32 +69,6 @@ def test_linear_policy_clips_to_bounds():
 def test_linear_policy_jacobian_is_identity():
     pol = LinearPolicy(4)
     assert np.array_equal(pol.jacobian(), np.eye(4))
-
-
-def test_tile_coding_one_active_feature_per_tiling():
-    coder = TileCoding(low=[-1, -1], high=[1, 1], n_tilings=8, n_tiles=8)
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        phi = coder.features(rng.uniform(-1, 1, size=2))
-        assert phi.sum() == 8.0
-        assert set(np.unique(phi)) <= {0.0, 1.0}
-
-
-def test_tile_coding_nearby_states_share_features():
-    coder = TileCoding(low=[-1], high=[1], n_tilings=8, n_tiles=8)
-    a = coder.features(np.array([0.10]))
-    b = coder.features(np.array([0.11]))
-    c = coder.features(np.array([0.9]))
-    assert a @ b > a @ c
-
-
-def test_tile_coding_policy_jacobian_matches_finite_differences():
-    coder = TileCoding(low=[-1], high=[1], n_tilings=4, n_tiles=4)
-    pol = TileCodingPolicy(coder, 2)
-    pol.set_params(np.random.default_rng(3).normal(0, 0.05, pol.n_params))
-    state = np.array([0.2])
-    fd = _fd_jacobian(pol, state)
-    assert np.max(np.abs(pol.jacobian(state) - fd)) < 1e-6
 
 
 def test_gaussian_exploration_stays_in_bounds():

@@ -1,13 +1,26 @@
 import numpy as np
 import pytest
 
-from detac.critics import ConstantVCritic
 from detac.policies import LinearPolicy, MlpPolicy
 from detac.updates import (TrustRegionState, UpdateDirection, adapt_beta,
                            batch_gated_direction, cac_direction,
                            cacla_direction, dpg_direction,
-                           penfac_actor_gradient, policy_distance_dhat,
-                           ro_accept, spg_direction)
+                           policy_distance_dhat, spg_direction)
+
+
+def penfac_actor_gradient(policy, snapshot, states, actions, advantages, beta):
+    """Per-sample reference for the PeNFAC direction:
+
+        g = mean_t [ cac(s_t, a_t, A_t) - 2 beta (mu(s_t) - mu_old(s_t))^T J_mu(s_t) ]
+
+    with mu_old read from the ``snapshot`` policy, one state at a time.
+    """
+    g = np.zeros(policy.n_params)
+    for s, a, adv in zip(states, actions, advantages):
+        g += cac_direction(policy, s, a, adv).vector
+        drift = policy.act(s) - snapshot.act(s)
+        g -= 2.0 * beta * (drift @ policy.jacobian(s))
+    return g / len(states)
 
 
 def test_update_direction_rejects_nonfinite():
@@ -85,23 +98,24 @@ def test_dpg_matches_finite_difference_of_q_in_params():
 
 
 def test_policy_distance_single_state():
-    old = LinearPolicy(1, theta=np.array([0.0]))
-    new = LinearPolicy(1, theta=np.array([0.3]))
-    assert policy_distance_dhat(old, new, [None]) == pytest.approx(0.3)
+    assert policy_distance_dhat([[0.0]], [[0.3]]) == pytest.approx(0.3)
+    # per-state Euclidean norm over sqrt(m): (3, 4) has norm 5
+    assert policy_distance_dhat([[0.0, 0.0]], [[0.3, 0.4]]) \
+        == pytest.approx(0.5 / np.sqrt(2))
 
 
 def test_policy_distance_scales_with_sqrt_count():
-    old = LinearPolicy(1, theta=np.array([0.0]))
-    new = LinearPolicy(1, theta=np.array([0.2]))
-    d1 = policy_distance_dhat(old, new, [None])
-    d4 = policy_distance_dhat(old, new, [None] * 4)
+    old = np.zeros((4, 1))
+    new = np.full((4, 1), 0.2)
+    d1 = policy_distance_dhat(old[:1], new[:1])
+    d4 = policy_distance_dhat(old, new)
     # sum of L identical norms over sqrt(L): grows as sqrt(L)
     assert d4 == pytest.approx(2.0 * d1)
 
 
 def test_policy_distance_rejects_empty():
     with pytest.raises(ValueError):
-        policy_distance_dhat(LinearPolicy(1), LinearPolicy(1), [])
+        policy_distance_dhat(np.zeros((0, 1)), np.zeros((0, 1)))
 
 
 def test_adapt_beta_dead_zone_and_doubling():
@@ -121,7 +135,8 @@ def test_adapt_beta_clamps():
 
 def test_penfac_gradient_matches_finite_difference_of_objective():
     # objective: mean_t [ H(A_t) A_t (a_t . mu) ... ] is awkward to state in
-    # closed form, so check against FD of the surrogate
+    # closed form, so check the batched PeNFAC direction against FD of the
+    # surrogate
     #   L(theta) = mean_t [ w_t (-0.5 ||a_t - mu(s_t)||^2)
     #                       - beta ||mu(s_t) - mu_old(s_t)||^2 ]
     # whose gradient equals the penfac direction with w_t = max(A_t, 0)
@@ -134,7 +149,8 @@ def test_penfac_gradient_matches_finite_difference_of_objective():
     advs = rng.standard_normal(6)
     beta = 0.7
 
-    g = penfac_actor_gradient(pol, snap, states, actions, advs, beta).vector
+    g = batch_gated_direction(pol, states, actions, advs, scale_by_delta=True,
+                              mu_old=snap.act_batch(states), beta=beta)
 
     def surrogate(theta):
         pol.set_params(theta)
@@ -163,7 +179,8 @@ def test_penfac_zero_beta_reduces_to_mean_cac():
     states = rng.standard_normal((5, 2))
     actions = rng.uniform(-1, 1, (5, 1))
     advs = rng.standard_normal(5)
-    g = penfac_actor_gradient(pol, pol.copy(), states, actions, advs, 0.0).vector
+    g = batch_gated_direction(pol, states, actions, advs, scale_by_delta=True,
+                              mu_old=pol.act_batch(states), beta=0.0)
     ref = np.zeros(pol.n_params)
     for s, a, adv in zip(states, actions, advs):
         ref += cac_direction(pol, s, a, adv).vector
@@ -171,10 +188,15 @@ def test_penfac_zero_beta_reduces_to_mean_cac():
 
 
 def test_penfac_rejects_length_mismatch():
-    pol = LinearPolicy(1)
+    # (1, m) actions and one advantage would broadcast silently over two states
+    pol = MlpPolicy(2, 1, hidden_sizes=(4,), rng=np.random.default_rng(0))
+    states = np.zeros((2, 2))
     with pytest.raises(ValueError):
-        penfac_actor_gradient(pol, pol.copy(), [None, None],
-                              [np.zeros(1)], [1.0], 0.5)
+        batch_gated_direction(pol, states, np.zeros((1, 1)), [1.0],
+                              scale_by_delta=True)
+    with pytest.raises(ValueError):
+        batch_gated_direction(pol, states[:0], np.zeros((0, 1)), [],
+                              scale_by_delta=True)
 
 
 def test_batch_gated_direction_matches_per_sample_loops():
@@ -187,8 +209,9 @@ def test_batch_gated_direction_matches_per_sample_loops():
     advs = rng.standard_normal(7)
 
     g_batch = batch_gated_direction(pol, states, actions, advs,
-                                    scale_by_delta=True, snapshot=snap, beta=0.4)
-    g_loop = penfac_actor_gradient(pol, snap, states, actions, advs, 0.4).vector
+                                    scale_by_delta=True,
+                                    mu_old=snap.act_batch(states), beta=0.4)
+    g_loop = penfac_actor_gradient(pol, snap, states, actions, advs, 0.4)
     assert np.max(np.abs(g_batch - g_loop)) < 1e-10
 
     g_batch = batch_gated_direction(pol, states, actions, advs,
@@ -197,16 +220,3 @@ def test_batch_gated_direction_matches_per_sample_loops():
     for s, a, adv in zip(states, actions, advs):
         g_loop += cacla_direction(pol, s, a, adv).vector
     assert np.max(np.abs(g_batch - g_loop / 7)) < 1e-10
-
-
-def test_ro_accept_keeps_better_proposal():
-    critic = ConstantVCritic(1.0)
-    # bootstrapped value 2 + 0.9*1 = 2.9 > 1: accept
-    out = ro_accept(critic, None, "old", "new", 2.0, None, 0.9)
-    assert out == "new"
-    # bootstrapped value 0 + 0.9 < 1: reject
-    out = ro_accept(critic, None, "old", "new", 0.0, None, 0.9)
-    assert out == "old"
-    # ties reject (strict improvement required)
-    out = ro_accept(critic, None, "old", "new", 0.1, None, 0.9)
-    assert out == "old"
