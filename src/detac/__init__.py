@@ -6,8 +6,7 @@ from .agents import (AgentConfig, BanditConfig, BatchActorCritic,
                      make_agent, run_bandit)
 from .config import ExperimentConfig, parse_config
 from .critics import (CompatibleQCritic, ConstantVCritic, MlpVCritic,
-                      TabularVCritic, fitted_value_iteration, lambda_returns,
-                      td_error)
+                      fitted_value_iteration, lambda_returns, td_error)
 from .envs import (EnvSpec, FiniteMdp, PointMass, QuadraticBandit,
                    make_quadratic_bandit, random_finite_mdp)
 from .nets import Adam, MlpNet, gradient_check
@@ -17,8 +16,7 @@ from .oracle import (DpSolution, LipschitzGaussianChain, adaptive_simpson,
                      performance_j)
 from .policies import GaussianExploration, LinearPolicy, MlpPolicy
 from .trajectory import Trajectory
-from .updates import (TrustRegionState, UpdateDirection, adapt_beta,
-                      batch_gated_direction, cac_direction, cacla_direction,
-                      dpg_direction, policy_distance_dhat, spg_direction)
+from .updates import (TrustRegionState, adapt_beta, batch_gated_direction,
+                      cac_direction, cacla_direction, policy_distance_dhat)
 
 __version__ = "0.1.0"

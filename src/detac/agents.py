@@ -102,9 +102,9 @@ class IncrementalActorCritic:
                                        terminal), cfg.gamma)
         direction = (cac_direction if cfg.rule == "cac"
                      else cacla_direction)(self.policy, state, action, delta)
-        if np.any(direction.vector):
+        if np.any(direction):
             self.policy.set_params(self.policy.get_params()
-                                   + cfg.lr_actor * direction.vector)
+                                   + cfg.lr_actor * direction)
         self.critic.td_update(state, delta, cfg.lr_critic)
 
 
@@ -157,10 +157,8 @@ class BatchActorCritic:
 
         actions = np.concatenate(
             [t.action_array().reshape(len(t), -1) for t in batch])
-        advantages = np.concatenate(
-            [lambda_returns(t, self.critic, cfg.gamma, cfg.lam)
-             - self.critic.values(t.state_array().reshape(len(t), -1))
-             for t in batch])
+        advantages = (lambda_returns(batch, self.critic, cfg.gamma, cfg.lam)
+                      - self.critic.values(states))
 
         beta = self.trust.beta if penfac else 0.0
         for _ in range(cfg.actor_iterations):

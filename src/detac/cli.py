@@ -76,22 +76,25 @@ def cmd_verify(args):
 
 
 def cmd_bandit_suite(args):
-    dims = [int(d) for d in args.dims.split(",") if d.strip()]
+    try:
+        dims = [int(d) for d in args.dims.split(",") if d.strip()]
+        if not dims or min(dims) < 1 or args.seeds < 1:
+            raise ValueError("need --dims >= 1 and --seeds >= 1")
+    except ValueError as exc:
+        print(f"bandit-suite: {exc}", file=sys.stderr)
+        return 2
+    stride = max(1, args.episodes // 100)
     os.makedirs(args.out, exist_ok=True)
     for m in dims:
         env = make_quadratic_bandit(m, seed=0)
         for rule in ("spg", "dpg", "cacla"):
-            config = BanditConfig()
-            rows = []
-            for s in range(args.seeds):
-                rng = np.random.default_rng(args.seed_offset + s)
-                curve = run_bandit(rule, env, args.episodes, config, rng,
-                                   eval_every=max(1, args.episodes // 100))
-                rows.append(curve)
+            arr = np.stack([
+                run_bandit(rule, env, args.episodes, BanditConfig(),
+                           np.random.default_rng(args.seed_offset + s),
+                           eval_every=stride)
+                for s in range(args.seeds)])
             path = os.path.join(args.out, f"bandit_m{m}_{rule}.csv")
-            arr = np.stack(rows)
             lines = ["episode,mean,std"]
-            stride = max(1, args.episodes // 100)
             for i in range(arr.shape[1]):
                 lines.append(f"{(i + 1) * stride},{float(arr[:, i].mean())!r},"
                              f"{float(arr[:, i].std())!r}")

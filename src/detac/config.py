@@ -76,6 +76,9 @@ class ExperimentConfig:
     out: str = "runs"
 
     def __post_init__(self):
+        if self.agent.rule in ("spg", "dpg"):
+            raise ValueError("spg/dpg are bandit baselines; use the "
+                             "bandit-suite command instead of train")
         if self.env not in ENV_NAMES:
             raise ValueError(f"unknown env {self.env!r}; choose from {ENV_NAMES}")
         if self.seeds < 1:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .nets import Adam, MlpNet
+from .policies import toward_action
 
 
 class MlpVCritic:
@@ -46,30 +47,6 @@ class MlpVCritic:
         self.net.set_params(self.net.get_params() + lr * delta * grad)
 
 
-class TabularVCritic:
-    """Exact table over integer states; a regression pass solves the least
-    squares fit in closed form (per-state mean of the targets)."""
-
-    def __init__(self, n_states):
-        self.v = np.zeros(n_states)
-
-    def value(self, state):
-        return float(self.v[int(np.asarray(state).reshape(-1)[0])])
-
-    def values(self, states):
-        idx = np.asarray(states).reshape(len(states), -1)[:, 0].astype(int)
-        return self.v[idx]
-
-    def regress(self, states, targets):
-        idx = np.asarray(states).reshape(len(states), -1)[:, 0].astype(int)
-        targets = np.asarray(targets, dtype=float).reshape(-1)
-        for s in np.unique(idx):
-            self.v[s] = targets[idx == s].mean()
-
-    def td_update(self, state, delta, lr):
-        self.v[int(np.asarray(state).reshape(-1)[0])] += lr * delta
-
-
 class ConstantVCritic:
     """Single-parameter value function: V(s) = v for every state."""
 
@@ -96,23 +73,27 @@ def td_error(critic, transition, gamma):
     return r + bootstrap - critic.value(s)
 
 
-def lambda_returns(trajectory, critic, gamma, lam):
-    """Backward-recursive lambda-return targets for one episode.
+def lambda_returns(trajectories, critic, gamma, lam):
+    """Backward-recursive lambda-return targets for a batch of episodes,
+    concatenated in episode order.
 
-    G_t = r_t + gamma [(1 - lam) V(s_{t+1}) + lam G_{t+1}], with the
-    recursion seeded by V(s_T) so a horizon cut bootstraps and a true
-    terminal contributes no tail value.
+    G_t = r_t + gamma [(1 - lam) V(s_{t+1}) + lam G_{t+1}], with each
+    episode's recursion seeded by V(s_T) so a horizon cut bootstraps and a
+    true terminal contributes no tail value.  One critic call covers the
+    next states of the whole batch.
     """
-    if len(trajectory) == 0:
+    if not trajectories or any(len(t) == 0 for t in trajectories):
         raise ValueError("empty trajectory")
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lambda must lie in [0, 1]")
-    next_values = critic.values(trajectory.next_states)
-    rewards = np.asarray(trajectory.rewards)
-    terminals = np.asarray(trajectory.terminals, dtype=bool)
+    next_values = critic.values([s for t in trajectories for s in t.next_states])
+    rewards = np.asarray([r for t in trajectories for r in t.rewards])
+    terminals = [d for t in trajectories for d in t.terminals]
+    last = [i == len(t) - 1 for t in trajectories for i in range(len(t))]
     targets = np.empty(len(rewards))
-    g_next = next_values[-1]
     for t in range(len(rewards) - 1, -1, -1):
+        if last[t]:
+            g_next = next_values[t]
         if terminals[t]:
             tail = 0.0
         else:
@@ -132,9 +113,8 @@ def fitted_value_iteration(critic, trajectories, gamma, lam, n_iterations):
     states = np.concatenate(
         [t.state_array().reshape(len(t), -1) for t in trajectories])
     for _ in range(n_iterations):
-        targets = np.concatenate(
-            [lambda_returns(t, critic, gamma, lam) for t in trajectories])
-        critic.regress(states, targets)
+        critic.regress(states,
+                       lambda_returns(trajectories, critic, gamma, lam))
     return critic
 
 
@@ -151,27 +131,19 @@ class CompatibleQCritic:
         self.w = np.zeros(policy.n_params)
         self.v = np.zeros(1)
 
-    def _advantage_features(self, state, action):
-        mu = np.asarray(self.policy.act(state), float).reshape(-1)
-        jac = self.policy.jacobian(state)
-        return (np.asarray(action, float).reshape(-1) - mu) @ jac
-
     def q(self, state, action):
-        return float(self._advantage_features(state, action) @ self.w
+        return float(toward_action(self.policy, state, action) @ self.w
                      + self.v[0])
 
     def value(self, state):
         return float(self.v[0])
-
-    def advantage(self, state, action):
-        return float(self._advantage_features(state, action) @ self.w)
 
     def grad_a(self, state):
         return self.policy.jacobian(state) @ self.w
 
     def sgd_fit_step(self, state, action, target, lr):
         """One stochastic gradient step on the squared Bellman residual."""
-        feat_w = self._advantage_features(state, action)
+        feat_w = toward_action(self.policy, state, action)
         err = target - (feat_w @ self.w + self.v[0])
         self.w += lr * err * feat_w
         self.v += lr * err

@@ -1,8 +1,9 @@
 """Desk-scale environments: single-state quadratic bandits, a 1-D point-mass
 control task, and tabular finite MDPs used by the exact solvers.
 
-Environments are stateless objects: ``reset(rng)`` returns a start state and
-``step(state, action, rng)`` returns ``(next_state, reward, terminal)``.
+The bandit and the point mass are stateless objects: ``reset(rng)`` returns
+a start state and ``step(state, action, rng)`` returns
+``(next_state, reward, terminal)``.
 Episode horizons are enforced by the caller (see ``EnvSpec.horizon``).
 """
 
@@ -23,13 +24,10 @@ class EnvSpec:
     action_low: np.ndarray
     action_high: np.ndarray
     horizon: int
-    gamma: float
 
     def __post_init__(self):
         if self.action_dim < 1:
             raise ValueError("action_dim must be >= 1")
-        if not 0.0 <= self.gamma < 1.0:
-            raise ValueError("gamma must lie in [0, 1)")
         self.action_low = np.broadcast_to(
             np.asarray(self.action_low, dtype=float), (self.action_dim,)).copy()
         self.action_high = np.broadcast_to(
@@ -60,7 +58,7 @@ class QuadraticBandit:
         m = self.target.size
         self.spec = EnvSpec(state_dim=1, action_dim=m,
                             action_low=-1.0, action_high=1.0,
-                            horizon=1, gamma=0.0)
+                            horizon=1)
 
     def reset(self, rng=None):
         return np.zeros(1)
@@ -90,11 +88,11 @@ class PointMass:
     DT = 0.1
     STATE_BOUND = 2.0
 
-    def __init__(self, goal=0.5, horizon=100, gamma=0.99):
+    def __init__(self, goal=0.5, horizon=100):
         self.goal = float(goal)
         self.spec = EnvSpec(state_dim=2, action_dim=1,
                             action_low=-1.0, action_high=1.0,
-                            horizon=horizon, gamma=gamma)
+                            horizon=horizon)
 
     def reset(self, rng=None):
         return np.zeros(2)
@@ -112,11 +110,10 @@ class FiniteMdp:
     """Tabular MDP with discrete actions, used as an exact oracle target.
 
     ``transitions[s, a]`` is a distribution over next states, ``rewards[s, a]``
-    a scalar, ``start`` the initial-state distribution.  ``terminal`` marks
-    absorbing states at which episodes end.
+    a scalar, ``start`` the initial-state distribution.
     """
 
-    def __init__(self, transitions, rewards, start, gamma, terminal=None):
+    def __init__(self, transitions, rewards, start, gamma):
         self.transitions = np.asarray(transitions, dtype=float)
         self.rewards = np.asarray(rewards, dtype=float)
         self.start = np.asarray(start, dtype=float)
@@ -133,21 +130,8 @@ class FiniteMdp:
             raise ValueError("transition probabilities must lie in [0, 1]")
         if abs(self.start.sum() - 1.0) > 1e-12 or np.any(self.start < 0):
             raise ValueError("start distribution must be a distribution")
-        self.terminal = (np.zeros(n, dtype=bool) if terminal is None
-                         else np.asarray(terminal, dtype=bool))
         self.n_states = n
         self.n_actions = k
-
-    def reset(self, rng):
-        return int(rng.choice(self.n_states, p=self.start))
-
-    def step(self, state, action, rng):
-        a = int(action)
-        if not 0 <= a < self.n_actions:
-            raise ValueError(f"action {a} out of range")
-        s2 = int(rng.choice(self.n_states, p=self.transitions[int(state), a]))
-        r = float(self.rewards[int(state), a])
-        return s2, r, bool(self.terminal[s2])
 
 
 def random_finite_mdp(n_states, n_actions, gamma, rng):

@@ -24,11 +24,8 @@ def _fmt(x):
 
 def make_env(config):
     if config.env == "bandit":
-        return make_quadratic_bandit(config.env_params["m"],
-                                     config.env_params["seed"])
-    return PointMass(goal=config.env_params["goal"],
-                     horizon=config.env_params["horizon"],
-                     gamma=config.agent.gamma)
+        return make_quadratic_bandit(**config.env_params)
+    return PointMass(**config.env_params)
 
 
 def run_seed(config, seed):
@@ -40,9 +37,6 @@ def run_seed(config, seed):
     rng = np.random.default_rng(seed)
     eval_rng_seq = np.random.SeedSequence([seed, 0xE7A1])
     env = make_env(config)
-    if config.agent.rule in ("spg", "dpg"):
-        raise ValueError("spg/dpg are bandit baselines; use the bandit-suite "
-                         "command instead of train")
     agent = make_agent(config.agent, env, np.random.default_rng([seed, 0x5EED]))
 
     rows = []

@@ -114,15 +114,6 @@ class MlpNet:
             self.bn_beta = flat[i:i + n1].copy()
         self._cache = None
 
-    def copy(self):
-        other = MlpNet(self.layer_sizes, self.hidden, self.output,
-                       batch_norm=self.batch_norm)
-        other.set_params(self.get_params())
-        if self.batch_norm:
-            other.bn_running_mean = self.bn_running_mean.copy()
-            other.bn_running_var = self.bn_running_var.copy()
-        return other
-
     # -- forward / backward -------------------------------------------------
 
     def forward(self, x, training=False):

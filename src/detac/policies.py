@@ -13,6 +13,10 @@ import numpy as np
 from .nets import MlpNet
 
 
+ACTION_BOUND = 1.0
+MAX_ATTEMPTS = 100
+
+
 def _check_state(state):
     state = np.asarray(state, dtype=float).reshape(-1)
     if not np.all(np.isfinite(state)):
@@ -60,20 +64,14 @@ class MlpPolicy:
         ``act_batch`` call."""
         return self.net.backward(upstream)
 
-    def copy(self):
-        other = MlpPolicy.__new__(MlpPolicy)
-        other.net = self.net.copy()
-        other.action_dim = self.action_dim
-        return other
-
 
 class LinearPolicy:
     """State-independent policy mu(.) = theta; the bandit representation."""
 
-    def __init__(self, action_dim, low=-1.0, high=1.0, theta=None):
+    def __init__(self, action_dim, theta=None):
         self.action_dim = action_dim
-        self.low = np.broadcast_to(np.asarray(low, float), (action_dim,))
-        self.high = np.broadcast_to(np.asarray(high, float), (action_dim,))
+        self.low = np.full(action_dim, -ACTION_BOUND)
+        self.high = np.full(action_dim, ACTION_BOUND)
         self.theta = (np.zeros(action_dim) if theta is None
                       else np.asarray(theta, dtype=float).copy())
 
@@ -99,28 +97,25 @@ class LinearPolicy:
 class GaussianExploration:
     """Isotropic truncated Gaussian around a deterministic policy.
 
-    Samples are redrawn until they fall inside the action bounds (at most
-    ``max_attempts`` times, then clipped), which keeps the wrapper total
+    Samples are redrawn until they fall inside the action box (at most
+    ``MAX_ATTEMPTS`` times, then clipped), which keeps the wrapper total
     with means arbitrarily close to a bound.
     """
 
-    def __init__(self, policy, sigma, low=-1.0, high=1.0, decay=1.0,
-                 max_attempts=100):
+    def __init__(self, policy, sigma, decay=1.0):
         if sigma <= 0:
             raise ValueError("sigma must be positive")
         if not 0.0 < decay <= 1.0:
             raise ValueError("decay must lie in (0, 1]")
         self.policy = policy
         self.sigma = float(sigma)
-        m = policy.action_dim
-        self.low = np.broadcast_to(np.asarray(low, float), (m,))
-        self.high = np.broadcast_to(np.asarray(high, float), (m,))
+        self.low = np.full(policy.action_dim, -ACTION_BOUND)
+        self.high = np.full(policy.action_dim, ACTION_BOUND)
         self.decay = float(decay)
-        self.max_attempts = max_attempts
 
     def act(self, state, rng):
         mu = np.asarray(self.policy.act(state), dtype=float).reshape(-1)
-        for _ in range(self.max_attempts):
+        for _ in range(MAX_ATTEMPTS):
             a = mu + self.sigma * rng.standard_normal(mu.size)
             if np.all(a >= self.low) and np.all(a <= self.high):
                 return a
@@ -128,3 +123,10 @@ class GaussianExploration:
 
     def anneal(self):
         self.sigma *= self.decay
+
+
+def toward_action(policy, state, action):
+    """(a - mu(s))^T J_mu(s): the parameter direction that moves mu(s)
+    toward ``action``, and the compatible features of the Q critic."""
+    mu = np.asarray(policy.act(state), float).reshape(-1)
+    return (np.asarray(action, float).reshape(-1) - mu) @ policy.jacobian(state)

@@ -12,19 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .policies import toward_action
+
 BETA_MIN = 1e-6
 BETA_MAX = 1e6
-
-
-@dataclass
-class UpdateDirection:
-    vector: np.ndarray
-    rule: str
-
-    def __post_init__(self):
-        self.vector = np.asarray(self.vector, dtype=float)
-        if not np.all(np.isfinite(self.vector)):
-            raise ValueError("non-finite update direction")
 
 
 @dataclass
@@ -35,43 +26,25 @@ class TrustRegionState:
     beta: float = 1.0
 
 
-def _toward_action(policy, state, action):
-    mu = np.asarray(policy.act(state), float).reshape(-1)
-    return (np.asarray(action, float).reshape(-1) - mu) @ policy.jacobian(state)
+def _finite(g):
+    if not np.all(np.isfinite(g)):
+        raise ValueError("non-finite update direction")
+    return g
 
 
 def cacla_direction(policy, state, action, delta):
     """Move toward the sampled action iff its TD error is positive;
     H(0) = 0, so a zero advantage produces no update."""
     if delta > 0:
-        g = _toward_action(policy, state, action)
-    else:
-        g = np.zeros(policy.n_params)
-    return UpdateDirection(g, "cacla")
+        return _finite(toward_action(policy, state, action))
+    return np.zeros(policy.n_params)
 
 
 def cac_direction(policy, state, action, delta):
     """Gated move toward the action, scaled by the positive TD error."""
     if delta > 0:
-        g = delta * _toward_action(policy, state, action)
-    else:
-        g = np.zeros(policy.n_params)
-    return UpdateDirection(g, "cac")
-
-
-def spg_direction(policy, sigma, state, action, advantage):
-    """Single-sample likelihood-ratio gradient for the Gaussian policy:
-    A(s,a) (a - mu(s))^T J_mu(s) / sigma^2."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    g = (advantage / sigma ** 2) * _toward_action(policy, state, action)
-    return UpdateDirection(g, "spg")
-
-
-def dpg_direction(policy, state, grad_a):
-    """Chain rule through the critic's action gradient at a = mu(s)."""
-    g = np.asarray(grad_a, float).reshape(-1) @ policy.jacobian(state)
-    return UpdateDirection(g, "dpg")
+        return _finite(delta * toward_action(policy, state, action))
+    return np.zeros(policy.n_params)
 
 
 def policy_distance_dhat(mu_old, mu):

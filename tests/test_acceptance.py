@@ -39,7 +39,7 @@ def report(capsys):
 
 def _train_pointmass(rule, seed, phases):
     cfg = AgentConfig(rule=rule)
-    env = PointMass(gamma=cfg.gamma)
+    env = PointMass()
     agent = make_agent(cfg, env, np.random.default_rng([seed, 0x5EED]))
     rng = np.random.default_rng(seed)
     for _ in range(phases):
@@ -143,13 +143,13 @@ def test_acceptance_5_lambda_return_endpoints(report):
                         float(rng.standard_normal()), rng.standard_normal(2),
                         terminal_end and t == length - 1)
 
-        got0 = lambda_returns(traj, critic, gamma, 0.0)
+        got0 = lambda_returns([traj], critic, gamma, 0.0)
         td = np.array([r + (0.0 if d else gamma * critic.value(s2))
                        for r, s2, d in zip(traj.rewards, traj.next_states,
                                            traj.terminals)])
         ok = ok and np.array_equal(got0, td)
 
-        got1 = lambda_returns(traj, critic, gamma, 1.0)
+        got1 = lambda_returns([traj], critic, gamma, 1.0)
         mc = np.empty(length)
         g = 0.0 if traj.terminals[-1] else critic.value(traj.next_states[-1])
         for t in range(length - 1, -1, -1):
@@ -228,12 +228,12 @@ def test_acceptance_9_gating_property(report):
         a = rng.uniform(-1, 1, 2)
         delta = float(rng.standard_normal())
         if delta > 0:
-            g_cacla = cacla_direction(pol, s, a, delta).vector
-            g_cac = cac_direction(pol, s, a, delta).vector
+            g_cacla = cacla_direction(pol, s, a, delta)
+            g_cac = cac_direction(pol, s, a, delta)
             ok = ok and np.array_equal(g_cac, delta * g_cacla)
         else:
-            ok = ok and not np.any(cacla_direction(pol, s, a, delta).vector)
-            ok = ok and not np.any(cac_direction(pol, s, a, delta).vector)
+            ok = ok and not np.any(cacla_direction(pol, s, a, delta))
+            ok = ok and not np.any(cac_direction(pol, s, a, delta))
     report(9, "gating property", ok, "10000 random inputs")
     assert ok
 

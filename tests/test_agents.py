@@ -1,6 +1,12 @@
+import copy
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import detac
 from detac.agents import (AgentConfig, BanditConfig, BatchActorCritic,
                           IncrementalActorCritic, evaluate_deterministic,
                           make_agent, run_bandit, run_episode)
@@ -123,7 +129,7 @@ def test_penfac_dhat_measures_against_pre_phase_policy():
     batch = [run_episode(lambda s: agent.exploration.act(s, rng), env, rng)
              for _ in range(2)]
     states = np.concatenate([t.state_array() for t in batch])
-    before = agent.policy.copy()
+    before = copy.deepcopy(agent.policy)
     before.act_batch(states, training=True)
     agent.update_phase(batch)
     after = agent.policy
@@ -175,3 +181,18 @@ def test_run_bandit_curve_is_deterministic_in_seed():
     a = run_bandit("cacla", env, 200, BanditConfig(), np.random.default_rng(9))
     b = run_bandit("cacla", env, 200, BanditConfig(), np.random.default_rng(9))
     assert np.array_equal(a, b)
+
+
+def test_run_bandit_runs_without_scipy():
+    # src/ depends on numpy alone; scipy is a test-only dependency
+    code = ("import sys; sys.modules['scipy'] = None\n"
+            "import numpy as np, detac\n"
+            "curve = detac.run_bandit('spg', detac.make_quadratic_bandit(2, 0),"
+            " 1, detac.BanditConfig(), np.random.default_rng(0))\n"
+            "assert curve.shape == (1,)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(detac.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr

@@ -2,10 +2,30 @@ import numpy as np
 import pytest
 
 from detac.critics import (CompatibleQCritic, ConstantVCritic, MlpVCritic,
-                           TabularVCritic, fitted_value_iteration,
-                           lambda_returns, td_error)
-from detac.policies import LinearPolicy, MlpPolicy
+                           fitted_value_iteration, lambda_returns, td_error)
+from detac.policies import LinearPolicy, MlpPolicy, toward_action
 from detac.trajectory import Trajectory
+
+
+class TabularVCritic:
+    """Exact table over integer states; a regression pass solves the least
+    squares fit in closed form (per-state mean of the targets)."""
+
+    def __init__(self, n_states):
+        self.v = np.zeros(n_states)
+
+    def value(self, state):
+        return float(self.v[int(np.asarray(state).reshape(-1)[0])])
+
+    def values(self, states):
+        idx = np.asarray(states).reshape(len(states), -1)[:, 0].astype(int)
+        return self.v[idx]
+
+    def regress(self, states, targets):
+        idx = np.asarray(states).reshape(len(states), -1)[:, 0].astype(int)
+        targets = np.asarray(targets, dtype=float).reshape(-1)
+        for s in np.unique(idx):
+            self.v[s] = targets[idx == s].mean()
 
 
 def _make_traj(rewards, terminals, n_state_dims=1):
@@ -33,7 +53,7 @@ def test_td_error_bootstrap_and_terminal():
 def test_lambda_zero_returns_are_one_step_targets():
     critic = ConstantVCritic(2.0)
     traj = _make_traj([1.0, -1.0, 0.5], [False, False, False])
-    targets = lambda_returns(traj, critic, 0.9, 0.0)
+    targets = lambda_returns([traj], critic, 0.9, 0.0)
     expected = np.array([1.0, -1.0, 0.5]) + 0.9 * 2.0
     assert np.allclose(targets, expected, atol=1e-12)
 
@@ -43,7 +63,7 @@ def test_lambda_one_returns_are_monte_carlo_plus_tail():
     rewards = [1.0, 2.0, 4.0]
     traj = _make_traj(rewards, [False, False, False])
     gamma = 0.5
-    targets = lambda_returns(traj, critic, gamma, 1.0)
+    targets = lambda_returns([traj], critic, gamma, 1.0)
     # horizon cut: discounted reward sum plus gamma^3 * V(s_T)
     g2 = 4.0 + gamma * 3.0
     g1 = 2.0 + gamma * g2
@@ -54,7 +74,7 @@ def test_lambda_one_returns_are_monte_carlo_plus_tail():
 def test_lambda_one_terminal_is_pure_monte_carlo():
     critic = ConstantVCritic(100.0)  # tail value must not leak in
     traj = _make_traj([1.0, 2.0, 4.0], [False, False, True])
-    targets = lambda_returns(traj, critic, 0.5, 1.0)
+    targets = lambda_returns([traj], critic, 0.5, 1.0)
     assert np.allclose(targets, [1.0 + 0.5 * (2.0 + 0.5 * 4.0),
                                  2.0 + 0.5 * 4.0, 4.0], atol=1e-12)
 
@@ -85,17 +105,41 @@ def test_lambda_returns_match_weighted_nstep_sum():
                 for n in range(1, n_max))
         g += lam ** (n_max - 1) * n_step(t, n_max)
         expected[t] = g
-    got = lambda_returns(traj, critic, gamma, lam)
+    got = lambda_returns([traj], critic, gamma, lam)
     assert np.max(np.abs(got - expected)) < 1e-12
+
+
+def test_lambda_returns_batch_is_concatenation_of_episodes():
+    # each episode restarts the recursion from its own last next state:
+    # a horizon cut bootstraps, a terminal adds no tail, and nothing flows
+    # across an episode boundary
+    critic = TabularVCritic(20)
+    critic.v = np.random.default_rng(3).standard_normal(20)
+    rng = np.random.default_rng(4)
+    batch = []
+    for length, terminal_end in ((4, False), (1, True), (6, True), (3, False)):
+        traj = Trajectory()
+        for t in range(length):
+            traj.append(np.array([rng.integers(20)]), np.zeros(1),
+                        float(rng.standard_normal()),
+                        np.array([rng.integers(20)]),
+                        terminal_end and t == length - 1)
+        batch.append(traj)
+    for lam in (0.0, 0.6, 1.0):
+        got = lambda_returns(batch, critic, 0.9, lam)
+        singles = np.concatenate(
+            [lambda_returns([t], critic, 0.9, lam) for t in batch])
+        assert np.array_equal(got, singles)
 
 
 def test_lambda_returns_rejects_bad_inputs():
     critic = ConstantVCritic(0.0)
-    with pytest.raises(ValueError):
-        lambda_returns(Trajectory(), critic, 0.9, 0.5)
     traj = _make_traj([1.0], [False])
+    for batch in ([], [Trajectory()], [traj, Trajectory()]):
+        with pytest.raises(ValueError):
+            lambda_returns(batch, critic, 0.9, 0.5)
     with pytest.raises(ValueError):
-        lambda_returns(traj, critic, 0.9, 1.5)
+        lambda_returns([traj], critic, 0.9, 1.5)
 
 
 def test_tabular_critic_regress_is_per_state_mean():
@@ -175,7 +219,7 @@ def test_compatible_q_identity_at_mean():
     critic.v = np.array([1.3])
     mu = pol.act()
     assert critic.q(None, mu) == critic.value(None)
-    assert critic.advantage(None, mu) == 0.0
+    assert not np.any(toward_action(pol, None, mu))
 
 
 def test_compatible_q_grad_a_is_jacobian_transpose_w():
@@ -188,7 +232,7 @@ def test_compatible_q_grad_a_is_jacobian_transpose_w():
 def _ridge_fit(critic, states, actions, targets, ridge=1e-6):
     """Reference least squares of (w, v) on the stacked compatible
     features [(a - mu(s))^T J_mu(s), 1]."""
-    x = np.stack([np.append(critic._advantage_features(s, a), 1.0)
+    x = np.stack([np.append(toward_action(critic.policy, s, a), 1.0)
                   for s, a in zip(states, actions)])
     sol = np.linalg.solve(x.T @ x + ridge * np.eye(x.shape[1]),
                           x.T @ np.asarray(targets, dtype=float))

@@ -5,17 +5,11 @@ from detac.envs import (EnvSpec, FiniteMdp, PointMass, QuadraticBandit,
                         make_quadratic_bandit, random_finite_mdp)
 
 
-def test_envspec_rejects_bad_gamma():
-    for gamma in (-0.1, 1.0, 1.5):
-        with pytest.raises(ValueError):
-            EnvSpec(1, 1, -1.0, 1.0, 10, gamma)
-
-
 def test_envspec_rejects_degenerate_bounds():
     with pytest.raises(ValueError):
-        EnvSpec(1, 1, 1.0, -1.0, 10, 0.9)
+        EnvSpec(1, 1, 1.0, -1.0, 10)
     with pytest.raises(ValueError):
-        EnvSpec(1, 1, 0.0, 0.0, 10, 0.9)
+        EnvSpec(1, 1, 0.0, 0.0, 10)
 
 
 def test_bandit_reward_at_target_is_zero():
@@ -98,27 +92,6 @@ def test_finite_mdp_rejects_bad_start():
     r = np.zeros((2, 1))
     with pytest.raises(ValueError):
         FiniteMdp(p, r, np.array([0.6, 0.6]), 0.9)
-
-
-def test_finite_mdp_step_respects_deterministic_rows():
-    p = np.zeros((2, 2, 2))
-    p[0, 0, 1] = 1.0
-    p[0, 1, 0] = 1.0
-    p[1, :, 1] = 1.0
-    r = np.array([[1.0, 0.0], [0.0, 0.0]])
-    mdp = FiniteMdp(p, r, np.array([1.0, 0.0]), 0.9,
-                    terminal=np.array([False, True]))
-    rng = np.random.default_rng(0)
-    s = mdp.reset(rng)
-    assert s == 0
-    s2, rew, done = mdp.step(s, 0, rng)
-    assert (s2, rew, done) == (1, 1.0, True)
-
-
-def test_finite_mdp_rejects_out_of_range_action():
-    mdp = random_finite_mdp(3, 2, 0.9, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        mdp.step(0, 5, np.random.default_rng(1))
 
 
 def test_random_finite_mdp_rows_sum_to_one():

@@ -94,7 +94,10 @@ def test_run_seed_rows_shape_and_determinism():
 
 
 def test_run_seed_rejects_bandit_only_rules():
-    cfg = _config(agent=AgentConfig(rule="spg"))
+    # ExperimentConfig refuses these rules; a config changed after it was
+    # built still fails in make_agent
+    cfg = _config()
+    cfg.agent = AgentConfig(rule="spg")
     with pytest.raises(ValueError):
         run_seed(cfg, 0)
 
@@ -185,6 +188,26 @@ def test_cli_train_bad_config_exits_2(capsys):
 def test_cli_train_malformed_set_exits_2(capsys):
     code = main(["train", "--set", "agentnfac"])
     assert code == 2
+
+
+@pytest.mark.parametrize("rule", ["spg", "dpg"])
+@pytest.mark.parametrize("env", ["pointmass", "bandit"])
+def test_cli_train_bandit_only_rule_exits_2(tmp_path, capsys, rule, env):
+    code = main(["train", "--set", f"agent={rule}", "--set", f"env={env}",
+                 "--out", str(tmp_path / "runs")])
+    assert code == 2
+    assert "bandit-suite" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("flags", [["--seeds", "0"], ["--dims", "0"],
+                                   ["--dims", "5,x"], ["--dims", ","]])
+def test_cli_bandit_suite_bad_arguments_exit_2(tmp_path, capsys, flags):
+    code = main(["bandit-suite", "--episodes", "10",
+                 "--out", str(tmp_path / "bandit"), *flags])
+    assert code == 2
+    assert "bandit-suite" in capsys.readouterr().err
+    assert not (tmp_path / "bandit").exists()
 
 
 def test_cli_train_runs_and_writes(tmp_path, capsys, monkeypatch):

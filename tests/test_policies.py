@@ -34,15 +34,6 @@ def test_mlp_policy_jacobian_matches_finite_differences():
     assert np.max(np.abs(jac - fd)) < 1e-5
 
 
-def test_mlp_policy_copy_is_independent():
-    pol = MlpPolicy(2, 1, hidden_sizes=(4,), rng=np.random.default_rng(1))
-    clone = pol.copy()
-    state = np.array([0.3, -0.2])
-    assert np.array_equal(pol.act(state), clone.act(state))
-    clone.set_params(clone.get_params() + 0.1)
-    assert not np.array_equal(pol.act(state), clone.act(state))
-
-
 def test_mlp_policy_backward_batch_matches_jacobian_sum():
     rng = np.random.default_rng(6)
     pol = MlpPolicy(2, 2, hidden_sizes=(5,), rng=rng)

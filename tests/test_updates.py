@@ -1,11 +1,63 @@
+import copy
+
 import numpy as np
 import pytest
 
-from detac.policies import LinearPolicy, MlpPolicy
-from detac.updates import (TrustRegionState, UpdateDirection, adapt_beta,
+from detac.agents import BanditConfig, run_bandit
+from detac.critics import CompatibleQCritic
+from detac.envs import make_quadratic_bandit
+from detac.policies import (GaussianExploration, LinearPolicy, MlpPolicy,
+                            toward_action)
+from detac.updates import (TrustRegionState, adapt_beta,
                            batch_gated_direction, cac_direction,
-                           cacla_direction, dpg_direction,
-                           policy_distance_dhat, spg_direction)
+                           cacla_direction, policy_distance_dhat)
+
+
+def spg_direction(policy, sigma, state, action, advantage):
+    """Reference single-sample likelihood-ratio gradient for the Gaussian
+    policy: A(s,a) (a - mu(s))^T J_mu(s) / sigma^2."""
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
+    return (advantage / sigma ** 2) * toward_action(policy, state, action)
+
+
+def dpg_direction(policy, state, grad_a):
+    """Reference chain rule through the critic's action gradient at
+    a = mu(s)."""
+    return np.asarray(grad_a, float).reshape(-1) @ policy.jacobian(state)
+
+
+def bandit_reference(rule, env, episodes, config, rng):
+    """run_bandit's loop, evaluated every episode, with each actor step
+    taken from a reference direction: spg_direction, dpg_direction or
+    cacla_direction."""
+    policy = LinearPolicy(env.spec.action_dim)
+    exploration = GaussianExploration(policy, config.sigma)
+    critic = CompatibleQCritic(policy)
+    state = env.reset(rng)
+    v, lr, curve = 0.0, config.lr_actor, []
+    for _ in range(episodes):
+        action = exploration.act(state, rng)
+        _, reward, _ = env.step(state, action, rng)
+        if rule == "cacla":
+            delta = reward - v
+            v += config.lr_critic * delta
+            policy.theta += lr * cacla_direction(policy, state, action, delta)
+        else:
+            critic.sgd_fit_step(state, action, reward, config.lr_critic)
+            if rule == "dpg":
+                g = dpg_direction(policy, state, critic.grad_a(state))
+            else:
+                adv = critic.q(state, action) - critic.value(state)
+                g = spg_direction(policy, exploration.sigma, state, action,
+                                  adv)
+            policy.theta += lr * g
+            lr = max(config.lr_actor_min, lr * config.lr_actor_decay)
+        policy.theta = np.clip(policy.theta, policy.low, policy.high)
+        exploration.sigma = max(config.sigma_min,
+                                exploration.sigma * config.sigma_decay)
+        curve.append(-float(np.sum((policy.act(state) - env.target) ** 2)))
+    return np.asarray(curve)
 
 
 def penfac_actor_gradient(policy, snapshot, states, actions, advantages, beta):
@@ -17,28 +69,31 @@ def penfac_actor_gradient(policy, snapshot, states, actions, advantages, beta):
     """
     g = np.zeros(policy.n_params)
     for s, a, adv in zip(states, actions, advantages):
-        g += cac_direction(policy, s, a, adv).vector
+        g += cac_direction(policy, s, a, adv)
         drift = policy.act(s) - snapshot.act(s)
         g -= 2.0 * beta * (drift @ policy.jacobian(s))
     return g / len(states)
 
 
-def test_update_direction_rejects_nonfinite():
+def test_gated_directions_reject_nonfinite():
+    pol = LinearPolicy(1)
     with pytest.raises(ValueError):
-        UpdateDirection(np.array([1.0, np.inf]), "cacla")
+        cacla_direction(pol, None, np.array([np.inf]), 1.0)
+    with pytest.raises(ValueError):
+        cac_direction(pol, None, np.array([0.5]), np.inf)
 
 
 def test_cacla_gate_closed_on_nonpositive_delta():
     pol = LinearPolicy(2)
     for delta in (0.0, -0.5, -100.0):
-        g = cacla_direction(pol, None, np.array([0.3, 0.3]), delta).vector
+        g = cacla_direction(pol, None, np.array([0.3, 0.3]), delta)
         assert np.all(g == 0.0)
 
 
 def test_cacla_moves_toward_action():
     pol = LinearPolicy(2, theta=np.array([0.1, -0.2]))
     a = np.array([0.5, 0.5])
-    g = cacla_direction(pol, None, a, delta=1.0).vector
+    g = cacla_direction(pol, None, a, delta=1.0)
     # identity jacobian: direction is exactly a - mu
     assert np.allclose(g, a - pol.act(), atol=1e-15)
 
@@ -49,15 +104,15 @@ def test_cac_is_delta_times_cacla():
     s = rng.standard_normal(2)
     a = rng.uniform(-1, 1, 2)
     for delta in (0.3, 2.7):
-        g_cacla = cacla_direction(pol, s, a, delta).vector
-        g_cac = cac_direction(pol, s, a, delta).vector
+        g_cacla = cacla_direction(pol, s, a, delta)
+        g_cac = cac_direction(pol, s, a, delta)
         assert np.array_equal(g_cac, delta * g_cacla)
 
 
 def test_spg_direction_formula():
     pol = LinearPolicy(1, theta=np.array([0.2]))
     a = np.array([0.5])
-    g = spg_direction(pol, 0.5, None, a, advantage=2.0).vector
+    g = spg_direction(pol, 0.5, None, a, advantage=2.0)
     assert g[0] == pytest.approx(2.0 * 0.3 / 0.25, abs=1e-12)
 
 
@@ -69,7 +124,7 @@ def test_spg_rejects_nonpositive_sigma():
 def test_dpg_direction_is_grad_a_through_jacobian():
     pol = LinearPolicy(3)
     grad_a = np.array([0.1, -0.7, 2.0])
-    g = dpg_direction(pol, None, grad_a).vector
+    g = dpg_direction(pol, None, grad_a)
     assert np.array_equal(g, grad_a)
 
 
@@ -80,7 +135,7 @@ def test_dpg_matches_finite_difference_of_q_in_params():
     s = rng.standard_normal(2)
     w = np.array([1.3])  # Q(s, a) = w . a
 
-    g = dpg_direction(pol, s, w).vector
+    g = dpg_direction(pol, s, w)
     theta = pol.get_params()
     h = 1e-6
     fd = np.empty_like(theta)
@@ -142,7 +197,7 @@ def test_penfac_gradient_matches_finite_difference_of_objective():
     # whose gradient equals the penfac direction with w_t = max(A_t, 0)
     rng = np.random.default_rng(11)
     pol = MlpPolicy(2, 2, hidden_sizes=(5,), rng=rng)
-    snap = pol.copy()
+    snap = copy.deepcopy(pol)
     snap.set_params(snap.get_params() + 0.05 * rng.standard_normal(pol.n_params))
     states = rng.standard_normal((6, 2))
     actions = rng.uniform(-1, 1, (6, 2))
@@ -183,7 +238,7 @@ def test_penfac_zero_beta_reduces_to_mean_cac():
                               mu_old=pol.act_batch(states), beta=0.0)
     ref = np.zeros(pol.n_params)
     for s, a, adv in zip(states, actions, advs):
-        ref += cac_direction(pol, s, a, adv).vector
+        ref += cac_direction(pol, s, a, adv)
     assert np.allclose(g, ref / 5, atol=1e-12)
 
 
@@ -202,7 +257,7 @@ def test_penfac_rejects_length_mismatch():
 def test_batch_gated_direction_matches_per_sample_loops():
     rng = np.random.default_rng(13)
     pol = MlpPolicy(2, 2, hidden_sizes=(6,), rng=rng)
-    snap = pol.copy()
+    snap = copy.deepcopy(pol)
     snap.set_params(snap.get_params() + 0.02 * rng.standard_normal(pol.n_params))
     states = rng.standard_normal((7, 2))
     actions = rng.uniform(-1, 1, (7, 2))
@@ -218,5 +273,17 @@ def test_batch_gated_direction_matches_per_sample_loops():
                                     scale_by_delta=False)
     g_loop = np.zeros(pol.n_params)
     for s, a, adv in zip(states, actions, advs):
-        g_loop += cacla_direction(pol, s, a, adv).vector
+        g_loop += cacla_direction(pol, s, a, adv)
     assert np.max(np.abs(g_batch - g_loop / 7)) < 1e-10
+
+
+@pytest.mark.parametrize("rule", ["spg", "dpg", "cacla"])
+def test_run_bandit_matches_reference_directions(rule):
+    # run_bandit writes the SPG and DPG steps inline; they must agree with
+    # the reference directions the rules are defined by
+    env = make_quadratic_bandit(5, 0)
+    got = run_bandit(rule, env, 300, BanditConfig(), np.random.default_rng(1))
+    want = bandit_reference(rule, env, 300, BanditConfig(),
+                            np.random.default_rng(1))
+    assert got[-1] > got[0]
+    assert np.max(np.abs(got - want)) < 1e-12
