@@ -70,10 +70,32 @@ def run_episode(policy_act, env, rng, on_step=None):
 
 
 def evaluate_deterministic(policy, env, n_episodes, rng=None):
-    """Play the greedy policy; interactions stay out of any training data."""
+    """Play the greedy policy for ``n_episodes`` episodes in lockstep: each
+    time step is one ``policy.act_batch`` over the episodes still running,
+    then one ``env.step`` per episode, and an episode leaves the batch when
+    the env reports it terminal.  All resets draw from ``rng`` before the
+    first step, so the returns equal those of a loop of single episodes
+    only when ``env.step`` draws nothing from ``rng``; each return is
+    ``Trajectory.episode_return`` of its episode's rewards.  Interactions
+    stay out of any training data."""
+    if n_episodes < 1:
+        raise ValueError("n_episodes must be >= 1")
     rng = rng if rng is not None else np.random.default_rng(0)
-    returns = [run_episode(policy.act, env, rng).episode_return
-               for _ in range(n_episodes)]
+    states = [env.reset(rng) for _ in range(n_episodes)]
+    rewards = [[] for _ in range(n_episodes)]
+    live = list(range(n_episodes))
+    for _ in range(env.spec.horizon):
+        actions = policy.act_batch(np.stack([states[i] for i in live]))
+        running = []
+        for i, action in zip(live, actions):
+            states[i], reward, terminal = env.step(states[i], action, rng)
+            rewards[i].append(float(reward))
+            if not terminal:
+                running.append(i)
+        live = running
+        if not live:
+            break
+    returns = [float(sum(r)) for r in rewards]
     return float(np.mean(returns)), returns
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .agents import AgentConfig
+from .envs import PointMass, make_quadratic_bandit
 
 ENV_NAMES = ("pointmass", "bandit")
 
@@ -63,6 +64,12 @@ _AGENT_KEYS = {
 }
 
 
+def make_env(config):
+    if config.env == "bandit":
+        return make_quadratic_bandit(**config.env_params)
+    return PointMass(**config.env_params)
+
+
 @dataclass
 class ExperimentConfig:
     agent: AgentConfig
@@ -87,6 +94,10 @@ class ExperimentConfig:
             raise ValueError("eval_interval must be >= 1")
         if self.total_steps < 0:
             raise ValueError("total_steps must be >= 0")
+        if self.eval_episodes < 1:
+            raise ValueError("eval_episodes must be >= 1")
+        # the env checks its own parameters (e.g. a horizon >= 1)
+        make_env(self)
 
 
 def read_config_file(path):

@@ -86,21 +86,26 @@ def lambda_returns(trajectories, critic, gamma, lam):
         raise ValueError("empty trajectory")
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lambda must lie in [0, 1]")
-    next_values = critic.values([s for t in trajectories for s in t.next_states])
-    rewards = np.asarray([r for t in trajectories for r in t.rewards])
-    terminals = [d for t in trajectories for d in t.terminals]
-    last = [i == len(t) - 1 for t in trajectories for i in range(len(t))]
-    targets = np.empty(len(rewards))
-    for t in range(len(rewards) - 1, -1, -1):
-        if last[t]:
-            g_next = next_values[t]
-        if terminals[t]:
-            tail = 0.0
-        else:
-            tail = gamma * ((1 - lam) * next_values[t] + lam * g_next)
-        targets[t] = rewards[t] + tail
-        g_next = targets[t]
-    return targets
+    values = critic.values(
+        [s for t in trajectories for s in t.next_states]).tolist()
+    # the recursion runs on Python floats: the same IEEE operations as on
+    # numpy scalars, at a fraction of the per-step cost
+    one_minus_lam = 1 - lam
+    targets = []
+    end = len(values)
+    for traj in reversed(trajectories):
+        start = end - len(traj)
+        g_next = values[end - 1]
+        for r, v, terminal in zip(reversed(traj.rewards),
+                                  reversed(values[start:end]),
+                                  reversed(traj.terminals)):
+            tail = 0.0 if terminal else gamma * (one_minus_lam * v
+                                                   + lam * g_next)
+            g_next = r + tail
+            targets.append(g_next)
+        end = start
+    targets.reverse()
+    return np.array(targets)
 
 
 def fitted_value_iteration(critic, trajectories, gamma, lam, n_iterations):

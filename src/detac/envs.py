@@ -28,6 +28,8 @@ class EnvSpec:
     def __post_init__(self):
         if self.action_dim < 1:
             raise ValueError("action_dim must be >= 1")
+        if self.horizon < 1:
+            raise ValueError("horizon must be >= 1")
         self.action_low = np.broadcast_to(
             np.asarray(self.action_low, dtype=float), (self.action_dim,)).copy()
         self.action_high = np.broadcast_to(
@@ -39,15 +41,20 @@ class EnvSpec:
 
 
 def _check_action(spec, action):
-    action = np.asarray(action, dtype=float).reshape(-1)
-    if action.shape != (spec.action_dim,):
-        raise ValueError(f"action has dimension {action.size}, expected {spec.action_dim}")
-    if not np.all(np.isfinite(action)):
-        raise ValueError("non-finite action")
-    clipped = np.clip(action, spec.action_low, spec.action_high)
-    if np.any(clipped != action):
-        log.warning("action out of bounds, clipping: %s", action)
-    return clipped
+    """``action`` as a float array of shape (action_dim,).  A wrong width
+    or a non-finite value raises; out-of-bounds values are clipped with a
+    warning, and only then is the action copied."""
+    a = np.asarray(action, dtype=float).reshape(-1)
+    if a.shape != (spec.action_dim,):
+        raise ValueError(f"action has dimension {a.size}, expected {spec.action_dim}")
+    low, high = spec.action_low, spec.action_high
+    # one comparison pass: NaN and +-inf fail it too
+    if not ((a >= low) & (a <= high)).all():
+        if not np.isfinite(a).all():
+            raise ValueError("non-finite action")
+        log.warning("action out of bounds, clipping: %s", a)
+        a = np.clip(a, low, high)
+    return a
 
 
 class QuadraticBandit:
@@ -98,12 +105,14 @@ class PointMass:
         return np.zeros(2)
 
     def step(self, state, action, rng=None):
-        a = _check_action(self.spec, action)
-        pos, vel = float(state[0]), float(state[1])
-        vel = np.clip(vel + self.DT * a[0], -self.STATE_BOUND, self.STATE_BOUND)
-        pos = np.clip(pos + self.DT * vel, -self.STATE_BOUND, self.STATE_BOUND)
-        reward = -(pos - self.goal) ** 2 - 0.01 * float(np.sum(a * a))
-        return np.array([pos, vel]), float(reward), False
+        # one transition on Python floats, free of the per-call cost of
+        # numpy scalars, with the same IEEE operations as np.clip on them
+        u = float(_check_action(self.spec, action)[0])
+        bound = self.STATE_BOUND
+        vel = min(max(float(state[1]) + self.DT * u, -bound), bound)
+        pos = min(max(float(state[0]) + self.DT * vel, -bound), bound)
+        reward = -(pos - self.goal) ** 2 - 0.01 * (u * u)
+        return np.array([pos, vel]), reward, False
 
 
 class FiniteMdp:

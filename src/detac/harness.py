@@ -9,7 +9,8 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .agents import evaluate_deterministic, make_agent
-from .envs import PointMass, make_quadratic_bandit, random_finite_mdp
+from .config import make_env
+from .envs import random_finite_mdp
 from .nets import MlpNet, gradient_check
 from .oracle import (LipschitzGaussianChain, epsilon_smoothed,
                      gated_direction_ratio, occupancy_shift_bound_check,
@@ -20,12 +21,6 @@ CSV_HEADER = "seed,env_steps,mean_return,returns..."
 
 def _fmt(x):
     return repr(float(x))
-
-
-def make_env(config):
-    if config.env == "bandit":
-        return make_quadratic_bandit(**config.env_params)
-    return PointMass(**config.env_params)
 
 
 def run_seed(config, seed):

@@ -22,7 +22,9 @@ def _act(name, x):
     if name == "tanh":
         return np.tanh(x)
     if name == "leaky_relu":
-        return np.where(x > 0, x, LEAKY_SLOPE * x)
+        # max(x, slope * x) is x for x > 0 and slope * x otherwise, the
+        # same bits as np.where(x > 0, x, slope * x) at a lower cost
+        return np.maximum(x, LEAKY_SLOPE * x)
     if name == "linear":
         return x
     raise ValueError(f"unknown activation {name!r}")

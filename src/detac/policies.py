@@ -1,9 +1,10 @@
 """Deterministic policy representations and the Gaussian exploration wrapper.
 
 All policies expose a common surface: ``act(state)`` returns the
-deterministic action, ``jacobian(state)`` the (action_dim x n_params)
-derivative of the action w.r.t. the flat parameter vector, and
-``get_params``/``set_params`` move the parameter point.
+deterministic action, ``act_batch(states)`` one action per row,
+``jacobian(state)`` the (action_dim x n_params) derivative of the action
+w.r.t. the flat parameter vector, and ``get_params``/``set_params`` move
+the parameter point.
 """
 
 from __future__ import annotations
@@ -90,6 +91,11 @@ class LinearPolicy:
             _check_state(state)
         return np.clip(self.theta, self.low, self.high)
 
+    def act_batch(self, states):
+        states = np.atleast_2d(states)
+        _check_state(states)
+        return np.tile(self.act(), (len(states), 1))
+
     def jacobian(self, state=None):
         return np.eye(self.action_dim)
 
@@ -117,7 +123,7 @@ class GaussianExploration:
         mu = np.asarray(self.policy.act(state), dtype=float).reshape(-1)
         for _ in range(MAX_ATTEMPTS):
             a = mu + self.sigma * rng.standard_normal(mu.size)
-            if np.all(a >= self.low) and np.all(a <= self.high):
+            if ((a >= self.low) & (a <= self.high)).all():
                 return a
         return np.clip(a, self.low, self.high)
 

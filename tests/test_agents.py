@@ -11,7 +11,8 @@ from detac.agents import (AgentConfig, BanditConfig, BatchActorCritic,
                           IncrementalActorCritic, evaluate_deterministic,
                           make_agent, run_bandit, run_episode)
 from detac.critics import ConstantVCritic
-from detac.envs import PointMass, QuadraticBandit, make_quadratic_bandit
+from detac.envs import (EnvSpec, PointMass, QuadraticBandit,
+                        make_quadratic_bandit)
 from detac.policies import LinearPolicy, MlpPolicy
 
 
@@ -46,6 +47,95 @@ def test_evaluate_deterministic_does_not_change_policy():
     assert np.array_equal(pol.get_params(), before)
     assert len(returns) == 3
     assert mean == pytest.approx(np.mean(returns))
+
+
+def _episode_loop_returns(policy, env, n_episodes, rng):
+    """evaluate_deterministic as a loop of single episodes: the reference
+    for the lockstep form."""
+    return [run_episode(policy.act, env, rng).episode_return
+            for _ in range(n_episodes)]
+
+
+# a 10-row matmul rounds differently from a 1-row one; 1e-12 is far above
+# float64 roundoff over 100 steps and far below any change in behaviour
+EVAL_RTOL = 1e-12
+
+
+def _assert_lockstep_matches_loop(policy, env, n_episodes, seed=5):
+    mean, returns = evaluate_deterministic(policy, env, n_episodes,
+                                           np.random.default_rng(seed))
+    want = _episode_loop_returns(policy, env, n_episodes,
+                                 np.random.default_rng(seed))
+    assert len(returns) == n_episodes
+    assert all(type(r) is float for r in returns)
+    np.testing.assert_allclose(returns, want, rtol=EVAL_RTOL, atol=0)
+    assert mean == float(np.mean(returns))
+    return returns
+
+
+class _StaggeredEnv:
+    """Test-side env whose episodes end at different steps: the start state
+    is a countdown drawn by ``reset``; ``step`` draws nothing, so the
+    lockstep form resets every episode from the same stream as the loop."""
+
+    def __init__(self, horizon):
+        self.spec = EnvSpec(state_dim=1, action_dim=1, action_low=-1.0,
+                            action_high=1.0, horizon=horizon)
+
+    def reset(self, rng):
+        return np.array([float(rng.integers(1, 2 * self.spec.horizon))])
+
+    def step(self, state, action, rng=None):
+        left = state[0] - 1.0
+        reward = -(action[0] - 0.3) ** 2 * state[0]
+        return np.array([left]), float(reward), left <= 0.0
+
+
+def test_lockstep_evaluation_pointmass_batch_norm_policy():
+    rng = np.random.default_rng(2)
+    pol = MlpPolicy(2, 1, hidden_sizes=(32, 32), hidden="leaky_relu",
+                    batch_norm=True, rng=rng)
+    # a training-mode refresh moves the running stats off their init
+    pol.act_batch(rng.standard_normal((50, 2)), training=True)
+    pol.set_params(pol.get_params() + 0.3 * rng.standard_normal(pol.n_params))
+    returns = _assert_lockstep_matches_loop(pol, PointMass(goal=0.5), 10)
+    assert returns[0] != 0.0
+
+
+def test_lockstep_evaluation_quadratic_bandit():
+    env = make_quadratic_bandit(3, 1)
+    pol = MlpPolicy(1, 3, hidden_sizes=(8,), rng=np.random.default_rng(3))
+    returns = _assert_lockstep_matches_loop(pol, env, 4)
+    assert len(set(returns)) == 1 and returns[0] < 0.0
+    # the exported bandit representation evaluates too
+    pol = LinearPolicy(3, theta=[0.2, -1.4, 0.5])
+    returns = _assert_lockstep_matches_loop(pol, env, 3)
+    assert returns[0] == env.step(np.zeros(1), pol.act())[1]
+
+
+def test_lockstep_evaluation_masks_finished_episodes():
+    env = _StaggeredEnv(horizon=8)
+    pol = MlpPolicy(1, 1, hidden_sizes=(8,), rng=np.random.default_rng(4))
+    rng = np.random.default_rng(5)
+    lengths = [len(run_episode(pol.act, env, rng)) for _ in range(12)]
+    # some end early at different steps, some run into the horizon
+    assert len(set(lengths)) > 3 and max(lengths) == 8 and min(lengths) < 8
+    _assert_lockstep_matches_loop(pol, env, 12)
+
+
+def test_lockstep_evaluation_single_episode():
+    pol = MlpPolicy(2, 1, hidden_sizes=(8,), batch_norm=True,
+                    rng=np.random.default_rng(6))
+    _assert_lockstep_matches_loop(pol, PointMass(horizon=30), 1)
+    pol = MlpPolicy(1, 1, hidden_sizes=(8,), rng=np.random.default_rng(7))
+    _assert_lockstep_matches_loop(pol, _StaggeredEnv(horizon=5), 1)
+
+
+def test_evaluate_deterministic_rejects_no_episodes():
+    pol = MlpPolicy(2, 1, hidden_sizes=(4,), rng=np.random.default_rng(0))
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            evaluate_deterministic(pol, PointMass(horizon=5), n)
 
 
 def test_incremental_agent_rejects_batch_rules():

@@ -132,6 +132,48 @@ def test_lambda_returns_batch_is_concatenation_of_episodes():
         assert np.array_equal(got, singles)
 
 
+def _numpy_lambda_returns(trajectories, critic, gamma, lam):
+    """The recursion on numpy arrays and scalars, as lambda_returns ran it
+    before it moved to Python floats."""
+    next_values = critic.values([s for t in trajectories for s in t.next_states])
+    rewards = np.asarray([r for t in trajectories for r in t.rewards])
+    terminals = [d for t in trajectories for d in t.terminals]
+    last = [i == len(t) - 1 for t in trajectories for i in range(len(t))]
+    targets = np.empty(len(rewards))
+    for t in range(len(rewards) - 1, -1, -1):
+        if last[t]:
+            g_next = next_values[t]
+        if terminals[t]:
+            tail = 0.0
+        else:
+            tail = gamma * ((1 - lam) * next_values[t] + lam * g_next)
+        targets[t] = rewards[t] + tail
+        g_next = targets[t]
+    return targets
+
+
+def test_lambda_returns_equal_numpy_recursion_bitwise():
+    # the same IEEE operations on Python floats: no tolerance
+    rng = np.random.default_rng(11)
+    critic = MlpVCritic(2, hidden_sizes=(8,), rng=rng)
+    batch = []
+    for length, terminal_end in ((7, False), (1, True), (12, True), (5, False)):
+        traj = Trajectory()
+        for t in range(length):
+            traj.append(rng.standard_normal(2), np.zeros(1),
+                        float(rng.standard_normal() * 10.0),
+                        rng.standard_normal(2),
+                        terminal_end and t == length - 1)
+        batch.append(traj)
+    # a terminal step's target is r + 0.0, which turns -0.0 into +0.0
+    batch[1].rewards[0] = -0.0
+    for lam in (0.0, 0.3, 0.9, 1.0):
+        got = lambda_returns(batch, critic, 0.99, lam)
+        want = _numpy_lambda_returns(batch, critic, 0.99, lam)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_lambda_returns_rejects_bad_inputs():
     critic = ConstantVCritic(0.0)
     traj = _make_traj([1.0], [False])

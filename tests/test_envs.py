@@ -1,8 +1,11 @@
+import logging
+
 import numpy as np
 import pytest
 
 from detac.envs import (EnvSpec, FiniteMdp, PointMass, QuadraticBandit,
-                        make_quadratic_bandit, random_finite_mdp)
+                        _check_action, make_quadratic_bandit,
+                        random_finite_mdp)
 
 
 def test_envspec_rejects_degenerate_bounds():
@@ -10,6 +13,88 @@ def test_envspec_rejects_degenerate_bounds():
         EnvSpec(1, 1, 1.0, -1.0, 10)
     with pytest.raises(ValueError):
         EnvSpec(1, 1, 0.0, 0.0, 10)
+
+
+@pytest.mark.parametrize("horizon", [0, -1])
+def test_envspec_rejects_horizon_below_one(horizon):
+    with pytest.raises(ValueError, match="horizon"):
+        EnvSpec(1, 1, -1.0, 1.0, horizon)
+    with pytest.raises(ValueError, match="horizon"):
+        PointMass(horizon=horizon)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+def _reference_pointmass_step(env, state, action):
+    """PointMass.step as it was written on numpy scalars with np.clip."""
+    a = np.clip(np.asarray(action, dtype=float).reshape(-1), -1.0, 1.0)
+    pos, vel = float(state[0]), float(state[1])
+    vel = np.clip(vel + env.DT * a[0], -env.STATE_BOUND, env.STATE_BOUND)
+    pos = np.clip(pos + env.DT * vel, -env.STATE_BOUND, env.STATE_BOUND)
+    reward = -(pos - env.goal) ** 2 - 0.01 * float(np.sum(a * a))
+    return np.array([pos, vel]), float(reward)
+
+
+def _random_transitions(n, seed):
+    # about a third of the states and actions lie outside their bounds
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-3.0, 3.0, size=(n, 2)), rng.uniform(-1.5, 1.5, size=(n, 1))
+
+
+def test_pointmass_step_equals_numpy_scalar_reference(caplog):
+    env = PointMass(goal=0.37)
+    states, actions = _random_transitions(3000, 5)
+    states[:5] = [[0.37, 0.0], [2.0, 2.0], [-2.0, -2.0], [-0.0, 0.0], [0.0, -0.0]]
+    actions[:5] = [[0.0], [1.0], [-1.0], [-0.0], [1e-300]]
+    with caplog.at_level(logging.ERROR, logger="detac.envs"):
+        for state, action in zip(states, actions):
+            s2, r = env.step(state, action)[:2]
+            ref_s2, ref_r = _reference_pointmass_step(env, state, action)
+            assert np.array_equal(_bits(s2), _bits(ref_s2))
+            assert r == ref_r and type(r) is float
+
+
+def test_check_action_rejects_wrong_width_and_nonfinite():
+    spec = EnvSpec(2, 2, -1.0, 1.0, 10)
+    for bad in (np.zeros(1), np.zeros(3), np.zeros((3, 1)),
+                np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError):
+            _check_action(spec, bad)
+    for value in (np.nan, np.inf, -np.inf):
+        action = np.array([0.0, value])
+        with pytest.raises(ValueError, match="non-finite"):
+            _check_action(spec, action)
+        # a non-finite value next to an out-of-bounds one still raises
+        action[0] = 5.0
+        with pytest.raises(ValueError, match="non-finite"):
+            _check_action(spec, action)
+
+
+def test_check_action_clips_out_of_bounds_with_warning(caplog):
+    spec = EnvSpec(2, 2, -1.0, 1.0, 10)
+    for action, want in (([3.0, -0.2], [1.0, -0.2]),
+                         ([0.1, -7.0], [0.1, -1.0])):
+        action = np.array(action)
+        original = action.copy()
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="detac.envs"):
+            out = _check_action(spec, action)
+        assert "out of bounds" in caplog.text
+        assert np.array_equal(out, want)
+        assert np.array_equal(action, original)   # clipped on a copy
+
+
+def test_check_action_leaves_in_bounds_values_unchanged(caplog):
+    spec = EnvSpec(2, 2, -1.0, 1.0, 10)
+    for actions in (np.array([1.0, -1.0]), np.array([0.3, -0.0]),
+                    np.array([-1.0, 1e-300]), np.array([[0.25, -1.0]])):
+        with caplog.at_level(logging.WARNING, logger="detac.envs"):
+            out = _check_action(spec, actions)
+        assert caplog.text == ""
+        assert np.array_equal(_bits(out), _bits(actions).reshape(-1))
+        assert np.shares_memory(out, actions)   # no copy when in bounds
 
 
 def test_bandit_reward_at_target_is_zero():

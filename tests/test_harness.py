@@ -1,8 +1,11 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import detac
 from detac.agents import AgentConfig
 from detac.cli import main
 from detac.config import ExperimentConfig, parse_config, read_config_file
@@ -75,6 +78,15 @@ def test_parse_config_rejects_bad_value():
     with pytest.raises(ValueError, match="gamma"):
         parse_config(None, {"agent": "nfac", "env": "pointmass",
                             "gamma": "fast"})
+
+
+@pytest.mark.parametrize("overrides", [
+    {"eval_episodes": "0"}, {"eval_episodes": "-1"},
+    {"pointmass_horizon": "0"}, {"pointmass_horizon": "-3"},
+    {"env": "bandit", "bandit_m": "0"}])
+def test_parse_config_rejects_runs_that_cannot_evaluate(overrides):
+    with pytest.raises(ValueError):
+        parse_config(None, {"agent": "nfac", "env": "pointmass", **overrides})
 
 
 # -- seed runs and CSVs -------------------------------------------------------
@@ -208,6 +220,36 @@ def test_cli_bandit_suite_bad_arguments_exit_2(tmp_path, capsys, flags):
     assert code == 2
     assert "bandit-suite" in capsys.readouterr().err
     assert not (tmp_path / "bandit").exists()
+
+
+@pytest.mark.parametrize("episodes", ["0", "-1"])
+def test_cli_train_without_eval_episodes_exits_2(tmp_path, capsys,
+                                                 monkeypatch, episodes):
+    # used to train and write 0,0,nan rows
+    monkeypatch.setenv("DETAC_THREADS", "1")
+    code = main(["train", "--set", "agent=nfac", "--set", "env=pointmass",
+                 "--set", f"eval_episodes={episodes}",
+                 "--out", str(tmp_path / "runs")])
+    assert code == 2
+    assert "config error: eval_episodes" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_cli_train_zero_horizon_exits_2(tmp_path):
+    # used to loop forever on zero-length episodes, so it runs in a
+    # subprocess with a timeout
+    src = os.path.dirname(os.path.dirname(os.path.abspath(detac.__file__)))
+    env = dict(os.environ, DETAC_THREADS="1", PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    out = tmp_path / "runs"
+    result = subprocess.run(
+        [sys.executable, "-m", "detac.cli", "train", "--set", "agent=cacla",
+         "--set", "env=pointmass", "--set", "pointmass_horizon=0",
+         "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 2, result.stderr
+    assert "config error: horizon" in result.stderr
+    assert not out.exists()
 
 
 def test_cli_train_runs_and_writes(tmp_path, capsys, monkeypatch):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from detac.nets import Adam, MlpNet, gradient_check
+from detac.nets import LEAKY_SLOPE, Adam, MlpNet, _act, gradient_check
 
 
 def test_forward_zero_weights_tanh_output_is_zero():
@@ -28,6 +28,18 @@ def test_forward_matches_straight_line_reimplementation():
     w2, b2 = net.weights[1], net.biases[1]
     expected = np.tanh(np.tanh(x @ w1 + b1) @ w2 + b2)
     assert np.allclose(net.forward(x), expected, atol=1e-12)
+
+
+def test_leaky_relu_equals_where_form_bitwise():
+    tiny = np.finfo(float).smallest_subnormal
+    x = np.array([0.0, -0.0, tiny, -tiny, 3 * tiny, -3 * tiny, 1e-310,
+                  -1e-310, np.finfo(float).tiny, -np.finfo(float).tiny,
+                  np.inf, -np.inf, np.nan, -np.nan, 1.0, -1.0, 1e308,
+                  -1e308])
+    x = np.concatenate([x, np.random.default_rng(0).standard_normal(1000)])
+    where_form = np.where(x > 0, x, LEAKY_SLOPE * x)
+    got = _act("leaky_relu", x)
+    assert np.array_equal(got.view(np.uint64), where_form.view(np.uint64))
 
 
 def test_param_count_matches_layer_sizes():
