@@ -3,7 +3,7 @@ exact dynamic-programming verification oracles."""
 
 from .agents import (AgentConfig, BanditConfig, BatchActorCritic,
                      IncrementalActorCritic, evaluate_deterministic,
-                     make_agent, run_bandit)
+                     make_agent, run_bandit, run_episodes)
 from .config import ExperimentConfig, parse_config
 from .critics import (CompatibleQCritic, ConstantVCritic, MlpVCritic,
                       fitted_value_iteration, lambda_returns, td_error)

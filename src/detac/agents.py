@@ -51,51 +51,51 @@ class AgentConfig:
             raise ValueError("fitted_iterations must be >= 1")
 
 
-def run_episode(policy_act, env, rng, on_step=None):
-    """Roll one episode; ``policy_act(state)`` supplies the actions, and
+def run_episodes(act, env, n, rng, on_step=None):
+    """Roll ``n`` episodes in lockstep and return their trajectories in
+    episode order.
+
+    All ``n`` episodes are reset from ``rng`` first.  Each time step then
+    makes one ``act(states)`` call on the states of the episodes still
+    running, stacked in episode order, and one ``env.step`` per episode;
+    an episode leaves the batch when the env reports it terminal.
     ``on_step(state, action, reward, next_state, terminal)``, when given,
-    sees each transition before the next action is chosen."""
-    traj = Trajectory()
-    state = env.reset(rng)
+    sees each transition before the next ``act`` call.  With ``n > 1`` the
+    draws of ``act`` and ``env.step`` from ``rng`` interleave across the
+    episodes, so the episodes equal those of one-at-a-time rollouts only
+    when neither draws from ``rng``.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    trajs = [Trajectory() for _ in range(n)]
+    states = [env.reset(rng) for _ in range(n)]
+    live = list(range(n))
     for _ in range(env.spec.horizon):
-        action = policy_act(state)
-        next_state, reward, terminal = env.step(state, action, rng)
-        traj.append(state, action, reward, next_state, terminal)
-        if on_step is not None:
-            on_step(state, action, reward, next_state, terminal)
-        state = next_state
-        if terminal:
-            break
-    return traj
-
-
-def evaluate_deterministic(policy, env, n_episodes, rng=None):
-    """Play the greedy policy for ``n_episodes`` episodes in lockstep: each
-    time step is one ``policy.act_batch`` over the episodes still running,
-    then one ``env.step`` per episode, and an episode leaves the batch when
-    the env reports it terminal.  All resets draw from ``rng`` before the
-    first step, so the returns equal those of a loop of single episodes
-    only when ``env.step`` draws nothing from ``rng``; each return is
-    ``Trajectory.episode_return`` of its episode's rewards.  Interactions
-    stay out of any training data."""
-    if n_episodes < 1:
-        raise ValueError("n_episodes must be >= 1")
-    rng = rng if rng is not None else np.random.default_rng(0)
-    states = [env.reset(rng) for _ in range(n_episodes)]
-    rewards = [[] for _ in range(n_episodes)]
-    live = list(range(n_episodes))
-    for _ in range(env.spec.horizon):
-        actions = policy.act_batch(np.stack([states[i] for i in live]))
+        actions = act(np.stack([states[i] for i in live]))
         running = []
         for i, action in zip(live, actions):
-            states[i], reward, terminal = env.step(states[i], action, rng)
-            rewards[i].append(float(reward))
+            state = states[i]
+            next_state, reward, terminal = env.step(state, action, rng)
+            trajs[i].append(state, action, reward, next_state, terminal)
+            if on_step is not None:
+                on_step(state, action, reward, next_state, terminal)
+            states[i] = next_state
             if not terminal:
                 running.append(i)
         live = running
         if not live:
             break
-    returns = [float(sum(r)) for r in rewards]
+    return trajs
+
+
+def evaluate_deterministic(policy, env, n_episodes, rng=None):
+    """Play the greedy policy for ``n_episodes`` episodes through
+    ``run_episodes``, one ``policy.act_batch`` per time step, and return
+    the mean and the list of episode returns.  Interactions stay out of
+    any training data."""
+    rng = rng if rng is not None else np.random.default_rng(0)
+    returns = [t.episode_return for t in
+               run_episodes(policy.act_batch, env, n_episodes, rng)]
     return float(np.mean(returns)), returns
 
 
@@ -113,8 +113,8 @@ class IncrementalActorCritic:
             policy, config.sigma, decay=config.sigma_decay)
 
     def run_episode(self, env, rng):
-        traj = run_episode(lambda s: self.exploration.act(s, rng), env, rng,
-                           on_step=self._learn)
+        traj, = run_episodes(lambda s: self.exploration.act(s, rng), env, 1,
+                             rng, on_step=self._learn)
         self.exploration.anneal()
         return traj
 
@@ -147,14 +147,35 @@ class BatchActorCritic:
         self.actor_adam = Adam(policy.n_params, alpha=config.lr_actor)
         self.trust = TrustRegionState(d_target=config.d_target)
         self._batch = []
+        self._handed = 0
+        self._source = None
         self.dhat_history = []
 
     def run_episode(self, env, rng):
-        traj = run_episode(lambda s: self.exploration.act(s, rng), env, rng)
-        self._batch.append(traj)
-        if len(self._batch) >= self.config.update_every:
+        """Hand out the next episode of the current phase.
+
+        The phase's ``update_every`` episodes are independent given the
+        exploratory policy, which only ``update_phase`` changes, so the
+        first call of a phase rolls them all out in lockstep and later
+        calls hand them out in order.  The call that hands out the last
+        one runs ``update_phase``.  Every call of a phase must pass the
+        same ``env`` and ``rng``.
+        """
+        if not self._batch:
+            self._batch = run_episodes(
+                lambda s: self.exploration.act(s, rng), env,
+                self.config.update_every, rng)
+            self._handed = 0
+            self._source = (env, rng)
+        elif env is not self._source[0] or rng is not self._source[1]:
+            raise ValueError("every episode of a phase must come from the "
+                             "env and rng that rolled the phase out")
+        traj = self._batch[self._handed]
+        self._handed += 1
+        if self._handed == len(self._batch):
             self.update_phase(self._batch)
             self._batch = []
+            self._source = None
             self.exploration.anneal()
         return traj
 

@@ -62,7 +62,11 @@ def cmd_train(args):
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    paths = harness.run_experiment(config)
+    try:
+        paths = harness.run_experiment(config)
+    except harness.DivergenceError as exc:
+        print(f"training diverged: {exc}; no CSV written", file=sys.stderr)
+        return 1
     for path in paths:
         print(path)
     return 0

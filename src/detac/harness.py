@@ -23,11 +23,31 @@ def _fmt(x):
     return repr(float(x))
 
 
+class DivergenceError(RuntimeError):
+    """Training left non-finite parameters in the policy or the critic."""
+
+    def __init__(self, seed, env_steps, net):
+        super().__init__(seed, env_steps, net)
+        self.seed, self.env_steps, self.net = seed, env_steps, net
+
+    def __str__(self):
+        return (f"seed {self.seed}: the {self.net} has non-finite "
+                f"parameters after env step {self.env_steps}")
+
+
+def _check_finite(agent, seed, env_steps):
+    for name, net in (("policy", agent.policy.net),
+                      ("critic", agent.critic.net)):
+        if not np.isfinite(net.get_params()).all():
+            raise DivergenceError(seed, env_steps, name)
+
+
 def run_seed(config, seed):
     """Train one seed and return the evaluation rows.
 
     Evaluation episodes use a dedicated rng stream and never count toward
-    (or feed) training.
+    (or feed) training.  The policy and critic parameters are checked
+    after every episode; non-finite ones raise ``DivergenceError``.
     """
     rng = np.random.default_rng(seed)
     eval_rng_seq = np.random.SeedSequence([seed, 0xE7A1])
@@ -48,6 +68,7 @@ def run_seed(config, seed):
     while steps < config.total_steps:
         traj = agent.run_episode(env, rng)
         steps += len(traj)
+        _check_finite(agent, seed, steps)
         if steps >= next_eval:
             evaluate(steps)
             while next_eval <= steps:
@@ -88,8 +109,8 @@ def _worker_count(n_tasks):
 
 def run_experiment(config):
     """Train every seed, write one CSV per seed plus an aggregate CSV.
-    Returns the list of written file paths."""
-    os.makedirs(config.out, exist_ok=True)
+    Returns the list of written file paths.  Nothing is written unless
+    every seed trains to the end."""
     seeds = [config.seed_offset + i for i in range(config.seeds)]
     workers = _worker_count(len(seeds))
     if workers > 1:
@@ -98,6 +119,7 @@ def run_experiment(config):
     else:
         all_rows = [run_seed(config, s) for s in seeds]
 
+    os.makedirs(config.out, exist_ok=True)
     paths = []
     for seed, rows in zip(seeds, all_rows):
         path = os.path.join(config.out, f"seed_{seed}.csv")
@@ -137,7 +159,9 @@ def suite_lemma1(seed=0):
     results = gated_direction_ratio(target=1.0, theta=0.0,
                                     sigmas=(0.5, 0.2, 0.1, 0.05))
     for r in results:
-        in_range = 0.0 <= r["ratio"] <= 1.0
+        # the deterministic gradient is nonzero here, so a zero ratio
+        # would mean the gated direction was lost, not attenuated
+        in_range = 0.0 < r["ratio"] <= 1.0
         ok = ok and in_range
         lines.append(f"sigma={r['sigma']} gated={r['gated']:.6f} "
                      f"deterministic={r['deterministic']:.6f} "

@@ -30,17 +30,6 @@ def _act(name, x):
     raise ValueError(f"unknown activation {name!r}")
 
 
-def _act_grad(name, x):
-    if name == "tanh":
-        t = np.tanh(x)
-        return 1.0 - t * t
-    if name == "leaky_relu":
-        return np.where(x > 0, 1.0, LEAKY_SLOPE)
-    if name == "linear":
-        return np.ones_like(x)
-    raise ValueError(f"unknown activation {name!r}")
-
-
 class MlpNet:
     """Fully connected network with an optional batch-norm on the first
     hidden layer.
@@ -193,16 +182,24 @@ class MlpNet:
         g = grad_out
         for k in reversed(range(n_layers)):
             name = self.output if k == n_layers - 1 else self.hidden
-            gz = g * _act_grad(name, cache["pre"][k])
+            if name == "tanh":
+                # tanh' = 1 - tanh^2, from the cached activation
+                h = cache["post"][k + 1]
+                gz = g * (1.0 - h * h)
+            elif name == "leaky_relu":
+                gz = g * np.where(cache["pre"][k] > 0, 1.0, LEAKY_SLOPE)
+            else:
+                gz = g
             if k == 0 and self.batch_norm:
                 bn = cache["bn"]
                 grad_bn_gamma = (gz * bn["z_hat"]).sum(axis=0)
                 grad_bn_beta = gz.sum(axis=0)
                 gz = self._bn_backward(gz, bn)
-            h_in = cache["post"][k]
-            grads_w[k] = h_in.T @ gz
+            grads_w[k] = cache["post"][k].T @ gz
             grads_b[k] = gz.sum(axis=0)
-            g = gz @ self.weights[k].T
+            if k > 0:
+                # the input gradient of the first layer is never used
+                g = gz @ self.weights[k].T
 
         parts = []
         for gw, gb in zip(grads_w, grads_b):

@@ -135,35 +135,57 @@ def bandit_exact_advantage(target, theta, sigma, m=1):
     return advantage
 
 
-def gated_scaled_direction_1d(target, theta, sigma, tol=1e-8):
+def _gaussian_weighted_1d(g, theta, sigma, lo, hi, tol):
+    """int_lo^hi N(a; theta, sigma^2) g(a) da by adaptive Simpson.
+
+    The interval is cut at theta + j sigma (j = -8..8) where those points
+    fall inside it, so every piece within 8 sigma of theta is at most
+    sigma wide.  Simpson's first samples on a piece then see the Gaussian:
+    on one wide interval they can all land where the density is ~0, and
+    the rule accepts 0 at once.  The pieces share ``tol``.
+    """
+    cuts = [theta + j * sigma for j in range(-8, 9)]
+    points = [lo] + [c for c in cuts if lo < c < hi] + [hi]
+    norm = sigma * np.sqrt(2 * np.pi)
+
+    def integrand(a):
+        return np.exp(-0.5 * ((a - theta) / sigma) ** 2) / norm * g(a)
+
+    piece_tol = tol / (len(points) - 1)
+    return sum(adaptive_simpson(integrand, a, b, piece_tol)
+               for a, b in zip(points[:-1], points[1:]))
+
+
+def gated_scaled_direction_1d(target, theta, sigma, tol=1e-12):
     """Quadrature value of the gated, TD-scaled inner integral (ascent
     convention, including the 1/sigma^2 likelihood-ratio factor):
 
         (1/sigma^2) int N(a; theta, sigma^2) A(a) H(A(a)) (a - theta) da
+
+    A(a) = (theta - t)^2 + sigma^2 - (a - t)^2 is positive exactly on
+    |a - t| < sqrt((theta - t)^2 + sigma^2), so the integral runs over
+    that interval and the gate never cuts a Simpson panel.
     """
     adv = bandit_exact_advantage(target, theta, sigma)
+    radius = np.sqrt((theta - target) ** 2 + sigma ** 2)
 
-    def integrand(a):
-        val = adv(a)
-        if val <= 0:
-            return 0.0
-        density = np.exp(-0.5 * ((a - theta) / sigma) ** 2) / (
-            sigma * np.sqrt(2 * np.pi))
-        return density * val * (a - theta) / sigma ** 2
+    def gated(a):
+        return max(adv(a), 0.0) * (a - theta) / sigma ** 2
 
-    return adaptive_simpson(integrand, theta - 8 * sigma, theta + 8 * sigma, tol)
+    return _gaussian_weighted_1d(gated, theta, sigma, target - radius,
+                                 target + radius, tol)
 
 
-def spg_inner_integral_1d(target, theta, sigma, tol=1e-8):
-    """Quadrature of the ungated likelihood-ratio inner integral."""
+def spg_inner_integral_1d(target, theta, sigma, tol=1e-12):
+    """Quadrature of the ungated likelihood-ratio inner integral over
+    theta +- 12 sigma; the Gaussian mass outside is below 1e-32."""
     adv = bandit_exact_advantage(target, theta, sigma)
 
-    def integrand(a):
-        density = np.exp(-0.5 * ((a - theta) / sigma) ** 2) / (
-            sigma * np.sqrt(2 * np.pi))
-        return density * adv(a) * (a - theta) / sigma ** 2
+    def ungated(a):
+        return adv(a) * (a - theta) / sigma ** 2
 
-    return adaptive_simpson(integrand, theta - 8 * sigma, theta + 8 * sigma, tol)
+    return _gaussian_weighted_1d(ungated, theta, sigma, theta - 12 * sigma,
+                                 theta + 12 * sigma, tol)
 
 
 def deterministic_gradient_1d(target, theta):
@@ -171,7 +193,7 @@ def deterministic_gradient_1d(target, theta):
     return 2.0 * (float(target) - float(theta))
 
 
-def gated_direction_ratio(target, theta, sigmas, tol=1e-8, zero_tol=1e-6):
+def gated_direction_ratio(target, theta, sigmas, tol=1e-12, zero_tol=1e-6):
     """Per-sigma ratio of the gated TD-scaled direction to the
     deterministic gradient.
 

@@ -119,13 +119,49 @@ class GaussianExploration:
         self.high = np.full(policy.action_dim, ACTION_BOUND)
         self.decay = float(decay)
 
-    def act(self, state, rng):
-        mu = np.asarray(self.policy.act(state), dtype=float).reshape(-1)
-        for _ in range(MAX_ATTEMPTS):
-            a = mu + self.sigma * rng.standard_normal(mu.size)
-            if ((a >= self.low) & (a <= self.high)).all():
-                return a
-        return np.clip(a, self.low, self.high)
+    def act(self, states, rng):
+        """One exploratory action for a state of shape ``(d,)`` (or
+        ``None``, for a state-free policy), or one per row for a batch of
+        shape ``(n, d)``.
+
+        Every row draws its first sample, then each round redraws the rows
+        still outside the box as one ``(k, action_dim)`` block in row
+        order, up to ``MAX_ATTEMPTS`` draws per row; a row still outside
+        after that is clipped.  One row draws the stream of a loop that
+        redraws a single action until it fits.
+        """
+        batch = np.ndim(states) == 2
+        mu = (self.policy.act_batch(states) if batch
+              else np.asarray(self.policy.act(states), dtype=float)[None])
+        sigma = self.sigma
+        a = mu + sigma * rng.standard_normal(mu.shape)
+        # per row, whether |a| <= ACTION_BOUND holds everywhere (it fails
+        # on NaN): the box test, in as few numpy calls as one row allows
+        inside = np.logical_and.reduce(np.abs(a) <= ACTION_BOUND,
+                                       axis=1).tolist()
+        if not all(inside):
+            rows = [i for i, ok in enumerate(inside) if not ok]
+            # a block of every row (always so for one row) is redrawn
+            # without a gather or a scatter
+            whole = len(rows) == len(a)
+            mu_out = mu if whole else mu[rows]
+            for _ in range(MAX_ATTEMPTS - 1):
+                draw = mu_out + sigma * rng.standard_normal(mu_out.shape)
+                inside = np.logical_and.reduce(np.abs(draw) <= ACTION_BOUND,
+                                               axis=1).tolist()
+                if any(inside):
+                    if whole:
+                        a, whole = draw, False
+                    else:
+                        a[rows] = draw
+                    still_out = [not ok for ok in inside]
+                    rows = [i for i, out in zip(rows, still_out) if out]
+                    if not rows:
+                        break
+                    mu_out, draw = mu_out[still_out], draw[still_out]
+            else:
+                a[rows] = np.clip(draw, self.low, self.high)
+        return a if batch else a[0]
 
     def anneal(self):
         self.sigma *= self.decay

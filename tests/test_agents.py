@@ -9,11 +9,12 @@ import pytest
 import detac
 from detac.agents import (AgentConfig, BanditConfig, BatchActorCritic,
                           IncrementalActorCritic, evaluate_deterministic,
-                          make_agent, run_bandit, run_episode)
+                          make_agent, run_bandit, run_episodes)
 from detac.critics import ConstantVCritic
 from detac.envs import (EnvSpec, PointMass, QuadraticBandit,
                         make_quadratic_bandit)
 from detac.policies import LinearPolicy, MlpPolicy
+from detac.trajectory import Trajectory
 
 
 def test_agent_config_validation():
@@ -29,14 +30,44 @@ def test_agent_config_validation():
         AgentConfig(fitted_iterations=0)
 
 
+def _sequential_episode(act, env, rng):
+    """One episode, one ``act(state)`` per step: the reference for the
+    lockstep ``run_episodes``."""
+    traj = Trajectory()
+    state = env.reset(rng)
+    for _ in range(env.spec.horizon):
+        action = act(state)
+        next_state, reward, terminal = env.step(state, action, rng)
+        traj.append(state, action, reward, next_state, terminal)
+        state = next_state
+        if terminal:
+            break
+    return traj
+
+
+def _assert_same_trajectory(got, want):
+    assert len(got) == len(want)
+    for field in ("states", "actions", "next_states"):
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(getattr(got, field), getattr(want, field)))
+    assert got.rewards == want.rewards
+    assert got.terminals == want.terminals
+
+
 def test_run_episode_respects_horizon_and_terminal():
+    def zeros(states):
+        return np.zeros((len(states), 1))
+
     env = PointMass(horizon=7)
-    traj = run_episode(lambda s: np.zeros(1), env, np.random.default_rng(0))
-    assert len(traj) == 7
+    trajs = run_episodes(zeros, env, 3, np.random.default_rng(0))
+    assert [len(t) for t in trajs] == [7, 7, 7]
     bandit = QuadraticBandit([0.0])
-    traj = run_episode(lambda s: np.zeros(1), bandit, np.random.default_rng(0))
+    traj, = run_episodes(zeros, bandit, 1, np.random.default_rng(0))
     assert len(traj) == 1
     assert traj.terminals[0]
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            run_episodes(zeros, env, n, np.random.default_rng(0))
 
 
 def test_evaluate_deterministic_does_not_change_policy():
@@ -52,7 +83,7 @@ def test_evaluate_deterministic_does_not_change_policy():
 def _episode_loop_returns(policy, env, n_episodes, rng):
     """evaluate_deterministic as a loop of single episodes: the reference
     for the lockstep form."""
-    return [run_episode(policy.act, env, rng).episode_return
+    return [_sequential_episode(policy.act, env, rng).episode_return
             for _ in range(n_episodes)]
 
 
@@ -117,10 +148,38 @@ def test_lockstep_evaluation_masks_finished_episodes():
     env = _StaggeredEnv(horizon=8)
     pol = MlpPolicy(1, 1, hidden_sizes=(8,), rng=np.random.default_rng(4))
     rng = np.random.default_rng(5)
-    lengths = [len(run_episode(pol.act, env, rng)) for _ in range(12)]
+    lengths = [len(_sequential_episode(pol.act, env, rng))
+               for _ in range(12)]
     # some end early at different steps, some run into the horizon
     assert len(set(lengths)) > 3 and max(lengths) == 8 and min(lengths) < 8
     _assert_lockstep_matches_loop(pol, env, 12)
+
+
+def test_run_episodes_equals_sequential_loop():
+    # an act that works row by row, so a batched call computes the same
+    # bits as single calls; the episodes end at steps 1 to 8
+    def act(states):
+        return np.tanh(0.3 * np.asarray(states) - 0.5)
+
+    env = _StaggeredEnv(horizon=8)
+    seen = []
+    trajs = run_episodes(act, env, 40, np.random.default_rng(5),
+                         on_step=lambda *tr: seen.append(tr))
+    rng = np.random.default_rng(5)
+    want = [_sequential_episode(act, env, rng) for _ in range(40)]
+    assert sorted({len(t) for t in want}) == list(range(1, 9))
+    for got, ref in zip(trajs, want):
+        _assert_same_trajectory(got, ref)
+    # on_step sees every transition, time step by time step, and within a
+    # step in episode order
+    order = [(t, i) for t in range(8) for i in range(40) if t < len(want[i])]
+    assert len(seen) == len(order)
+    for (t, i), (state, action, reward, next_state, terminal) in zip(order,
+                                                                     seen):
+        assert np.array_equal(state, want[i].states[t])
+        assert np.array_equal(action, want[i].actions[t])
+        assert reward == want[i].rewards[t]
+        assert terminal == want[i].terminals[t]
 
 
 def test_lockstep_evaluation_single_episode():
@@ -192,6 +251,52 @@ def test_batch_agent_updates_only_every_n_episodes():
     assert agent._batch == []
 
 
+def test_batch_agent_phase_episodes_come_from_pre_update_policy():
+    cfg = AgentConfig(rule="penfac", update_every=3, hidden=(8,),
+                      batch_norm=True, actor_iterations=3,
+                      fitted_iterations=20, lr_critic=0.05, sigma_decay=0.5)
+    env = PointMass(horizon=10)
+    rng = np.random.default_rng(8)
+    agent = make_agent(cfg, env, np.random.default_rng(9))
+    for _ in range(3):
+        # replay the phase on a copy of the agent and of the rng, taken
+        # before the phase's first episode
+        before = copy.deepcopy(agent)
+        replay = copy.deepcopy(rng)
+        want = run_episodes(lambda s: before.exploration.act(s, replay),
+                            env, cfg.update_every, replay)
+        got = [agent.run_episode(env, rng) for _ in range(cfg.update_every)]
+        for g, w in zip(got, want):
+            _assert_same_trajectory(g, w)
+        # the phase consumed the rng exactly as the replay did
+        assert rng.bit_generator.state == replay.bit_generator.state
+        assert agent.exploration.sigma == before.exploration.sigma / 2
+    # the test sees real updates: the policy has moved since the start
+    assert not np.array_equal(agent.policy.get_params(),
+                              make_agent(cfg, env, np.random.default_rng(9))
+                              .policy.get_params())
+
+
+def test_batch_agent_rejects_other_env_or_rng_mid_phase():
+    cfg = AgentConfig(rule="nfac", update_every=3, hidden=(8,),
+                      actor_iterations=2, fitted_iterations=2)
+    env = PointMass(horizon=10)
+    rng = np.random.default_rng(12)
+    agent = make_agent(cfg, env, np.random.default_rng(13))
+    agent.run_episode(env, rng)
+    with pytest.raises(ValueError):
+        agent.run_episode(PointMass(horizon=10), rng)
+    with pytest.raises(ValueError):
+        agent.run_episode(env, np.random.default_rng(12))
+    # a refused call hands out nothing; the phase goes on as before
+    agent.run_episode(env, rng)
+    agent.run_episode(env, rng)
+    assert agent._batch == []
+    # a new phase may use another env and rng
+    other_env, other_rng = PointMass(horizon=5), np.random.default_rng(14)
+    assert len(agent.run_episode(other_env, other_rng)) == 5
+
+
 def test_penfac_tracks_dhat_and_adapts_beta():
     cfg = AgentConfig(rule="penfac", update_every=2, hidden=(8,),
                       batch_norm=False, actor_iterations=2,
@@ -216,8 +321,7 @@ def test_penfac_dhat_measures_against_pre_phase_policy():
     env = PointMass(horizon=10)
     rng = np.random.default_rng(6)
     agent = make_agent(cfg, env, np.random.default_rng(7))
-    batch = [run_episode(lambda s: agent.exploration.act(s, rng), env, rng)
-             for _ in range(2)]
+    batch = run_episodes(lambda s: agent.exploration.act(s, rng), env, 2, rng)
     states = np.concatenate([t.state_array() for t in batch])
     before = copy.deepcopy(agent.policy)
     before.act_batch(states, training=True)

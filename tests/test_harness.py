@@ -1,4 +1,5 @@
 import os
+import pickle
 import subprocess
 import sys
 
@@ -6,10 +7,12 @@ import numpy as np
 import pytest
 
 import detac
+from detac import harness
 from detac.agents import AgentConfig
 from detac.cli import main
 from detac.config import ExperimentConfig, parse_config, read_config_file
-from detac.harness import (CSV_HEADER, run_seed, run_verification,
+from detac.harness import (CSV_HEADER, DivergenceError, run_seed,
+                           run_verification,
                            suite_lemma1, suite_lemma2, write_aggregate_csv,
                            write_seed_csv)
 
@@ -170,6 +173,22 @@ def test_suite_lemma1_passes():
     assert any("ratio=" in line for line in lines)
 
 
+def test_suite_lemma1_fails_on_a_zero_ratio(monkeypatch):
+    # a gated direction of 0 against a nonzero deterministic gradient is
+    # the vacuous pass the suite used to accept
+    def vanished(target, theta, sigmas):
+        if theta == target:
+            return [{"sigma": s, "gated": 0.0, "deterministic": 0.0,
+                     "ratio": None, "zero_ok": True} for s in sigmas]
+        return [{"sigma": s, "gated": 0.0, "deterministic": 2.0,
+                 "ratio": 0.0} for s in sigmas]
+
+    monkeypatch.setattr(harness, "gated_direction_ratio", vanished)
+    ok, lines = suite_lemma1()
+    assert not ok
+    assert lines[-1] == "pass=False"
+
+
 def test_run_verification_unknown_suite():
     with pytest.raises(KeyError):
         run_verification("lemma3")
@@ -250,6 +269,32 @@ def test_cli_train_zero_horizon_exits_2(tmp_path):
     assert result.returncode == 2, result.stderr
     assert "config error: horizon" in result.stderr
     assert not out.exists()
+
+
+def test_cli_train_dead_critic_exits_1_without_csv(tmp_path):
+    # CACLA's plain-SGD critic overflows on PointMass with the defaults
+    # (seed 1: non-finite after its 7th episode); it used to exit 0 and
+    # write CSVs that evaluated a frozen actor
+    src = os.path.dirname(os.path.dirname(os.path.abspath(detac.__file__)))
+    env = dict(os.environ, DETAC_THREADS="1", PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    out = tmp_path / "runs"
+    result = subprocess.run(
+        [sys.executable, "-m", "detac.cli", "train", "--set", "agent=cacla",
+         "--set", "env=pointmass", "--seed-offset", "1", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 1, result.stderr
+    assert ("training diverged: seed 1: the critic has non-finite "
+            "parameters after env step 700") in result.stderr
+    assert result.stdout == ""
+    assert not out.exists()
+
+
+def test_divergence_error_survives_a_worker_process():
+    err = pickle.loads(pickle.dumps(DivergenceError(4, 1200, "policy")))
+    assert (err.seed, err.env_steps, err.net) == (4, 1200, "policy")
+    assert str(err) == ("seed 4: the policy has non-finite parameters "
+                        "after env step 1200")
 
 
 def test_cli_train_runs_and_writes(tmp_path, capsys, monkeypatch):

@@ -186,3 +186,58 @@ def test_batchnorm_eval_reproduces_training_after_convergence():
         train_out = net.forward(x, training=True)
     eval_out = net.forward(x, training=False)
     assert np.max(np.abs(train_out - eval_out)) < 1e-6
+
+
+def _backward_with_full_chain(net, grad_out):
+    """MlpNet.backward as first written: the activation derivative
+    recomputed from the pre-activation, and an input gradient for every
+    layer, the first included.  The reference for the trimmed form."""
+    cache = net._cache
+    grad_out = np.atleast_2d(np.asarray(grad_out, dtype=float))
+    n_layers = len(net.weights)
+    grads_w, grads_b = [None] * n_layers, [None] * n_layers
+    g = grad_out
+    for k in reversed(range(n_layers)):
+        name = net.output if k == n_layers - 1 else net.hidden
+        z = cache["pre"][k]
+        if name == "tanh":
+            t = np.tanh(z)
+            d = 1.0 - t * t
+        elif name == "leaky_relu":
+            d = np.where(z > 0, 1.0, LEAKY_SLOPE)
+        else:
+            d = np.ones_like(z)
+        gz = g * d
+        if k == 0 and net.batch_norm:
+            bn = cache["bn"]
+            grad_gamma = (gz * bn["z_hat"]).sum(axis=0)
+            grad_beta = gz.sum(axis=0)
+            gz = net._bn_backward(gz, bn)
+        grads_w[k] = cache["post"][k].T @ gz
+        grads_b[k] = gz.sum(axis=0)
+        g = gz @ net.weights[k].T
+    parts = [p for gw, gb in zip(grads_w, grads_b) for p in (gw.ravel(), gb)]
+    if net.batch_norm:
+        parts += [grad_gamma, grad_beta]
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("arch", [
+    dict(sizes=[2, 32, 32, 1], hidden="leaky_relu", output="tanh",
+         batch_norm=True),
+    dict(sizes=[2, 16, 16, 1], hidden="tanh", output="linear",
+         batch_norm=False),
+    dict(sizes=[3, 8, 2], hidden="tanh", output="tanh", batch_norm=True)])
+@pytest.mark.parametrize("training", [False, True])
+def test_backward_bitwise_equals_full_chain(arch, training):
+    rng = np.random.default_rng(11)
+    net = MlpNet(arch["sizes"], hidden=arch["hidden"], output=arch["output"],
+                 batch_norm=arch["batch_norm"], rng=rng)
+    net.set_params(net.get_params() + 0.5 * rng.standard_normal(
+        net.num_params))
+    for rows in (1, 7):
+        x = 2.0 * rng.standard_normal((rows, arch["sizes"][0]))
+        upstream = rng.standard_normal((rows, arch["sizes"][-1]))
+        net.forward(x, training=training and rows > 1)
+        assert np.array_equal(net.backward(upstream),
+                              _backward_with_full_chain(net, upstream))

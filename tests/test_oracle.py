@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from detac.envs import random_finite_mdp
+from detac.envs import make_quadratic_bandit, random_finite_mdp
 from detac.oracle import (LipschitzGaussianChain, adaptive_simpson,
                           bandit_exact_advantage, deterministic_gradient_1d,
                           dp_solve, epsilon_smoothed, gated_direction_ratio,
@@ -110,16 +110,48 @@ def test_bandit_exact_advantage_zero_mean_under_policy():
 def test_spg_integral_equals_deterministic_gradient():
     # for the quadratic reward the ungated likelihood-ratio integral equals
     # the deterministic gradient exactly
-    for theta, target, sigma in [(0.0, 0.5, 0.3), (-0.4, 0.2, 0.1)]:
+    for theta, target, sigma in [(0.0, 0.5, 0.3), (-0.4, 0.2, 0.1),
+                                 (0.0, 0.2191, 0.05), (0.7, -0.3, 0.01)]:
         spg = spg_inner_integral_1d(target, theta, sigma)
         dpg = deterministic_gradient_1d(target, theta)
-        assert spg == pytest.approx(dpg, abs=1e-6)
+        assert spg == pytest.approx(dpg, rel=1e-9)
+
+
+def _quad_gated(target, theta, sigma):
+    """scipy quad of the gated integrand over the support of A > 0."""
+    from scipy.integrate import quad
+    adv = bandit_exact_advantage(target, theta, sigma)
+    radius = np.sqrt((theta - target) ** 2 + sigma ** 2)
+
+    def f(a):
+        density = np.exp(-0.5 * ((a - theta) / sigma) ** 2) / (
+            sigma * np.sqrt(2 * np.pi))
+        return density * max(adv(a), 0.0) * (a - theta) / sigma ** 2
+
+    lo, hi = target - radius, target + radius
+    return quad(f, lo, hi, points=[theta] if lo < theta < hi else None,
+                epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+
+@pytest.mark.parametrize("sigma", [0.5, 0.2, 0.1, 0.05])
+@pytest.mark.parametrize("target", [
+    # acceptance 2's bandit target: integrating over theta +- 8 sigma gave
+    # 0.0 at sigma 0.5 and 0.2 and was 0.18% off at sigma 0.1
+    float(make_quadratic_bandit(1, 0).target[0]),
+    # suite_lemma1's: a support 40 sigma wide at sigma 0.05
+    1.0])
+def test_gated_direction_matches_quad(target, sigma):
+    got = gated_scaled_direction_1d(target, 0.0, sigma)
+    want = _quad_gated(target, 0.0, sigma)
+    assert want > 0.09
+    assert abs(got - want) <= 1e-9 * abs(want)
 
 
 def test_gated_direction_ratio_in_unit_interval():
     rows = gated_direction_ratio(0.5, 0.0, sigmas=[0.5, 0.2, 0.1, 0.05])
     ratios = [r["ratio"] for r in rows]
-    assert all(0.0 <= r <= 1.0 for r in ratios)
+    # a nonzero deterministic gradient needs a strictly positive ratio
+    assert all(0.0 < r <= 1.0 for r in ratios)
     # shrinking exploration keeps the gated direction a strict attenuation
     assert all(r < 1.0 for r in ratios)
 

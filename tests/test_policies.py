@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from detac.policies import GaussianExploration, LinearPolicy, MlpPolicy
+from detac.policies import (MAX_ATTEMPTS, GaussianExploration, LinearPolicy,
+                            MlpPolicy)
 
 
 def _fd_jacobian(policy, state, h=1e-6):
@@ -80,6 +81,80 @@ def test_gaussian_exploration_moments():
     samples = np.array([expl.act(None, rng)[0] for _ in range(20000)])
     assert abs(samples.mean()) < 0.005
     assert abs(samples.std() - 0.1) < 0.005
+
+
+def _one_action_sampler(exploration, state, rng):
+    """The single-state sampler as a plain loop: redraw the whole action
+    until it lies in the box, clip the last draw after MAX_ATTEMPTS."""
+    mu = np.asarray(exploration.policy.act(state), dtype=float).reshape(-1)
+    for _ in range(MAX_ATTEMPTS):
+        a = mu + exploration.sigma * rng.standard_normal(mu.size)
+        if ((a >= exploration.low) & (a <= exploration.high)).all():
+            return a
+    return np.clip(a, exploration.low, exploration.high)
+
+
+class _MeanIsState:
+    """Test-side policy whose deterministic action is the state itself."""
+
+    action_dim = 3
+
+    def act(self, state):
+        return np.asarray(state, dtype=float)
+
+    def act_batch(self, states):
+        return np.asarray(states, dtype=float)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (LinearPolicy(4, theta=[0.95, -0.9, 0.2, 1.0]), None),
+    lambda: (LinearPolicy(20, theta=np.ones(20)), None),   # always clipped
+    lambda: (MlpPolicy(2, 3, hidden_sizes=(8,), batch_norm=True,
+                       rng=np.random.default_rng(1)), np.array([2.0, -1.0]))])
+def test_single_state_exploration_draws_the_one_action_stream(make):
+    policy, state = make()
+    exploration = GaussianExploration(policy, sigma=0.6)
+    rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+    for _ in range(300):
+        got = exploration.act(state, rng)
+        want = _one_action_sampler(exploration, state, ref)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_batched_exploration_redraws_only_rejected_rows():
+    # rows near a bound are often rejected; the last row, with a mean six
+    # sigma outside, never fits and is clipped
+    means = np.array([[0.0, 0.1, -0.2], [0.97, -0.97, 0.9],
+                      [0.3, 0.99, 0.0], [-0.95, 0.0, 0.95], [4.0, 0.0, 0.0]])
+    sigma = 0.5
+    exploration = GaussianExploration(_MeanIsState(), sigma)
+    for seed in range(20):
+        rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = exploration.act(means, rng)
+        # replay: one first draw for all rows, then one block per round of
+        # the rows still outside, in row order
+        want = means + sigma * replay.standard_normal(means.shape)
+        draws = np.ones(len(means), dtype=int)
+        first = want.copy()
+        outside = [i for i in range(len(means))
+                   if not np.all(np.abs(want[i]) <= 1.0)]
+        while outside and draws[outside[0]] < MAX_ATTEMPTS:
+            block = means[outside] + sigma * replay.standard_normal(
+                (len(outside), 3))
+            want[outside] = block
+            draws[outside] += 1
+            outside = [i for i, row in zip(outside, block)
+                       if not np.all(np.abs(row) <= 1.0)]
+        want[outside] = np.clip(want[outside], -1.0, 1.0)
+        assert np.array_equal(got, want)
+        assert rng.bit_generator.state == replay.bit_generator.state
+        # rows accepted on the first draw keep it
+        kept = draws == 1
+        assert np.array_equal(got[kept], first[kept])
+        assert draws[-1] == MAX_ATTEMPTS and np.all(np.abs(got) <= 1.0)
+    assert kept.any() and (draws[:-1] > 1).any()
 
 
 def test_gaussian_exploration_anneal():
