@@ -12,8 +12,7 @@ from .envs import (EnvSpec, FiniteMdp, PointMass, QuadraticBandit,
 from .nets import Adam, MlpNet, gradient_check
 from .oracle import (DpSolution, LipschitzGaussianChain, adaptive_simpson,
                      dp_solve, epsilon_smoothed, gated_direction_ratio,
-                     occupancy_shift_bound_check, performance_difference_residual,
-                     performance_j)
+                     occupancy_shift_bound_check, performance_difference_residual)
 from .policies import GaussianExploration, LinearPolicy, MlpPolicy
 from .trajectory import Trajectory
 from .updates import (TrustRegionState, adapt_beta, batch_gated_direction,

@@ -52,40 +52,38 @@ class AgentConfig:
 
 
 def run_episodes(act, env, n, rng, on_step=None):
-    """Roll ``n`` episodes in lockstep and return their trajectories in
-    episode order.
+    """Roll ``n`` episodes in lockstep and return them as one
+    ``Trajectory``.
 
     All ``n`` episodes are reset from ``rng`` first.  Each time step then
     makes one ``act(states)`` call on the states of the episodes still
-    running, stacked in episode order, and one ``env.step`` per episode;
-    an episode leaves the batch when the env reports it terminal.
-    ``on_step(state, action, reward, next_state, terminal)``, when given,
-    sees each transition before the next ``act`` call.  With ``n > 1`` the
-    draws of ``act`` and ``env.step`` from ``rng`` interleave across the
-    episodes, so the episodes equal those of one-at-a-time rollouts only
-    when neither draws from ``rng``.
+    running, stacked in episode order, one ``env.step`` per episode and
+    one ``Trajectory.append``; an episode leaves the batch when the env
+    reports it terminal.  ``on_step(state, action, reward, next_state,
+    terminal)``, when given, sees each transition before the next ``act``
+    call.  With ``n > 1`` the draws of ``act`` and ``env.step`` from
+    ``rng`` interleave across the episodes, so the episodes equal those of
+    one-at-a-time rollouts only when neither draws from ``rng``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    trajs = [Trajectory() for _ in range(n)]
-    states = [env.reset(rng) for _ in range(n)]
+    batch = Trajectory([env.reset(rng) for _ in range(n)], env.spec.horizon,
+                       env.spec.action_dim)
     live = list(range(n))
-    for _ in range(env.spec.horizon):
-        actions = act(np.stack([states[i] for i in live]))
-        running = []
-        for i, action in zip(live, actions):
-            state = states[i]
-            next_state, reward, terminal = env.step(state, action, rng)
-            trajs[i].append(state, action, reward, next_state, terminal)
-            if on_step is not None:
-                on_step(state, action, reward, next_state, terminal)
-            states[i] = next_state
-            if not terminal:
-                running.append(i)
-        live = running
+    for t in range(env.spec.horizon):
+        states = batch.states[live, t]
+        actions = act(states)
+        next_states, rewards, terminals = zip(*[
+            env.step(s, a, rng) for s, a in zip(states, actions)])
+        batch.append(live, actions, rewards, next_states, terminals)
+        if on_step is not None:
+            for transition in zip(states, actions, rewards, next_states,
+                                  terminals):
+                on_step(*transition)
+        live = [i for i, done in zip(live, terminals) if not done]
         if not live:
             break
-    return trajs
+    return batch
 
 
 def evaluate_deterministic(policy, env, n_episodes, rng=None):
@@ -94,8 +92,9 @@ def evaluate_deterministic(policy, env, n_episodes, rng=None):
     the mean and the list of episode returns.  Interactions stay out of
     any training data."""
     rng = rng if rng is not None else np.random.default_rng(0)
-    returns = [t.episode_return for t in
-               run_episodes(policy.act_batch, env, n_episodes, rng)]
+    batch = run_episodes(policy.act_batch, env, n_episodes, rng)
+    returns = [float(sum(r[:k].tolist()))
+               for r, k in zip(batch.rewards, batch.lengths)]
     return float(np.mean(returns)), returns
 
 
@@ -113,10 +112,11 @@ class IncrementalActorCritic:
             policy, config.sigma, decay=config.sigma_decay)
 
     def run_episode(self, env, rng):
-        traj, = run_episodes(lambda s: self.exploration.act(s, rng), env, 1,
+        """Play and learn from one episode; returns its step count."""
+        batch = run_episodes(lambda s: self.exploration.act(s, rng), env, 1,
                              rng, on_step=self._learn)
         self.exploration.anneal()
-        return traj
+        return int(batch.lengths[0])
 
     def _learn(self, state, action, reward, next_state, terminal):
         cfg = self.config
@@ -146,13 +146,13 @@ class BatchActorCritic:
             policy, config.sigma, decay=config.sigma_decay)
         self.actor_adam = Adam(policy.n_params, alpha=config.lr_actor)
         self.trust = TrustRegionState(d_target=config.d_target)
-        self._batch = []
+        self._batch = None
         self._handed = 0
         self._source = None
         self.dhat_history = []
 
     def run_episode(self, env, rng):
-        """Hand out the next episode of the current phase.
+        """Hand out the next episode of the current phase: its step count.
 
         The phase's ``update_every`` episodes are independent given the
         exploratory policy, which only ``update_phase`` changes, so the
@@ -161,7 +161,7 @@ class BatchActorCritic:
         one runs ``update_phase``.  Every call of a phase must pass the
         same ``env`` and ``rng``.
         """
-        if not self._batch:
+        if self._batch is None:
             self._batch = run_episodes(
                 lambda s: self.exploration.act(s, rng), env,
                 self.config.update_every, rng)
@@ -170,21 +170,20 @@ class BatchActorCritic:
         elif env is not self._source[0] or rng is not self._source[1]:
             raise ValueError("every episode of a phase must come from the "
                              "env and rng that rolled the phase out")
-        traj = self._batch[self._handed]
+        steps = int(self._batch.lengths[self._handed])
         self._handed += 1
-        if self._handed == len(self._batch):
+        if self._handed == len(self._batch.lengths):
             self.update_phase(self._batch)
-            self._batch = []
+            self._batch = None
             self._source = None
             self.exploration.anneal()
-        return traj
+        return steps
 
     def update_phase(self, batch):
         cfg = self.config
-        if not batch:
+        if not len(batch.lengths):
             raise ValueError("empty batch")
-        states = np.concatenate(
-            [t.state_array().reshape(len(t), -1) for t in batch])
+        states = batch.per_step(batch.states)
         if cfg.batch_norm:
             # refresh the first-layer normalization stats on this phase's
             # states once, before mu_old, so the penalty and d_hat
@@ -198,8 +197,7 @@ class BatchActorCritic:
         fitted_value_iteration(self.critic, batch, cfg.gamma, cfg.lam,
                                cfg.fitted_iterations)
 
-        actions = np.concatenate(
-            [t.action_array().reshape(len(t), -1) for t in batch])
+        actions = batch.per_step(batch.actions)
         advantages = (lambda_returns(batch, self.critic, cfg.gamma, cfg.lam)
                       - self.critic.values(states))
 

@@ -59,6 +59,7 @@ def cmd_train(args):
         overrides[key.strip()] = val.strip()
     try:
         config = parse_config(args.config, overrides)
+        harness.worker_cap()
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

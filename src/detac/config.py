@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .agents import AgentConfig
+import numpy as np
+
+from .agents import AgentConfig, make_agent
 from .envs import PointMass, make_quadratic_bandit
 
 ENV_NAMES = ("pointmass", "bandit")
@@ -96,8 +98,9 @@ class ExperimentConfig:
             raise ValueError("total_steps must be >= 0")
         if self.eval_episodes < 1:
             raise ValueError("eval_episodes must be >= 1")
-        # the env checks its own parameters (e.g. a horizon >= 1)
-        make_env(self)
+        # the env and the agent check their own parameters (a horizon >= 1,
+        # the hidden sizes, the exploration decay): build both once
+        make_agent(self.agent, make_env(self), np.random.default_rng(0))
 
 
 def read_config_file(path):

@@ -66,8 +66,7 @@ def run_seed(config, seed):
     evaluate(steps)
     next_eval = config.eval_interval
     while steps < config.total_steps:
-        traj = agent.run_episode(env, rng)
-        steps += len(traj)
+        steps += agent.run_episode(env, rng)
         _check_finite(agent, seed, steps)
         if steps >= next_eval:
             evaluate(steps)
@@ -101,10 +100,21 @@ def write_aggregate_csv(path, per_seed_rows):
         f.write("\n".join(lines) + "\n")
 
 
-def _worker_count(n_tasks):
-    cap = os.environ.get("DETAC_THREADS")
-    cap = int(cap) if cap else (os.cpu_count() or 1)
-    return max(1, min(cap, n_tasks))
+def worker_cap():
+    """The cap on worker processes: ``DETAC_THREADS`` if set and not
+    empty, else the CPU count.  Any other value than a positive integer
+    raises ValueError."""
+    text = os.environ.get("DETAC_THREADS")
+    if not text:
+        return os.cpu_count() or 1
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"DETAC_THREADS must be a positive integer, "
+                         f"got {text!r}")
+    return cap
 
 
 def run_experiment(config):
@@ -112,7 +122,7 @@ def run_experiment(config):
     Returns the list of written file paths.  Nothing is written unless
     every seed trains to the end."""
     seeds = [config.seed_offset + i for i in range(config.seeds)]
-    workers = _worker_count(len(seeds))
+    workers = min(worker_cap(), len(seeds))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             all_rows = list(pool.map(run_seed, [config] * len(seeds), seeds))

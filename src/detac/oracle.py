@@ -62,10 +62,6 @@ def dp_solve(mdp, policy):
                       j=j, policy=pi)
 
 
-def performance_j(mdp, policy):
-    return dp_solve(mdp, policy).j
-
-
 def performance_difference_residual(mdp, mu, mu_tilde, pi):
     """Residual of the two-term performance-difference identity.
 
@@ -174,18 +170,6 @@ def gated_scaled_direction_1d(target, theta, sigma, tol=1e-12):
 
     return _gaussian_weighted_1d(gated, theta, sigma, target - radius,
                                  target + radius, tol)
-
-
-def spg_inner_integral_1d(target, theta, sigma, tol=1e-12):
-    """Quadrature of the ungated likelihood-ratio inner integral over
-    theta +- 12 sigma; the Gaussian mass outside is below 1e-32."""
-    adv = bandit_exact_advantage(target, theta, sigma)
-
-    def ungated(a):
-        return adv(a) * (a - theta) / sigma ** 2
-
-    return _gaussian_weighted_1d(ungated, theta, sigma, theta - 12 * sigma,
-                                 theta + 12 * sigma, tol)
 
 
 def deterministic_gradient_1d(target, theta):

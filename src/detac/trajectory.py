@@ -1,43 +1,43 @@
-"""Episode container shared by the critic and the agents."""
+"""Episode store shared by the rollout, the critic and the agents."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 
-@dataclass
 class Trajectory:
-    """Ordered transitions of one episode.
+    """The ``n`` episodes of one lockstep rollout, as arrays.
 
-    ``terminals[t]`` is True when the environment ended the episode at step
-    t; a horizon cut leaves it False so that value targets bootstrap from
-    the final state.
+    ``states`` (n, H + 1, d) holds each row's visited states, then the
+    state its episode ended in; ``actions`` (n, H, m) and ``rewards``
+    (n, H) fill the first ``lengths[i]`` steps of row i.  ``terminal[i]``
+    is True when the env ended episode i; a horizon cut leaves it False so
+    that value targets bootstrap from the final state.
     """
 
-    states: list = field(default_factory=list)
-    actions: list = field(default_factory=list)
-    rewards: list = field(default_factory=list)
-    next_states: list = field(default_factory=list)
-    terminals: list = field(default_factory=list)
+    def __init__(self, first_states, horizon, action_dim):
+        first_states = np.asarray(first_states, dtype=float)
+        n = len(first_states)
+        self.states = np.zeros((n, horizon + 1, first_states.shape[1]))
+        self.states[:, 0] = first_states
+        self.actions = np.zeros((n, horizon, action_dim))
+        self.rewards = np.zeros((n, horizon))
+        self.lengths = np.zeros(n, dtype=int)
+        self.terminal = np.zeros(n, dtype=bool)
 
-    def append(self, state, action, reward, next_state, terminal):
-        self.states.append(np.asarray(state, dtype=float))
-        self.actions.append(np.asarray(action, dtype=float))
-        self.rewards.append(float(reward))
-        self.next_states.append(np.asarray(next_state, dtype=float))
-        self.terminals.append(bool(terminal))
+    def append(self, rows, actions, rewards, next_states, terminals):
+        """Record one time step of the episodes ``rows`` (distinct indices),
+        each at its own next step."""
+        rows = np.array(rows)  # one conversion for the five scatters
+        t = self.lengths[rows]
+        self.actions[rows, t] = actions
+        self.rewards[rows, t] = rewards
+        self.states[rows, t + 1] = np.array(next_states)
+        self.terminal[rows] = terminals
+        self.lengths[rows] = t + 1
 
-    def __len__(self):
-        return len(self.rewards)
-
-    @property
-    def episode_return(self):
-        return float(sum(self.rewards))
-
-    def state_array(self):
-        return np.stack(self.states)
-
-    def action_array(self):
-        return np.stack(self.actions)
+    def per_step(self, array):
+        """The ``array[i, t]`` with ``t < lengths[i]`` of an (n, >= H, ...)
+        array, such as ``states[:, 1:]``, stacked in episode order."""
+        horizon = self.rewards.shape[1]
+        return array[:, :horizon][np.arange(horizon) < self.lengths[:, None]]

@@ -139,23 +139,26 @@ def test_acceptance_5_lambda_return_endpoints(report):
         gamma = float(rng.uniform(0.5, 0.999))
         length = int(rng.integers(1, 12))
         terminal_end = bool(rng.integers(0, 2))
-        traj = Trajectory()
+        traj = Trajectory(rng.standard_normal((1, 2)), length, 1)
         for t in range(length):
-            traj.append(rng.standard_normal(2), rng.standard_normal(1),
-                        float(rng.standard_normal()), rng.standard_normal(2),
-                        terminal_end and t == length - 1)
+            traj.append([0], rng.standard_normal((1, 1)),
+                        [float(rng.standard_normal())],
+                        rng.standard_normal((1, 2)),
+                        [terminal_end and t == length - 1])
+        rewards = traj.rewards[0].tolist()
+        next_states = traj.states[0, 1:]
+        terminals = [terminal_end and t == length - 1 for t in range(length)]
 
-        got0 = lambda_returns([traj], critic, gamma, 0.0)
+        got0 = lambda_returns(traj, critic, gamma, 0.0)
         td = np.array([r + (0.0 if d else gamma * critic.value(s2))
-                       for r, s2, d in zip(traj.rewards, traj.next_states,
-                                           traj.terminals)])
+                       for r, s2, d in zip(rewards, next_states, terminals)])
         ok = ok and np.array_equal(got0, td)
 
-        got1 = lambda_returns([traj], critic, gamma, 1.0)
+        got1 = lambda_returns(traj, critic, gamma, 1.0)
         mc = np.empty(length)
-        g = 0.0 if traj.terminals[-1] else critic.value(traj.next_states[-1])
+        g = 0.0 if terminals[-1] else critic.value(next_states[-1])
         for t in range(length - 1, -1, -1):
-            g = traj.rewards[t] + (0.0 if traj.terminals[t] else gamma * g)
+            g = rewards[t] + (0.0 if terminals[t] else gamma * g)
             mc[t] = g
         ok = ok and np.array_equal(got1, mc)
     report(5, "lambda-return endpoints exact", ok, "100 trajectories")

@@ -2,6 +2,7 @@ import copy
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from detac.critics import ConstantVCritic
 from detac.envs import (EnvSpec, PointMass, QuadraticBandit,
                         make_quadratic_bandit)
 from detac.policies import LinearPolicy, MlpPolicy
-from detac.trajectory import Trajectory
 
 
 def test_agent_config_validation():
@@ -31,27 +31,44 @@ def test_agent_config_validation():
 
 
 def _sequential_episode(act, env, rng):
-    """One episode, one ``act(state)`` per step: the reference for the
-    lockstep ``run_episodes``."""
-    traj = Trajectory()
+    """One episode, one ``act(state)`` per step, kept in per-step lists:
+    the reference for the lockstep ``run_episodes``."""
+    ep = SimpleNamespace(states=[], actions=[], rewards=[], next_states=[],
+                         terminals=[])
     state = env.reset(rng)
     for _ in range(env.spec.horizon):
         action = act(state)
         next_state, reward, terminal = env.step(state, action, rng)
-        traj.append(state, action, reward, next_state, terminal)
+        for field, value in zip(("states", "actions", "rewards",
+                                 "next_states", "terminals"),
+                                (state, action, reward, next_state, terminal)):
+            getattr(ep, field).append(value)
         state = next_state
         if terminal:
             break
-    return traj
+    return ep
 
 
-def _assert_same_trajectory(got, want):
-    assert len(got) == len(want)
-    for field in ("states", "actions", "next_states"):
-        assert all(np.array_equal(a, b) for a, b in
-                   zip(getattr(got, field), getattr(want, field)))
-    assert got.rewards == want.rewards
-    assert got.terminals == want.terminals
+def _assert_same_episode(batch, i, want):
+    """Row ``i`` of a ``Trajectory`` holds the episode ``want``, bit for
+    bit."""
+    k = len(want.rewards)
+    assert batch.lengths[i] == k
+    assert np.array_equal(batch.states[i, :k], want.states)
+    assert np.array_equal(batch.states[i, 1:k + 1], want.next_states)
+    assert np.array_equal(batch.actions[i, :k], want.actions)
+    assert batch.rewards[i, :k].tolist() == want.rewards
+    # only the last step of an episode can be terminal
+    assert not any(want.terminals[:-1])
+    assert batch.terminal[i] == want.terminals[-1]
+
+
+def _assert_same_batch(got, want):
+    assert got.lengths.tolist() == want.lengths.tolist()
+    assert got.terminal.tolist() == want.terminal.tolist()
+    for field in ("states", "actions", "rewards"):
+        assert np.array_equal(got.per_step(getattr(got, field)),
+                              want.per_step(getattr(want, field)))
 
 
 def test_run_episode_respects_horizon_and_terminal():
@@ -59,12 +76,13 @@ def test_run_episode_respects_horizon_and_terminal():
         return np.zeros((len(states), 1))
 
     env = PointMass(horizon=7)
-    trajs = run_episodes(zeros, env, 3, np.random.default_rng(0))
-    assert [len(t) for t in trajs] == [7, 7, 7]
+    batch = run_episodes(zeros, env, 3, np.random.default_rng(0))
+    assert batch.lengths.tolist() == [7, 7, 7]
+    assert not batch.terminal.any()
     bandit = QuadraticBandit([0.0])
-    traj, = run_episodes(zeros, bandit, 1, np.random.default_rng(0))
-    assert len(traj) == 1
-    assert traj.terminals[0]
+    batch = run_episodes(zeros, bandit, 1, np.random.default_rng(0))
+    assert batch.lengths.tolist() == [1]
+    assert batch.terminal.tolist() == [True]
     for n in (0, -1):
         with pytest.raises(ValueError):
             run_episodes(zeros, env, n, np.random.default_rng(0))
@@ -83,7 +101,7 @@ def test_evaluate_deterministic_does_not_change_policy():
 def _episode_loop_returns(policy, env, n_episodes, rng):
     """evaluate_deterministic as a loop of single episodes: the reference
     for the lockstep form."""
-    return [_sequential_episode(policy.act, env, rng).episode_return
+    return [float(sum(_sequential_episode(policy.act, env, rng).rewards))
             for _ in range(n_episodes)]
 
 
@@ -148,36 +166,60 @@ def test_lockstep_evaluation_masks_finished_episodes():
     env = _StaggeredEnv(horizon=8)
     pol = MlpPolicy(1, 1, hidden_sizes=(8,), rng=np.random.default_rng(4))
     rng = np.random.default_rng(5)
-    lengths = [len(_sequential_episode(pol.act, env, rng))
+    lengths = [len(_sequential_episode(pol.act, env, rng).rewards)
                for _ in range(12)]
     # some end early at different steps, some run into the horizon
     assert len(set(lengths)) > 3 and max(lengths) == 8 and min(lengths) < 8
     _assert_lockstep_matches_loop(pol, env, 12)
 
 
-def test_run_episodes_equals_sequential_loop():
-    # an act that works row by row, so a batched call computes the same
-    # bits as single calls; the episodes end at steps 1 to 8
-    def act(states):
+class _RowPolicy:
+    """A greedy policy that works row by row, so a batched call computes
+    the same bits as single calls."""
+
+    def act(self, states):
         return np.tanh(0.3 * np.asarray(states) - 0.5)
 
+    act_batch = act
+
+
+def test_run_episodes_equals_sequential_loop():
+    # the episodes end at steps 1 to 8, or run into the horizon
+    act = _RowPolicy().act
     env = _StaggeredEnv(horizon=8)
     seen = []
-    trajs = run_episodes(act, env, 40, np.random.default_rng(5),
+    batch = run_episodes(act, env, 40, np.random.default_rng(5),
                          on_step=lambda *tr: seen.append(tr))
     rng = np.random.default_rng(5)
     want = [_sequential_episode(act, env, rng) for _ in range(40)]
-    assert sorted({len(t) for t in want}) == list(range(1, 9))
-    for got, ref in zip(trajs, want):
-        _assert_same_trajectory(got, ref)
+    assert sorted({len(ep.rewards) for ep in want}) == list(range(1, 9))
+    assert batch.lengths.tolist() == [len(ep.rewards) for ep in want]
+    assert batch.terminal.tolist() == [bool(ep.terminals[-1]) for ep in want]
+    assert not all(batch.terminal)
+    for i, ep in enumerate(want):
+        _assert_same_episode(batch, i, ep)
+    # the per-step rows, in episode order, are the loop's steps end to end
+    for rows, field in ((batch.states, "states"),
+                        (batch.states[:, 1:], "next_states"),
+                        (batch.actions, "actions")):
+        want_rows = np.array([x for ep in want for x in getattr(ep, field)])
+        assert np.array_equal(batch.per_step(rows), want_rows)
+    assert (batch.per_step(batch.rewards).tolist()
+            == [r for ep in want for r in ep.rewards])
+    # and the evaluation returns are the loop's reward sums, bit for bit
+    _, returns = evaluate_deterministic(_RowPolicy(), env, 40,
+                                        np.random.default_rng(5))
+    assert returns == [float(sum(ep.rewards)) for ep in want]
     # on_step sees every transition, time step by time step, and within a
     # step in episode order
-    order = [(t, i) for t in range(8) for i in range(40) if t < len(want[i])]
+    order = [(t, i) for t in range(8) for i in range(40)
+             if t < len(want[i].rewards)]
     assert len(seen) == len(order)
     for (t, i), (state, action, reward, next_state, terminal) in zip(order,
                                                                      seen):
         assert np.array_equal(state, want[i].states[t])
         assert np.array_equal(action, want[i].actions[t])
+        assert np.array_equal(next_state, want[i].next_states[t])
         assert reward == want[i].rewards[t]
         assert terminal == want[i].terminals[t]
 
@@ -248,7 +290,7 @@ def test_batch_agent_updates_only_every_n_episodes():
     agent.run_episode(env, rng)
     # the critic always regresses in a phase; the gated actor may not move
     assert not np.array_equal(agent.critic.net.get_params(), w0)
-    assert agent._batch == []
+    assert agent._batch is None
 
 
 def test_batch_agent_phase_episodes_come_from_pre_update_policy():
@@ -258,6 +300,10 @@ def test_batch_agent_phase_episodes_come_from_pre_update_policy():
     env = PointMass(horizon=10)
     rng = np.random.default_rng(8)
     agent = make_agent(cfg, env, np.random.default_rng(9))
+    phases = []
+    update_phase = agent.update_phase
+    agent.update_phase = lambda batch: (phases.append(batch),
+                                        update_phase(batch))
     for _ in range(3):
         # replay the phase on a copy of the agent and of the rng, taken
         # before the phase's first episode
@@ -266,8 +312,10 @@ def test_batch_agent_phase_episodes_come_from_pre_update_policy():
         want = run_episodes(lambda s: before.exploration.act(s, replay),
                             env, cfg.update_every, replay)
         got = [agent.run_episode(env, rng) for _ in range(cfg.update_every)]
-        for g, w in zip(got, want):
-            _assert_same_trajectory(g, w)
+        # each call hands out the step count of its episode, and the
+        # update learns from the replayed batch
+        assert got == want.lengths.tolist()
+        _assert_same_batch(phases[-1], want)
         # the phase consumed the rng exactly as the replay did
         assert rng.bit_generator.state == replay.bit_generator.state
         assert agent.exploration.sigma == before.exploration.sigma / 2
@@ -275,6 +323,21 @@ def test_batch_agent_phase_episodes_come_from_pre_update_policy():
     assert not np.array_equal(agent.policy.get_params(),
                               make_agent(cfg, env, np.random.default_rng(9))
                               .policy.get_params())
+
+
+def test_batch_agent_hands_out_each_episode_step_count():
+    # a phase's episodes end at different steps; _StaggeredEnv's lengths
+    # follow from the reset draws, which come first in the phase's stream
+    cfg = AgentConfig(rule="nfac", update_every=6, hidden=(4,),
+                      batch_norm=False, actor_iterations=1,
+                      fitted_iterations=1)
+    env = _StaggeredEnv(horizon=8)
+    agent = make_agent(cfg, env, np.random.default_rng(0))
+    replay = np.random.default_rng(1)
+    want = [min(int(env.reset(replay)[0]), 8) for _ in range(6)]
+    assert len(set(want)) > 1
+    rng = np.random.default_rng(1)
+    assert [agent.run_episode(env, rng) for _ in range(6)] == want
 
 
 def test_batch_agent_rejects_other_env_or_rng_mid_phase():
@@ -291,10 +354,10 @@ def test_batch_agent_rejects_other_env_or_rng_mid_phase():
     # a refused call hands out nothing; the phase goes on as before
     agent.run_episode(env, rng)
     agent.run_episode(env, rng)
-    assert agent._batch == []
+    assert agent._batch is None
     # a new phase may use another env and rng
     other_env, other_rng = PointMass(horizon=5), np.random.default_rng(14)
-    assert len(agent.run_episode(other_env, other_rng)) == 5
+    assert agent.run_episode(other_env, other_rng) == 5
 
 
 def test_penfac_tracks_dhat_and_adapts_beta():
@@ -322,7 +385,7 @@ def test_penfac_dhat_measures_against_pre_phase_policy():
     rng = np.random.default_rng(6)
     agent = make_agent(cfg, env, np.random.default_rng(7))
     batch = run_episodes(lambda s: agent.exploration.act(s, rng), env, 2, rng)
-    states = np.concatenate([t.state_array() for t in batch])
+    states = batch.per_step(batch.states)
     before = copy.deepcopy(agent.policy)
     before.act_batch(states, training=True)
     agent.update_phase(batch)

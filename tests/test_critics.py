@@ -28,13 +28,29 @@ class TabularVCritic:
             self.v[s] = targets[idx == s].mean()
 
 
-def _make_traj(rewards, terminals, n_state_dims=1):
+def _batch(episodes):
+    """A ``Trajectory`` of episodes given as ``(first_state, steps,
+    terminal)``, ``steps`` a list of ``(reward, next_state)``; one
+    ``append`` per time step over the episodes still running, as
+    ``run_episodes`` fills it."""
+    horizon = max(len(steps) for _, steps, _ in episodes)
+    first = [s0 for s0, _, _ in episodes]
+    batch = Trajectory(np.reshape(first, (len(first), -1)), horizon, 1)
+    for t in range(horizon):
+        rows = [i for i, (_, steps, _) in enumerate(episodes)
+                if t < len(steps)]
+        batch.append(rows, np.zeros((len(rows), 1)),
+                     [episodes[i][1][t][0] for i in rows],
+                     [episodes[i][1][t][1] for i in rows],
+                     [episodes[i][2] and t == len(episodes[i][1]) - 1
+                      for i in rows])
+    return batch
+
+
+def _make_traj(rewards, terminal=False, n_state_dims=1):
     rng = np.random.default_rng(0)
-    traj = Trajectory()
-    for r, done in zip(rewards, terminals):
-        traj.append(rng.standard_normal(n_state_dims), np.zeros(1), r,
-                    rng.standard_normal(n_state_dims), done)
-    return traj
+    steps = [(r, rng.standard_normal(n_state_dims)) for r in rewards]
+    return _batch([(rng.standard_normal(n_state_dims), steps, terminal)])
 
 
 def test_td_error_zero_critic_is_reward():
@@ -52,8 +68,8 @@ def test_td_error_bootstrap_and_terminal():
 
 def test_lambda_zero_returns_are_one_step_targets():
     critic = ConstantVCritic(2.0)
-    traj = _make_traj([1.0, -1.0, 0.5], [False, False, False])
-    targets = lambda_returns([traj], critic, 0.9, 0.0)
+    traj = _make_traj([1.0, -1.0, 0.5])
+    targets = lambda_returns(traj, critic, 0.9, 0.0)
     expected = np.array([1.0, -1.0, 0.5]) + 0.9 * 2.0
     assert np.allclose(targets, expected, atol=1e-12)
 
@@ -61,9 +77,9 @@ def test_lambda_zero_returns_are_one_step_targets():
 def test_lambda_one_returns_are_monte_carlo_plus_tail():
     critic = ConstantVCritic(3.0)
     rewards = [1.0, 2.0, 4.0]
-    traj = _make_traj(rewards, [False, False, False])
+    traj = _make_traj(rewards)
     gamma = 0.5
-    targets = lambda_returns([traj], critic, gamma, 1.0)
+    targets = lambda_returns(traj, critic, gamma, 1.0)
     # horizon cut: discounted reward sum plus gamma^3 * V(s_T)
     g2 = 4.0 + gamma * 3.0
     g1 = 2.0 + gamma * g2
@@ -73,8 +89,8 @@ def test_lambda_one_returns_are_monte_carlo_plus_tail():
 
 def test_lambda_one_terminal_is_pure_monte_carlo():
     critic = ConstantVCritic(100.0)  # tail value must not leak in
-    traj = _make_traj([1.0, 2.0, 4.0], [False, False, True])
-    targets = lambda_returns([traj], critic, 0.5, 1.0)
+    traj = _make_traj([1.0, 2.0, 4.0], terminal=True)
+    targets = lambda_returns(traj, critic, 0.5, 1.0)
     assert np.allclose(targets, [1.0 + 0.5 * (2.0 + 0.5 * 4.0),
                                  2.0 + 0.5 * 4.0, 4.0], atol=1e-12)
 
@@ -85,13 +101,12 @@ def test_lambda_returns_match_weighted_nstep_sum():
     critic = TabularVCritic(10)
     critic.v = np.random.default_rng(1).standard_normal(10)
     rng = np.random.default_rng(2)
-    traj = Trajectory()
-    for t in range(5):
-        traj.append(np.array([t]), np.zeros(1), float(rng.standard_normal()),
-                    np.array([t + 1]), False)
+    traj = _batch([(np.array([0]), [(float(rng.standard_normal()),
+                                      np.array([t + 1])) for t in range(5)],
+                     False)])
     gamma, lam = 0.9, 0.4
-    rewards = np.asarray(traj.rewards)
-    next_v = critic.values(traj.next_states)
+    rewards = traj.rewards[0]
+    next_v = critic.values(traj.states[0, 1:])
     horizon = len(rewards)
 
     def n_step(t, n):
@@ -105,7 +120,7 @@ def test_lambda_returns_match_weighted_nstep_sum():
                 for n in range(1, n_max))
         g += lam ** (n_max - 1) * n_step(t, n_max)
         expected[t] = g
-    got = lambda_returns([traj], critic, gamma, lam)
+    got = lambda_returns(traj, critic, gamma, lam)
     assert np.max(np.abs(got - expected)) < 1e-12
 
 
@@ -116,29 +131,31 @@ def test_lambda_returns_batch_is_concatenation_of_episodes():
     critic = TabularVCritic(20)
     critic.v = np.random.default_rng(3).standard_normal(20)
     rng = np.random.default_rng(4)
-    batch = []
-    for length, terminal_end in ((4, False), (1, True), (6, True), (3, False)):
-        traj = Trajectory()
-        for t in range(length):
-            traj.append(np.array([rng.integers(20)]), np.zeros(1),
-                        float(rng.standard_normal()),
-                        np.array([rng.integers(20)]),
-                        terminal_end and t == length - 1)
-        batch.append(traj)
+    episodes = [(np.array([rng.integers(20)]),
+                 [(float(rng.standard_normal()), np.array([rng.integers(20)]))
+                  for _ in range(length)], terminal_end)
+                for length, terminal_end in ((4, False), (1, True), (6, True),
+                                             (3, False))]
+    batch = _batch(episodes)
     for lam in (0.0, 0.6, 1.0):
         got = lambda_returns(batch, critic, 0.9, lam)
         singles = np.concatenate(
-            [lambda_returns([t], critic, 0.9, lam) for t in batch])
+            [lambda_returns(_batch([ep]), critic, 0.9, lam)
+             for ep in episodes])
         assert np.array_equal(got, singles)
 
 
-def _numpy_lambda_returns(trajectories, critic, gamma, lam):
+def _numpy_lambda_returns(batch, critic, gamma, lam):
     """The recursion on numpy arrays and scalars, as lambda_returns ran it
     before it moved to Python floats."""
-    next_values = critic.values([s for t in trajectories for s in t.next_states])
-    rewards = np.asarray([r for t in trajectories for r in t.rewards])
-    terminals = [d for t in trajectories for d in t.terminals]
-    last = [i == len(t) - 1 for t in trajectories for i in range(len(t))]
+    lengths = batch.lengths.tolist()
+    next_values = critic.values(np.concatenate(
+        [batch.states[i, 1:k + 1] for i, k in enumerate(lengths)]))
+    rewards = np.concatenate(
+        [batch.rewards[i, :k] for i, k in enumerate(lengths)])
+    last = [t == k - 1 for k in lengths for t in range(k)]
+    terminals = [bool(done) and t == k - 1
+                 for done, k in zip(batch.terminal, lengths) for t in range(k)]
     targets = np.empty(len(rewards))
     for t in range(len(rewards) - 1, -1, -1):
         if last[t]:
@@ -156,17 +173,14 @@ def test_lambda_returns_equal_numpy_recursion_bitwise():
     # the same IEEE operations on Python floats: no tolerance
     rng = np.random.default_rng(11)
     critic = MlpVCritic(2, hidden_sizes=(8,), rng=rng)
-    batch = []
-    for length, terminal_end in ((7, False), (1, True), (12, True), (5, False)):
-        traj = Trajectory()
-        for t in range(length):
-            traj.append(rng.standard_normal(2), np.zeros(1),
-                        float(rng.standard_normal() * 10.0),
-                        rng.standard_normal(2),
-                        terminal_end and t == length - 1)
-        batch.append(traj)
+    batch = _batch([(rng.standard_normal(2),
+                     [(float(rng.standard_normal() * 10.0),
+                       rng.standard_normal(2)) for _ in range(length)],
+                     terminal_end)
+                    for length, terminal_end in ((7, False), (1, True),
+                                                 (12, True), (5, False))])
     # a terminal step's target is r + 0.0, which turns -0.0 into +0.0
-    batch[1].rewards[0] = -0.0
+    batch.rewards[1, 0] = -0.0
     for lam in (0.0, 0.3, 0.9, 1.0):
         got = lambda_returns(batch, critic, 0.99, lam)
         want = _numpy_lambda_returns(batch, critic, 0.99, lam)
@@ -176,12 +190,18 @@ def test_lambda_returns_equal_numpy_recursion_bitwise():
 
 def test_lambda_returns_rejects_bad_inputs():
     critic = ConstantVCritic(0.0)
-    traj = _make_traj([1.0], [False])
-    for batch in ([], [Trajectory()], [traj, Trajectory()]):
+    traj = _make_traj([1.0])
+    step = [(1.0, np.zeros(1))]
+    # no episode, a 0-length episode, and a 0-length episode after a
+    # 1-step one
+    for batch in (Trajectory(np.zeros((0, 1)), 1, 1),
+                  _batch([(np.zeros(1), [], False)]),
+                  _batch([(np.zeros(1), step, False),
+                          (np.zeros(1), [], False)])):
         with pytest.raises(ValueError):
             lambda_returns(batch, critic, 0.9, 0.5)
     with pytest.raises(ValueError):
-        lambda_returns([traj], critic, 0.9, 1.5)
+        lambda_returns(traj, critic, 0.9, 1.5)
 
 
 def test_tabular_critic_regress_is_per_state_mean():
@@ -230,15 +250,16 @@ def test_fitted_value_iteration_tabular_matches_dp():
     v_exact = np.linalg.solve(np.eye(2) - gamma * p, r)
 
     rng = np.random.default_rng(0)
-    trajs = []
+    episodes = []
     for _ in range(300):
-        traj = Trajectory()
+        steps = []
         s = 0
         for _t in range(40):
             s2 = int(rng.choice(2, p=p[s]))
-            traj.append(np.array([s]), np.zeros(1), r[s], np.array([s2]), False)
+            steps.append((r[s], np.array([s2])))
             s = s2
-        trajs.append(traj)
+        episodes.append((np.array([0]), steps, False))
+    trajs = _batch(episodes)
     critic = TabularVCritic(2)
     fitted_value_iteration(critic, trajs, gamma, 1.0, n_iterations=30)
     assert np.max(np.abs(critic.v - v_exact)) < 0.15
@@ -247,9 +268,11 @@ def test_fitted_value_iteration_tabular_matches_dp():
 def test_fitted_value_iteration_rejects_bad_args():
     critic = ConstantVCritic()
     with pytest.raises(ValueError):
-        fitted_value_iteration(critic, [], 0.9, 0.9, 10)
+        fitted_value_iteration(critic, Trajectory(np.zeros((0, 1)), 1, 1),
+                               0.9, 0.9, 10)
     with pytest.raises(ValueError):
-        fitted_value_iteration(critic, [_make_traj([1.0], [True])], 0.9, 0.9, 0)
+        fitted_value_iteration(critic, _make_traj([1.0], terminal=True),
+                               0.9, 0.9, 0)
 
 
 def test_compatible_q_identity_at_mean():

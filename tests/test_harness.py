@@ -77,6 +77,18 @@ def test_parse_config_hidden_tuple():
     assert cfg.agent.hidden == (16, 16)
 
 
+# agent settings that only the exploration wrapper or the networks check
+UNBUILDABLE_AGENT = [("sigma_decay", "0"), ("sigma_decay", "2"),
+                     ("hidden_activation", "relu"), ("hidden", "0"),
+                     ("hidden", "32,-1")]
+
+
+@pytest.mark.parametrize("key, value", UNBUILDABLE_AGENT)
+def test_parse_config_rejects_agent_that_cannot_be_built(key, value):
+    with pytest.raises(ValueError):
+        parse_config(None, {"agent": "cacla", "env": "pointmass", key: value})
+
+
 def test_parse_config_rejects_bad_value():
     with pytest.raises(ValueError, match="gamma"):
         parse_config(None, {"agent": "nfac", "env": "pointmass",
@@ -252,6 +264,38 @@ def test_cli_train_without_eval_episodes_exits_2(tmp_path, capsys,
     assert code == 2
     assert "config error: eval_episodes" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("key, value", UNBUILDABLE_AGENT)
+def test_cli_train_unbuildable_agent_exits_2(tmp_path, capsys, monkeypatch,
+                                             key, value):
+    # used to raise from inside run_seed, with exit status 1
+    monkeypatch.setenv("DETAC_THREADS", "1")
+    code = main(["train", "--set", "agent=cacla", "--set", "env=pointmass",
+                 "--set", f"{key}={value}", "--out", str(tmp_path / "runs")])
+    assert code == 2
+    assert "config error: " in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_cli_train_bad_detac_threads_exits_2(tmp_path):
+    # "x" used to fail in int() with exit status 1; "0" and "-2" used to
+    # mean 1 worker
+    src = os.path.dirname(os.path.dirname(os.path.abspath(detac.__file__)))
+    out = tmp_path / "runs"
+    for value in ("x", "0", "-2"):
+        env = dict(os.environ, DETAC_THREADS=value, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "detac.cli", "train", "--set", "agent=nfac",
+             "--set", "env=pointmass", "--set", "total_steps=0",
+             "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert result.returncode == 2, (value, result.stderr)
+        assert ("DETAC_THREADS must be a positive integer, "
+                f"got {value!r}") in result.stderr
+        assert result.stdout == ""
+        assert not out.exists()
 
 
 def test_cli_train_zero_horizon_exits_2(tmp_path):

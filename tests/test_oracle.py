@@ -2,13 +2,30 @@ import numpy as np
 import pytest
 
 from detac.envs import make_quadratic_bandit, random_finite_mdp
-from detac.oracle import (LipschitzGaussianChain, adaptive_simpson,
-                          bandit_exact_advantage, deterministic_gradient_1d,
-                          dp_solve, epsilon_smoothed, gated_direction_ratio,
+from detac.oracle import (LipschitzGaussianChain, _gaussian_weighted_1d,
+                          adaptive_simpson, bandit_exact_advantage,
+                          deterministic_gradient_1d, dp_solve,
+                          epsilon_smoothed, gated_direction_ratio,
                           gated_scaled_direction_1d,
                           occupancy_shift_bound_check,
-                          performance_difference_residual, performance_j,
-                          policy_matrix, spg_inner_integral_1d)
+                          performance_difference_residual, policy_matrix)
+
+
+def performance_j(mdp, policy):
+    """Reference: the start-weighted performance of ``policy``."""
+    return dp_solve(mdp, policy).j
+
+
+def spg_inner_integral_1d(target, theta, sigma, tol=1e-12):
+    """Reference: quadrature of the ungated likelihood-ratio inner integral
+    over theta +- 12 sigma; the Gaussian mass outside is below 1e-32."""
+    adv = bandit_exact_advantage(target, theta, sigma)
+
+    def ungated(a):
+        return adv(a) * (a - theta) / sigma ** 2
+
+    return _gaussian_weighted_1d(ungated, theta, sigma, theta - 12 * sigma,
+                                 theta + 12 * sigma, tol)
 
 
 def test_policy_matrix_from_indices():

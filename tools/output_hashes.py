@@ -1,0 +1,80 @@
+"""Print a sha256 for every seeded output that a refactor must keep
+byte-identical: the per-seed CSV of ``run_seed``, the ``run_bandit``
+curves and the ``verify`` reports.
+
+Run it from the root of a checkout, once before a change and once after,
+and diff the two outputs:
+
+    PYTHONPATH=src python tools/output_hashes.py > before.txt
+
+The PointMass runs use the default 10000 training steps: over the first
+few phases no NFAC/PeNFAC gate opens, so shorter runs can give the two
+rules identical CSVs and miss a change to either.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import tempfile
+
+import numpy as np
+
+from detac import harness
+from detac.agents import BanditConfig, run_bandit
+from detac.config import parse_config
+from detac.envs import make_quadratic_bandit
+
+RULES = ("penfac", "nfac", "cacla", "cac")
+BANDIT_RULES = ("spg", "dpg", "cacla")
+SUITES = ("lemma1", "lemma2", "theorem1", "gradcheck")
+SEEDS = (1, 2, 3)
+POINTMASS_STEPS = 10000
+BANDIT_STEPS = 3000
+
+
+def _sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def seed_csv_hash(rule, env, steps, seed):
+    """The sha256 of the seed's CSV, or the message of its divergence."""
+    cfg = parse_config(None, {"agent": rule, "env": env,
+                              "total_steps": str(steps)})
+    try:
+        rows = harness.run_seed(cfg, seed)
+    except harness.DivergenceError as exc:
+        return f"DivergenceError: {exc}"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "seed.csv")
+        harness.write_seed_csv(path, rows)
+        with open(path, "rb") as f:
+            return _sha(f.read())
+
+
+def main():
+    for env, steps in (("pointmass", POINTMASS_STEPS),
+                       ("bandit", BANDIT_STEPS)):
+        for rule in RULES:
+            for seed in SEEDS:
+                print(f"run_seed {rule} {env} steps={steps} seed={seed} "
+                      f"{seed_csv_hash(rule, env, steps, seed)}", flush=True)
+
+    for m in (5, 50):
+        env = make_quadratic_bandit(m, seed=0)
+        for rule in BANDIT_RULES:
+            for seed in SEEDS:
+                curve = run_bandit(rule, env, BANDIT_STEPS,
+                                   BanditConfig(), np.random.default_rng(seed),
+                                   eval_every=BANDIT_STEPS // 100)
+                print(f"run_bandit {rule} m={m} seed={seed} "
+                      f"{_sha(curve.tobytes())}", flush=True)
+
+    for suite in SUITES:
+        code, lines = harness.run_verification(suite, seed=0)
+        report = ("\n".join(lines) + "\n").encode()
+        print(f"verify {suite} seed=0 exit={code} {_sha(report)}", flush=True)
+
+
+if __name__ == "__main__":
+    main()
