@@ -103,8 +103,7 @@ def cmd_bandit_suite(args):
             for i in range(arr.shape[1]):
                 lines.append(f"{(i + 1) * stride},{float(arr[:, i].mean())!r},"
                              f"{float(arr[:, i].std())!r}")
-            with open(path, "w", newline="\n") as f:
-                f.write("\n".join(lines) + "\n")
+            harness.write_lines(path, lines)
             print(path)
     return 0
 

@@ -1,15 +1,21 @@
-"""Flat key=value experiment configuration with strict key checking."""
+"""Flat key=value experiment configuration with strict key checking.
+
+The accepted keys, their converters and their defaults come from the
+fields of ``AgentConfig`` and ``ExperimentConfig`` and from the env
+constructors; a key that is not given is not passed on, so the dataclass
+or constructor default applies.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .agents import AgentConfig, make_agent
 from .envs import PointMass, make_quadratic_bandit
 
-ENV_NAMES = ("pointmass", "bandit")
+ENVS = {"pointmass": PointMass, "bandit": make_quadratic_bandit}
 
 
 def _parse_bool(text):
@@ -22,54 +28,15 @@ def _parse_bool(text):
 
 
 def _parse_hidden(text):
-    if isinstance(text, (tuple, list)):
-        return tuple(int(v) for v in text)
-    return tuple(int(t) for t in str(text).split(",") if t.strip())
-
-
-# key -> (converter, default); None default means "use the AgentConfig default"
-SCHEMA = {
-    "agent": (str, None),
-    "env": (str, None),
-    "bandit_m": (int, 5),
-    "bandit_seed": (int, 0),
-    "pointmass_goal": (float, 0.5),
-    "pointmass_horizon": (int, 100),
-    "gamma": (float, None),
-    "lambda": (float, None),
-    "sigma": (float, None),
-    "sigma_decay": (float, None),
-    "lr_actor": (float, None),
-    "lr_critic": (float, None),
-    "fitted_iterations": (int, None),
-    "actor_iterations": (int, None),
-    "update_every": (int, None),
-    "d_target": (float, None),
-    "batch_norm": (_parse_bool, None),
-    "hidden": (_parse_hidden, None),
-    "hidden_activation": (str, None),
-    "seeds": (int, 1),
-    "seed_offset": (int, 0),
-    "total_steps": (int, 10000),
-    "eval_interval": (int, 1000),
-    "eval_episodes": (int, 10),
-    "out": (str, "runs"),
-}
-
-_AGENT_KEYS = {
-    "gamma": "gamma", "lambda": "lam", "sigma": "sigma",
-    "sigma_decay": "sigma_decay", "lr_actor": "lr_actor",
-    "lr_critic": "lr_critic", "fitted_iterations": "fitted_iterations",
-    "actor_iterations": "actor_iterations", "update_every": "update_every",
-    "d_target": "d_target", "batch_norm": "batch_norm", "hidden": "hidden",
-    "hidden_activation": "hidden_activation",
-}
+    items = text if isinstance(text, (tuple, list)) else str(text).split(",")
+    sizes = tuple(int(v) for v in items)
+    if not sizes:
+        raise ValueError("no hidden layer sizes")
+    return sizes
 
 
 def make_env(config):
-    if config.env == "bandit":
-        return make_quadratic_bandit(**config.env_params)
-    return PointMass(**config.env_params)
+    return ENVS[config.env](**config.env_params)
 
 
 @dataclass
@@ -88,8 +55,9 @@ class ExperimentConfig:
         if self.agent.rule in ("spg", "dpg"):
             raise ValueError("spg/dpg are bandit baselines; use the "
                              "bandit-suite command instead of train")
-        if self.env not in ENV_NAMES:
-            raise ValueError(f"unknown env {self.env!r}; choose from {ENV_NAMES}")
+        if self.env not in ENVS:
+            raise ValueError(f"unknown env {self.env!r}; "
+                             f"choose from {tuple(ENVS)}")
         if self.seeds < 1:
             raise ValueError("seeds must be >= 1")
         if self.eval_interval < 1:
@@ -101,6 +69,28 @@ class ExperimentConfig:
         # the env and the agent check their own parameters (a horizon >= 1,
         # the hidden sizes, the exploration decay): build both once
         make_agent(self.agent, make_env(self), np.random.default_rng(0))
+
+
+# converter per declared field type (a string under postponed annotations)
+_CONVERTERS = {"str": str, "int": int, "float": float, "bool": _parse_bool,
+               "tuple": _parse_hidden}
+
+# the AgentConfig fields whose key is not their name ("lambda" is a keyword)
+_AGENT_RENAMES = {"rule": "agent", "lam": "lambda"}
+
+# config key -> (group, parameter name, converter); a group is "agent"
+# (AgentConfig), "run" (ExperimentConfig) or an env name (its constructor)
+KEYS = {_AGENT_RENAMES.get(f.name, f.name):
+        ("agent", f.name, _CONVERTERS[f.type]) for f in fields(AgentConfig)}
+KEYS.update({f.name: ("run", f.name, _CONVERTERS[f.type])
+             for f in fields(ExperimentConfig)
+             if f.name not in ("agent", "env_params")})
+KEYS.update({
+    "bandit_m": ("bandit", "m", int),
+    "bandit_seed": ("bandit", "seed", int),
+    "pointmass_goal": ("pointmass", "goal", float),
+    "pointmass_horizon": ("pointmass", "horizon", int),
+})
 
 
 def read_config_file(path):
@@ -119,55 +109,27 @@ def read_config_file(path):
 
 def parse_config(path=None, overrides=None):
     """Build an ExperimentConfig from a key=value file plus CLI overrides
-    (overrides win).  Unknown keys are rejected by name."""
-    raw = {}
-    if path is not None:
-        raw.update(read_config_file(path))
-    for key, val in (overrides or {}).items():
-        if val is not None:
-            raw[key] = val
+    (overrides win; ``None`` overrides are skipped).  Unknown keys are
+    rejected by name, and every given value is converted, including the
+    parameters of the env not chosen."""
+    raw = read_config_file(path) if path is not None else {}
+    raw.update((k, v) for k, v in (overrides or {}).items() if v is not None)
 
     for key in raw:
-        if key not in SCHEMA:
+        if key not in KEYS:
             raise ValueError(f"unknown config key {key!r}")
-    if "agent" not in raw:
-        raise ValueError("missing required key 'agent'")
-    if "env" not in raw:
-        raise ValueError("missing required key 'env'")
+    for key in ("agent", "env"):
+        if key not in raw:
+            raise ValueError(f"missing required key {key!r}")
 
-    parsed = {}
+    groups = {"agent": {}, "run": {}, **{env: {} for env in ENVS}}
     for key, val in raw.items():
-        conv = SCHEMA[key][0]
+        group, name, convert = KEYS[key]
         try:
-            parsed[key] = conv(val)
+            groups[group][name] = convert(val)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"bad value for {key!r}: {val!r} ({exc})") from exc
 
-    agent_kwargs = {"rule": parsed["agent"]}
-    for key, attr in _AGENT_KEYS.items():
-        if key in parsed:
-            agent_kwargs[attr] = parsed[key]
-    agent = AgentConfig(**agent_kwargs)
-
-    env = parsed["env"]
-    env_params = {}
-    if env == "bandit":
-        env_params["m"] = parsed.get("bandit_m", SCHEMA["bandit_m"][1])
-        env_params["seed"] = parsed.get("bandit_seed", SCHEMA["bandit_seed"][1])
-    else:
-        env_params["goal"] = parsed.get("pointmass_goal",
-                                        SCHEMA["pointmass_goal"][1])
-        env_params["horizon"] = parsed.get("pointmass_horizon",
-                                           SCHEMA["pointmass_horizon"][1])
-
-    return ExperimentConfig(
-        agent=agent,
-        env=env,
-        env_params=env_params,
-        seeds=parsed.get("seeds", SCHEMA["seeds"][1]),
-        seed_offset=parsed.get("seed_offset", SCHEMA["seed_offset"][1]),
-        total_steps=parsed.get("total_steps", SCHEMA["total_steps"][1]),
-        eval_interval=parsed.get("eval_interval", SCHEMA["eval_interval"][1]),
-        eval_episodes=parsed.get("eval_episodes", SCHEMA["eval_episodes"][1]),
-        out=parsed.get("out", SCHEMA["out"][1]),
-    )
+    run = groups["run"]
+    return ExperimentConfig(agent=AgentConfig(**groups["agent"]),
+                            env_params=groups.get(run["env"], {}), **run)

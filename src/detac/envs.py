@@ -76,7 +76,7 @@ class QuadraticBandit:
         return np.zeros(1), reward, True
 
 
-def make_quadratic_bandit(m, seed):
+def make_quadratic_bandit(m=5, seed=0):
     """Bandit with the target drawn uniformly in [-0.8, 0.8]^m."""
     if m < 1:
         raise ValueError("action dimension must be >= 1")

@@ -75,13 +75,18 @@ def run_seed(config, seed):
     return rows
 
 
+def write_lines(path, lines):
+    """Write ``lines`` to ``path``, each ended by "\\n" on every platform."""
+    with open(path, "w", newline="\n") as f:
+        f.write("\n".join(lines) + "\n")
+
+
 def write_seed_csv(path, rows):
     lines = [CSV_HEADER]
     for seed, steps, mean, returns in rows:
         cells = [str(seed), str(steps), _fmt(mean)] + [_fmt(r) for r in returns]
         lines.append(",".join(cells))
-    with open(path, "w", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def write_aggregate_csv(path, per_seed_rows):
@@ -96,8 +101,7 @@ def write_aggregate_csv(path, per_seed_rows):
         lines.append(",".join([
             str(steps), _fmt(means.mean()), _fmt(means.std()),
             _fmt(means.std() / np.sqrt(n_seeds))]))
-    with open(path, "w", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def worker_cap():
@@ -224,6 +228,11 @@ def agent_architectures():
 
 
 def suite_gradcheck(seed=0, n_seeds=20, tol=1e-4):
+    """Finite-difference check of every agent architecture on ``n_seeds``
+    seeded nets.  A batch-norm net is checked in training mode, then in
+    eval mode (the mode of the actor iterations, tagged ``mode=eval``)
+    after one training-mode forward on the same inputs has refreshed its
+    running stats, as ``BatchActorCritic.update_phase`` does."""
     lines = []
     worst = 0.0
     for arch in agent_architectures():
@@ -233,11 +242,16 @@ def suite_gradcheck(seed=0, n_seeds=20, tol=1e-4):
                          output=arch["output"], batch_norm=arch["batch_norm"],
                          rng=rng)
             x = rng.standard_normal((4, arch["sizes"][0]))
-            err = gradient_check(net, x, training=arch["batch_norm"])
-            worst = max(worst, err)
-            lines.append(f"arch={arch['sizes']} hidden={arch['hidden']} "
-                         f"output={arch['output']} bn={arch['batch_norm']} "
-                         f"seed={s} max_rel_err={err:.3e} pass={err < tol}")
+            checks = [("", gradient_check(net, x, training=arch["batch_norm"]))]
+            if arch["batch_norm"]:
+                net.forward(x, training=True)
+                checks.append((" mode=eval", gradient_check(net, x)))
+            for mode, err in checks:
+                worst = max(worst, err)
+                lines.append(f"arch={arch['sizes']} hidden={arch['hidden']} "
+                             f"output={arch['output']} bn={arch['batch_norm']}"
+                             f"{mode} seed={s} max_rel_err={err:.3e} "
+                             f"pass={err < tol}")
     passed = worst < tol
     lines.append(f"max_rel_err={worst:.3e} pass={passed}")
     return passed, lines
@@ -267,6 +281,5 @@ def run_verification(name, seed=0, out=None):
         all_lines.extend(lines)
         ok = ok and passed
     if out:
-        with open(out, "w", newline="\n") as f:
-            f.write("\n".join(all_lines) + "\n")
+        write_lines(out, all_lines)
     return (0 if ok else 1), all_lines

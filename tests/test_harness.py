@@ -10,11 +10,14 @@ import detac
 from detac import harness
 from detac.agents import AgentConfig
 from detac.cli import main
-from detac.config import ExperimentConfig, parse_config, read_config_file
-from detac.harness import (CSV_HEADER, DivergenceError, run_seed,
-                           run_verification,
+from detac.config import (KEYS, ExperimentConfig, make_env, parse_config,
+                          read_config_file)
+from detac.envs import make_quadratic_bandit
+from detac.harness import (CSV_HEADER, DivergenceError, agent_architectures,
+                           run_seed, run_verification, suite_gradcheck,
                            suite_lemma1, suite_lemma2, write_aggregate_csv,
                            write_seed_csv)
+from detac.nets import MlpNet
 
 
 def _config(**kw):
@@ -69,6 +72,87 @@ def test_parse_config_bandit_env_params():
     cfg = parse_config(None, {"agent": "cacla", "env": "bandit",
                               "bandit_m": "7", "bandit_seed": "3"})
     assert cfg.env_params == {"m": 7, "seed": 3}
+    # only given keys of the chosen env are passed on to its constructor
+    cfg = parse_config(None, {"agent": "cacla", "env": "bandit",
+                              "pointmass_goal": "0.1"})
+    assert cfg.env_params == {}
+
+
+# every accepted key -> (a value that is not its default, the env it needs,
+# where the value lands, the value found there); the key set is pinned
+# here so that renaming a dataclass field cannot silently rename a key
+KEY_CASES = {
+    "agent": ("nfac", "pointmass", lambda c: c.agent.rule, "nfac"),
+    "env": ("bandit", "pointmass", lambda c: c.env, "bandit"),
+    "gamma": ("0.5", "pointmass", lambda c: c.agent.gamma, 0.5),
+    "lambda": ("0.7", "pointmass", lambda c: c.agent.lam, 0.7),
+    "sigma": ("0.3", "pointmass", lambda c: c.agent.sigma, 0.3),
+    "sigma_decay": ("0.9", "pointmass", lambda c: c.agent.sigma_decay, 0.9),
+    "lr_actor": ("0.002", "pointmass", lambda c: c.agent.lr_actor, 0.002),
+    "lr_critic": ("0.004", "pointmass", lambda c: c.agent.lr_critic, 0.004),
+    "fitted_iterations": ("3", "pointmass",
+                          lambda c: c.agent.fitted_iterations, 3),
+    "actor_iterations": ("4", "pointmass",
+                         lambda c: c.agent.actor_iterations, 4),
+    "update_every": ("2", "pointmass", lambda c: c.agent.update_every, 2),
+    "d_target": ("0.05", "pointmass", lambda c: c.agent.d_target, 0.05),
+    "batch_norm": ("off", "pointmass", lambda c: c.agent.batch_norm, False),
+    "hidden": ("16, 8", "pointmass", lambda c: c.agent.hidden, (16, 8)),
+    "hidden_activation": ("tanh", "pointmass",
+                          lambda c: c.agent.hidden_activation, "tanh"),
+    "seeds": ("3", "pointmass", lambda c: c.seeds, 3),
+    "seed_offset": ("7", "pointmass", lambda c: c.seed_offset, 7),
+    "total_steps": ("500", "pointmass", lambda c: c.total_steps, 500),
+    "eval_interval": ("50", "pointmass", lambda c: c.eval_interval, 50),
+    "eval_episodes": ("4", "pointmass", lambda c: c.eval_episodes, 4),
+    "out": ("elsewhere", "pointmass", lambda c: c.out, "elsewhere"),
+    "pointmass_goal": ("-0.3", "pointmass", lambda c: make_env(c).goal, -0.3),
+    "pointmass_horizon": ("20", "pointmass",
+                          lambda c: make_env(c).spec.horizon, 20),
+    "bandit_m": ("3", "bandit", lambda c: make_env(c).target.size, 3),
+    "bandit_seed": ("4", "bandit", lambda c: make_env(c).target.tolist(),
+                    make_quadratic_bandit(5, 4).target.tolist()),
+}
+
+
+def test_config_keys_are_pinned():
+    assert len(KEY_CASES) == 25
+    assert set(KEYS) == set(KEY_CASES)
+
+
+@pytest.mark.parametrize("key", sorted(KEY_CASES))
+def test_parse_config_key_lands_on_its_field(key):
+    value, env, read, expected = KEY_CASES[key]
+    base = {"agent": "penfac", "env": env}
+    assert read(parse_config(None, base)) != expected
+    assert read(parse_config(None, {**base, key: value})) == expected
+
+
+# the keys whose value is free text: every other key is converted, and a
+# value its converter rejects must be reported under the key's name
+FREE_TEXT_KEYS = {"agent", "env", "hidden_activation", "out"}
+MALFORMED = {"batch_norm": "maybe", "hidden": "32,x"}
+
+
+@pytest.mark.parametrize("env", ["pointmass", "bandit"])
+@pytest.mark.parametrize("key", sorted(set(KEY_CASES) - FREE_TEXT_KEYS))
+def test_parse_config_names_the_key_of_a_malformed_value(key, env):
+    # keys of the env not chosen are converted and rejected too
+    value = MALFORMED.get(key, "abc")
+    with pytest.raises(ValueError, match=f"bad value for '{key}'"):
+        parse_config(None, {"agent": "nfac", "env": env, key: value})
+
+
+BAD_HIDDEN = ["", ",", "32,,32"]
+
+
+@pytest.mark.parametrize("value", BAD_HIDDEN)
+def test_parse_config_rejects_empty_hidden_item(value):
+    # "" and "," used to build nets with no hidden layer, and "32,,32"
+    # used to drop the empty item
+    with pytest.raises(ValueError, match="bad value for 'hidden'"):
+        parse_config(None, {"agent": "nfac", "env": "pointmass",
+                            "hidden": value})
 
 
 def test_parse_config_hidden_tuple():
@@ -201,6 +285,27 @@ def test_suite_lemma1_fails_on_a_zero_ratio(monkeypatch):
     assert lines[-1] == "pass=False"
 
 
+def test_suite_gradcheck_checks_eval_mode_batch_norm(monkeypatch):
+    passed, lines = suite_gradcheck(n_seeds=1)
+    assert passed
+    n_bn = sum(arch["batch_norm"] for arch in agent_architectures())
+    assert n_bn > 0
+    assert sum("bn=True mode=eval seed=0" in line for line in lines) == n_bn
+
+    # an eval-mode backward that drops the running std must be caught
+    bn_backward = MlpNet._bn_backward
+
+    def no_std(self, g_out, bn):
+        if bn["training"]:
+            return bn_backward(self, g_out, bn)
+        return g_out * self.bn_gamma
+
+    monkeypatch.setattr(MlpNet, "_bn_backward", no_std)
+    passed, lines = suite_gradcheck(n_seeds=1)
+    assert not passed
+    assert all("pass=True" in line for line in lines if "bn=False" in line)
+
+
 def test_run_verification_unknown_suite():
     with pytest.raises(KeyError):
         run_verification("lemma3")
@@ -275,6 +380,15 @@ def test_cli_train_unbuildable_agent_exits_2(tmp_path, capsys, monkeypatch,
                  "--set", f"{key}={value}", "--out", str(tmp_path / "runs")])
     assert code == 2
     assert "config error: " in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("value", BAD_HIDDEN)
+def test_cli_train_empty_hidden_item_exits_2(tmp_path, capsys, value):
+    code = main(["train", "--set", "agent=nfac", "--set", "env=pointmass",
+                 "--set", f"hidden={value}", "--out", str(tmp_path / "runs")])
+    assert code == 2
+    assert "config error: bad value for 'hidden'" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
 
 
