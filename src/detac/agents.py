@@ -47,8 +47,11 @@ class AgentConfig:
             raise ValueError("rates must be positive")
         if self.update_every < 1:
             raise ValueError("update_every must be >= 1")
-        if self.fitted_iterations < 1:
-            raise ValueError("fitted_iterations must be >= 1")
+        if self.fitted_iterations < 1 or self.actor_iterations < 1:
+            raise ValueError("fitted_iterations and actor_iterations must "
+                             "be >= 1")
+        if self.d_target <= 0:
+            raise ValueError("d_target must be positive")
 
 
 def run_episodes(act, env, n, rng, on_step=None):

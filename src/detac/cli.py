@@ -83,8 +83,10 @@ def cmd_verify(args):
 def cmd_bandit_suite(args):
     try:
         dims = [int(d) for d in args.dims.split(",") if d.strip()]
-        if not dims or min(dims) < 1 or args.seeds < 1:
-            raise ValueError("need --dims >= 1 and --seeds >= 1")
+        if (not dims or min(dims) < 1 or args.seeds < 1
+                or args.episodes < 1 or args.seed_offset < 0):
+            raise ValueError("need --dims, --seeds and --episodes >= 1 "
+                             "and --seed-offset >= 0")
     except ValueError as exc:
         print(f"bandit-suite: {exc}", file=sys.stderr)
         return 2

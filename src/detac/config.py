@@ -58,8 +58,8 @@ class ExperimentConfig:
         if self.env not in ENVS:
             raise ValueError(f"unknown env {self.env!r}; "
                              f"choose from {tuple(ENVS)}")
-        if self.seeds < 1:
-            raise ValueError("seeds must be >= 1")
+        if self.seeds < 1 or self.seed_offset < 0:
+            raise ValueError("need seeds >= 1 and seed_offset >= 0")
         if self.eval_interval < 1:
             raise ValueError("eval_interval must be >= 1")
         if self.total_steps < 0:

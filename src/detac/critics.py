@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from .nets import Adam, MlpNet
-from .policies import toward_action
 
 
 class MlpVCritic:
@@ -121,12 +120,21 @@ def fitted_value_iteration(critic, batch, gamma, lam, n_iterations):
     return critic
 
 
+def toward_action(policy, state, action):
+    """(a - mu(s))^T J_mu(s): the compatible features of the Q critic, from
+    the policy's ``jacobian``."""
+    mu = np.asarray(policy.act(state), float).reshape(-1)
+    return (np.asarray(action, float).reshape(-1) - mu) @ policy.jacobian(state)
+
+
 class CompatibleQCritic:
     """Q(s, a) = (a - mu(s))^T J_mu(s) w + v.
 
     ``J_mu`` is the policy's parameter Jacobian, so grad_a Q at a = mu(s) is
-    exactly J_mu(s)^T w, and Q(s, mu(s)) = v by construction.  The state
-    value is one constant parameter, held as the 1-vector ``v``.
+    exactly J_mu(s)^T w, and Q(s, mu(s)) = v by construction.  The policy
+    must provide ``jacobian(state)``, the (action_dim x n_params) matrix
+    J_mu(s); ``LinearPolicy`` does (J = I).  The state value is one
+    constant parameter, held as the 1-vector ``v``.
     """
 
     def __init__(self, policy):

@@ -17,12 +17,14 @@ import numpy as np
 log = logging.getLogger(__name__)
 
 
+# every env's actions live in the box [-ACTION_BOUND, ACTION_BOUND]^m
+ACTION_BOUND = 1.0
+
+
 @dataclass
 class EnvSpec:
     state_dim: int
     action_dim: int
-    action_low: np.ndarray
-    action_high: np.ndarray
     horizon: int
 
     def __post_init__(self):
@@ -30,30 +32,21 @@ class EnvSpec:
             raise ValueError("action_dim must be >= 1")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        self.action_low = np.broadcast_to(
-            np.asarray(self.action_low, dtype=float), (self.action_dim,)).copy()
-        self.action_high = np.broadcast_to(
-            np.asarray(self.action_high, dtype=float), (self.action_dim,)).copy()
-        if not np.all(np.isfinite(self.action_low)) or \
-           not np.all(np.isfinite(self.action_high)) or \
-           np.any(self.action_high <= self.action_low):
-            raise ValueError("action bounds must be finite and non-degenerate")
 
 
 def _check_action(spec, action):
     """``action`` as a float array of shape (action_dim,).  A wrong width
-    or a non-finite value raises; out-of-bounds values are clipped with a
-    warning, and only then is the action copied."""
+    or a non-finite value raises; values outside the action box are clipped
+    with a warning, and only then is the action copied."""
     a = np.asarray(action, dtype=float).reshape(-1)
     if a.shape != (spec.action_dim,):
         raise ValueError(f"action has dimension {a.size}, expected {spec.action_dim}")
-    low, high = spec.action_low, spec.action_high
     # one comparison pass: NaN and +-inf fail it too
-    if not ((a >= low) & (a <= high)).all():
+    if not (np.abs(a) <= ACTION_BOUND).all():
         if not np.isfinite(a).all():
             raise ValueError("non-finite action")
         log.warning("action out of bounds, clipping: %s", a)
-        a = np.clip(a, low, high)
+        a = np.clip(a, -ACTION_BOUND, ACTION_BOUND)
     return a
 
 
@@ -63,9 +56,7 @@ class QuadraticBandit:
     def __init__(self, target):
         self.target = np.asarray(target, dtype=float).reshape(-1)
         m = self.target.size
-        self.spec = EnvSpec(state_dim=1, action_dim=m,
-                            action_low=-1.0, action_high=1.0,
-                            horizon=1)
+        self.spec = EnvSpec(state_dim=1, action_dim=m, horizon=1)
 
     def reset(self, rng=None):
         return np.zeros(1)
@@ -97,9 +88,7 @@ class PointMass:
 
     def __init__(self, goal=0.5, horizon=100):
         self.goal = float(goal)
-        self.spec = EnvSpec(state_dim=2, action_dim=1,
-                            action_low=-1.0, action_high=1.0,
-                            horizon=horizon)
+        self.spec = EnvSpec(state_dim=2, action_dim=1, horizon=horizon)
 
     def reset(self, rng=None):
         return np.zeros(2)

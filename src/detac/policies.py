@@ -2,19 +2,19 @@
 
 All policies expose a common surface: ``act(state)`` returns the
 deterministic action, ``act_batch(states)`` one action per row,
-``jacobian(state)`` the (action_dim x n_params) derivative of the action
-w.r.t. the flat parameter vector, and ``get_params``/``set_params`` move
-the parameter point.
+``backward_batch(upstream)`` the parameter gradient of
+sum_t upstream_t . mu(s_t) over the rows of the last ``act_batch`` call
+(one vector-Jacobian product), and ``get_params``/``set_params`` move the
+parameter point.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .envs import ACTION_BOUND
 from .nets import MlpNet
 
-
-ACTION_BOUND = 1.0
 MAX_ATTEMPTS = 100
 
 
@@ -50,15 +50,6 @@ class MlpPolicy:
 
     def act_batch(self, states, training=False):
         return self.net.forward(np.atleast_2d(states), training=training)
-
-    def jacobian(self, state):
-        jac = np.empty((self.action_dim, self.n_params))
-        for i in range(self.action_dim):
-            self.net.forward(state, training=False)
-            one_hot = np.zeros(self.action_dim)
-            one_hot[i] = 1.0
-            jac[i] = self.net.backward(one_hot)
-        return jac
 
     def backward_batch(self, upstream):
         """Parameter gradient of sum_t upstream_t . mu(s_t) for the last
@@ -98,6 +89,11 @@ class LinearPolicy:
 
     def jacobian(self, state=None):
         return np.eye(self.action_dim)
+
+    def backward_batch(self, upstream):
+        """Parameter gradient of sum_t upstream_t . mu(s_t): with J = I, the
+        sum of the upstream rows."""
+        return np.sum(upstream, axis=0)
 
 
 class GaussianExploration:
@@ -165,10 +161,3 @@ class GaussianExploration:
 
     def anneal(self):
         self.sigma *= self.decay
-
-
-def toward_action(policy, state, action):
-    """(a - mu(s))^T J_mu(s): the parameter direction that moves mu(s)
-    toward ``action``, and the compatible features of the Q critic."""
-    mu = np.asarray(policy.act(state), float).reshape(-1)
-    return (np.asarray(action, float).reshape(-1) - mu) @ policy.jacobian(state)

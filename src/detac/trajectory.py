@@ -27,9 +27,10 @@ class Trajectory:
 
     def append(self, rows, actions, rewards, next_states, terminals):
         """Record one time step of the episodes ``rows`` (distinct indices),
-        each at its own next step."""
+        which must all be at the same step, as in a lockstep rollout: the
+        step is read once, from the first row."""
+        t = int(self.lengths[rows[0]])
         rows = np.array(rows)  # one conversion for the five scatters
-        t = self.lengths[rows]
         self.actions[rows, t] = actions
         self.rewards[rows, t] = rewards
         self.states[rows, t + 1] = np.array(next_states)

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .policies import toward_action
-
 BETA_MIN = 1e-6
 BETA_MAX = 1e6
 
@@ -34,16 +32,20 @@ def _finite(g):
 
 def cacla_direction(policy, state, action, delta):
     """Move toward the sampled action iff its TD error is positive;
-    H(0) = 0, so a zero advantage produces no update."""
+    H(0) = 0, so a zero advantage produces no update.  An open gate is a
+    one-row ``batch_gated_direction`` with weight 1: (a - mu(s))^T J_mu(s)
+    from one forward and one backward pass."""
     if delta > 0:
-        return _finite(toward_action(policy, state, action))
+        return _finite(batch_gated_direction(
+            policy, [state], np.asarray(action, float).reshape(1, -1), [delta],
+            scale_by_delta=False))
     return np.zeros(policy.n_params)
 
 
 def cac_direction(policy, state, action, delta):
     """Gated move toward the action, scaled by the positive TD error."""
     if delta > 0:
-        return _finite(delta * toward_action(policy, state, action))
+        return _finite(delta * cacla_direction(policy, state, action, delta))
     return np.zeros(policy.n_params)
 
 

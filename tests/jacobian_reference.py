@@ -1,0 +1,32 @@
+"""Test-side reference Jacobian of a policy's action w.r.t. its parameters.
+
+``detac`` computes every gated direction as one vector-Jacobian product
+(``batch_gated_direction``); the per-sample oracles in the tests build the
+full Jacobian instead, so that they do not share that code path.
+"""
+
+import numpy as np
+
+from detac.policies import MlpPolicy
+
+
+def jacobian(policy, state):
+    """The (action_dim x n_params) derivative of mu(state): for an
+    ``MlpPolicy`` one forward and one unit-vector backward pass per action
+    dimension, otherwise the policy's own ``jacobian``."""
+    if not isinstance(policy, MlpPolicy):
+        return policy.jacobian(state)
+    jac = np.empty((policy.action_dim, policy.n_params))
+    for i in range(policy.action_dim):
+        policy.net.forward(state, training=False)
+        one_hot = np.zeros(policy.action_dim)
+        one_hot[i] = 1.0
+        jac[i] = policy.net.backward(one_hot)
+    return jac
+
+
+def toward(policy, state, action):
+    """(a - mu(s))^T J(s), with the reference ``jacobian``."""
+    mu = np.asarray(policy.act(state), float).reshape(-1)
+    return (np.asarray(action, float).reshape(-1) - mu) @ jacobian(policy,
+                                                                   state)

@@ -128,8 +128,7 @@ class _StaggeredEnv:
     lockstep form resets every episode from the same stream as the loop."""
 
     def __init__(self, horizon):
-        self.spec = EnvSpec(state_dim=1, action_dim=1, action_low=-1.0,
-                            action_high=1.0, horizon=horizon)
+        self.spec = EnvSpec(state_dim=1, action_dim=1, horizon=horizon)
 
     def reset(self, rng):
         return np.array([float(rng.integers(1, 2 * self.spec.horizon))])

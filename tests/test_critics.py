@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from detac.critics import (CompatibleQCritic, ConstantVCritic, MlpVCritic,
-                           fitted_value_iteration, lambda_returns, td_error)
-from detac.policies import LinearPolicy, MlpPolicy, toward_action
+                           fitted_value_iteration, lambda_returns, td_error,
+                           toward_action)
+from detac.policies import LinearPolicy, MlpPolicy
 from detac.trajectory import Trajectory
+from jacobian_reference import jacobian
 
 
 class TabularVCritic:
@@ -335,6 +337,8 @@ def test_compatible_q_with_mlp_policy_gradcheck():
     # grad_a Q at mu(s) should match finite differences of q in the action
     rng = np.random.default_rng(4)
     pol = MlpPolicy(2, 2, hidden_sizes=(6,), rng=rng)
+    # the critic needs a policy jacobian; MlpPolicy gets the test-side one
+    pol.jacobian = lambda state: jacobian(pol, state)
     critic = CompatibleQCritic(pol)
     critic.w = rng.standard_normal(pol.n_params) * 0.1
     s = rng.standard_normal(2)

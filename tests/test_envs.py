@@ -8,17 +8,10 @@ from detac.envs import (EnvSpec, FiniteMdp, PointMass, QuadraticBandit,
                         random_finite_mdp)
 
 
-def test_envspec_rejects_degenerate_bounds():
-    with pytest.raises(ValueError):
-        EnvSpec(1, 1, 1.0, -1.0, 10)
-    with pytest.raises(ValueError):
-        EnvSpec(1, 1, 0.0, 0.0, 10)
-
-
 @pytest.mark.parametrize("horizon", [0, -1])
 def test_envspec_rejects_horizon_below_one(horizon):
     with pytest.raises(ValueError, match="horizon"):
-        EnvSpec(1, 1, -1.0, 1.0, horizon)
+        EnvSpec(1, 1, horizon)
     with pytest.raises(ValueError, match="horizon"):
         PointMass(horizon=horizon)
 
@@ -57,7 +50,7 @@ def test_pointmass_step_equals_numpy_scalar_reference(caplog):
 
 
 def test_check_action_rejects_wrong_width_and_nonfinite():
-    spec = EnvSpec(2, 2, -1.0, 1.0, 10)
+    spec = EnvSpec(2, 2, 10)
     for bad in (np.zeros(1), np.zeros(3), np.zeros((3, 1)),
                 np.zeros((2, 2, 2))):
         with pytest.raises(ValueError):
@@ -73,7 +66,7 @@ def test_check_action_rejects_wrong_width_and_nonfinite():
 
 
 def test_check_action_clips_out_of_bounds_with_warning(caplog):
-    spec = EnvSpec(2, 2, -1.0, 1.0, 10)
+    spec = EnvSpec(2, 2, 10)
     for action, want in (([3.0, -0.2], [1.0, -0.2]),
                          ([0.1, -7.0], [0.1, -1.0])):
         action = np.array(action)
@@ -87,7 +80,7 @@ def test_check_action_clips_out_of_bounds_with_warning(caplog):
 
 
 def test_check_action_leaves_in_bounds_values_unchanged(caplog):
-    spec = EnvSpec(2, 2, -1.0, 1.0, 10)
+    spec = EnvSpec(2, 2, 10)
     for actions in (np.array([1.0, -1.0]), np.array([0.3, -0.0]),
                     np.array([-1.0, 1e-300]), np.array([[0.25, -1.0]])):
         with caplog.at_level(logging.WARNING, logger="detac.envs"):

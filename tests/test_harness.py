@@ -164,7 +164,9 @@ def test_parse_config_hidden_tuple():
 # agent settings that only the exploration wrapper or the networks check
 UNBUILDABLE_AGENT = [("sigma_decay", "0"), ("sigma_decay", "2"),
                      ("hidden_activation", "relu"), ("hidden", "0"),
-                     ("hidden", "32,-1")]
+                     ("hidden", "32,-1"), ("actor_iterations", "0"),
+                     ("actor_iterations", "-3"), ("d_target", "0"),
+                     ("d_target", "-1")]
 
 
 @pytest.mark.parametrize("key, value", UNBUILDABLE_AGENT)
@@ -182,7 +184,7 @@ def test_parse_config_rejects_bad_value():
 @pytest.mark.parametrize("overrides", [
     {"eval_episodes": "0"}, {"eval_episodes": "-1"},
     {"pointmass_horizon": "0"}, {"pointmass_horizon": "-3"},
-    {"env": "bandit", "bandit_m": "0"}])
+    {"env": "bandit", "bandit_m": "0"}, {"seed_offset": "-1"}])
 def test_parse_config_rejects_runs_that_cannot_evaluate(overrides):
     with pytest.raises(ValueError):
         parse_config(None, {"agent": "nfac", "env": "pointmass", **overrides})
@@ -349,7 +351,9 @@ def test_cli_train_bandit_only_rule_exits_2(tmp_path, capsys, rule, env):
 
 
 @pytest.mark.parametrize("flags", [["--seeds", "0"], ["--dims", "0"],
-                                   ["--dims", "5,x"], ["--dims", ","]])
+                                   ["--dims", "5,x"], ["--dims", ","],
+                                   ["--episodes", "0"], ["--episodes", "-4"],
+                                   ["--seed-offset", "-1"]])
 def test_cli_bandit_suite_bad_arguments_exit_2(tmp_path, capsys, flags):
     code = main(["bandit-suite", "--episodes", "10",
                  "--out", str(tmp_path / "bandit"), *flags])

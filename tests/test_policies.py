@@ -3,6 +3,7 @@ import pytest
 
 from detac.policies import (MAX_ATTEMPTS, GaussianExploration, LinearPolicy,
                             MlpPolicy)
+from jacobian_reference import jacobian
 
 
 def _fd_jacobian(policy, state, h=1e-6):
@@ -30,7 +31,7 @@ def test_mlp_policy_jacobian_matches_finite_differences():
     rng = np.random.default_rng(4)
     pol = MlpPolicy(2, 2, hidden_sizes=(6,), rng=rng)
     state = rng.standard_normal(2)
-    jac = pol.jacobian(state)
+    jac = jacobian(pol, state)
     fd = _fd_jacobian(pol, state)
     assert np.max(np.abs(jac - fd)) < 1e-5
 
@@ -44,7 +45,7 @@ def test_mlp_policy_backward_batch_matches_jacobian_sum():
     g_batch = pol.backward_batch(upstream)
     g_ref = np.zeros(pol.n_params)
     for s, u in zip(states, upstream):
-        g_ref += u @ pol.jacobian(s)
+        g_ref += u @ jacobian(pol, s)
     assert np.max(np.abs(g_batch - g_ref)) < 1e-10
 
 
@@ -61,6 +62,11 @@ def test_linear_policy_clips_to_bounds():
 def test_linear_policy_jacobian_is_identity():
     pol = LinearPolicy(4)
     assert np.array_equal(pol.jacobian(), np.eye(4))
+    # so backward_batch, the vector-Jacobian product, sums the upstream rows
+    upstream = np.array([[0.1, -2.0, 0.5, 3.0], [1.5, 0.25, -0.75, 0.0]])
+    pol.act_batch(np.zeros((2, 1)))
+    assert np.array_equal(pol.backward_batch(upstream), upstream.sum(axis=0))
+    assert np.array_equal(pol.backward_batch(upstream[:1]), upstream[0])
 
 
 def test_gaussian_exploration_stays_in_bounds():

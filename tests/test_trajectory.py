@@ -14,8 +14,7 @@ class _ScriptedEnv:
 
     def __init__(self, rewards, horizon):
         self.rewards = rewards
-        self.spec = EnvSpec(state_dim=1, action_dim=1, action_low=-1.0,
-                            action_high=1.0, horizon=horizon)
+        self.spec = EnvSpec(state_dim=1, action_dim=1, horizon=horizon)
 
     def reset(self, rng):
         return np.zeros(1)

@@ -6,11 +6,12 @@ import pytest
 from detac.agents import BanditConfig, run_bandit
 from detac.critics import CompatibleQCritic
 from detac.envs import make_quadratic_bandit
-from detac.policies import (GaussianExploration, LinearPolicy, MlpPolicy,
-                            toward_action)
+from detac.nets import MlpNet
+from detac.policies import GaussianExploration, LinearPolicy, MlpPolicy
 from detac.updates import (TrustRegionState, adapt_beta,
                            batch_gated_direction, cac_direction,
                            cacla_direction, policy_distance_dhat)
+from jacobian_reference import jacobian, toward
 
 
 def spg_direction(policy, sigma, state, action, advantage):
@@ -18,13 +19,13 @@ def spg_direction(policy, sigma, state, action, advantage):
     policy: A(s,a) (a - mu(s))^T J_mu(s) / sigma^2."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    return (advantage / sigma ** 2) * toward_action(policy, state, action)
+    return (advantage / sigma ** 2) * toward(policy, state, action)
 
 
 def dpg_direction(policy, state, grad_a):
     """Reference chain rule through the critic's action gradient at
     a = mu(s)."""
-    return np.asarray(grad_a, float).reshape(-1) @ policy.jacobian(state)
+    return np.asarray(grad_a, float).reshape(-1) @ jacobian(policy, state)
 
 
 def bandit_reference(rule, env, episodes, config, rng):
@@ -63,37 +64,44 @@ def bandit_reference(rule, env, episodes, config, rng):
 def penfac_actor_gradient(policy, snapshot, states, actions, advantages, beta):
     """Per-sample reference for the PeNFAC direction:
 
-        g = mean_t [ cac(s_t, a_t, A_t) - 2 beta (mu(s_t) - mu_old(s_t))^T J_mu(s_t) ]
+        g = mean_t [ H(A_t) A_t (a_t - mu(s_t))^T J_mu(s_t)
+                     - 2 beta (mu(s_t) - mu_old(s_t))^T J_mu(s_t) ]
 
-    with mu_old read from the ``snapshot`` policy, one state at a time.
+    with mu_old read from the ``snapshot`` policy and J_mu the reference
+    Jacobian, one state at a time.
     """
     g = np.zeros(policy.n_params)
     for s, a, adv in zip(states, actions, advantages):
-        g += cac_direction(policy, s, a, adv)
+        if adv > 0:
+            g += adv * toward(policy, s, a)
         drift = policy.act(s) - snapshot.act(s)
-        g -= 2.0 * beta * (drift @ policy.jacobian(s))
+        g -= 2.0 * beta * (drift @ jacobian(policy, s))
     return g / len(states)
+
+
+# the bandit's one state, as run_bandit passes it
+BANDIT_STATE = np.zeros(1)
 
 
 def test_gated_directions_reject_nonfinite():
     pol = LinearPolicy(1)
-    with pytest.raises(ValueError):
-        cacla_direction(pol, None, np.array([np.inf]), 1.0)
-    with pytest.raises(ValueError):
-        cac_direction(pol, None, np.array([0.5]), np.inf)
+    with pytest.raises(ValueError, match="non-finite update direction"):
+        cacla_direction(pol, BANDIT_STATE, np.array([np.inf]), 1.0)
+    with pytest.raises(ValueError, match="non-finite update direction"):
+        cac_direction(pol, BANDIT_STATE, np.array([0.5]), np.inf)
 
 
 def test_cacla_gate_closed_on_nonpositive_delta():
     pol = LinearPolicy(2)
     for delta in (0.0, -0.5, -100.0):
-        g = cacla_direction(pol, None, np.array([0.3, 0.3]), delta)
+        g = cacla_direction(pol, BANDIT_STATE, np.array([0.3, 0.3]), delta)
         assert np.all(g == 0.0)
 
 
 def test_cacla_moves_toward_action():
     pol = LinearPolicy(2, theta=np.array([0.1, -0.2]))
     a = np.array([0.5, 0.5])
-    g = cacla_direction(pol, None, a, delta=1.0)
+    g = cacla_direction(pol, BANDIT_STATE, a, delta=1.0)
     # identity jacobian: direction is exactly a - mu
     assert np.allclose(g, a - pol.act(), atol=1e-15)
 
@@ -107,6 +115,52 @@ def test_cac_is_delta_times_cacla():
         g_cacla = cacla_direction(pol, s, a, delta)
         g_cac = cac_direction(pol, s, a, delta)
         assert np.array_equal(g_cac, delta * g_cacla)
+
+
+GATED_POLICIES = {
+    "mlp-2-32-32-1": lambda rng: MlpPolicy(2, 1, (32, 32), hidden="leaky_relu",
+                                           batch_norm=True, rng=rng),
+    "mlp-1-32-32-5": lambda rng: MlpPolicy(1, 5, (32, 32), hidden="leaky_relu",
+                                           batch_norm=True, rng=rng),
+    "linear-5": lambda rng: LinearPolicy(5, theta=rng.uniform(-1, 1, 5)),
+}
+
+
+@pytest.mark.parametrize("name", GATED_POLICIES)
+def test_gated_directions_match_reference_jacobian_form(name):
+    # one backward pass of (a - mu) against the row-by-row Jacobian: equal
+    # up to rounding, within 1e-14 of the largest entry (measured: 3.5e-16)
+    rng = np.random.default_rng(21)
+    pol = GATED_POLICIES[name](rng)
+    state_dim = 1 if isinstance(pol, LinearPolicy) else pol.net.layer_sizes[0]
+    if isinstance(pol, MlpPolicy):
+        # batch-norm running stats away from their (0, 1) start
+        pol.act_batch(2.0 * rng.standard_normal((50, state_dim)),
+                      training=True)
+    for _ in range(200):
+        s = rng.standard_normal(state_dim)
+        a = rng.uniform(-1, 1, pol.action_dim)
+        delta = rng.exponential()
+        ref = toward(pol, s, a)
+        tol = 1e-14 * np.max(np.abs(ref))
+        assert np.max(np.abs(cacla_direction(pol, s, a, delta) - ref)) <= tol
+        assert np.max(np.abs(cac_direction(pol, s, a, delta) - delta * ref)) \
+            <= delta * tol
+
+
+def test_cacla_direction_makes_one_backward_pass(monkeypatch):
+    calls = []
+    backward = MlpNet.backward
+
+    def counted(net, grad_out):
+        calls.append(np.shape(grad_out))
+        return backward(net, grad_out)
+
+    monkeypatch.setattr(MlpNet, "backward", counted)
+    rng = np.random.default_rng(22)
+    pol = GATED_POLICIES["mlp-1-32-32-5"](rng)
+    cacla_direction(pol, rng.standard_normal(1), rng.uniform(-1, 1, 5), 0.5)
+    assert calls == [(1, 5)]
 
 
 def test_spg_direction_formula():
@@ -238,7 +292,8 @@ def test_penfac_zero_beta_reduces_to_mean_cac():
                               mu_old=pol.act_batch(states), beta=0.0)
     ref = np.zeros(pol.n_params)
     for s, a, adv in zip(states, actions, advs):
-        ref += cac_direction(pol, s, a, adv)
+        if adv > 0:
+            ref += adv * toward(pol, s, a)
     assert np.allclose(g, ref / 5, atol=1e-12)
 
 
@@ -273,7 +328,8 @@ def test_batch_gated_direction_matches_per_sample_loops():
                                     scale_by_delta=False)
     g_loop = np.zeros(pol.n_params)
     for s, a, adv in zip(states, actions, advs):
-        g_loop += cacla_direction(pol, s, a, adv)
+        if adv > 0:
+            g_loop += toward(pol, s, a)
     assert np.max(np.abs(g_batch - g_loop / 7)) < 1e-10
 
 
