@@ -59,33 +59,33 @@ def run_episodes(act, env, n, rng, on_step=None):
     ``Trajectory``.
 
     All ``n`` episodes are reset from ``rng`` first.  Each time step then
-    makes one ``act(states)`` call on the states of the episodes still
-    running, stacked in episode order, one ``env.step`` per episode and
-    one ``Trajectory.append``; an episode leaves the batch when the env
-    reports it terminal.  ``on_step(state, action, reward, next_state,
-    terminal)``, when given, sees each transition before the next ``act``
-    call.  With ``n > 1`` the draws of ``act`` and ``env.step`` from
-    ``rng`` interleave across the episodes, so the episodes equal those of
+    makes one ``act(states)`` call, one ``env.step`` and one
+    ``Trajectory.append`` on the rows of the episodes still running, in
+    episode order; an episode leaves the batch when the env reports it
+    terminal.  ``on_step(state, action, reward, next_state, terminal)``,
+    when given, sees each transition before the next ``act`` call.  With
+    ``n > 1`` the draws of ``act`` and ``env.step`` from ``rng``
+    interleave across the episodes, so the episodes equal those of
     one-at-a-time rollouts only when neither draws from ``rng``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     batch = Trajectory([env.reset(rng) for _ in range(n)], env.spec.horizon,
                        env.spec.action_dim)
-    live = list(range(n))
+    live = np.arange(n)
     for t in range(env.spec.horizon):
         states = batch.states[live, t]
         actions = act(states)
-        next_states, rewards, terminals = zip(*[
-            env.step(s, a, rng) for s, a in zip(states, actions)])
+        next_states, rewards, terminals = env.step(states, actions, rng)
         batch.append(live, actions, rewards, next_states, terminals)
         if on_step is not None:
-            for transition in zip(states, actions, rewards, next_states,
-                                  terminals):
+            for transition in zip(states, actions, rewards.tolist(),
+                                  next_states, terminals.tolist()):
                 on_step(*transition)
-        live = [i for i, done in zip(live, terminals) if not done]
-        if not live:
-            break
+        if terminals.any():
+            live = live[~terminals]
+            if not len(live):
+                break
     return batch
 
 

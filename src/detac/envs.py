@@ -2,8 +2,11 @@
 control task, and tabular finite MDPs used by the exact solvers.
 
 The bandit and the point mass are stateless objects: ``reset(rng)`` returns
-a start state and ``step(state, action, rng)`` returns
-``(next_state, reward, terminal)``.
+a start state and ``step(states, actions, rng)`` makes one transition per
+row, from (n, d) states and (n, m) actions to ``(next_states, rewards,
+terminals)`` of shapes (n, d), (n,) and (n,).  ``step`` also takes one
+(d,) state and its (m,) action, and then returns ``(next_state, reward,
+terminal)`` as an array, a float and a bool.
 Episode horizons are enforced by the caller (see ``EnvSpec.horizon``).
 """
 
@@ -34,13 +37,17 @@ class EnvSpec:
             raise ValueError("horizon must be >= 1")
 
 
-def _check_action(spec, action):
-    """``action`` as a float array of shape (action_dim,).  A wrong width
-    or a non-finite value raises; values outside the action box are clipped
+def _check_action(spec, action, n=None):
+    """``action`` as a float array of shape (action_dim,), or of shape
+    (n, action_dim) when ``n`` rows are given.  A wrong shape or a
+    non-finite value raises; values outside the action box are clipped
     with a warning, and only then is the action copied."""
-    a = np.asarray(action, dtype=float).reshape(-1)
-    if a.shape != (spec.action_dim,):
-        raise ValueError(f"action has dimension {a.size}, expected {spec.action_dim}")
+    a = np.asarray(action, dtype=float)
+    if n is None:
+        a = a.reshape(-1)
+    shape = (spec.action_dim,) if n is None else (n, spec.action_dim)
+    if a.shape != shape:
+        raise ValueError(f"action has shape {a.shape}, expected {shape}")
     # one comparison pass: NaN and +-inf fail it too
     if not (np.abs(a) <= ACTION_BOUND).all():
         if not np.isfinite(a).all():
@@ -62,9 +69,12 @@ class QuadraticBandit:
         return np.zeros(1)
 
     def step(self, state, action, rng=None):
-        a = _check_action(self.spec, action)
-        reward = -float(np.sum((a - self.target) ** 2))
-        return np.zeros(1), reward, True
+        one = np.ndim(state) == 1
+        a = _check_action(self.spec, action, None if one else len(state))
+        rewards = -np.sum((a - self.target) ** 2, axis=-1)
+        if one:
+            return np.zeros(1), float(rewards), True
+        return np.zeros((len(a), 1)), rewards, np.ones(len(a), dtype=bool)
 
 
 def make_quadratic_bandit(m=5, seed=0):
@@ -94,14 +104,27 @@ class PointMass:
         return np.zeros(2)
 
     def step(self, state, action, rng=None):
-        # one transition on Python floats, free of the per-call cost of
-        # numpy scalars, with the same IEEE operations as np.clip on them
-        u = float(_check_action(self.spec, action)[0])
+        states = np.asarray(state, dtype=float)
+        one = states.ndim == 1
+        if one:
+            states, action = states[None], np.reshape(action, (1, -1))
+        n = len(states)
+        u = _check_action(self.spec, action, n)[:, 0]
         bound = self.STATE_BOUND
-        vel = min(max(float(state[1]) + self.DT * u, -bound), bound)
-        pos = min(max(float(state[0]) + self.DT * vel, -bound), bound)
-        reward = -(pos - self.goal) ** 2 - 0.01 * (u * u)
-        return np.array([pos, vel]), reward, False
+        next_states = np.empty((n, 2))
+        pos, vel = next_states[:, 0], next_states[:, 1]
+        np.minimum(np.maximum(states[:, 1] + self.DT * u, -bound), bound,
+                   out=vel)
+        np.minimum(np.maximum(states[:, 0] + self.DT * vel, -bound), bound,
+                   out=pos)
+        # the reward row by row on Python floats: its ** is libm's pow,
+        # whose bits numpy's x * x and np.power do not always match
+        goal = self.goal
+        rewards = np.array([-(p - goal) ** 2 - 0.01 * (a * a)
+                            for p, a in zip(pos.tolist(), u.tolist())])
+        if one:
+            return next_states[0], float(rewards[0]), False
+        return next_states, rewards, np.zeros(n, dtype=bool)
 
 
 class FiniteMdp:

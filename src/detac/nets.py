@@ -18,13 +18,14 @@ BN_EPS = 1e-5
 BN_MOMENTUM = 0.9
 
 
-def _act(name, x):
+def _act(name, x, out=None):
     if name == "tanh":
-        return np.tanh(x)
+        return np.tanh(x, out=out)
     if name == "leaky_relu":
         # max(x, slope * x) is x for x > 0 and slope * x otherwise, the
         # same bits as np.where(x > 0, x, slope * x) at a lower cost
-        return np.maximum(x, LEAKY_SLOPE * x)
+        y = np.multiply(LEAKY_SLOPE, x, out=out)
+        return np.maximum(x, y, out=y)
     if name == "linear":
         return x
     raise ValueError(f"unknown activation {name!r}")
@@ -37,6 +38,11 @@ class MlpNet:
     Weight layout per layer: W of shape (n_in, n_out) and bias b of shape
     (n_out,).  The flat parameter vector concatenates (W, b) per layer in
     order, followed by (gamma, beta) when batch norm is enabled.
+
+    ``forward`` and ``backward`` write every per-row array into work
+    arrays that only grow, to the largest batch seen, and are reused by
+    later passes; ``forward`` hands out a fresh copy of its output, and
+    ``backward`` reads the arrays of the latest ``forward``.
     """
 
     def __init__(self, layer_sizes, hidden="tanh", output="linear",
@@ -68,6 +74,33 @@ class MlpNet:
             self.bn_running_var = np.ones(n1)
 
         self._cache = None
+        self._arrays = None
+        self._views = None
+
+    # -- batch-norm running variance -----------------------------------------
+
+    @property
+    def bn_running_var(self):
+        return self._bn_running_var
+
+    @bn_running_var.setter
+    def bn_running_var(self, var):
+        # evaluation-mode passes read 1 / sqrt(var + eps) until the next
+        # assignment: a training-mode pass, a restore or an unpickling
+        self._bn_running_var = var
+        self._bn_inv_std = 1.0 / np.sqrt(var + BN_EPS)
+
+    def __getstate__(self):
+        # a copy or a pickle carries neither the latest pass nor the work
+        # arrays, and rebuilds the cached inv_std
+        state = dict(vars(self), _cache=None, _arrays=None, _views=None)
+        state.pop("_bn_inv_std", None)
+        return state
+
+    def __setstate__(self, state):
+        vars(self).update(state)
+        if self.batch_norm:
+            self.bn_running_var = self._bn_running_var
 
     # -- parameter vector ---------------------------------------------------
 
@@ -105,15 +138,44 @@ class MlpNet:
             self.bn_beta = flat[i:i + n1].copy()
         self._cache = None
 
+    # -- work arrays ----------------------------------------------------------
+
+    def _work(self, n):
+        """The first ``n`` rows of every work array, by name: one array per
+        layer for ``z`` (x W + b), ``h`` (activation), ``gz`` (gradient at
+        the pre-activation), ``g`` (gradient at the layer's output) and
+        ``mask`` (leaky_relu units on), and the batch-norm arrays
+        ``bn_hat`` (z_hat), ``bn_out``, ``bn_ghat`` and ``bn_tmp``.  The
+        arrays are reallocated only for a batch larger than any before;
+        the views of the latest batch size are kept."""
+        if self._views is None or len(self._views["z"][0]) != n:
+            if self._arrays is None or len(self._arrays["z"][0]) < n:
+                widths = self.layer_sizes[1:]
+                bn_widths = widths[:1] if self.batch_norm else []
+                self._arrays = {
+                    "z": [np.empty((n, w)) for w in widths],
+                    "h": [np.empty((n, w)) for w in widths],
+                    "gz": [np.empty((n, w)) for w in widths],
+                    "g": [np.empty((n, w)) for w in widths],
+                    "mask": [np.empty((n, w), dtype=bool) for w in widths],
+                    **{key: [np.empty((n, w)) for w in bn_widths]
+                       for key in ("bn_hat", "bn_out", "bn_ghat", "bn_tmp")},
+                }
+            self._views = {key: [a[:n] for a in arrays]
+                           for key, arrays in self._arrays.items()}
+        return self._views
+
     # -- forward / backward -------------------------------------------------
 
     def forward(self, x, training=False):
         """Run the network on a batch (or single input).
 
-        Caches intermediate activations so that ``backward`` can be called
-        with an upstream gradient of the same batch shape.  In training mode
-        batch statistics are used for normalization and the running stats
-        are updated; in evaluation mode only the running stats are read.
+        Keeps the intermediate activations in the work arrays so that
+        ``backward`` can be called with an upstream gradient of the same
+        batch shape; the returned output is a fresh array.  In training
+        mode batch statistics are used for normalization and the running
+        stats are updated; in evaluation mode only the running stats are
+        read.
         """
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
@@ -123,44 +185,53 @@ class MlpNet:
             raise ValueError(
                 f"input width {x.shape[1]} does not match first layer "
                 f"size {self.layer_sizes[0]}")
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise ValueError("non-finite input")
 
-        cache = {"x": x, "training": training, "pre": [], "post": [x]}
+        work = self._work(len(x))
+        cache = {"pre": [], "post": [x]}
         h = x
         n_layers = len(self.weights)
         for k in range(n_layers):
-            z = h @ self.weights[k] + self.biases[k]
+            z = np.matmul(h, self.weights[k], out=work["z"][k])
+            z += self.biases[k]
             if k == 0 and self.batch_norm:
-                z, bn_cache = self._bn_forward(z, training)
-                cache["bn"] = bn_cache
+                z, cache["bn"] = self._bn_forward(z, training)
             cache["pre"].append(z)
             name = self.output if k == n_layers - 1 else self.hidden
-            h = _act(name, z)
+            h = _act(name, z, out=work["h"][k])
             cache["post"].append(h)
         self._cache = cache
-        return h[0] if single else h
+        return h[0].copy() if single else h.copy()
 
     def _bn_forward(self, z, training):
+        """Batch-normalize the rows of ``z`` into the work arrays: the
+        normalized rows and the state ``backward`` needs."""
+        work = self._work(len(z))
+        z_hat, out = work["bn_hat"][0], work["bn_out"][0]
         if training:
             if z.shape[0] < 1:
                 raise ValueError("training-mode batch norm needs batch size >= 1")
+            # z.mean(axis=0) and z.var(axis=0), with np.var's steps
             mean = z.mean(axis=0)
-            var = z.var(axis=0)
+            np.subtract(z, mean, out=z_hat)
+            var = np.square(z_hat, out=out).sum(axis=0) / len(z)
             self.bn_running_mean = (BN_MOMENTUM * self.bn_running_mean
                                     + (1 - BN_MOMENTUM) * mean)
             self.bn_running_var = (BN_MOMENTUM * self.bn_running_var
                                    + (1 - BN_MOMENTUM) * var)
+            inv_std = 1.0 / np.sqrt(var + BN_EPS)
         else:
-            mean = self.bn_running_mean
-            var = self.bn_running_var
-        inv_std = 1.0 / np.sqrt(var + BN_EPS)
-        z_hat = (z - mean) * inv_std
-        out = self.bn_gamma * z_hat + self.bn_beta
+            np.subtract(z, self.bn_running_mean, out=z_hat)
+            inv_std = self._bn_inv_std
+        z_hat *= inv_std
+        np.multiply(self.bn_gamma, z_hat, out=out)
+        out += self.bn_beta
         return out, {"z_hat": z_hat, "inv_std": inv_std, "training": training}
 
     def backward(self, grad_out):
-        """Backpropagate an upstream gradient through the cached forward pass.
+        """Backpropagate an upstream gradient through the latest forward
+        pass.
 
         ``grad_out`` holds d(loss)/d(output) per batch row; the return value
         is d(loss)/d(params) as one flat vector (summed over the batch).
@@ -174,6 +245,7 @@ class MlpNet:
         if grad_out.shape != cache["post"][-1].shape:
             raise ValueError("upstream gradient shape does not match cached batch")
 
+        work = self._work(len(grad_out))
         n_layers = len(self.weights)
         grads_w = [None] * n_layers
         grads_b = [None] * n_layers
@@ -182,24 +254,35 @@ class MlpNet:
         g = grad_out
         for k in reversed(range(n_layers)):
             name = self.output if k == n_layers - 1 else self.hidden
+            gz = work["gz"][k]
             if name == "tanh":
-                # tanh' = 1 - tanh^2, from the cached activation
+                # g * tanh', with tanh' = 1 - tanh^2 from the cached
+                # activation
                 h = cache["post"][k + 1]
-                gz = g * (1.0 - h * h)
+                np.multiply(h, h, out=gz)
+                np.subtract(1.0, gz, out=gz)
+                np.multiply(g, gz, out=gz)
             elif name == "leaky_relu":
-                gz = g * np.where(cache["pre"][k] > 0, 1.0, LEAKY_SLOPE)
+                # g * where(z > 0, 1, slope), with the factor built as
+                # (z > 0) (1 - slope) + slope: exactly 1 or slope, at a
+                # fraction of the cost of np.where
+                on = np.greater(cache["pre"][k], 0, out=work["mask"][k])
+                np.multiply(on, 1.0 - LEAKY_SLOPE, out=gz)
+                gz += LEAKY_SLOPE
+                np.multiply(g, gz, out=gz)
             else:
                 gz = g
             if k == 0 and self.batch_norm:
                 bn = cache["bn"]
-                grad_bn_gamma = (gz * bn["z_hat"]).sum(axis=0)
+                grad_bn_gamma = np.multiply(
+                    gz, bn["z_hat"], out=work["bn_tmp"][0]).sum(axis=0)
                 grad_bn_beta = gz.sum(axis=0)
                 gz = self._bn_backward(gz, bn)
             grads_w[k] = cache["post"][k].T @ gz
             grads_b[k] = gz.sum(axis=0)
             if k > 0:
                 # the input gradient of the first layer is never used
-                g = gz @ self.weights[k].T
+                g = np.matmul(gz, self.weights[k].T, out=work["g"][k - 1])
 
         parts = []
         for gw, gb in zip(grads_w, grads_b):
@@ -211,16 +294,24 @@ class MlpNet:
         return np.concatenate(parts)
 
     def _bn_backward(self, g_out, bn):
-        g_hat = g_out * self.bn_gamma
+        work = self._work(len(g_out))
+        g_hat = np.multiply(g_out, self.bn_gamma, out=work["bn_ghat"][0])
         if not bn["training"]:
-            return g_hat * bn["inv_std"]
+            g_hat *= bn["inv_std"]
+            return g_hat
         n = g_hat.shape[0]
         z_hat = bn["z_hat"]
-        # standard batch-norm backward through batch mean and variance
-        return (bn["inv_std"] / n) * (
-            n * g_hat
-            - g_hat.sum(axis=0)
-            - z_hat * (g_hat * z_hat).sum(axis=0))
+        # standard batch-norm backward through batch mean and variance:
+        # (inv_std / n) (n g_hat - sum g_hat - z_hat sum(g_hat z_hat)),
+        # in place in g_hat
+        tmp = work["bn_tmp"][0]
+        sum_g = g_hat.sum(axis=0)
+        sum_gz = np.multiply(g_hat, z_hat, out=tmp).sum(axis=0)
+        np.multiply(n, g_hat, out=g_hat)
+        g_hat -= sum_g
+        g_hat -= np.multiply(z_hat, sum_gz, out=tmp)
+        g_hat *= bn["inv_std"] / n
+        return g_hat
 
 class Adam:
     """Adam state for one flat parameter vector."""

@@ -26,14 +26,14 @@ class Trajectory:
         self.terminal = np.zeros(n, dtype=bool)
 
     def append(self, rows, actions, rewards, next_states, terminals):
-        """Record one time step of the episodes ``rows`` (distinct indices),
-        which must all be at the same step, as in a lockstep rollout: the
-        step is read once, from the first row."""
+        """Record one time step of the episodes ``rows`` (distinct
+        indices), which must all be at the same step, as in a lockstep
+        rollout: the step is read once, from the first row.  The other
+        arguments are arrays with one entry per row."""
         t = int(self.lengths[rows[0]])
-        rows = np.array(rows)  # one conversion for the five scatters
         self.actions[rows, t] = actions
         self.rewards[rows, t] = rewards
-        self.states[rows, t + 1] = np.array(next_states)
+        self.states[rows, t + 1] = next_states
         self.terminal[rows] = terminals
         self.lengths[rows] = t + 1
 

@@ -125,7 +125,9 @@ def _assert_lockstep_matches_loop(policy, env, n_episodes, seed=5):
 class _StaggeredEnv:
     """Test-side env whose episodes end at different steps: the start state
     is a countdown drawn by ``reset``; ``step`` draws nothing, so the
-    lockstep form resets every episode from the same stream as the loop."""
+    lockstep form resets every episode from the same stream as the loop.
+    ``step`` takes (n, 1) states and (n, 1) actions, one transition per
+    row, or one (1,) state and its action as one row."""
 
     def __init__(self, horizon):
         self.spec = EnvSpec(state_dim=1, action_dim=1, horizon=horizon)
@@ -134,9 +136,13 @@ class _StaggeredEnv:
         return np.array([float(rng.integers(1, 2 * self.spec.horizon))])
 
     def step(self, state, action, rng=None):
-        left = state[0] - 1.0
-        reward = -(action[0] - 0.3) ** 2 * state[0]
-        return np.array([left]), float(reward), left <= 0.0
+        states = np.asarray(state, dtype=float)
+        if states.ndim == 1:
+            s2, r, done = self.step(states[None], np.reshape(action, (1, 1)))
+            return s2[0], float(r[0]), bool(done[0])
+        left = states - 1.0
+        rewards = -(np.asarray(action)[:, 0] - 0.3) ** 2 * states[:, 0]
+        return left, rewards, left[:, 0] <= 0.0
 
 
 def test_lockstep_evaluation_pointmass_batch_norm_policy():
@@ -452,3 +458,40 @@ def test_run_bandit_runs_without_scipy():
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
+
+
+class _CountingEnv:
+    """Records the rows of every ``step`` call of the env it wraps."""
+
+    def __init__(self, env):
+        self.env = env
+        self.spec = env.spec
+        self.rows = []
+
+    def reset(self, rng):
+        return self.env.reset(rng)
+
+    def step(self, states, actions, rng=None):
+        assert np.ndim(states) == 2 and np.ndim(actions) == 2
+        self.rows.append(len(states))
+        return self.env.step(states, actions, rng)
+
+
+def test_run_episodes_makes_one_env_step_per_time_step():
+    def act(states):
+        return np.tanh(0.3 * np.asarray(states)[:, :1] - 0.5)
+
+    env = _CountingEnv(PointMass(horizon=7))
+    batch = run_episodes(act, env, 3, np.random.default_rng(0))
+    assert env.rows == [3] * 7 and batch.lengths.tolist() == [7, 7, 7]
+    # episodes that end early leave the rows of later calls
+    env = _CountingEnv(_StaggeredEnv(horizon=8))
+    batch = run_episodes(act, env, 40, np.random.default_rng(5))
+    lengths = batch.lengths
+    assert env.rows == [int((lengths > t).sum()) for t in range(8)]
+    assert len(env.rows) == lengths.max()
+    # CACLA/CAC roll out one episode: one row per call
+    env = _CountingEnv(PointMass(horizon=5))
+    run_episodes(act, env, 1, np.random.default_rng(0),
+                 on_step=lambda *transition: None)
+    assert env.rows == [1] * 5

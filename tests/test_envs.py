@@ -177,3 +177,65 @@ def test_random_finite_mdp_rows_sum_to_one():
     assert np.allclose(mdp.transitions.sum(axis=2), 1.0, atol=1e-12)
     assert mdp.start.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(np.abs(mdp.rewards) <= 1.0)
+
+
+def test_pointmass_rows_equal_numpy_scalar_reference(caplog):
+    # the 3000 transitions of the one-state reference test, as one call
+    env = PointMass(goal=0.37)
+    states, actions = _random_transitions(3000, 5)
+    states[:5] = [[0.37, 0.0], [2.0, 2.0], [-2.0, -2.0], [-0.0, 0.0], [0.0, -0.0]]
+    actions[:5] = [[0.0], [1.0], [-1.0], [-0.0], [1e-300]]
+    with caplog.at_level(logging.ERROR, logger="detac.envs"):
+        next_states, rewards, terminals = env.step(states, actions)
+    assert next_states.shape == (3000, 2)
+    assert rewards.shape == terminals.shape == (3000,)
+    assert not terminals.any()
+    for state, action, s2, r in zip(states, actions, next_states, rewards):
+        ref_s2, ref_r = _reference_pointmass_step(env, state, action)
+        assert np.array_equal(_bits(s2), _bits(ref_s2))
+        assert _bits(r) == _bits(ref_r)
+
+
+@pytest.mark.parametrize("m", [5, 50])
+def test_bandit_rows_equal_one_state_steps(m):
+    env = make_quadratic_bandit(m, 3)
+    # about a third of the coordinates lie outside the box
+    actions = np.random.default_rng(m).uniform(-1.5, 1.5, size=(40, m))
+    actions[0] = env.target
+    states = np.zeros((40, 1))
+    next_states, rewards, terminals = env.step(states, actions)
+    assert np.array_equal(next_states, states)
+    assert terminals.dtype == bool and terminals.all()
+    assert rewards[0] == 0.0
+    for action, r in zip(actions, rewards):
+        s2, want, done = env.step(np.zeros(1), action)
+        assert _bits(r) == _bits(want) and done is True
+        clipped = np.clip(action, -1.0, 1.0)
+        assert r == -float(np.sum((clipped - env.target) ** 2))
+
+
+@pytest.mark.parametrize("env", [PointMass(), QuadraticBandit([0.1, -0.4])],
+                         ids=["pointmass", "bandit"])
+def test_rows_clip_out_of_box_actions_and_reject_nonfinite(env, caplog):
+    m = env.spec.action_dim
+    states = np.zeros((3, env.spec.state_dim))
+    inside = np.full((3, m), 0.5)
+    outside = inside.copy()
+    outside[1, 0] = 4.0
+    clipped = outside.copy()
+    clipped[1, 0] = 1.0
+    with caplog.at_level(logging.WARNING, logger="detac.envs"):
+        got = env.step(states, outside)
+    assert "out of bounds" in caplog.text
+    want = env.step(states, clipped)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    assert outside[1, 0] == 4.0   # clipped on a copy
+    for value in (np.nan, np.inf):
+        bad = outside.copy()
+        bad[2, -1] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            env.step(states, bad)
+    for shape in ((2, m), (3, m + 1), (3,)):
+        with pytest.raises(ValueError):
+            env.step(states, np.zeros(shape))

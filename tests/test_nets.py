@@ -1,7 +1,13 @@
+import pickle
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from detac.critics import MlpVCritic
 from detac.nets import LEAKY_SLOPE, Adam, MlpNet, _act, gradient_check
+from detac.policies import MlpPolicy
+from detac.updates import batch_gated_direction
 
 
 def test_forward_zero_weights_tanh_output_is_zero():
@@ -241,3 +247,150 @@ def test_backward_bitwise_equals_full_chain(arch, training):
         net.forward(x, training=training and rows > 1)
         assert np.array_equal(net.backward(upstream),
                               _backward_with_full_chain(net, upstream))
+
+
+def _default_policy_net(seed=0):
+    # the net MlpPolicy builds with the AgentConfig defaults on PointMass
+    return MlpNet([2, 32, 32, 1], hidden="leaky_relu", output="tanh",
+                  batch_norm=True, rng=np.random.default_rng(seed))
+
+
+def test_held_outputs_survive_later_passes():
+    # forward reuses its work arrays; what it hands out is a fresh array
+    rng = np.random.default_rng(21)
+    net = _default_policy_net()
+    x = rng.standard_normal((500, 2))
+    held = net.forward(x)
+    one = net.forward(x[0])
+    want_held, want_one = held.copy(), one.copy()
+    for rows in (500, 5, 800, 1):
+        net.forward(rng.standard_normal((rows, 2)), training=rows > 1)
+        net.backward(rng.standard_normal((rows, 1)))
+    assert np.array_equal(held, want_held)
+    assert np.array_equal(one, want_one)
+
+
+@pytest.mark.parametrize("training", [False, True])
+def test_backward_after_passes_at_other_batch_sizes_equals_fresh_net(
+        training):
+    rng = np.random.default_rng(22)
+    used, fresh = _default_policy_net(3), _default_policy_net(3)
+    for rows in (500, 5, 800):
+        # evaluation passes leave the running stats alone
+        used.forward(rng.standard_normal((rows, 2)))
+        used.backward(rng.standard_normal((rows, 1)))
+    x = rng.standard_normal((500, 2))
+    upstream = rng.standard_normal((500, 1))
+    got_out = used.forward(x, training=training)
+    got = used.backward(upstream)
+    want_out = fresh.forward(x, training=training)
+    want = fresh.backward(upstream)
+    assert np.array_equal(got_out, want_out)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    # a second backward of the same pass gives the same gradient
+    assert np.array_equal(used.backward(upstream), got)
+
+
+def test_backward_rejects_a_gradient_of_another_batch_size():
+    net = _default_policy_net()
+    net.forward(np.ones((5, 2)))
+    with pytest.raises(ValueError):
+        net.backward(np.ones((4, 1)))
+    net.set_params(net.get_params())
+    with pytest.raises(RuntimeError):
+        net.backward(np.ones((5, 1)))
+
+
+def _eval_reference(net, x):
+    """An evaluation-mode pass with 1 / sqrt(running_var + eps) computed
+    afresh."""
+    z = x @ net.weights[0] + net.biases[0]
+    inv_std = 1.0 / np.sqrt(net.bn_running_var + 1e-5)
+    h = _act(net.hidden, net.bn_gamma * ((z - net.bn_running_mean) * inv_std)
+             + net.bn_beta)
+    h = _act(net.hidden, h @ net.weights[1] + net.biases[1])
+    return _act(net.output, h @ net.weights[2] + net.biases[2])
+
+
+def test_eval_batch_norm_reads_the_running_var_of_each_assignment():
+    rng = np.random.default_rng(23)
+    net = _default_policy_net()
+    x = rng.standard_normal((6, 2))
+
+    def same_as_reference():
+        return np.array_equal(net.forward(x), _eval_reference(net, x))
+
+    assert same_as_reference()
+    net.forward(3.0 * rng.standard_normal((50, 2)), training=True)
+    assert same_as_reference()
+    net.bn_running_var = net.bn_running_var * 4.0
+    assert same_as_reference()
+    gradient_check(net, rng.standard_normal((3, 2)), training=True)
+    assert same_as_reference()
+    copy = pickle.loads(pickle.dumps(net))
+    assert np.array_equal(copy.forward(x), _eval_reference(net, x))
+
+
+def test_pickle_carries_no_work_arrays():
+    net = _default_policy_net()
+    size = len(pickle.dumps(net))
+    net.forward(np.ones((2000, 2)))
+    assert len(pickle.dumps(net)) == size
+    # the copy builds its own work arrays
+    copy = pickle.loads(pickle.dumps(net))
+    x = np.random.default_rng(24).standard_normal((7, 2))
+    assert np.array_equal(copy.forward(x), net.forward(x))
+    assert np.array_equal(copy.backward(np.ones((7, 1))),
+                          net.backward(np.ones((7, 1))))
+
+
+def _peak_bytes(fn):
+    """Peak memory traced while ``fn`` runs, above what was held before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+# A steady-state pass at L = 500 rows reuses the net's work arrays, so
+# what it allocates is the callers' (500, 1) outputs and gradients and the
+# per-layer parameter gradients: a peak of 99 KB for the actor step and 93
+# KB for the critic regression (Python 3.11, numpy 2.4).  Allocating every
+# per-row array afresh peaked at 1221 KB and 1018 KB.  One (500, 32) float
+# array is 125 KiB, so the bound fails if even one of them is allocated
+# again per pass.
+ALLOC_BOUND = 200 * 1024
+
+
+def test_steady_state_actor_step_allocates_few_per_row_arrays():
+    rng = np.random.default_rng(25)
+    policy = MlpPolicy(2, 1, hidden_sizes=(32, 32), hidden="leaky_relu",
+                       batch_norm=True, rng=rng)
+    adam = Adam(policy.n_params, alpha=1e-4)
+    states = rng.standard_normal((500, 2))
+    actions = rng.uniform(-1, 1, (500, 1))
+    advantages = rng.standard_normal(500)
+    mu_old = policy.act_batch(states)
+
+    def step():
+        g = batch_gated_direction(policy, states, actions, advantages,
+                                  scale_by_delta=True, mu_old=mu_old,
+                                  beta=0.5)
+        policy.set_params(adam.step(policy.get_params(), g, ascent=True))
+
+    step()
+    assert _peak_bytes(step) < ALLOC_BOUND
+
+
+def test_steady_state_critic_regression_allocates_few_per_row_arrays():
+    rng = np.random.default_rng(26)
+    critic = MlpVCritic(2, hidden_sizes=(32, 32), hidden="leaky_relu",
+                        rng=rng)
+    states = rng.standard_normal((500, 2))
+    targets = rng.standard_normal(500)
+    critic.regress(states, targets)
+    assert _peak_bytes(lambda: critic.regress(states, targets)) < ALLOC_BOUND

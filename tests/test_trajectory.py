@@ -10,7 +10,8 @@ from detac.trajectory import Trajectory
 
 class _ScriptedEnv:
     """Plays ``rewards`` in order whatever the action, then ends the
-    episode; the state is the step index."""
+    episode; the state is the step index.  ``step`` takes (n, 1) states
+    and (n, 1) actions, one transition per row, or one (1,) state."""
 
     def __init__(self, rewards, horizon):
         self.rewards = rewards
@@ -20,8 +21,12 @@ class _ScriptedEnv:
         return np.zeros(1)
 
     def step(self, state, action, rng=None):
-        t = int(state[0])
-        return (np.array([t + 1.0]), self.rewards[t],
+        states = np.asarray(state, dtype=float)
+        if states.ndim == 1:
+            s2, r, done = self.step(states[None], np.reshape(action, (1, 1)))
+            return s2[0], float(r[0]), bool(done[0])
+        t = states[:, 0].astype(int)
+        return (states + 1.0, np.array(self.rewards)[t],
                 t + 1 == len(self.rewards))
 
 
