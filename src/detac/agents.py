@@ -260,6 +260,9 @@ def run_bandit(rule, env, episodes, config, rng, eval_every=1):
     """
     if rule not in ("spg", "dpg", "cacla"):
         raise ValueError(f"unsupported bandit rule {rule!r}")
+    if episodes < 1 or eval_every < 1:
+        raise ValueError(f"need episodes >= 1 and eval_every >= 1, got "
+                         f"{episodes} and {eval_every}")
     m = env.spec.action_dim
     policy = LinearPolicy(m)
     exploration = GaussianExploration(policy, config.sigma)

@@ -123,8 +123,9 @@ class GaussianExploration:
         Every row draws its first sample, then each round redraws the rows
         still outside the box as one ``(k, action_dim)`` block in row
         order, up to ``MAX_ATTEMPTS`` draws per row; a row still outside
-        after that is clipped.  One row draws the stream of a loop that
-        redraws a single action until it fits.
+        after that is clipped.  A single row whose first sample is
+        rejected redraws in ``_redraw_row``, which draws the stream of a
+        loop that redraws a single action until it fits.
         """
         batch = np.ndim(states) == 2
         mu = (self.policy.act_batch(states) if batch
@@ -135,29 +136,49 @@ class GaussianExploration:
         # on NaN): the box test, in as few numpy calls as one row allows
         inside = np.logical_and.reduce(np.abs(a) <= ACTION_BOUND,
                                        axis=1).tolist()
-        if not all(inside):
-            rows = [i for i, ok in enumerate(inside) if not ok]
-            # a block of every row (always so for one row) is redrawn
-            # without a gather or a scatter
-            whole = len(rows) == len(a)
-            mu_out = mu if whole else mu[rows]
-            for _ in range(MAX_ATTEMPTS - 1):
-                draw = mu_out + sigma * rng.standard_normal(mu_out.shape)
-                inside = np.logical_and.reduce(np.abs(draw) <= ACTION_BOUND,
-                                               axis=1).tolist()
-                if any(inside):
-                    if whole:
-                        a, whole = draw, False
-                    else:
-                        a[rows] = draw
-                    still_out = [not ok for ok in inside]
-                    rows = [i for i, out in zip(rows, still_out) if out]
-                    if not rows:
-                        break
-                    mu_out, draw = mu_out[still_out], draw[still_out]
-            else:
-                a[rows] = np.clip(draw, self.low, self.high)
+        if all(inside):
+            return a if batch else a[0]
+        if len(a) == 1:
+            a = self._redraw_row(mu[0], rng)
+            return a[None] if batch else a
+        rows = [i for i, ok in enumerate(inside) if not ok]
+        mu_out = mu[rows]
+        for _ in range(MAX_ATTEMPTS - 1):
+            draw = mu_out + sigma * rng.standard_normal(mu_out.shape)
+            inside = np.logical_and.reduce(np.abs(draw) <= ACTION_BOUND,
+                                           axis=1).tolist()
+            if any(inside):
+                a[rows] = draw
+                still_out = [not ok for ok in inside]
+                rows = [i for i, out in zip(rows, still_out) if out]
+                if not rows:
+                    break
+                mu_out, draw = mu_out[still_out], draw[still_out]
+        else:
+            a[rows] = np.clip(draw, self.low, self.high)
         return a if batch else a[0]
+
+    def _redraw_row(self, mu, rng):
+        """The redraws of one row whose first sample was rejected.
+
+        Each candidate is one ``standard_normal(m)`` call, the values and
+        generator state of a ``(1, m)`` block, and is tested on Python
+        floats: ``abs(mu_j + sigma * z_j)`` rounds as numpy's separate
+        multiply, add and abs do, and NaN fails the test.  The coordinates
+        are tested largest |mu_j| first, so a rejected candidate usually
+        fails at its first one; only the accepted candidate becomes an
+        array.  The last of ``MAX_ATTEMPTS`` draws in all is clipped.
+        """
+        sigma = self.sigma
+        pairs = sorted(enumerate(mu.tolist()), key=lambda p: -abs(p[1]))
+        for _ in range(MAX_ATTEMPTS - 1):
+            z = rng.standard_normal(len(pairs))
+            for j, mu_j in pairs:
+                if not abs(mu_j + sigma * z.item(j)) <= ACTION_BOUND:
+                    break
+            else:
+                return mu + sigma * z
+        return np.clip(mu + sigma * z, self.low, self.high)
 
     def anneal(self):
         self.sigma *= self.decay

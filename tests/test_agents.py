@@ -428,6 +428,16 @@ def test_run_bandit_rejects_unknown_rule():
         run_bandit("nfac", env, 10, BanditConfig(), np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("episodes, eval_every",
+                         [(0, 1), (-1, 1), (10, 0), (10, -1)])
+def test_run_bandit_rejects_bad_counts_before_any_draw(episodes, eval_every):
+    # object() has no standard_normal: any draw would raise AttributeError
+    env = make_quadratic_bandit(2, 0)
+    with pytest.raises(ValueError, match="episodes >= 1 and eval_every >= 1"):
+        run_bandit("cacla", env, episodes, BanditConfig(), object(),
+                   eval_every=eval_every)
+
+
 @pytest.mark.parametrize("rule", ["cacla", "spg", "dpg"])
 def test_run_bandit_learns_1d(rule):
     env = make_quadratic_bandit(1, 3)

@@ -112,11 +112,20 @@ class _MeanIsState:
         return np.asarray(states, dtype=float)
 
 
+def _three_means_near_bounds(m):
+    """Means at +-0.97 on three coordinates: at m = 50 and sigma 0.6 most
+    candidates are rejected, and most calls end in the clip."""
+    theta = np.zeros(m)
+    theta[[7, 23, 41]] = [0.97, -0.97, 0.97]
+    return theta
+
+
 @pytest.mark.parametrize("make", [
     lambda: (LinearPolicy(4, theta=[0.95, -0.9, 0.2, 1.0]), None),
     lambda: (LinearPolicy(20, theta=np.ones(20)), None),   # always clipped
     lambda: (MlpPolicy(2, 3, hidden_sizes=(8,), batch_norm=True,
-                       rng=np.random.default_rng(1)), np.array([2.0, -1.0]))])
+                       rng=np.random.default_rng(1)), np.array([2.0, -1.0])),
+    lambda: (LinearPolicy(50, theta=_three_means_near_bounds(50)), None)])
 def test_single_state_exploration_draws_the_one_action_stream(make):
     policy, state = make()
     exploration = GaussianExploration(policy, sigma=0.6)
@@ -161,6 +170,51 @@ def test_batched_exploration_redraws_only_rejected_rows():
         assert np.array_equal(got[kept], first[kept])
         assert draws[-1] == MAX_ATTEMPTS and np.all(np.abs(got) <= 1.0)
     assert kept.any() and (draws[:-1] > 1).any()
+
+
+class _ScriptedNormals:
+    """An rng with only ``standard_normal``, as a draw-counting wrapper
+    has: it hands out the scripted candidates in order."""
+
+    def __init__(self, candidates):
+        self.candidates = [np.asarray(z, dtype=float) for z in candidates]
+        self.calls = 0
+
+    def standard_normal(self, size):
+        assert np.prod(size) == self.candidates[self.calls].size
+        z = self.candidates[self.calls].reshape(size)
+        self.calls += 1
+        return z
+
+
+# mean (0.5, -0.25, 0.0) and sigma 0.5: a = mu + 0.5 z is exact for these z
+_MU = np.array([0.5, -0.25, 0.0])
+_JUST_OVER = 1.0 + 2.0 ** -51          # 0.5 + 0.5 z = 1.0000000000000002
+_REJECTED = [[0.0, np.nan, 0.0],       # NaN fails the box test
+             [_JUST_OVER, 0.0, 0.0],   # out at the largest |mu| only
+             [0.0, 0.0, 2.5],          # out at the smallest |mu| only
+             [0.0, -2.0, 0.0]]         # out at the middle one only
+_ON_BOUNDS = [1.0, -1.5, 2.0]          # a = (1.0, -1.0, 1.0) exactly
+
+
+@pytest.mark.parametrize("state", [_MU, _MU[None]], ids=["state", "row"])
+@pytest.mark.parametrize("candidates, calls, want", [
+    (_REJECTED + [_ON_BOUNDS], 5, [1.0, -1.0, 1.0]),
+    # accepted on the last draw of the budget
+    ((_REJECTED * 25)[:MAX_ATTEMPTS - 1] + [[0.4, -0.5, 0.1]] + [[0.0] * 3],
+     MAX_ATTEMPTS, [0.7, -0.5, 0.05]),
+    # never accepted: the 100th candidate is clipped, no 101st is drawn
+    ((_REJECTED * 25)[:MAX_ATTEMPTS - 1] + [[3.0, -4.0, _JUST_OVER]]
+     + [[0.0] * 3], MAX_ATTEMPTS, [1.0, -1.0, 0.5 + 2.0 ** -52])],
+    ids=["on-bounds", "accepted-last", "clipped"])
+def test_one_row_redraws_test_each_coordinate_on_exact_floats(
+        state, candidates, calls, want):
+    exploration = GaussianExploration(_MeanIsState(), sigma=0.5)
+    rng = _ScriptedNormals(candidates)
+    got = exploration.act(state, rng)
+    assert got.shape == np.shape(state)
+    assert np.array_equal(got.reshape(-1), want)
+    assert rng.calls == calls
 
 
 def test_gaussian_exploration_anneal():
