@@ -115,7 +115,8 @@ class IncrementalActorCritic:
             policy, config.sigma, decay=config.sigma_decay)
 
     def run_episode(self, env, rng):
-        """Play and learn from one episode; returns its step count."""
+        """Play and learn from one episode, this rule's whole phase;
+        returns its step count."""
         batch = run_episodes(lambda s: self.exploration.act(s, rng), env, 1,
                              rng, on_step=self._learn)
         self.exploration.anneal()
@@ -149,38 +150,17 @@ class BatchActorCritic:
             policy, config.sigma, decay=config.sigma_decay)
         self.actor_adam = Adam(policy.n_params, alpha=config.lr_actor)
         self.trust = TrustRegionState(d_target=config.d_target)
-        self._batch = None
-        self._handed = 0
-        self._source = None
         self.dhat_history = []
 
     def run_episode(self, env, rng):
-        """Hand out the next episode of the current phase: its step count.
-
-        The phase's ``update_every`` episodes are independent given the
-        exploratory policy, which only ``update_phase`` changes, so the
-        first call of a phase rolls them all out in lockstep and later
-        calls hand them out in order.  The call that hands out the last
-        one runs ``update_phase``.  Every call of a phase must pass the
-        same ``env`` and ``rng``.
-        """
-        if self._batch is None:
-            self._batch = run_episodes(
-                lambda s: self.exploration.act(s, rng), env,
-                self.config.update_every, rng)
-            self._handed = 0
-            self._source = (env, rng)
-        elif env is not self._source[0] or rng is not self._source[1]:
-            raise ValueError("every episode of a phase must come from the "
-                             "env and rng that rolled the phase out")
-        steps = int(self._batch.lengths[self._handed])
-        self._handed += 1
-        if self._handed == len(self._batch.lengths):
-            self.update_phase(self._batch)
-            self._batch = None
-            self._source = None
-            self.exploration.anneal()
-        return steps
+        """Run one phase and return its env steps: roll out
+        ``update_every`` episodes in lockstep under the exploratory policy,
+        run ``update_phase`` on them, then anneal the exploration."""
+        batch = run_episodes(lambda s: self.exploration.act(s, rng), env,
+                             self.config.update_every, rng)
+        self.update_phase(batch)
+        self.exploration.anneal()
+        return int(batch.lengths.sum())
 
     def update_phase(self, batch):
         cfg = self.config

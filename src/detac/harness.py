@@ -45,9 +45,11 @@ def _check_finite(agent, seed, env_steps):
 def run_seed(config, seed):
     """Train one seed and return the evaluation rows.
 
-    Evaluation episodes use a dedicated rng stream and never count toward
-    (or feed) training.  The policy and critic parameters are checked
-    after every episode; non-finite ones raise ``DivergenceError``.
+    Each ``agent.run_episode`` call is one phase, so rows land on the
+    first phase end at or past each multiple of ``eval_interval``, and
+    training stops at the first one at or past ``total_steps``.  Non-finite
+    policy or critic parameters after a phase raise ``DivergenceError``;
+    evaluation episodes use their own rng stream and never feed training.
     """
     rng = np.random.default_rng(seed)
     eval_rng_seq = np.random.SeedSequence([seed, 0xE7A1])

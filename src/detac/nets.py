@@ -313,17 +313,19 @@ class MlpNet:
         g_hat *= bn["inv_std"] / n
         return g_hat
 
+
+# Adam's moment decays and denominator guard; no momentum (beta1 = 0)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.0, 0.999, 1e-8
+
+
 class Adam:
     """Adam state for one flat parameter vector."""
 
-    def __init__(self, size, alpha=1e-3, beta1=0.0, beta2=0.999, eps=1e-8):
+    def __init__(self, size, alpha=1e-3):
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self.t = 0
         self.alpha = alpha
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
 
     def step(self, params, grad, ascent=False):
         """One Adam update; returns the new parameter vector.
@@ -339,11 +341,11 @@ class Adam:
         if ascent:
             grad = -grad
         self.t += 1
-        self.m = self.beta1 * self.m + (1 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1 - self.beta2) * grad * grad
-        m_hat = self.m / (1 - self.beta1 ** self.t)
-        v_hat = self.v / (1 - self.beta2 ** self.t)
-        return params - self.alpha * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.m = ADAM_BETA1 * self.m + (1 - ADAM_BETA1) * grad
+        self.v = ADAM_BETA2 * self.v + (1 - ADAM_BETA2) * grad * grad
+        m_hat = self.m / (1 - ADAM_BETA1 ** self.t)
+        v_hat = self.v / (1 - ADAM_BETA2 ** self.t)
+        return params - self.alpha * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def _leaky_pattern(net):

@@ -43,8 +43,7 @@ def _train_pointmass(rule, seed, phases):
     agent = make_agent(cfg, env, np.random.default_rng([seed, 0x5EED]))
     rng = np.random.default_rng(seed)
     for _ in range(phases):
-        for _ in range(cfg.update_every):
-            agent.run_episode(env, rng)
+        agent.run_episode(env, rng)
     mean, _ = evaluate_deterministic(agent.policy, env, 5,
                                      np.random.default_rng([seed, 0xEAA]))
     return agent, mean

@@ -286,16 +286,16 @@ def test_batch_agent_updates_only_every_n_episodes():
     env = PointMass(horizon=10)
     rng = np.random.default_rng(2)
     agent = make_agent(cfg, env, np.random.default_rng(3))
-    theta0 = agent.policy.get_params().copy()
     w0 = agent.critic.net.get_params().copy()
-    agent.run_episode(env, rng)
-    agent.run_episode(env, rng)
-    assert np.array_equal(agent.policy.get_params(), theta0)
-    assert np.array_equal(agent.critic.net.get_params(), w0)
-    agent.run_episode(env, rng)
-    # the critic always regresses in a phase; the gated actor may not move
+    fits = []
+    update_phase = agent.update_phase
+    agent.update_phase = lambda batch: (fits.append(batch),
+                                        update_phase(batch))
+    assert agent.run_episode(env, rng) == 3 * 10
+    # one call rolls out update_every episodes and updates once; the
+    # critic always regresses in a phase, the gated actor may not move
+    assert len(fits) == 1 and len(fits[0].lengths) == 3
     assert not np.array_equal(agent.critic.net.get_params(), w0)
-    assert agent._batch is None
 
 
 def test_batch_agent_phase_episodes_come_from_pre_update_policy():
@@ -311,15 +311,14 @@ def test_batch_agent_phase_episodes_come_from_pre_update_policy():
                                         update_phase(batch))
     for _ in range(3):
         # replay the phase on a copy of the agent and of the rng, taken
-        # before the phase's first episode
+        # before the phase
         before = copy.deepcopy(agent)
         replay = copy.deepcopy(rng)
         want = run_episodes(lambda s: before.exploration.act(s, replay),
                             env, cfg.update_every, replay)
-        got = [agent.run_episode(env, rng) for _ in range(cfg.update_every)]
-        # each call hands out the step count of its episode, and the
+        # one call runs the phase and returns its step count, and the
         # update learns from the replayed batch
-        assert got == want.lengths.tolist()
+        assert agent.run_episode(env, rng) == want.lengths.sum()
         _assert_same_batch(phases[-1], want)
         # the phase consumed the rng exactly as the replay did
         assert rng.bit_generator.state == replay.bit_generator.state
@@ -341,28 +340,8 @@ def test_batch_agent_hands_out_each_episode_step_count():
     replay = np.random.default_rng(1)
     want = [min(int(env.reset(replay)[0]), 8) for _ in range(6)]
     assert len(set(want)) > 1
-    rng = np.random.default_rng(1)
-    assert [agent.run_episode(env, rng) for _ in range(6)] == want
-
-
-def test_batch_agent_rejects_other_env_or_rng_mid_phase():
-    cfg = AgentConfig(rule="nfac", update_every=3, hidden=(8,),
-                      actor_iterations=2, fitted_iterations=2)
-    env = PointMass(horizon=10)
-    rng = np.random.default_rng(12)
-    agent = make_agent(cfg, env, np.random.default_rng(13))
-    agent.run_episode(env, rng)
-    with pytest.raises(ValueError):
-        agent.run_episode(PointMass(horizon=10), rng)
-    with pytest.raises(ValueError):
-        agent.run_episode(env, np.random.default_rng(12))
-    # a refused call hands out nothing; the phase goes on as before
-    agent.run_episode(env, rng)
-    agent.run_episode(env, rng)
-    assert agent._batch is None
-    # a new phase may use another env and rng
-    other_env, other_rng = PointMass(horizon=5), np.random.default_rng(14)
-    assert agent.run_episode(other_env, other_rng) == 5
+    assert sum(want) != cfg.update_every * 8
+    assert agent.run_episode(env, np.random.default_rng(1)) == sum(want)
 
 
 def test_penfac_tracks_dhat_and_adapts_beta():
@@ -372,7 +351,7 @@ def test_penfac_tracks_dhat_and_adapts_beta():
     env = PointMass(horizon=10)
     rng = np.random.default_rng(4)
     agent = make_agent(cfg, env, np.random.default_rng(5))
-    for _ in range(4):
+    for _ in range(2):
         agent.run_episode(env, rng)
     assert len(agent.dhat_history) == 2
     assert all(d >= 0 for d in agent.dhat_history)
@@ -409,7 +388,7 @@ def test_nfac_update_is_deterministic_given_batch():
         env = PointMass(horizon=10)
         agent = make_agent(cfg, env, np.random.default_rng(seed))
         rng = np.random.default_rng(seed + 100)
-        for _ in range(4):
+        for _ in range(2):
             agent.run_episode(env, rng)
         return agent.policy.get_params()
 

@@ -206,6 +206,14 @@ def test_run_seed_rows_shape_and_determinism():
         assert mean == pytest.approx(np.mean(returns))
 
 
+def test_run_seed_evaluates_and_stops_at_phase_ends():
+    # a phase is update_every=2 episodes of 10 steps; nothing updates
+    # mid-phase, so the row due at step 30 lands on the phase end at 40,
+    # and training runs the whole phase that crosses total_steps
+    cfg = _config(total_steps=50, eval_interval=30)
+    assert [row[1] for row in run_seed(cfg, 0)] == [0, 40, 60]
+
+
 def test_run_seed_rejects_bandit_only_rules():
     # ExperimentConfig refuses these rules; a config changed after it was
     # built still fails in make_agent

@@ -137,7 +137,7 @@ def test_adam_zero_gradient_is_identity():
 
 def test_adam_first_step_bias_correction():
     # beta1=0 => m_hat = g; v_hat = g^2; step = -alpha g / (|g| + eps)
-    adam = Adam(1, alpha=0.1, beta1=0.0, beta2=0.999, eps=1e-8)
+    adam = Adam(1, alpha=0.1)
     new = adam.step(np.array([0.0]), np.array([0.5]))
     assert new[0] == pytest.approx(-0.1, rel=1e-6)
 
@@ -152,7 +152,7 @@ def test_adam_rejects_nonfinite_gradient():
 
 def test_adam_minimizes_quadratic():
     # scripted reference loop on f(theta) = theta^2 from theta = 1
-    adam = Adam(1, alpha=0.01, beta1=0.9)
+    adam = Adam(1, alpha=0.01)
     theta = np.array([1.0])
     for _ in range(100):
         theta = adam.step(theta, 2.0 * theta)

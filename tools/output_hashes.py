@@ -10,6 +10,13 @@ and diff the two outputs:
 The PointMass runs use the default 10000 training steps: over the first
 few phases no NFAC/PeNFAC gate opens, so shorter runs can give the two
 rules identical CSVs and miss a change to either.
+
+``run_seed`` evaluates and stops on phase ends only.  Both step counts
+and the default ``eval_interval`` (1000) are multiples of every rule's
+phase (500 PointMass steps and 5 bandit steps for NFAC/PeNFAC, one
+episode for CACLA/CAC), so this tool cannot see where a row due
+mid-phase lands; ``tests/test_harness.py::
+test_run_seed_evaluates_and_stops_at_phase_ends`` pins that case.
 """
 
 from __future__ import annotations
