@@ -26,8 +26,7 @@ def _add_train(sub):
 
 def _add_verify(sub):
     p = sub.add_parser("verify", help="run a randomized verification suite")
-    p.add_argument("suite",
-                   choices=["lemma1", "lemma2", "theorem1", "gradcheck", "all"])
+    p.add_argument("suite", choices=[*harness.SUITES, "all"])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the line-oriented report here")
 
@@ -41,6 +40,18 @@ def _add_bandit(sub):
     p.add_argument("--episodes", type=int, default=3000)
     p.add_argument("--out", default="bandit_runs")
     p.add_argument("--seed-offset", type=int, default=0, dest="seed_offset")
+
+
+def _check_out_dir(path):
+    """Raise ValueError unless ``path``, or the nearest of its ancestors
+    that exists, is a writable directory, so that ``os.makedirs(path,
+    exist_ok=True)`` can succeed."""
+    probe = os.path.abspath(path)
+    while not os.path.exists(probe):
+        probe = os.path.dirname(probe)
+    if not (os.path.isdir(probe) and os.access(probe, os.W_OK)):
+        raise ValueError(f"cannot write into {path!r}: {probe!r} is not a "
+                         "writable directory")
 
 
 def cmd_train(args):
@@ -59,6 +70,7 @@ def cmd_train(args):
         overrides[key.strip()] = val.strip()
     try:
         config = parse_config(args.config, overrides)
+        _check_out_dir(config.out)
         harness.worker_cap()
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -74,6 +86,13 @@ def cmd_train(args):
 
 
 def cmd_verify(args):
+    if args.out is not None:
+        parent = os.path.dirname(os.path.abspath(args.out))
+        if (os.path.isdir(args.out) or not os.path.isdir(parent)
+                or not os.access(parent, os.W_OK)):
+            print(f"verify: cannot write the report to {args.out!r}: its "
+                  "directory must exist and be writable", file=sys.stderr)
+            return 2
     code, lines = harness.run_verification(args.suite, seed=args.seed,
                                            out=args.out)
     print("\n".join(lines))
@@ -87,6 +106,7 @@ def cmd_bandit_suite(args):
                 or args.episodes < 1 or args.seed_offset < 0):
             raise ValueError("need --dims, --seeds and --episodes >= 1 "
                              "and --seed-offset >= 0")
+        _check_out_dir(args.out)
     except ValueError as exc:
         print(f"bandit-suite: {exc}", file=sys.stderr)
         return 2

@@ -1,11 +1,11 @@
-"""Exact dynamic programming over tabular MDPs, adaptive quadrature over
-1-D action spaces, and the numerical verification checks built on them:
+"""Exact dynamic programming over tabular MDPs, a closed-form bandit
+integral, and the numerical verification checks built on them:
 
 * value/advantage/occupancy solutions by direct linear solves,
 * the performance-difference identity relating two deterministic policies
   through a stochastic smoothing of the first,
 * the gated TD-scaled direction versus the deterministic gradient on the
-  quadratic bandit (their per-coordinate ratio lies in [0, 1]),
+  quadratic bandit (their per-coordinate ratio lies in (0, 1]),
 * the occupancy-shift bound for Lipschitz transition kernels.
 """
 
@@ -90,86 +90,31 @@ def epsilon_smoothed(mdp, mu, epsilon):
 
 
 # ---------------------------------------------------------------------------
-# adaptive Simpson quadrature
-# ---------------------------------------------------------------------------
-
-def adaptive_simpson(f, a, b, tol=1e-8, max_depth=40):
-    """Classic recursive Simpson rule with interval halving."""
-
-    def simpson(lo, hi, f_lo, f_mid, f_hi):
-        return (hi - lo) / 6.0 * (f_lo + 4.0 * f_mid + f_hi)
-
-    def recurse(lo, hi, f_lo, f_mid, f_hi, whole, eps, depth):
-        mid = 0.5 * (lo + hi)
-        f_l = f(0.5 * (lo + mid))
-        f_r = f(0.5 * (mid + hi))
-        left = simpson(lo, mid, f_lo, f_l, f_mid)
-        right = simpson(mid, hi, f_mid, f_r, f_hi)
-        if depth <= 0 or abs(left + right - whole) <= 15.0 * eps:
-            return left + right + (left + right - whole) / 15.0
-        return (recurse(lo, mid, f_lo, f_l, f_mid, left, eps / 2, depth - 1)
-                + recurse(mid, hi, f_mid, f_r, f_hi, right, eps / 2, depth - 1))
-
-    f_a, f_m, f_b = f(a), f(0.5 * (a + b)), f(b)
-    whole = simpson(a, b, f_a, f_m, f_b)
-    return recurse(a, b, f_a, f_m, f_b, whole, tol, max_depth)
-
-
-# ---------------------------------------------------------------------------
 # gated direction vs deterministic gradient on the 1-D quadratic bandit
 # ---------------------------------------------------------------------------
 
-def bandit_exact_advantage(target, theta, sigma, m=1):
-    """A(a) = R(a) - E_pi[R] for the quadratic bandit under Gaussian
-    exploration around theta; closed form thanks to Gaussian moments."""
-    def advantage(a):
-        a = np.atleast_1d(np.asarray(a, float))
-        t = np.atleast_1d(np.asarray(target, float))
-        th = np.atleast_1d(np.asarray(theta, float))
-        return (-np.sum((a - t) ** 2) + np.sum((th - t) ** 2)
-                + a.size * sigma ** 2)
-    return advantage
-
-
-def _gaussian_weighted_1d(g, theta, sigma, lo, hi, tol):
-    """int_lo^hi N(a; theta, sigma^2) g(a) da by adaptive Simpson.
-
-    The interval is cut at theta + j sigma (j = -8..8) where those points
-    fall inside it, so every piece within 8 sigma of theta is at most
-    sigma wide.  Simpson's first samples on a piece then see the Gaussian:
-    on one wide interval they can all land where the density is ~0, and
-    the rule accepts 0 at once.  The pieces share ``tol``.
-    """
-    cuts = [theta + j * sigma for j in range(-8, 9)]
-    points = [lo] + [c for c in cuts if lo < c < hi] + [hi]
-    norm = sigma * np.sqrt(2 * np.pi)
-
-    def integrand(a):
-        return np.exp(-0.5 * ((a - theta) / sigma) ** 2) / norm * g(a)
-
-    piece_tol = tol / (len(points) - 1)
-    return sum(adaptive_simpson(integrand, a, b, piece_tol)
-               for a, b in zip(points[:-1], points[1:]))
-
-
-def gated_scaled_direction_1d(target, theta, sigma, tol=1e-12):
-    """Quadrature value of the gated, TD-scaled inner integral (ascent
-    convention, including the 1/sigma^2 likelihood-ratio factor):
+def gated_scaled_direction_1d(target, theta, sigma):
+    """Closed form of the gated, TD-scaled inner integral (ascent
+    convention, with the 1/sigma^2 likelihood-ratio factor):
 
         (1/sigma^2) int N(a; theta, sigma^2) A(a) H(A(a)) (a - theta) da
 
-    A(a) = (theta - t)^2 + sigma^2 - (a - t)^2 is positive exactly on
-    |a - t| < sqrt((theta - t)^2 + sigma^2), so the integral runs over
-    that interval and the gate never cuts a Simpson panel.
+    With d = target - theta and x = (a - theta) / sigma, A = sigma^2 (1 -
+    x^2) + 2 sigma d x is positive exactly on [lo, hi] with lo hi = -1, and
+    the integral is int_lo^hi (sigma (x - x^3) + 2 d x^2) phi(x) dx, whose
+    moments follow from x phi = -phi'.  It is odd in d, so it is taken at
+    |d|, where hi = (|d| + r) / sigma does not cancel; at d = 0 it is 0.0.
     """
-    adv = bandit_exact_advantage(target, theta, sigma)
-    radius = np.sqrt((theta - target) ** 2 + sigma ** 2)
-
-    def gated(a):
-        return max(adv(a), 0.0) * (a - theta) / sigma ** 2
-
-    return _gaussian_weighted_1d(gated, theta, sigma, target - radius,
-                                 target + radius, tol)
+    d, sigma = float(target) - float(theta), float(sigma)
+    hi = (abs(d) + math.hypot(d, sigma)) / sigma
+    lo = -1.0 / hi
+    phi_lo, phi_hi = (math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+                      for x in (lo, hi))
+    m0 = 0.5 * (math.erf(hi / math.sqrt(2.0)) - math.erf(lo / math.sqrt(2.0)))
+    m1 = phi_lo - phi_hi
+    m2 = m0 + lo * phi_lo - hi * phi_hi
+    m3 = 2.0 * m1 + lo * lo * phi_lo - hi * hi * phi_hi
+    return math.copysign(sigma * (m1 - m3) + 2.0 * abs(d) * m2, d)
 
 
 def deterministic_gradient_1d(target, theta):
@@ -177,21 +122,21 @@ def deterministic_gradient_1d(target, theta):
     return 2.0 * (float(target) - float(theta))
 
 
-def gated_direction_ratio(target, theta, sigmas, tol=1e-12, zero_tol=1e-6):
+def gated_direction_ratio(target, theta, sigmas):
     """Per-sigma ratio of the gated TD-scaled direction to the
     deterministic gradient.
 
     Returns a list of dicts with keys sigma, gated, deterministic, ratio.
     When the deterministic gradient vanishes (theta == target) the ratio is
-    None and the gated direction is reported against ``zero_tol``.
+    None and ``zero_ok`` says whether the gated direction is exactly 0.0.
     """
     dpg = deterministic_gradient_1d(target, theta)
     out = []
     for sigma in sigmas:
-        gated = gated_scaled_direction_1d(target, theta, sigma, tol)
+        gated = gated_scaled_direction_1d(target, theta, sigma)
         if dpg == 0.0:
             out.append({"sigma": sigma, "gated": gated, "deterministic": 0.0,
-                        "ratio": None, "zero_ok": abs(gated) < zero_tol})
+                        "ratio": None, "zero_ok": gated == 0.0})
         else:
             out.append({"sigma": sigma, "gated": gated, "deterministic": dpg,
                         "ratio": gated / dpg})

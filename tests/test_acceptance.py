@@ -4,7 +4,9 @@ The PointMass training runs (criteria 7 and 8) are shared through a
 module-scoped fixture so the expensive seeds are trained once.
 """
 
+import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,7 +16,8 @@ from detac.agents import (AgentConfig, BanditConfig, evaluate_deterministic,
                           make_agent, run_bandit)
 from detac.critics import ConstantVCritic, lambda_returns
 from detac.envs import PointMass, make_quadratic_bandit, random_finite_mdp
-from detac.harness import run_experiment, suite_gradcheck, suite_theorem1
+from detac.harness import (run_experiment, suite_gradcheck, suite_theorem1,
+                           worker_cap)
 from detac.config import parse_config
 from detac.oracle import (epsilon_smoothed, gated_direction_ratio,
                           performance_difference_residual)
@@ -46,25 +49,30 @@ def _train_pointmass(rule, seed, phases):
         agent.run_episode(env, rng)
     mean, _ = evaluate_deterministic(agent.policy, env, 5,
                                      np.random.default_rng([seed, 0xEAA]))
-    return agent, mean
+    return agent.dhat_history, mean
 
 
 @pytest.fixture(scope="module")
 def pointmass_runs():
+    """The 40 seeded runs in a process pool, PeNFAC's first; each run is
+    seeded on its own, so the pool does not change its numbers.
+    ``penfac_time`` is taken when the last PeNFAC run is back."""
     t0 = time.time()
-    penfac_dhats = []
-    penfac_finals = []
-    for seed in range(N_SEEDS):
-        agent, final = _train_pointmass("penfac", seed, PHASES)
-        penfac_dhats.append(agent.dhat_history)
-        penfac_finals.append(final)
-    penfac_time = time.time() - t0
-    nfac_finals = [_train_pointmass("nfac", seed, PHASES)[1]
-                   for seed in range(N_SEEDS)]
+    rules = ["penfac"] * N_SEEDS + ["nfac"] * N_SEEDS
+    seeds = [*range(N_SEEDS)] * 2
+    results = []
+    workers = min(worker_cap(), N_SEEDS)
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(workers, mp_context=spawn) as pool:
+        for result in pool.map(_train_pointmass, rules, seeds,
+                               [PHASES] * len(rules)):
+            results.append(result)
+            if len(results) == N_SEEDS:
+                penfac_time = time.time() - t0
     total_time = time.time() - t0
-    return dict(penfac_dhats=penfac_dhats,
-                penfac_finals=np.array(penfac_finals),
-                nfac_finals=np.array(nfac_finals),
+    return dict(penfac_dhats=[dhats for dhats, _ in results[:N_SEEDS]],
+                penfac_finals=np.array([f for _, f in results[:N_SEEDS]]),
+                nfac_finals=np.array([f for _, f in results[N_SEEDS:]]),
                 penfac_time=penfac_time, total_time=total_time)
 
 
@@ -104,7 +112,7 @@ def test_acceptance_2_gated_ratio(report):
             f"ratios={[round(float(r), 4) for r in ratios]} "
             f"|gated_at_opt|={abs(zero['gated']):.2e} time={elapsed:.1f}s")
     assert in_range
-    assert abs(zero["gated"]) < 1e-6
+    assert zero["gated"] == 0.0
     assert elapsed < 5.0
 
 

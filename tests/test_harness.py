@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import detac
-from detac import harness
+from detac import cli, harness
 from detac.agents import AgentConfig
 from detac.cli import main
 from detac.config import (KEYS, ExperimentConfig, make_env, parse_config,
@@ -480,6 +480,61 @@ def test_cli_train_runs_and_writes(tmp_path, capsys, monkeypatch):
     printed = capsys.readouterr().out.splitlines()
     assert os.path.join(out, "seed_0.csv") in printed
     assert os.path.exists(os.path.join(out, "aggregate.csv"))
+
+
+@pytest.fixture
+def a_file(tmp_path):
+    path = tmp_path / "taken"
+    path.write_text("keep\n")
+    return path
+
+
+@pytest.mark.parametrize("sub", ["", "sub"])
+def test_cli_train_out_under_a_file_exits_2_before_training(
+        a_file, capsys, monkeypatch, sub):
+    # used to train every seed, then die in os.makedirs with exit status 1
+    monkeypatch.setattr(harness, "run_experiment",
+                        lambda config: pytest.fail("trained"))
+    out = os.path.join(a_file, sub) if sub else str(a_file)
+    code = main(["train", "--set", "agent=nfac", "--set", "env=pointmass",
+                 "--out", out])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write into")
+    assert len(err.splitlines()) == 1
+    assert a_file.read_text() == "keep\n"
+
+
+def test_cli_verify_report_in_a_missing_directory_exits_2(tmp_path, capsys,
+                                                         monkeypatch):
+    # used to run the whole suite, then raise FileNotFoundError
+    monkeypatch.setattr(harness, "run_verification",
+                        lambda *a, **k: pytest.fail("verified"))
+    code = main(["verify", "lemma1", "--out", str(tmp_path / "no" / "r.txt")])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("verify: cannot write the report to")
+    assert not (tmp_path / "no").exists()
+    assert main(["verify", "lemma1", "--out", str(tmp_path)]) == 2
+
+
+def test_cli_bandit_suite_out_is_a_file_exits_2(a_file, capsys, monkeypatch):
+    # used to raise FileExistsError from os.makedirs
+    monkeypatch.setattr(cli, "run_bandit", lambda *a, **k: pytest.fail("ran"))
+    code = main(["bandit-suite", "--episodes", "10", "--out", str(a_file)])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("bandit-suite: cannot write into")
+    assert a_file.read_text() == "keep\n"
+
+
+def test_cli_verify_offers_every_suite(capsys):
+    with pytest.raises(SystemExit):
+        main(["verify", "lemma3"])
+    err = capsys.readouterr().err
+    assert all(repr(name) in err for name in [*harness.SUITES, "all"])
 
 
 def test_cli_bandit_suite_smoke(tmp_path, capsys):

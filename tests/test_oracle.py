@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from detac.envs import make_quadratic_bandit, random_finite_mdp
-from detac.oracle import (LipschitzGaussianChain, _gaussian_weighted_1d,
-                          adaptive_simpson, bandit_exact_advantage,
-                          deterministic_gradient_1d, dp_solve,
-                          epsilon_smoothed, gated_direction_ratio,
+from detac.oracle import (LipschitzGaussianChain, deterministic_gradient_1d,
+                          dp_solve, epsilon_smoothed, gated_direction_ratio,
                           gated_scaled_direction_1d,
                           occupancy_shift_bound_check,
                           performance_difference_residual, policy_matrix)
@@ -16,16 +15,34 @@ def performance_j(mdp, policy):
     return dp_solve(mdp, policy).j
 
 
-def spg_inner_integral_1d(target, theta, sigma, tol=1e-12):
-    """Reference: quadrature of the ungated likelihood-ratio inner integral
+def bandit_exact_advantage(target, theta, sigma):
+    """A(a) = R(a) - E_pi[R] for the quadratic bandit under Gaussian
+    exploration around theta; closed form thanks to Gaussian moments."""
+    def advantage(a):
+        a = np.atleast_1d(np.asarray(a, float))
+        t = np.atleast_1d(np.asarray(target, float))
+        th = np.atleast_1d(np.asarray(theta, float))
+        return (-np.sum((a - t) ** 2) + np.sum((th - t) ** 2)
+                + a.size * sigma ** 2)
+    return advantage
+
+
+def _gaussian_density(a, theta, sigma):
+    return np.exp(-0.5 * ((a - theta) / sigma) ** 2) / (
+        sigma * np.sqrt(2 * np.pi))
+
+
+def spg_inner_integral_1d(target, theta, sigma):
+    """Reference: scipy quad of the ungated likelihood-ratio inner integral
     over theta +- 12 sigma; the Gaussian mass outside is below 1e-32."""
     adv = bandit_exact_advantage(target, theta, sigma)
 
-    def ungated(a):
-        return adv(a) * (a - theta) / sigma ** 2
+    def f(a):
+        return _gaussian_density(a, theta, sigma) * adv(a) * (a - theta) / (
+            sigma ** 2)
 
-    return _gaussian_weighted_1d(ungated, theta, sigma, theta - 12 * sigma,
-                                 theta + 12 * sigma, tol)
+    return quad(f, theta - 12 * sigma, theta + 12 * sigma, points=[theta],
+                epsabs=0.0, epsrel=1e-13, limit=200)[0]
 
 
 def test_policy_matrix_from_indices():
@@ -103,25 +120,12 @@ def test_performance_difference_identity_random_mdps():
         assert res < 1e-9
 
 
-def test_adaptive_simpson_polynomial_exact():
-    # Simpson is exact on cubics
-    val = adaptive_simpson(lambda x: x ** 3 - 2 * x + 1, -1.0, 3.0)
-    exact = (3 ** 4 / 4 - 9 + 3) - (1 / 4 - 1 - 1)
-    assert val == pytest.approx(exact, abs=1e-10)
-
-
-def test_adaptive_simpson_gaussian_mass():
-    f = lambda x: np.exp(-0.5 * x ** 2) / np.sqrt(2 * np.pi)
-    assert adaptive_simpson(f, -8, 8, tol=1e-10) == pytest.approx(1.0, abs=1e-9)
-
-
 def test_bandit_exact_advantage_zero_mean_under_policy():
     # E_pi[A] = 0 by construction; check by quadrature
     adv = bandit_exact_advantage(0.4, theta=0.1, sigma=0.3)
-    f = lambda a: adv(a) * np.exp(-0.5 * ((a - 0.1) / 0.3) ** 2) / (
-        0.3 * np.sqrt(2 * np.pi))
-    assert adaptive_simpson(f, 0.1 - 10 * 0.3, 0.1 + 10 * 0.3,
-                            tol=1e-10) == pytest.approx(0.0, abs=1e-7)
+    f = lambda a: adv(a) * _gaussian_density(a, 0.1, 0.3)
+    assert quad(f, 0.1 - 10 * 0.3, 0.1 + 10 * 0.3, epsabs=1e-12,
+                limit=200)[0] == pytest.approx(0.0, abs=1e-10)
 
 
 def test_spg_integral_equals_deterministic_gradient():
@@ -136,14 +140,12 @@ def test_spg_integral_equals_deterministic_gradient():
 
 def _quad_gated(target, theta, sigma):
     """scipy quad of the gated integrand over the support of A > 0."""
-    from scipy.integrate import quad
     adv = bandit_exact_advantage(target, theta, sigma)
     radius = np.sqrt((theta - target) ** 2 + sigma ** 2)
 
     def f(a):
-        density = np.exp(-0.5 * ((a - theta) / sigma) ** 2) / (
-            sigma * np.sqrt(2 * np.pi))
-        return density * max(adv(a), 0.0) * (a - theta) / sigma ** 2
+        return (_gaussian_density(a, theta, sigma) * max(adv(a), 0.0)
+                * (a - theta) / sigma ** 2)
 
     lo, hi = target - radius, target + radius
     return quad(f, lo, hi, points=[theta] if lo < theta < hi else None,
@@ -161,7 +163,7 @@ def test_gated_direction_matches_quad(target, sigma):
     got = gated_scaled_direction_1d(target, 0.0, sigma)
     want = _quad_gated(target, 0.0, sigma)
     assert want > 0.09
-    assert abs(got - want) <= 1e-9 * abs(want)
+    assert abs(got - want) <= 1e-13 * abs(want)
 
 
 def test_gated_direction_ratio_in_unit_interval():
@@ -177,7 +179,19 @@ def test_gated_direction_zero_at_optimum():
     rows = gated_direction_ratio(0.3, 0.3, sigmas=[0.01])
     assert rows[0]["ratio"] is None
     assert rows[0]["zero_ok"]
-    assert abs(rows[0]["gated"]) < 1e-6
+    assert rows[0]["gated"] == 0.0
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_gated_direction_ratio_strictly_inside_unit_interval_on_grid(sign):
+    # every pair of target - theta = sign * gap and sigma on one grid
+    sigmas = np.geomspace(1e-3, 2.0, 40)
+    for gap in sigmas:
+        target = 0.2 + sign * gap
+        rows = gated_direction_ratio(target, 0.2, sigmas)
+        assert all(0.0 < r["ratio"] < 1.0 for r in rows), (target, rows)
+        assert all(gated_scaled_direction_1d(target, target, s) == 0.0
+                   for s in sigmas)
 
 
 def test_gated_direction_sign_matches_gradient():

@@ -34,7 +34,6 @@ from detac.envs import make_quadratic_bandit
 
 RULES = ("penfac", "nfac", "cacla", "cac")
 BANDIT_RULES = ("spg", "dpg", "cacla")
-SUITES = ("lemma1", "lemma2", "theorem1", "gradcheck")
 SEEDS = (1, 2, 3)
 POINTMASS_STEPS = 10000
 BANDIT_STEPS = 3000
@@ -77,7 +76,7 @@ def main():
                 print(f"run_bandit {rule} m={m} seed={seed} "
                       f"{_sha(curve.tobytes())}", flush=True)
 
-    for suite in SUITES:
+    for suite in harness.SUITES:
         code, lines = harness.run_verification(suite, seed=0)
         report = ("\n".join(lines) + "\n").encode()
         print(f"verify {suite} seed=0 exit={code} {_sha(report)}", flush=True)
