@@ -16,7 +16,7 @@ from .trajectory import Trajectory
 from .updates import (TrustRegionState, adapt_beta, batch_gated_direction,
                       cac_direction, cacla_direction, policy_distance_dhat)
 
-RULES = ("cacla", "cac", "nfac", "penfac", "spg", "dpg")
+RULES = ("cacla", "cac", "nfac", "penfac")
 
 
 @dataclass
@@ -37,20 +37,23 @@ class AgentConfig:
     hidden_activation: str = "leaky_relu"
 
     def __post_init__(self):
+        if self.rule in ("spg", "dpg"):
+            raise ValueError(f"{self.rule} is a bandit baseline; use the "
+                             "bandit-suite command instead of train")
         if self.rule not in RULES:
             raise ValueError(f"unknown rule {self.rule!r}")
-        if self.gamma < 0 or self.gamma >= 1:
+        if not 0 <= self.gamma < 1:
             raise ValueError("gamma must lie in [0, 1)")
         if not 0 <= self.lam <= 1:
             raise ValueError("lambda must lie in [0, 1]")
-        if self.sigma <= 0 or self.lr_actor < 0 or self.lr_critic < 0:
+        if not (self.sigma > 0 and self.lr_actor >= 0 and self.lr_critic >= 0):
             raise ValueError("rates must be positive")
         if self.update_every < 1:
             raise ValueError("update_every must be >= 1")
         if self.fitted_iterations < 1 or self.actor_iterations < 1:
             raise ValueError("fitted_iterations and actor_iterations must "
                              "be >= 1")
-        if self.d_target <= 0:
+        if not self.d_target > 0:
             raise ValueError("d_target must be positive")
 
 
@@ -210,9 +213,7 @@ def make_agent(config, env, rng):
                         rng=rng)
     if config.rule in ("cacla", "cac"):
         return IncrementalActorCritic(policy, critic, config)
-    if config.rule in ("nfac", "penfac"):
-        return BatchActorCritic(policy, critic, config)
-    raise ValueError(f"rule {config.rule!r} is bandit-only; use run_bandit")
+    return BatchActorCritic(policy, critic, config)
 
 
 # ---------------------------------------------------------------------------

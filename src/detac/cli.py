@@ -43,9 +43,11 @@ def _add_bandit(sub):
 
 
 def _check_out_dir(path):
-    """Raise ValueError unless ``path``, or the nearest of its ancestors
-    that exists, is a writable directory, so that ``os.makedirs(path,
-    exist_ok=True)`` can succeed."""
+    """Raise ValueError unless ``path`` is not empty and it, or the nearest
+    of its ancestors that exists, is a writable directory, so that
+    ``os.makedirs(path, exist_ok=True)`` can succeed."""
+    if not path:
+        raise ValueError("cannot write into '': the path is empty")
     probe = os.path.abspath(path)
     while not os.path.exists(probe):
         probe = os.path.dirname(probe)
@@ -89,7 +91,7 @@ def cmd_verify(args):
     if args.out is not None:
         parent = os.path.dirname(os.path.abspath(args.out))
         if (os.path.isdir(args.out) or not os.path.isdir(parent)
-                or not os.access(parent, os.W_OK)):
+                or not os.access(parent, os.W_OK) or not args.out):
             print(f"verify: cannot write the report to {args.out!r}: its "
                   "directory must exist and be writable", file=sys.stderr)
             return 2

@@ -27,6 +27,13 @@ def _parse_bool(text):
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _parse_float(text):
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
 def _parse_hidden(text):
     items = text if isinstance(text, (tuple, list)) else str(text).split(",")
     sizes = tuple(int(v) for v in items)
@@ -52,9 +59,6 @@ class ExperimentConfig:
     out: str = "runs"
 
     def __post_init__(self):
-        if self.agent.rule in ("spg", "dpg"):
-            raise ValueError("spg/dpg are bandit baselines; use the "
-                             "bandit-suite command instead of train")
         if self.env not in ENVS:
             raise ValueError(f"unknown env {self.env!r}; "
                              f"choose from {tuple(ENVS)}")
@@ -72,8 +76,8 @@ class ExperimentConfig:
 
 
 # converter per declared field type (a string under postponed annotations)
-_CONVERTERS = {"str": str, "int": int, "float": float, "bool": _parse_bool,
-               "tuple": _parse_hidden}
+_CONVERTERS = {"str": str, "int": int, "float": _parse_float,
+               "bool": _parse_bool, "tuple": _parse_hidden}
 
 # the AgentConfig fields whose key is not their name ("lambda" is a keyword)
 _AGENT_RENAMES = {"rule": "agent", "lam": "lambda"}
@@ -88,7 +92,7 @@ KEYS.update({f.name: ("run", f.name, _CONVERTERS[f.type])
 KEYS.update({
     "bandit_m": ("bandit", "m", int),
     "bandit_seed": ("bandit", "seed", int),
-    "pointmass_goal": ("pointmass", "goal", float),
+    "pointmass_goal": ("pointmass", "goal", _parse_float),
     "pointmass_horizon": ("pointmass", "horizon", int),
 })
 

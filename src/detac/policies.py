@@ -5,7 +5,8 @@ deterministic action, ``act_batch(states)`` one action per row,
 ``backward_batch(upstream)`` the parameter gradient of
 sum_t upstream_t . mu(s_t) over the rows of the last ``act_batch`` call
 (one vector-Jacobian product), and ``get_params``/``set_params`` move the
-parameter point.
+parameter point.  No state is scanned for NaN or inf: a non-finite state
+gives a non-finite action, which ``env.step`` rejects.
 """
 
 from __future__ import annotations
@@ -16,13 +17,6 @@ from .envs import ACTION_BOUND
 from .nets import MlpNet
 
 MAX_ATTEMPTS = 100
-
-
-def _check_state(state):
-    state = np.asarray(state, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(state)):
-        raise ValueError("non-finite state")
-    return state
 
 
 class MlpPolicy:
@@ -78,14 +72,10 @@ class LinearPolicy:
         self.theta = np.asarray(flat, dtype=float).reshape(self.action_dim).copy()
 
     def act(self, state=None):
-        if state is not None:
-            _check_state(state)
         return np.clip(self.theta, self.low, self.high)
 
     def act_batch(self, states):
-        states = np.atleast_2d(states)
-        _check_state(states)
-        return np.tile(self.act(), (len(states), 1))
+        return np.tile(self.act(), (len(np.atleast_2d(states)), 1))
 
     def jacobian(self, state=None):
         return np.eye(self.action_dim)
@@ -105,7 +95,7 @@ class GaussianExploration:
     """
 
     def __init__(self, policy, sigma, decay=1.0):
-        if sigma <= 0:
+        if not sigma > 0:
             raise ValueError("sigma must be positive")
         if not 0.0 < decay <= 1.0:
             raise ValueError("decay must lie in (0, 1]")

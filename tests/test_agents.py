@@ -28,6 +28,11 @@ def test_agent_config_validation():
         AgentConfig(update_every=0)
     with pytest.raises(ValueError):
         AgentConfig(fitted_iterations=0)
+    # every range check fails on NaN
+    for name in ("gamma", "lam", "sigma", "lr_actor", "lr_critic",
+                 "d_target"):
+        with pytest.raises(ValueError):
+            AgentConfig(**{name: float("nan")})
 
 
 def _sequential_episode(act, env, rng):
@@ -399,6 +404,23 @@ def test_make_agent_rejects_bandit_rules():
     env = PointMass()
     with pytest.raises(ValueError):
         make_agent(AgentConfig(rule="spg"), env, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("rule", ["cacla", "nfac"])
+def test_nan_state_is_stopped_at_env_step(rule):
+    # no policy scans its input: a NaN state gives a NaN action, and the
+    # env's action check rejects it
+    class NanStart(PointMass):
+        def reset(self, rng=None):
+            return np.full(2, np.nan)
+
+    env = NanStart(horizon=5)
+    agent = make_agent(AgentConfig(rule=rule, hidden=(4,), update_every=1),
+                       env, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="non-finite action"):
+        agent.run_episode(env, np.random.default_rng(1))
+    with pytest.raises(ValueError, match="non-finite action"):
+        evaluate_deterministic(agent.policy, env, 2, np.random.default_rng(2))
 
 
 def test_run_bandit_rejects_unknown_rule():

@@ -132,15 +132,17 @@ def test_parse_config_key_lands_on_its_field(key):
 # value its converter rejects must be reported under the key's name
 FREE_TEXT_KEYS = {"agent", "env", "hidden_activation", "out"}
 MALFORMED = {"batch_norm": "maybe", "hidden": "32,x"}
+# values float() accepts that no setting may take ("1e400" overflows)
+NON_FINITE = ["nan", "inf", "-inf", "1e400"]
 
 
 @pytest.mark.parametrize("env", ["pointmass", "bandit"])
 @pytest.mark.parametrize("key", sorted(set(KEY_CASES) - FREE_TEXT_KEYS))
 def test_parse_config_names_the_key_of_a_malformed_value(key, env):
     # keys of the env not chosen are converted and rejected too
-    value = MALFORMED.get(key, "abc")
-    with pytest.raises(ValueError, match=f"bad value for '{key}'"):
-        parse_config(None, {"agent": "nfac", "env": env, key: value})
+    for value in [MALFORMED.get(key, "abc"), *NON_FINITE]:
+        with pytest.raises(ValueError, match=f"bad value for '{key}'"):
+            parse_config(None, {"agent": "nfac", "env": env, key: value})
 
 
 BAD_HIDDEN = ["", ",", "32,,32"]
@@ -215,12 +217,11 @@ def test_run_seed_evaluates_and_stops_at_phase_ends():
 
 
 def test_run_seed_rejects_bandit_only_rules():
-    # ExperimentConfig refuses these rules; a config changed after it was
-    # built still fails in make_agent
-    cfg = _config()
-    cfg.agent = AgentConfig(rule="spg")
-    with pytest.raises(ValueError):
-        run_seed(cfg, 0)
+    # no run_seed config can hold a bandit baseline: its AgentConfig
+    # refuses it
+    for rule in ("spg", "dpg"):
+        with pytest.raises(ValueError, match="bandit-suite"):
+            AgentConfig(rule=rule)
 
 
 def test_write_seed_csv_layout(tmp_path):
@@ -444,20 +445,27 @@ def test_cli_train_zero_horizon_exits_2(tmp_path):
 def test_cli_train_dead_critic_exits_1_without_csv(tmp_path):
     # CACLA's plain-SGD critic overflows on PointMass with the defaults
     # (seed 1: non-finite after its 7th episode); it used to exit 0 and
-    # write CSVs that evaluated a frozen actor
+    # write CSVs that evaluated a frozen actor.  NFAC's Adam critic with
+    # the finite lr_critic=1e200 overflows in its first phase; it used to
+    # stop in Adam.step with a traceback that named no seed
     src = os.path.dirname(os.path.dirname(os.path.abspath(detac.__file__)))
     env = dict(os.environ, DETAC_THREADS="1", PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
     out = tmp_path / "runs"
-    result = subprocess.run(
-        [sys.executable, "-m", "detac.cli", "train", "--set", "agent=cacla",
-         "--set", "env=pointmass", "--seed-offset", "1", "--out", str(out)],
-        env=env, capture_output=True, text=True, timeout=120)
-    assert result.returncode == 1, result.stderr
-    assert ("training diverged: seed 1: the critic has non-finite "
-            "parameters after env step 700") in result.stderr
-    assert result.stdout == ""
-    assert not out.exists()
+    for flags, seed, step in [
+            (["--set", "agent=cacla", "--seed-offset", "1"], 1, 700),
+            (["--set", "agent=nfac", "--set", "lr_critic=1e200",
+              "--set", "total_steps=2000"], 0, 500)]:
+        result = subprocess.run(
+            [sys.executable, "-m", "detac.cli", "train", *flags,
+             "--set", "env=pointmass", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert result.returncode == 1, result.stderr
+        assert (f"training diverged: seed {seed}: the critic has non-finite "
+                f"parameters after env step {step}; no CSV written"
+                in result.stderr)
+        assert result.stdout == ""
+        assert not out.exists()
 
 
 def test_divergence_error_survives_a_worker_process():
@@ -489,13 +497,14 @@ def a_file(tmp_path):
     return path
 
 
-@pytest.mark.parametrize("sub", ["", "sub"])
+@pytest.mark.parametrize("sub", ["", "sub", None])
 def test_cli_train_out_under_a_file_exits_2_before_training(
         a_file, capsys, monkeypatch, sub):
-    # used to train every seed, then die in os.makedirs with exit status 1
+    # used to train every seed, then die in os.makedirs with exit status 1;
+    # sub=None gives an empty --out
     monkeypatch.setattr(harness, "run_experiment",
                         lambda config: pytest.fail("trained"))
-    out = os.path.join(a_file, sub) if sub else str(a_file)
+    out = {"": str(a_file), "sub": os.path.join(a_file, "sub"), None: ""}[sub]
     code = main(["train", "--set", "agent=nfac", "--set", "env=pointmass",
                  "--out", out])
     assert code == 2
@@ -517,6 +526,8 @@ def test_cli_verify_report_in_a_missing_directory_exits_2(tmp_path, capsys,
     assert err.startswith("verify: cannot write the report to")
     assert not (tmp_path / "no").exists()
     assert main(["verify", "lemma1", "--out", str(tmp_path)]) == 2
+    # an empty --out used to run the suite and write no report
+    assert main(["verify", "lemma1", "--out", ""]) == 2
 
 
 def test_cli_bandit_suite_out_is_a_file_exits_2(a_file, capsys, monkeypatch):
@@ -528,6 +539,9 @@ def test_cli_bandit_suite_out_is_a_file_exits_2(a_file, capsys, monkeypatch):
     assert out == ""
     assert err.startswith("bandit-suite: cannot write into")
     assert a_file.read_text() == "keep\n"
+    # an empty --out used to raise FileNotFoundError
+    assert main(["bandit-suite", "--episodes", "10", "--out", ""]) == 2
+    assert capsys.readouterr().err.startswith("bandit-suite: cannot write")
 
 
 def test_cli_verify_offers_every_suite(capsys):

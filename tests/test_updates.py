@@ -83,14 +83,6 @@ def penfac_actor_gradient(policy, snapshot, states, actions, advantages, beta):
 BANDIT_STATE = np.zeros(1)
 
 
-def test_gated_directions_reject_nonfinite():
-    pol = LinearPolicy(1)
-    with pytest.raises(ValueError, match="non-finite update direction"):
-        cacla_direction(pol, BANDIT_STATE, np.array([np.inf]), 1.0)
-    with pytest.raises(ValueError, match="non-finite update direction"):
-        cac_direction(pol, BANDIT_STATE, np.array([0.5]), np.inf)
-
-
 def test_cacla_gate_closed_on_nonpositive_delta():
     pol = LinearPolicy(2)
     for delta in (0.0, -0.5, -100.0):
