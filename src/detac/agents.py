@@ -244,8 +244,7 @@ def run_bandit(rule, env, episodes, config, rng, eval_every=1):
     if episodes < 1 or eval_every < 1:
         raise ValueError(f"need episodes >= 1 and eval_every >= 1, got "
                          f"{episodes} and {eval_every}")
-    m = env.spec.action_dim
-    policy = LinearPolicy(m)
+    policy = LinearPolicy(env.spec.action_dim)
     exploration = GaussianExploration(policy, config.sigma)
     state = env.reset(rng)
     sigma = config.sigma
@@ -278,7 +277,8 @@ def run_bandit(rule, env, episodes, config, rng, eval_every=1):
             lr = max(config.lr_actor_min, lr * config.lr_actor_decay)
         # projected step: an unbounded theta would blow up the compatible
         # features once the exploration mean leaves the action box
-        policy.theta = np.clip(policy.theta, policy.low, policy.high)
+        policy.theta = np.minimum(np.maximum(policy.theta, policy.low),
+                                  policy.high)
 
         sigma = max(config.sigma_min, sigma * config.sigma_decay)
         exploration.sigma = sigma

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .nets import Adam, MlpNet
+from .policies import LinearPolicy
 
 
 class MlpVCritic:
@@ -120,41 +121,33 @@ def fitted_value_iteration(critic, batch, gamma, lam, n_iterations):
     return critic
 
 
-def toward_action(policy, state, action):
-    """(a - mu(s))^T J_mu(s): the compatible features of the Q critic, from
-    the policy's ``jacobian``."""
-    mu = np.asarray(policy.act(state), float).reshape(-1)
-    return (np.asarray(action, float).reshape(-1) - mu) @ policy.jacobian(state)
-
-
 class CompatibleQCritic:
-    """Q(s, a) = (a - mu(s))^T J_mu(s) w + v.
+    """Q(s, a) = (a - mu)^T w + v for the state-free ``LinearPolicy``.
 
-    ``J_mu`` is the policy's parameter Jacobian, so grad_a Q at a = mu(s) is
-    exactly J_mu(s)^T w, and Q(s, mu(s)) = v by construction.  The policy
-    must provide ``jacobian(state)``, the (action_dim x n_params) matrix
-    J_mu(s); ``LinearPolicy`` does (J = I).  The state value is one
-    constant parameter, held as the 1-vector ``v``.
+    Its J_mu = I, so the compatible features (a - mu(s))^T J_mu(s) of
+    Silver et al. (2014) are a - mu: grad_a Q = w, and Q(s, mu) = v.  The
+    state value is one constant parameter, held as the 1-vector ``v``.
     """
 
     def __init__(self, policy):
+        if not isinstance(policy, LinearPolicy):
+            raise TypeError(f"{type(policy).__name__} is not a LinearPolicy")
         self.policy = policy
         self.w = np.zeros(policy.n_params)
         self.v = np.zeros(1)
 
     def q(self, state, action):
-        return float(toward_action(self.policy, state, action) @ self.w
-                     + self.v[0])
+        return float((action - self.policy.act(state)) @ self.w + self.v[0])
 
     def value(self, state):
         return float(self.v[0])
 
     def grad_a(self, state):
-        return self.policy.jacobian(state) @ self.w
+        return self.w.copy()
 
     def sgd_fit_step(self, state, action, target, lr):
         """One stochastic gradient step on the squared Bellman residual."""
-        feat_w = toward_action(self.policy, state, action)
+        feat_w = action - self.policy.act(state)
         err = target - (feat_w @ self.w + self.v[0])
         self.w += lr * err * feat_w
         self.v += lr * err

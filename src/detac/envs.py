@@ -69,11 +69,12 @@ class QuadraticBandit:
         return np.zeros(1)
 
     def step(self, state, action, rng=None):
-        one = np.ndim(state) == 1
-        a = _check_action(self.spec, action, None if one else len(state))
+        if np.ndim(state) == 1:
+            # np.sum's own pairwise add.reduce, without its Python wrapper
+            d = _check_action(self.spec, action) - self.target
+            return np.zeros(1), -float(np.add.reduce(d ** 2)), True
+        a = _check_action(self.spec, action, len(state))
         rewards = -np.sum((a - self.target) ** 2, axis=-1)
-        if one:
-            return np.zeros(1), float(rewards), True
         return np.zeros((len(a), 1)), rewards, np.ones(len(a), dtype=bool)
 
 

@@ -4,7 +4,6 @@ learning curves) and the randomized verification suites."""
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -48,7 +47,8 @@ def run_seed(config, seed):
     Each ``agent.run_episode`` call is one phase, so rows land on the
     first phase end at or past each multiple of ``eval_interval``, and
     training stops at the first one at or past ``total_steps``.  Non-finite
-    policy or critic parameters after a phase raise ``DivergenceError``;
+    policy or critic parameters after a phase raise ``DivergenceError``,
+    with numpy's warnings off during the phase, so it is the one report;
     evaluation episodes use their own rng stream and never feed training.
     """
     rng = np.random.default_rng(seed)
@@ -68,8 +68,9 @@ def run_seed(config, seed):
     evaluate(steps)
     next_eval = config.eval_interval
     while steps < config.total_steps:
-        steps += agent.run_episode(env, rng)
-        _check_finite(agent, seed, steps)
+        with np.errstate(all="ignore"):
+            steps += agent.run_episode(env, rng)
+            _check_finite(agent, seed, steps)
         if steps >= next_eval:
             evaluate(steps)
             while next_eval <= steps:
@@ -130,6 +131,8 @@ def run_experiment(config):
     seeds = [config.seed_offset + i for i in range(config.seeds)]
     workers = min(worker_cap(), len(seeds))
     if workers > 1:
+        # imported here: a one-worker run never pays for multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             all_rows = list(pool.map(run_seed, [config] * len(seeds), seeds))
     else:

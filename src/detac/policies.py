@@ -72,13 +72,11 @@ class LinearPolicy:
         self.theta = np.asarray(flat, dtype=float).reshape(self.action_dim).copy()
 
     def act(self, state=None):
-        return np.clip(self.theta, self.low, self.high)
+        # np.clip's bits, NaN and signed zeros included, without its wrapper
+        return np.minimum(np.maximum(self.theta, self.low), self.high)
 
     def act_batch(self, states):
         return np.tile(self.act(), (len(np.atleast_2d(states)), 1))
-
-    def jacobian(self, state=None):
-        return np.eye(self.action_dim)
 
     def backward_batch(self, upstream):
         """Parameter gradient of sum_t upstream_t . mu(s_t): with J = I, the
@@ -117,20 +115,23 @@ class GaussianExploration:
         rejected redraws in ``_redraw_row``, which draws the stream of a
         loop that redraws a single action until it fits.
         """
-        batch = np.ndim(states) == 2
-        mu = (self.policy.act_batch(states) if batch
-              else np.asarray(self.policy.act(states), dtype=float)[None])
         sigma = self.sigma
+        if np.ndim(states) != 2:
+            mu = self.policy.act(states)
+            a = mu + sigma * rng.standard_normal(mu.shape)
+            # the box test on the largest |a_j|; a NaN is that maximum
+            if np.maximum.reduce(np.abs(a)) <= ACTION_BOUND:
+                return a
+            return self._redraw_row(mu, rng)
+        mu = self.policy.act_batch(states)
         a = mu + sigma * rng.standard_normal(mu.shape)
-        # per row, whether |a| <= ACTION_BOUND holds everywhere (it fails
-        # on NaN): the box test, in as few numpy calls as one row allows
+        # per row, whether |a| <= ACTION_BOUND holds everywhere (NaN fails)
         inside = np.logical_and.reduce(np.abs(a) <= ACTION_BOUND,
                                        axis=1).tolist()
         if all(inside):
-            return a if batch else a[0]
+            return a
         if len(a) == 1:
-            a = self._redraw_row(mu[0], rng)
-            return a[None] if batch else a
+            return self._redraw_row(mu[0], rng)[None]
         rows = [i for i, ok in enumerate(inside) if not ok]
         mu_out = mu[rows]
         for _ in range(MAX_ATTEMPTS - 1):
@@ -146,7 +147,7 @@ class GaussianExploration:
                 mu_out, draw = mu_out[still_out], draw[still_out]
         else:
             a[rows] = np.clip(draw, self.low, self.high)
-        return a if batch else a[0]
+        return a
 
     def _redraw_row(self, mu, rng):
         """The redraws of one row whose first sample was rejected.
@@ -160,15 +161,17 @@ class GaussianExploration:
         array.  The last of ``MAX_ATTEMPTS`` draws in all is clipped.
         """
         sigma = self.sigma
-        pairs = sorted(enumerate(mu.tolist()), key=lambda p: -abs(p[1]))
+        order = (-np.abs(mu)).argsort(kind="stable").tolist()
+        pairs = [(j, mu.item(j)) for j in order]
+        draw, m = rng.standard_normal, len(pairs)
         for _ in range(MAX_ATTEMPTS - 1):
-            z = rng.standard_normal(len(pairs))
+            z = draw(m)
             for j, mu_j in pairs:
                 if not abs(mu_j + sigma * z.item(j)) <= ACTION_BOUND:
                     break
             else:
                 return mu + sigma * z
-        return np.clip(mu + sigma * z, self.low, self.high)
+        return np.minimum(np.maximum(mu + sigma * z, self.low), self.high)
 
     def anneal(self):
         self.sigma *= self.decay

@@ -7,15 +7,18 @@ full Jacobian instead, so that they do not share that code path.
 
 import numpy as np
 
-from detac.policies import MlpPolicy
+from detac.policies import LinearPolicy, MlpPolicy
 
 
 def jacobian(policy, state):
-    """The (action_dim x n_params) derivative of mu(state): for an
+    """The (action_dim x n_params) derivative of mu(state): the identity
+    for the state-free ``LinearPolicy`` (mu = theta), and for an
     ``MlpPolicy`` one forward and one unit-vector backward pass per action
-    dimension, otherwise the policy's own ``jacobian``."""
+    dimension."""
+    if isinstance(policy, LinearPolicy):
+        return np.eye(policy.action_dim)
     if not isinstance(policy, MlpPolicy):
-        return policy.jacobian(state)
+        raise TypeError(f"no reference Jacobian for {type(policy).__name__}")
     jac = np.empty((policy.action_dim, policy.n_params))
     for i in range(policy.action_dim):
         policy.net.forward(state, training=False)

@@ -400,12 +400,6 @@ def test_nfac_update_is_deterministic_given_batch():
     assert np.array_equal(run(7), run(7))
 
 
-def test_make_agent_rejects_bandit_rules():
-    env = PointMass()
-    with pytest.raises(ValueError):
-        make_agent(AgentConfig(rule="spg"), env, np.random.default_rng(0))
-
-
 @pytest.mark.parametrize("rule", ["cacla", "nfac"])
 def test_nan_state_is_stopped_at_env_step(rule):
     # no policy scans its input: a NaN state gives a NaN action, and the

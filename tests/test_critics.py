@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from detac.critics import (CompatibleQCritic, ConstantVCritic, MlpVCritic,
-                           fitted_value_iteration, lambda_returns, td_error,
-                           toward_action)
+                           fitted_value_iteration, lambda_returns, td_error)
 from detac.policies import LinearPolicy, MlpPolicy
 from detac.trajectory import Trajectory
-from jacobian_reference import jacobian
+from jacobian_reference import jacobian, toward
 
 
 class TabularVCritic:
@@ -286,20 +285,65 @@ def test_compatible_q_identity_at_mean():
     critic.v = np.array([1.3])
     mu = pol.act()
     assert critic.q(None, mu) == critic.value(None)
-    assert not np.any(toward_action(pol, None, mu))
+    assert not np.any(toward(pol, None, mu))
 
 
 def test_compatible_q_grad_a_is_jacobian_transpose_w():
     pol = LinearPolicy(2)
     critic = CompatibleQCritic(pol)
     critic.w = np.array([0.5, -1.5])
-    assert np.array_equal(critic.grad_a(None), critic.w)
+    g = critic.grad_a(None)
+    assert np.array_equal(g, jacobian(pol, None) @ critic.w)
+    # a copy: a caller's step on it leaves the critic alone
+    g += 1.0
+    assert np.array_equal(critic.w, [0.5, -1.5])
+
+
+def _reference_theta(rng, m):
+    """Random theta with coordinates inside the box, on it and beyond it
+    (so that mu = clip(theta) sits on a bound)."""
+    theta = rng.uniform(-0.9, 0.9, m)
+    theta[rng.random(m) < 0.3] = 1.0
+    theta[rng.random(m) < 0.3] = -1.0
+    theta[rng.random(m) < 0.1] = 1.5
+    return theta
+
+
+@pytest.mark.parametrize("m", [1, 5, 50])
+def test_compatible_q_matches_the_jacobian_form_bit_for_bit(m):
+    # the critic's features are a - mu; the reference builds the general
+    # compatible form (a - mu)^T J w + v from the test-side Jacobian, and
+    # every output and every updated parameter agrees byte for byte
+    rng = np.random.default_rng(m)
+    for _ in range(200):
+        pol = LinearPolicy(m, theta=_reference_theta(rng, m))
+        critic = CompatibleQCritic(pol)
+        w, v = rng.standard_normal(m), rng.standard_normal(1)
+        critic.w, critic.v = w.copy(), v.copy()
+        action = np.clip(pol.act() + 0.3 * rng.standard_normal(m), -1, 1)
+        # some coordinates exactly at the mean, where the feature is 0
+        hit = rng.random(m) < 0.2
+        action[hit] = pol.act()[hit]
+        target, lr = 3.0 * rng.standard_normal(), rng.uniform(0.001, 0.5)
+
+        feat = toward(pol, None, action)
+        q_ref = float(feat @ w + v[0])
+        assert np.float64(critic.q(None, action)).tobytes() == \
+            np.float64(q_ref).tobytes()
+        assert critic.value(None) == v[0]
+        assert critic.grad_a(None).tobytes() == \
+            (jacobian(pol, None) @ w).tobytes()
+
+        err = target - (feat @ w + v[0])
+        critic.sgd_fit_step(None, action, target, lr)
+        assert critic.w.tobytes() == (w + lr * err * feat).tobytes()
+        assert critic.v.tobytes() == (v + lr * err).tobytes()
 
 
 def _ridge_fit(critic, states, actions, targets, ridge=1e-6):
     """Reference least squares of (w, v) on the stacked compatible
     features [(a - mu(s))^T J_mu(s), 1]."""
-    x = np.stack([np.append(toward_action(critic.policy, s, a), 1.0)
+    x = np.stack([np.append(toward(critic.policy, s, a), 1.0)
                   for s, a in zip(states, actions)])
     sol = np.linalg.solve(x.T @ x + ridge * np.eye(x.shape[1]),
                           x.T @ np.asarray(targets, dtype=float))
@@ -333,20 +377,25 @@ def test_compatible_q_sgd_converges_to_fit():
     assert abs(critic.v[0] - true_v) < 0.05
 
 
-def test_compatible_q_with_mlp_policy_gradcheck():
-    # grad_a Q at mu(s) should match finite differences of q in the action
+def test_compatible_q_rejects_other_policies():
+    # its features are a - mu, the compatible form for J = I only
+    pol = MlpPolicy(2, 2, hidden_sizes=(6,), rng=np.random.default_rng(4))
+    with pytest.raises(TypeError, match="not a LinearPolicy"):
+        CompatibleQCritic(pol)
+
+
+def test_compatible_q_gradcheck():
+    # grad_a Q at mu should match finite differences of q in the action
     rng = np.random.default_rng(4)
-    pol = MlpPolicy(2, 2, hidden_sizes=(6,), rng=rng)
-    # the critic needs a policy jacobian; MlpPolicy gets the test-side one
-    pol.jacobian = lambda state: jacobian(pol, state)
+    pol = LinearPolicy(3, theta=np.array([0.3, -1.0, 0.8]))
     critic = CompatibleQCritic(pol)
-    critic.w = rng.standard_normal(pol.n_params) * 0.1
-    s = rng.standard_normal(2)
-    mu = pol.act(s)
-    g = critic.grad_a(s)
+    critic.w = rng.standard_normal(3)
+    critic.v = rng.standard_normal(1)
+    mu = pol.act()
+    g = critic.grad_a(None)
     h = 1e-6
-    for i in range(2):
-        e = np.zeros(2)
+    for i in range(3):
+        e = np.zeros(3)
         e[i] = h
-        fd = (critic.q(s, mu + e) - critic.q(s, mu - e)) / (2 * h)
-        assert abs(g[i] - fd) < 1e-5
+        fd = (critic.q(None, mu + e) - critic.q(None, mu - e)) / (2 * h)
+        assert abs(g[i] - fd) < 1e-8

@@ -59,9 +59,26 @@ def test_linear_policy_clips_to_bounds():
     assert pol.act()[0] == 1.0
 
 
+def test_linear_policy_clip_matches_np_clip_bits():
+    # act() clips with maximum/minimum instead of np.clip: the same bits for
+    # signed zeros, values on and beyond the bounds, infinities and NaN
+    theta = np.array([0.0, -0.0, 1.0, -1.0, np.nextafter(1.0, 2.0),
+                      np.nextafter(-1.0, -2.0), 0.5, -0.25, 3.0, -7.5,
+                      np.inf, -np.inf, np.nan, -np.nan])
+    rng = np.random.default_rng(11)
+    for t in (theta, rng.uniform(-2.0, 2.0, 50)):
+        pol = LinearPolicy(len(t), theta=t)
+        got = pol.act()
+        assert got.dtype == np.float64
+        assert got.tobytes() == np.clip(t, -1.0, 1.0).tobytes()
+        # a fresh array: writing to it leaves theta alone
+        got[:] = 0.25
+        assert pol.theta.tobytes() == t.tobytes()
+
+
 def test_linear_policy_jacobian_is_identity():
     pol = LinearPolicy(4)
-    assert np.array_equal(pol.jacobian(), np.eye(4))
+    assert np.array_equal(jacobian(pol, None), np.eye(4))
     # so backward_batch, the vector-Jacobian product, sums the upstream rows
     upstream = np.array([[0.1, -2.0, 0.5, 3.0], [1.5, 0.25, -0.75, 0.0]])
     pol.act_batch(np.zeros((2, 1)))
