@@ -188,10 +188,15 @@ class BatchActorCritic:
                       - self.critic.values(states))
 
         beta = self.trust.beta if penfac else 0.0
+        g = None
         for _ in range(cfg.actor_iterations):
-            g = batch_gated_direction(self.policy, states, actions, advantages,
-                                      scale_by_delta=penfac, mu_old=mu_old,
-                                      beta=beta)
+            # an all-zero direction is a fixed point: Adam (beta1 = 0) takes
+            # a zero step, the eval-mode policy keeps mu, so every later
+            # direction is the same zero; its steps still advance t and v
+            if g is None or g.any():
+                g = batch_gated_direction(self.policy, states, actions,
+                                          advantages, scale_by_delta=penfac,
+                                          mu_old=mu_old, beta=beta)
             self.policy.set_params(self.actor_adam.step(
                 self.policy.get_params(), g, ascent=True))
 

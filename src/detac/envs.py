@@ -48,8 +48,9 @@ def _check_action(spec, action, n=None):
     shape = (spec.action_dim,) if n is None else (n, spec.action_dim)
     if a.shape != shape:
         raise ValueError(f"action has shape {a.shape}, expected {shape}")
-    # one comparison pass: NaN and +-inf fail it too
-    if not (np.abs(a) <= ACTION_BOUND).all():
+    # one comparison on the largest magnitude, without ndarray.all's Python
+    # wrapper: maximum propagates NaN, so NaN and +-inf fail it too
+    if not np.maximum.reduce(np.abs(a), axis=None) <= ACTION_BOUND:
         if not np.isfinite(a).all():
             raise ValueError("non-finite action")
         log.warning("action out of bounds, clipping: %s", a)

@@ -11,10 +11,13 @@ import detac
 from detac.agents import (AgentConfig, BanditConfig, BatchActorCritic,
                           IncrementalActorCritic, evaluate_deterministic,
                           make_agent, run_bandit, run_episodes)
-from detac.critics import ConstantVCritic
+from detac.critics import (ConstantVCritic, fitted_value_iteration,
+                           lambda_returns)
 from detac.envs import (EnvSpec, PointMass, QuadraticBandit,
                         make_quadratic_bandit)
 from detac.policies import LinearPolicy, MlpPolicy
+from detac.updates import (adapt_beta, batch_gated_direction,
+                           policy_distance_dhat)
 
 
 def test_agent_config_validation():
@@ -383,6 +386,94 @@ def test_penfac_dhat_measures_against_pre_phase_policy():
     expected = sum(np.linalg.norm(before.act(s) - after.act(s))
                    for s in states) / np.sqrt(len(states))
     assert abs(agent.dhat_history[-1] - expected) < 1e-12
+
+
+class _FixedValueCritic:
+    """V(s) = c on every state, and fitting leaves it there: with c far
+    above (below) every lambda-return, no (every) advantage is positive."""
+
+    def __init__(self, c):
+        self.c = c
+
+    def values(self, states):
+        return np.full(len(states), self.c)
+
+    def regress(self, states, targets):
+        pass
+
+
+def _update_phase_all_directions(agent, batch):
+    """``update_phase`` with a direction computed on every actor
+    iteration, zero or not."""
+    cfg = agent.config
+    states = batch.per_step(batch.states)
+    if cfg.batch_norm:
+        agent.policy.act_batch(states, training=True)
+    penfac = cfg.rule == "penfac"
+    mu_old = agent.policy.act_batch(states) if penfac else None
+    fitted_value_iteration(agent.critic, batch, cfg.gamma, cfg.lam,
+                           cfg.fitted_iterations)
+    actions = batch.per_step(batch.actions)
+    advantages = (lambda_returns(batch, agent.critic, cfg.gamma, cfg.lam)
+                  - agent.critic.values(states))
+    beta = agent.trust.beta if penfac else 0.0
+    for _ in range(cfg.actor_iterations):
+        g = batch_gated_direction(agent.policy, states, actions, advantages,
+                                  scale_by_delta=penfac, mu_old=mu_old,
+                                  beta=beta)
+        agent.policy.set_params(agent.actor_adam.step(
+            agent.policy.get_params(), g, ascent=True))
+    if penfac:
+        d_hat = policy_distance_dhat(mu_old, agent.policy.act_batch(states))
+        agent.dhat_history.append(d_hat)
+        adapt_beta(agent.trust, d_hat)
+
+
+def _actor_state_bytes(agent):
+    adam = agent.actor_adam
+    return (agent.policy.get_params().tobytes(), adam.m.tobytes(),
+            adam.v.tobytes(), adam.t,
+            np.array(agent.dhat_history, dtype=float).tobytes(),
+            np.float64(agent.trust.beta).tobytes())
+
+
+@pytest.mark.parametrize("rule", ["penfac", "nfac"])
+def test_update_phase_stops_directions_at_zero_bit_for_bit(rule, monkeypatch):
+    # a phase with no positive advantage computes one direction, all zero,
+    # and still takes every Adam step; the closed phase after the open one
+    # starts from a nonzero Adam state, so a zero-direction step that moved
+    # the policy would show there
+    cfg = AgentConfig(rule=rule, update_every=2, hidden=(8,),
+                      batch_norm=True, actor_iterations=6,
+                      fitted_iterations=2)
+    env = PointMass(horizon=10)
+    policy = MlpPolicy(2, 1, hidden_sizes=cfg.hidden,
+                       hidden=cfg.hidden_activation, batch_norm=True,
+                       rng=np.random.default_rng(3))
+    agent = BatchActorCritic(policy, _FixedValueCritic(0.0), cfg)
+    reference = copy.deepcopy(agent)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return batch_gated_direction(*args, **kwargs)
+
+    monkeypatch.setattr(detac.agents, "batch_gated_direction", counted)
+    rng = np.random.default_rng(4)
+    for value, want_calls in ((1e3, 1), (-1e3, cfg.actor_iterations),
+                              (1e3, 1)):
+        batch = run_episodes(lambda s: agent.exploration.act(s, rng), env,
+                             cfg.update_every, rng)
+        agent.critic.c = reference.critic.c = value
+        calls.clear()
+        agent.update_phase(batch)
+        _update_phase_all_directions(reference, batch)
+        assert len(calls) == want_calls
+        assert _actor_state_bytes(agent) == _actor_state_bytes(reference)
+    assert agent.actor_adam.t == 3 * cfg.actor_iterations
+    if rule == "penfac":
+        closed, opened, closed_again = agent.dhat_history
+        assert closed == 0.0 and closed_again == 0.0 and opened > 0.0
 
 
 def test_nfac_update_is_deterministic_given_batch():

@@ -63,6 +63,11 @@ def test_check_action_rejects_wrong_width_and_nonfinite():
         action[0] = 5.0
         with pytest.raises(ValueError, match="non-finite"):
             _check_action(spec, action)
+        # one non-finite row among finite rows of a batch
+        rows = np.zeros((3, 2))
+        rows[1] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            _check_action(spec, rows, 3)
 
 
 def test_check_action_clips_out_of_bounds_with_warning(caplog):
