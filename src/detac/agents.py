@@ -75,18 +75,20 @@ def run_episodes(act, env, n, rng, on_step=None):
         raise ValueError("n must be >= 1")
     batch = Trajectory([env.reset(rng) for _ in range(n)], env.spec.horizon,
                        env.spec.action_dim)
-    live = np.arange(n)
+    # every row, as a slice, until the first episode ends; after that an
+    # index array of the rows still running
+    live = slice(None)
     for t in range(env.spec.horizon):
         states = batch.states[live, t]
         actions = act(states)
         next_states, rewards, terminals = env.step(states, actions, rng)
-        batch.append(live, actions, rewards, next_states, terminals)
+        batch.append(live, t, actions, rewards, next_states, terminals)
         if on_step is not None:
             for transition in zip(states, actions, rewards.tolist(),
                                   next_states, terminals.tolist()):
                 on_step(*transition)
         if terminals.any():
-            live = live[~terminals]
+            live = np.arange(n)[live][~terminals]
             if not len(live):
                 break
     return batch

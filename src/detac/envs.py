@@ -4,9 +4,9 @@ control task, and tabular finite MDPs used by the exact solvers.
 The bandit and the point mass are stateless objects: ``reset(rng)`` returns
 a start state and ``step(states, actions, rng)`` makes one transition per
 row, from (n, d) states and (n, m) actions to ``(next_states, rewards,
-terminals)`` of shapes (n, d), (n,) and (n,).  ``step`` also takes one
-(d,) state and its (m,) action, and then returns ``(next_state, reward,
-terminal)`` as an array, a float and a bool.
+terminals)`` of shapes (n, d), (n,) and (n,).  The bandit's ``step`` also
+takes one (d,) state and its (m,) action, and then returns ``(next_state,
+reward, terminal)`` as an array, a float and a bool.
 Episode horizons are enforced by the caller (see ``EnvSpec.horizon``).
 """
 
@@ -105,13 +105,10 @@ class PointMass:
     def reset(self, rng=None):
         return np.zeros(2)
 
-    def step(self, state, action, rng=None):
-        states = np.asarray(state, dtype=float)
-        one = states.ndim == 1
-        if one:
-            states, action = states[None], np.reshape(action, (1, -1))
+    def step(self, states, actions, rng=None):
+        states = np.asarray(states, dtype=float)
         n = len(states)
-        u = _check_action(self.spec, action, n)[:, 0]
+        u = _check_action(self.spec, actions, n)[:, 0]
         bound = self.STATE_BOUND
         next_states = np.empty((n, 2))
         pos, vel = next_states[:, 0], next_states[:, 1]
@@ -124,8 +121,6 @@ class PointMass:
         goal = self.goal
         rewards = np.array([-(p - goal) ** 2 - 0.01 * (a * a)
                             for p, a in zip(pos.tolist(), u.tolist())])
-        if one:
-            return next_states[0], float(rewards[0]), False
         return next_states, rewards, np.zeros(n, dtype=bool)
 
 

@@ -19,31 +19,49 @@ BN_EPS = 1e-5
 BN_MOMENTUM = 0.9
 
 
-def _act(name, x, out=None):
-    if name == "tanh":
-        return np.tanh(x, out=out)
-    if name == "leaky_relu":
-        # max(x, slope * x) is x for x > 0 and slope * x otherwise, the
-        # same bits as np.where(x > 0, x, slope * x) at a lower cost
-        y = np.multiply(LEAKY_SLOPE, x, out=out)
-        return np.maximum(x, y, out=y)
-    if name == "linear":
-        return x
-    raise ValueError(f"unknown activation {name!r}")
+def _leaky_relu(x, out=None):
+    # max(x, slope * x) is x for x > 0 and slope * x otherwise, the same
+    # bits as np.where(x > 0, x, slope * x) at a lower cost
+    y = np.multiply(LEAKY_SLOPE, x, out=out)
+    return np.maximum(x, y, out=y)
+
+
+# activation(x, out=None), by name
+ACTIVATIONS = {"tanh": np.tanh, "leaky_relu": _leaky_relu,
+               "linear": lambda x, out=None: x}
+
+
+def _column_sum(a, out=None):
+    """``a.sum(axis=0)`` of an (n, w) array, bit for bit.
+
+    On a C-ordered array of width w >= 2, ``sum(axis=0)`` adds the rows
+    one after another, and so does ``einsum("ij->j")``, at about half the
+    cost.  For w = 1 the reduction runs down one contiguous column, where
+    numpy sums pairwise and einsum does not: that case, and any array
+    that is not C-ordered, keeps ``np.add.reduce``, the reduction behind
+    ``sum``."""
+    if a.shape[1] == 1 or not a.flags.c_contiguous:
+        return np.add.reduce(a, axis=0, out=out)
+    return np.einsum("ij->j", a, out=out)
 
 
 class MlpNet:
     """Fully connected network with an optional batch-norm on the first
     hidden layer.
 
-    Weight layout per layer: W of shape (n_in, n_out) and bias b of shape
-    (n_out,).  The flat parameter vector concatenates (W, b) per layer in
-    order, followed by (gamma, beta) when batch norm is enabled.
+    All parameters live in one flat vector: (W, b) per layer in order,
+    W of shape (n_in, n_out) row-major and b of shape (n_out,), followed
+    by (gamma, beta) when batch norm is enabled.  ``weights[k]``,
+    ``biases[k]``, ``bn_gamma`` and ``bn_beta`` are views into that
+    vector, so ``get_params`` and ``set_params`` are one copy each, and
+    ``backward`` writes every layer's gradient into the same layout of a
+    second flat vector.
 
     ``forward`` and ``backward`` write every per-row array into work
     arrays that only grow, to the largest batch seen, and are reused by
     later passes; ``forward`` hands out a fresh copy of its output, and
-    ``backward`` reads the arrays of the latest ``forward``.
+    ``backward`` reads the arrays of the latest ``forward`` and hands out
+    a fresh copy of its gradient.
     """
 
     def __init__(self, layer_sizes, hidden="tanh", output="linear",
@@ -60,23 +78,50 @@ class MlpNet:
         self.batch_norm = bool(batch_norm) and len(layer_sizes) > 2
         rng = rng if rng is not None else np.random.default_rng(0)
 
-        self.weights = []
-        self.biases = []
-        for n_in, n_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
-            bound = 1.0 / np.sqrt(n_in)
-            self.weights.append(rng.uniform(-bound, bound, size=(n_in, n_out)))
-            self.biases.append(np.zeros(n_out))
+        sizes = self.layer_sizes
+        n_params = sum((n_in + 1) * n_out
+                       for n_in, n_out in zip(sizes[:-1], sizes[1:]))
+        if self.batch_norm:
+            n_params += 2 * sizes[1]
+        self._flat = np.zeros(n_params)
+        self._bind()
+        for w in self.weights:
+            bound = 1.0 / np.sqrt(w.shape[0])
+            w[...] = rng.uniform(-bound, bound, size=w.shape)
 
         if self.batch_norm:
-            n1 = self.layer_sizes[1]
-            self.bn_gamma = np.ones(n1)
-            self.bn_beta = np.zeros(n1)
+            n1 = sizes[1]
+            self.bn_gamma[...] = 1.0
             self.bn_running_mean = np.zeros(n1)
             self.bn_running_var = np.ones(n1)
 
         self._cache = None
         self._arrays = None
         self._views = None
+
+    def _layout(self, flat):
+        """Views of a flat vector in the parameter layout: the per-layer
+        W and b lists, then gamma and beta (None without batch norm)."""
+        weights, biases, i = [], [], 0
+        for n_in, n_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
+            weights.append(flat[i:i + n_in * n_out].reshape(n_in, n_out))
+            i += n_in * n_out
+            biases.append(flat[i:i + n_out])
+            i += n_out
+        gamma = beta = None
+        if self.batch_norm:
+            n1 = self.layer_sizes[1]
+            gamma, beta = flat[i:i + n1], flat[i + n1:i + 2 * n1]
+        return weights, biases, gamma, beta
+
+    def _bind(self):
+        """Point the parameter views into ``_flat``, and the gradient views
+        into a fresh flat gradient vector."""
+        (self.weights, self.biases, self.bn_gamma,
+         self.bn_beta) = self._layout(self._flat)
+        self._grad = np.empty_like(self._flat)
+        (self._grad_w, self._grad_b, self._grad_gamma,
+         self._grad_beta) = self._layout(self._grad)
 
     # -- batch-norm running variance -----------------------------------------
 
@@ -91,15 +136,22 @@ class MlpNet:
         self._bn_running_var = var
         self._bn_inv_std = 1.0 / np.sqrt(var + BN_EPS)
 
+    # the views into the flat vectors, rebuilt by ``_bind``
+    _VIEWS = ("weights", "biases", "bn_gamma", "bn_beta", "_grad", "_grad_w",
+              "_grad_b", "_grad_gamma", "_grad_beta")
+
     def __getstate__(self):
-        # a copy or a pickle carries neither the latest pass nor the work
-        # arrays, and rebuilds the cached inv_std
+        # a copy or a pickle carries the flat parameter vector, but neither
+        # its views, the latest pass nor the work arrays, and rebuilds the
+        # views and the cached inv_std
         state = dict(vars(self), _cache=None, _arrays=None, _views=None)
-        state.pop("_bn_inv_std", None)
+        for key in (*self._VIEWS, "_bn_inv_std"):
+            state.pop(key, None)
         return state
 
     def __setstate__(self, state):
         vars(self).update(state)
+        self._bind()
         if self.batch_norm:
             self.bn_running_var = self._bn_running_var
 
@@ -107,36 +159,16 @@ class MlpNet:
 
     @property
     def num_params(self):
-        n = sum(w.size + b.size for w, b in zip(self.weights, self.biases))
-        if self.batch_norm:
-            n += 2 * self.layer_sizes[1]
-        return n
+        return self._flat.size
 
     def get_params(self):
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel())
-            parts.append(b.ravel())
-        if self.batch_norm:
-            parts.append(self.bn_gamma)
-            parts.append(self.bn_beta)
-        return np.concatenate(parts)
+        return self._flat.copy()
 
     def set_params(self, flat):
         flat = np.asarray(flat, dtype=float)
-        if flat.shape != (self.num_params,):
+        if flat.shape != self._flat.shape:
             raise ValueError(f"expected {self.num_params} parameters, got {flat.shape}")
-        i = 0
-        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            self.weights[k] = flat[i:i + w.size].reshape(w.shape).copy()
-            i += w.size
-            self.biases[k] = flat[i:i + b.size].copy()
-            i += b.size
-        if self.batch_norm:
-            n1 = self.layer_sizes[1]
-            self.bn_gamma = flat[i:i + n1].copy()
-            i += n1
-            self.bn_beta = flat[i:i + n1].copy()
+        np.copyto(self._flat, flat)
         self._cache = None
 
     # -- work arrays ----------------------------------------------------------
@@ -189,32 +221,36 @@ class MlpNet:
 
         work = self._work(len(x))
         cache = {"pre": [], "post": [x]}
+        pre, post = cache["pre"], cache["post"]
+        last = len(self.weights) - 1
+        act = ACTIVATIONS[self.hidden]
         h = x
-        n_layers = len(self.weights)
-        for k in range(n_layers):
-            z = np.matmul(h, self.weights[k], out=work["z"][k])
-            z += self.biases[k]
+        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
+            z = np.matmul(h, w, out=work["z"][k])
+            z += b
             if k == 0 and self.batch_norm:
-                z, cache["bn"] = self._bn_forward(z, training)
-            cache["pre"].append(z)
-            name = self.output if k == n_layers - 1 else self.hidden
-            h = _act(name, z, out=work["h"][k])
-            cache["post"].append(h)
+                z, cache["bn"] = self._bn_forward(z, training, work)
+            pre.append(z)
+            if k == last:
+                act = ACTIVATIONS[self.output]
+            h = act(z, work["h"][k])
+            post.append(h)
         self._cache = cache
         return h[0].copy() if single else h.copy()
 
-    def _bn_forward(self, z, training):
-        """Batch-normalize the rows of ``z`` into the work arrays: the
-        normalized rows and the state ``backward`` needs."""
-        work = self._work(len(z))
+    def _bn_forward(self, z, training, work):
+        """Batch-normalize the rows of ``z`` into the ``work`` arrays of
+        its batch size: the normalized rows and the state ``backward``
+        needs."""
         z_hat, out = work["bn_hat"][0], work["bn_out"][0]
         if training:
             if z.shape[0] < 1:
                 raise ValueError("training-mode batch norm needs batch size >= 1")
             # z.mean(axis=0) and z.var(axis=0), with np.var's steps
-            mean = z.mean(axis=0)
+            n = len(z)
+            mean = _column_sum(z) / n
             np.subtract(z, mean, out=z_hat)
-            var = np.square(z_hat, out=out).sum(axis=0) / len(z)
+            var = _column_sum(np.square(z_hat, out=out)) / n
             self.bn_running_mean = (BN_MOMENTUM * self.bn_running_mean
                                     + (1 - BN_MOMENTUM) * mean)
             self.bn_running_var = (BN_MOMENTUM * self.bn_running_var
@@ -233,7 +269,8 @@ class MlpNet:
         pass.
 
         ``grad_out`` holds d(loss)/d(output) per batch row; the return value
-        is d(loss)/d(params) as one flat vector (summed over the batch).
+        is d(loss)/d(params) as one fresh flat vector (summed over the
+        batch), in the layout of ``get_params``.
         """
         if self._cache is None:
             raise RuntimeError("backward called without a cached forward pass")
@@ -246,10 +283,6 @@ class MlpNet:
 
         work = self._work(len(grad_out))
         n_layers = len(self.weights)
-        grads_w = [None] * n_layers
-        grads_b = [None] * n_layers
-        grad_bn_gamma = grad_bn_beta = None
-
         g = grad_out
         for k in reversed(range(n_layers)):
             name = self.output if k == n_layers - 1 else self.hidden
@@ -273,24 +306,16 @@ class MlpNet:
                 gz = g
             if k == 0 and self.batch_norm:
                 bn = cache["bn"]
-                grad_bn_gamma = np.multiply(
-                    gz, bn["z_hat"], out=work["bn_tmp"][0]).sum(axis=0)
-                grad_bn_beta = gz.sum(axis=0)
+                _column_sum(np.multiply(gz, bn["z_hat"], out=work["bn_tmp"][0]),
+                            out=self._grad_gamma)
+                _column_sum(gz, out=self._grad_beta)
                 gz = self._bn_backward(gz, bn)
-            grads_w[k] = cache["post"][k].T @ gz
-            grads_b[k] = gz.sum(axis=0)
+            np.matmul(cache["post"][k].T, gz, out=self._grad_w[k])
+            _column_sum(gz, out=self._grad_b[k])
             if k > 0:
                 # the input gradient of the first layer is never used
                 g = np.matmul(gz, self.weights[k].T, out=work["g"][k - 1])
-
-        parts = []
-        for gw, gb in zip(grads_w, grads_b):
-            parts.append(gw.ravel())
-            parts.append(gb)
-        if self.batch_norm:
-            parts.append(grad_bn_gamma)
-            parts.append(grad_bn_beta)
-        return np.concatenate(parts)
+        return self._grad.copy()
 
     def _bn_backward(self, g_out, bn):
         work = self._work(len(g_out))
@@ -304,8 +329,8 @@ class MlpNet:
         # (inv_std / n) (n g_hat - sum g_hat - z_hat sum(g_hat z_hat)),
         # in place in g_hat
         tmp = work["bn_tmp"][0]
-        sum_g = g_hat.sum(axis=0)
-        sum_gz = np.multiply(g_hat, z_hat, out=tmp).sum(axis=0)
+        sum_g = _column_sum(g_hat)
+        sum_gz = _column_sum(np.multiply(g_hat, z_hat, out=tmp))
         np.multiply(n, g_hat, out=g_hat)
         g_hat -= sum_g
         g_hat -= np.multiply(z_hat, sum_gz, out=tmp)
@@ -318,16 +343,21 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.0, 0.999, 1e-8
 
 
 class Adam:
-    """Adam state for one flat parameter vector."""
+    """Adam state for one flat parameter vector.
+
+    ``m`` and ``v`` are updated in place, and ``step`` computes in two
+    work vectors of the same size."""
 
     def __init__(self, size, alpha=1e-3):
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self.t = 0
         self.alpha = alpha
+        self._buffers = (np.empty(size), np.empty(size))
 
     def step(self, params, grad, ascent=False):
-        """One Adam update; returns the new parameter vector.
+        """One Adam update; returns the new parameter vector and leaves
+        ``params`` as it is.
 
         ``grad`` is interpreted as a descent gradient unless ``ascent`` is
         set, in which case the update moves along +grad.
@@ -335,14 +365,28 @@ class Adam:
         grad = np.asarray(grad, dtype=float)
         if grad.shape != self.m.shape:
             raise ValueError("gradient shape does not match optimizer state")
+        a, tmp = self._buffers
         if ascent:
-            grad = -grad
+            grad = np.negative(grad, out=a)
         self.t += 1
-        self.m = ADAM_BETA1 * self.m + (1 - ADAM_BETA1) * grad
-        self.v = ADAM_BETA2 * self.v + (1 - ADAM_BETA2) * grad * grad
-        m_hat = self.m / (1 - ADAM_BETA1 ** self.t)
-        v_hat = self.v / (1 - ADAM_BETA2 ** self.t)
-        return params - self.alpha * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        m, v = self.m, self.v
+        # m = beta1 m + (1 - beta1) grad and v = beta2 v + (1 - beta2)
+        # grad grad, with the operations of those expressions in their order
+        np.multiply(ADAM_BETA1, m, out=m)
+        m += np.multiply(1 - ADAM_BETA1, grad, out=tmp)
+        np.multiply(ADAM_BETA2, v, out=v)
+        np.multiply(1 - ADAM_BETA2, grad, out=tmp)
+        tmp *= grad
+        v += tmp
+        # alpha m_hat / (sqrt(v_hat) + eps), with m_hat = m / (1 - beta1^t)
+        # and v_hat = v / (1 - beta2^t)
+        np.divide(v, 1 - ADAM_BETA2 ** self.t, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += ADAM_EPS
+        step = np.divide(m, 1 - ADAM_BETA1 ** self.t, out=a)
+        step *= self.alpha
+        step /= tmp
+        return params - step
 
 
 def _leaky_pattern(net):
@@ -369,9 +413,10 @@ def gradient_check(net, x, upstream=None, h=1e-5, training=False):
         upstream = np.random.default_rng(0).standard_normal(
             (x.shape[0], net.layer_sizes[-1]))
 
-    # freeze running stats so each finite-difference probe sees the same net
+    # freeze running stats so each finite-difference probe sees the same
+    # net; an evaluation-mode forward reads them and never writes them
     saved = None
-    if net.batch_norm:
+    if net.batch_norm and training:
         saved = (net.bn_running_mean.copy(), net.bn_running_var.copy())
 
     def restore():
@@ -385,22 +430,24 @@ def gradient_check(net, x, upstream=None, h=1e-5, training=False):
     restore()
 
     theta = net.get_params()
+    flat = net._flat
 
     def central(i, step, check=False):
         """Central difference along coordinate i and, when ``check`` is
-        set, whether either probe switched a leaky_relu unit."""
+        set, whether either probe switched a leaky_relu unit.  Each probe
+        moves coordinate i of the net's own parameter vector, and the
+        coordinate is put back afterwards."""
         loss = []
         switched = False
         for sign in (1.0, -1.0):
-            probe = theta.copy()
-            probe[i] += sign * step
-            net.set_params(probe)
+            flat[i] = theta[i] + sign * step
             out = net.forward(x, training=training)
             restore()
             loss.append(float(np.sum(upstream * out)))
             if check and not switched:
                 switched = any(not np.array_equal(a, b)
                                for a, b in zip(_leaky_pattern(net), pattern))
+        flat[i] = theta[i]
         return (loss[0] - loss[1]) / (2 * step), switched
 
     numeric = np.array([central(i, h)[0] for i in range(theta.size)])

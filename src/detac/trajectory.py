@@ -25,12 +25,11 @@ class Trajectory:
         self.lengths = np.zeros(n, dtype=int)
         self.terminal = np.zeros(n, dtype=bool)
 
-    def append(self, rows, actions, rewards, next_states, terminals):
-        """Record one time step of the episodes ``rows`` (distinct
-        indices), which must all be at the same step, as in a lockstep
-        rollout: the step is read once, from the first row.  The other
-        arguments are arrays with one entry per row."""
-        t = int(self.lengths[rows[0]])
+    def append(self, rows, t, actions, rewards, next_states, terminals):
+        """Record time step ``t`` of the episodes ``rows`` (distinct
+        indices, or a slice), which must all have ``t`` steps so far, as
+        in a lockstep rollout.  The other arguments are arrays with one
+        entry per row."""
         self.actions[rows, t] = actions
         self.rewards[rows, t] = rewards
         self.states[rows, t + 1] = next_states

@@ -148,7 +148,7 @@ def test_acceptance_5_lambda_return_endpoints(report):
         terminal_end = bool(rng.integers(0, 2))
         traj = Trajectory(rng.standard_normal((1, 2)), length, 1)
         for t in range(length):
-            traj.append([0], rng.standard_normal((1, 1)),
+            traj.append([0], t, rng.standard_normal((1, 1)),
                         [float(rng.standard_normal())],
                         rng.standard_normal((1, 2)),
                         [terminal_end and t == length - 1])

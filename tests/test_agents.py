@@ -39,14 +39,18 @@ def test_agent_config_validation():
 
 
 def _sequential_episode(act, env, rng):
-    """One episode, one ``act(state)`` per step, kept in per-step lists:
-    the reference for the lockstep ``run_episodes``."""
+    """One episode, one ``act(state)`` and one one-row ``env.step`` per
+    step, kept in per-step lists: the reference for the lockstep
+    ``run_episodes``."""
     ep = SimpleNamespace(states=[], actions=[], rewards=[], next_states=[],
                          terminals=[])
     state = env.reset(rng)
     for _ in range(env.spec.horizon):
         action = act(state)
-        next_state, reward, terminal = env.step(state, action, rng)
+        next_states, rewards, terminals = env.step(
+            state[None], np.reshape(action, (1, -1)), rng)
+        next_state, reward, terminal = (next_states[0], float(rewards[0]),
+                                        bool(terminals[0]))
         for field, value in zip(("states", "actions", "rewards",
                                  "next_states", "terminals"),
                                 (state, action, reward, next_state, terminal)):
@@ -235,6 +239,44 @@ def test_run_episodes_equals_sequential_loop():
         assert np.array_equal(next_state, want[i].next_states[t])
         assert reward == want[i].rewards[t]
         assert terminal == want[i].terminals[t]
+
+
+class _CountdownEnv(_StaggeredEnv):
+    """``_StaggeredEnv`` with the given start countdowns, one per reset, in
+    order: episode i ends after ``starts[i]`` steps."""
+
+    def __init__(self, starts, horizon):
+        super().__init__(horizon)
+        self.starts = list(starts)
+
+    def reset(self, rng):
+        return np.array([float(self.starts.pop(0))])
+
+
+def test_run_episodes_hands_act_the_running_rows_in_order():
+    # no episode ends at step 0, so steps 0 and 1 run every row; the first
+    # ends at step 1, and from step 2 on the running rows are a subset
+    starts = [3, 2, 5, 4, 2, 6]
+    seen = []
+
+    def act(states):
+        seen.append(states.copy())
+        return 0.1 * states
+
+    batch = run_episodes(act, _CountdownEnv(starts, horizon=5), len(starts),
+                         np.random.default_rng(0))
+    running = [[i for i, k in enumerate(starts) if t < k] for t in range(5)]
+    assert [len(s) for s in seen] == [len(rows) for rows in running]
+    for t, (states, rows) in enumerate(zip(seen, running)):
+        assert states[:, 0].tolist() == [starts[i] - t for i in rows]
+        assert np.array_equal(batch.actions[rows, t], 0.1 * states)
+    assert batch.lengths.tolist() == [min(k, 5) for k in starts]
+    assert batch.terminal.tolist() == [k <= 5 for k in starts]
+    for i, k in enumerate(starts):
+        length = min(k, 5)
+        assert batch.states[i, :length + 1, 0].tolist() == [
+            k - t for t in range(length + 1)]
+        assert not batch.actions[i, length:].any()
 
 
 def test_lockstep_evaluation_single_episode():

@@ -40,7 +40,7 @@ def _batch(episodes):
     for t in range(horizon):
         rows = [i for i, (_, steps, _) in enumerate(episodes)
                 if t < len(steps)]
-        batch.append(rows, np.zeros((len(rows), 1)),
+        batch.append(rows, t, np.zeros((len(rows), 1)),
                      [episodes[i][1][t][0] for i in rows],
                      [episodes[i][1][t][1] for i in rows],
                      [episodes[i][2] and t == len(episodes[i][1]) - 1

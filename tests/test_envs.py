@@ -43,10 +43,11 @@ def test_pointmass_step_equals_numpy_scalar_reference(caplog):
     actions[:5] = [[0.0], [1.0], [-1.0], [-0.0], [1e-300]]
     with caplog.at_level(logging.ERROR, logger="detac.envs"):
         for state, action in zip(states, actions):
-            s2, r = env.step(state, action)[:2]
+            # one (1, 2) row per call, as the incremental agent steps
+            s2, r, done = env.step(state[None], action[None])
             ref_s2, ref_r = _reference_pointmass_step(env, state, action)
-            assert np.array_equal(_bits(s2), _bits(ref_s2))
-            assert r == ref_r and type(r) is float
+            assert np.array_equal(_bits(s2[0]), _bits(ref_s2))
+            assert _bits(r[0]) == _bits(ref_r) and not done[0]
 
 
 def test_check_action_rejects_wrong_width_and_nonfinite():
@@ -141,26 +142,26 @@ def test_make_quadratic_bandit_deterministic_in_seed():
 
 def test_pointmass_one_step_kinematics():
     env = PointMass(goal=0.5)
-    s2, r, done = env.step(np.zeros(2), np.array([1.0]))
+    s2, r, done = env.step(np.zeros((1, 2)), np.array([[1.0]]))
     # vel = 0.1, pos = 0.01
-    assert np.allclose(s2, [0.01, 0.1], atol=1e-15)
-    assert r == pytest.approx(-(0.01 - 0.5) ** 2 - 0.01, abs=1e-12)
-    assert not done
+    assert np.allclose(s2, [[0.01, 0.1]], atol=1e-15)
+    assert r[0] == pytest.approx(-(0.01 - 0.5) ** 2 - 0.01, abs=1e-12)
+    assert done.tolist() == [False]
 
 
 def test_pointmass_state_clipped():
     env = PointMass()
-    s = np.array([2.0, 2.0])
+    s = np.array([[2.0, 2.0]])
     for _ in range(20):
-        s, _, _ = env.step(s, np.array([1.0]))
-    assert s[0] <= 2.0 and s[1] <= 2.0
+        s, _, _ = env.step(s, np.array([[1.0]]))
+    assert s[0, 0] <= 2.0 and s[0, 1] <= 2.0
 
 
 def test_pointmass_parked_on_goal_reward():
     env = PointMass(goal=0.5)
-    s = np.array([0.5, 0.0])
-    _, r, _ = env.step(s, np.array([0.0]))
-    assert r == 0.0
+    s = np.array([[0.5, 0.0]])
+    _, r, _ = env.step(s, np.array([[0.0]]))
+    assert r.tolist() == [0.0]
 
 
 def test_finite_mdp_rejects_non_stochastic_rows():
@@ -185,7 +186,7 @@ def test_random_finite_mdp_rows_sum_to_one():
 
 
 def test_pointmass_rows_equal_numpy_scalar_reference(caplog):
-    # the 3000 transitions of the one-state reference test, as one call
+    # the 3000 transitions of the one-row reference test, as one call
     env = PointMass(goal=0.37)
     states, actions = _random_transitions(3000, 5)
     states[:5] = [[0.37, 0.0], [2.0, 2.0], [-2.0, -2.0], [-0.0, 0.0], [0.0, -0.0]]

@@ -1,3 +1,4 @@
+import copy
 import pickle
 import tracemalloc
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 
 from detac.critics import MlpVCritic
-from detac.nets import LEAKY_SLOPE, Adam, MlpNet, _act, gradient_check
+from detac.nets import (ACTIVATIONS, LEAKY_SLOPE, Adam, MlpNet, _column_sum,
+                        gradient_check)
 from detac.policies import MlpPolicy
 from detac.updates import batch_gated_direction
 
@@ -44,7 +46,7 @@ def test_leaky_relu_equals_where_form_bitwise():
                   -1e308])
     x = np.concatenate([x, np.random.default_rng(0).standard_normal(1000)])
     where_form = np.where(x > 0, x, LEAKY_SLOPE * x)
-    got = _act("leaky_relu", x)
+    got = ACTIVATIONS["leaky_relu"](x)
     assert np.array_equal(got.view(np.uint64), where_form.view(np.uint64))
 
 
@@ -163,7 +165,7 @@ def test_batchnorm_identical_rows_normalize_to_zero():
     net = MlpNet([2, 3, 1], batch_norm=True, rng=np.random.default_rng(2))
     x = np.tile(np.array([0.4, -0.1]), (5, 1))
     z = x @ net.weights[0] + net.biases[0]
-    normed, _ = net._bn_forward(z, training=True)
+    normed, _ = net._bn_forward(z, True, net._work(len(z)))
     # gamma=1, beta=0 initially: zero variance rows map to zero
     assert np.allclose(normed, 0.0, atol=1e-12)
 
@@ -171,7 +173,7 @@ def test_batchnorm_identical_rows_normalize_to_zero():
 def test_batchnorm_symmetric_pair():
     net = MlpNet([1, 1, 1], batch_norm=True)
     z = np.array([[-1.0], [1.0]])
-    normed, _ = net._bn_forward(z, training=True)
+    normed, _ = net._bn_forward(z, True, net._work(len(z)))
     floor = np.sqrt(1.0 / (1.0 + 1e-5))
     assert np.allclose(normed, z * floor, atol=1e-9)
 
@@ -296,12 +298,13 @@ def test_backward_rejects_a_gradient_of_another_batch_size():
 def _eval_reference(net, x):
     """An evaluation-mode pass with 1 / sqrt(running_var + eps) computed
     afresh."""
+    hidden, output = ACTIVATIONS[net.hidden], ACTIVATIONS[net.output]
     z = x @ net.weights[0] + net.biases[0]
     inv_std = 1.0 / np.sqrt(net.bn_running_var + 1e-5)
-    h = _act(net.hidden, net.bn_gamma * ((z - net.bn_running_mean) * inv_std)
-             + net.bn_beta)
-    h = _act(net.hidden, h @ net.weights[1] + net.biases[1])
-    return _act(net.output, h @ net.weights[2] + net.biases[2])
+    h = hidden(net.bn_gamma * ((z - net.bn_running_mean) * inv_std)
+               + net.bn_beta)
+    h = hidden(h @ net.weights[1] + net.biases[1])
+    return output(h @ net.weights[2] + net.biases[2])
 
 
 def test_eval_batch_norm_reads_the_running_var_of_each_assignment():
@@ -348,11 +351,12 @@ def _peak_bytes(fn):
         tracemalloc.stop()
 
 
-# A steady-state pass at L = 500 rows reuses the net's work arrays, so
-# what it allocates is the callers' (500, 1) outputs and gradients and the
-# per-layer parameter gradients: a peak of 99 KB for the actor step and 93
-# KB for the critic regression (Python 3.11, numpy 2.4).  Allocating every
-# per-row array afresh peaked at 1221 KB and 1018 KB.  One (500, 32) float
+# A steady-state pass at L = 500 rows reuses the net's work arrays and its
+# flat gradient vector, so what it allocates is the callers' (500, 1)
+# outputs and gradients and the flat parameter vectors handed out: a peak
+# of 82 KB for the actor step and 74 KB for the critic regression (Python
+# 3.11, numpy 2.4; 99 KB and 93 KB with per-layer parameter arrays).
+# Allocating every per-row array afresh peaked at 1221 KB and 1018 KB.  One (500, 32) float
 # array is 125 KiB, so the bound fails if even one of them is allocated
 # again per pass.
 ALLOC_BOUND = 200 * 1024
@@ -386,3 +390,152 @@ def test_steady_state_critic_regression_allocates_few_per_row_arrays():
     targets = rng.standard_normal(500)
     critic.regress(states, targets)
     assert _peak_bytes(lambda: critic.regress(states, targets)) < ALLOC_BOUND
+
+
+def _layer_arrays(net):
+    arrays = [*net.weights, *net.biases]
+    if net.batch_norm:
+        arrays += [net.bn_gamma, net.bn_beta]
+    return arrays
+
+
+def _layout_reference(net):
+    """The flat parameter vector built from the layer arrays, in the
+    documented order."""
+    parts = [p for w, b in zip(net.weights, net.biases)
+             for p in (w.ravel(), b)]
+    if net.batch_norm:
+        parts += [net.bn_gamma, net.bn_beta]
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("batch_norm", [False, True])
+def test_layer_arrays_are_views_of_the_flat_vector(batch_norm):
+    rng = np.random.default_rng(30)
+    net = MlpNet([2, 8, 4, 1], hidden="leaky_relu", output="tanh",
+                 batch_norm=batch_norm, rng=rng)
+    assert all(np.shares_memory(a, net._flat) for a in _layer_arrays(net))
+    assert sum(a.size for a in _layer_arrays(net)) == net.num_params
+    assert np.array_equal(net.get_params(), _layout_reference(net))
+    theta = rng.standard_normal(net.num_params)
+    net.set_params(theta)
+    assert all(np.shares_memory(a, net._flat) for a in _layer_arrays(net))
+    assert np.array_equal(_layout_reference(net), theta)
+    # what get_params hands out is a copy: changing it leaves the net alone
+    x = rng.standard_normal((3, 2))
+    out = net.forward(x)
+    held = net.get_params()
+    held += 1.0
+    assert np.array_equal(net.get_params(), theta)
+    assert np.array_equal(net.forward(x), out)
+    # and so is what set_params takes
+    theta += 1.0
+    assert np.array_equal(net.forward(x), out)
+    for shape in ((net.num_params + 1,), (net.num_params - 1,),
+                  (1, net.num_params)):
+        with pytest.raises(ValueError):
+            net.set_params(np.zeros(shape))
+    assert np.array_equal(net.forward(x), out)
+
+
+@pytest.mark.parametrize("duplicate", [
+    lambda net: pickle.loads(pickle.dumps(net)), copy.deepcopy],
+    ids=["pickle", "deepcopy"])
+def test_copies_bind_their_views_to_their_own_vector(duplicate):
+    rng = np.random.default_rng(31)
+    net = _default_policy_net(4)
+    net.forward(rng.standard_normal((20, 2)), training=True)
+    x = rng.standard_normal((6, 2))
+    out = net.forward(x)
+    dup = duplicate(net)
+    assert all(np.shares_memory(a, dup._flat) for a in _layer_arrays(dup))
+    assert not any(np.shares_memory(a, net._flat)
+                   for a in _layer_arrays(dup))
+    assert np.array_equal(dup.forward(x), out)
+    dup.set_params(dup.get_params() + 0.1)
+    assert not np.array_equal(dup.forward(x), out)
+    assert np.array_equal(net.forward(x), out)
+    # the copy's gradient has its own flat vector too
+    up = rng.standard_normal((6, 1))
+    want = net.backward(up)
+    dup.backward(up)
+    assert np.array_equal(net.backward(up), want)
+
+
+def test_successive_backward_results_do_not_alias():
+    # update_phase keeps the latest direction across actor iterations
+    rng = np.random.default_rng(32)
+    net = _default_policy_net(5)
+    x = rng.standard_normal((9, 2))
+    net.forward(x)
+    first = net.backward(rng.standard_normal((9, 1)))
+    kept = first.copy()
+    second = net.backward(rng.standard_normal((9, 1)))
+    assert not np.shares_memory(first, second)
+    assert not np.array_equal(first, second)
+    net.forward(rng.standard_normal((40, 2)), training=True)
+    net.backward(rng.standard_normal((40, 1)))
+    assert np.array_equal(first, kept)
+
+
+def _adam_reference(state, params, grad, ascent):
+    """Adam.step as first written, on a dict of m, v and t, with fresh
+    arrays at every operation."""
+    beta1, beta2, eps = 0.0, 0.999, 1e-8
+    grad = np.asarray(grad, dtype=float)
+    if ascent:
+        grad = -grad
+    state["t"] += 1
+    state["m"] = beta1 * state["m"] + (1 - beta1) * grad
+    state["v"] = beta2 * state["v"] + (1 - beta2) * grad * grad
+    m_hat = state["m"] / (1 - beta1 ** state["t"])
+    v_hat = state["v"] / (1 - beta2 ** state["t"])
+    return params - state["alpha"] * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def test_adam_step_equals_the_reference_formula_bitwise():
+    rng = np.random.default_rng(33)
+    n = 40
+    adam = Adam(n, alpha=3e-3)
+    ref = {"m": np.zeros(n), "v": np.zeros(n), "t": 0, "alpha": 3e-3}
+    params = rng.standard_normal(n)
+    want = params.copy()
+    for i, ascent in enumerate([False, True, True, False, True, False,
+                                True]):
+        grad = rng.standard_normal(n) * np.exp(rng.uniform(-20, 5, n))
+        if i == 3:
+            grad[:] = 0.0
+        grad[::7] = 0.0
+        grad_bytes = grad.tobytes()
+        arg, before = params, params.tobytes()
+        params = adam.step(arg, grad, ascent=ascent)
+        want = _adam_reference(ref, want, grad, ascent)
+        # the argument is left as it was, and the result is a new array
+        assert arg.tobytes() == before
+        assert not np.shares_memory(params, arg)
+        assert params.tobytes() == want.tobytes()
+        assert adam.m.tobytes() == ref["m"].tobytes()
+        assert adam.v.tobytes() == ref["v"].tobytes()
+        assert adam.t == ref["t"]
+        assert grad.tobytes() == grad_bytes
+
+
+def test_column_sum_equals_sum_over_rows_bitwise():
+    rng = np.random.default_rng(35)
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0]
+    for trial in range(300):
+        n = int(rng.integers(1, 1100))
+        w = 1 if trial % 4 == 0 else int(rng.integers(2, 70))
+        a = rng.standard_normal((n, w)) * np.exp(rng.uniform(-30, 30, (n, 1)))
+        if trial % 3 == 0:
+            idx = rng.integers(0, a.size, 4)
+            a.flat[idx] = rng.choice(special, 4)
+        if trial % 5 == 0:
+            a[:] = -0.0
+        for arr in (a, np.asfortranarray(a), a[::2]):
+            with np.errstate(invalid="ignore"):
+                want = arr.sum(axis=0)
+                out = np.empty(w)
+                assert _column_sum(arr, out=out) is out
+                assert out.tobytes() == want.tobytes()
+                assert _column_sum(arr).tobytes() == want.tobytes()

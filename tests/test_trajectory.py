@@ -38,9 +38,9 @@ class _ZeroPolicy:
 def test_append_and_len():
     batch = Trajectory([[0.0], [1.0]], 3, 1)
     assert batch.lengths.tolist() == [0, 0]
-    batch.append([0, 1], [[0.1], [0.2]], [1.0, -2.0], [[0.5], [1.5]],
+    batch.append([0, 1], 0, [[0.1], [0.2]], [1.0, -2.0], [[0.5], [1.5]],
                  [False, True])
-    batch.append([0], [[0.3]], [0.5], [[0.7]], [False])
+    batch.append([0], 1, [[0.3]], [0.5], [[0.7]], [False])
     assert batch.lengths.tolist() == [2, 1]
     assert batch.terminal.tolist() == [False, True]
     assert batch.states[:, :3, 0].tolist() == [[0.0, 0.5, 0.7],
@@ -60,9 +60,9 @@ def test_episode_return_is_undiscounted_sum():
 
 def test_arrays_preserve_order_and_shape():
     batch = Trajectory([[0.0, 1.0], [5.0, 6.0]], 2, 1)
-    batch.append([0, 1], [[0.3], [0.4]], [0.0, 1.0],
+    batch.append([0, 1], 0, [[0.3], [0.4]], [0.0, 1.0],
                  [[0.1, 0.9], [5.1, 5.9]], [False, True])
-    batch.append([0], [[-0.3]], [2.0], [[0.2, 0.8]], [False])
+    batch.append([0], 1, [[-0.3]], [2.0], [[0.2, 0.8]], [False])
     states = batch.per_step(batch.states)
     assert states.shape == (3, 2)
     # episode 0's two steps, then episode 1's one step
@@ -95,7 +95,7 @@ def test_horizon_cut_leaves_terminal_false():
 
 def test_zero_length_episode_raises():
     batch = Trajectory([[0.0], [0.0]], 2, 1)
-    batch.append([0], [[0.1]], [1.0], [[1.0]], [False])
+    batch.append([0], 0, [[0.1]], [1.0], [[1.0]], [False])
     with pytest.raises(ValueError):
         lambda_returns(batch, ConstantVCritic(0.0), 0.9, 0.5)
     agent = make_agent(AgentConfig(rule="nfac", hidden=(4,)), PointMass(),
