@@ -176,10 +176,12 @@ class BatchActorCritic:
             # refresh the first-layer normalization stats on this phase's
             # states once, before mu_old, so the penalty and d_hat
             # measure pure weight movement under a fixed normalization
-            self.policy.act_batch(states, training=True)
+            self.policy.refresh_batch_norm(states)
         penfac = cfg.rule == "penfac"
         # the penalty and d_hat read the pre-update policy only through
-        # its actions on the gathered states
+        # its actions on the gathered states; fitting the critic leaves the
+        # policy and its latest pass alone, so the first direction reuses
+        # this forward
         mu_old = self.policy.act_batch(states) if penfac else None
 
         fitted_value_iteration(self.critic, batch, cfg.gamma, cfg.lam,
@@ -190,20 +192,27 @@ class BatchActorCritic:
                       - self.critic.values(states))
 
         beta = self.trust.beta if penfac else 0.0
-        g = None
-        for _ in range(cfg.actor_iterations):
-            # an all-zero direction is a fixed point: Adam (beta1 = 0) takes
-            # a zero step, the eval-mode policy keeps mu, so every later
-            # direction is the same zero; its steps still advance t and v
-            if g is None or g.any():
-                g = batch_gated_direction(self.policy, states, actions,
-                                          advantages, scale_by_delta=penfac,
-                                          mu_old=mu_old, beta=beta)
+        mu = mu_old
+        for i in range(cfg.actor_iterations):
+            g = batch_gated_direction(self.policy, states, actions,
+                                      advantages, scale_by_delta=penfac,
+                                      mu_old=mu_old, beta=beta, mu=mu)
             self.policy.set_params(self.actor_adam.step(
                 self.policy.get_params(), g, ascent=True))
+            if not g.any():
+                # an all-zero direction is a fixed point: Adam (beta1 = 0)
+                # took a +-0 step, the eval-mode policy keeps mu, so every
+                # later direction is the same zero, and its steps only
+                # decay v and advance t
+                self.actor_adam.idle(cfg.actor_iterations - 1 - i)
+                break
+            mu = None
 
         if penfac:
-            d_hat = policy_distance_dhat(mu_old, self.policy.act_batch(states))
+            # mu is still mu_old only when the first direction was zero,
+            # so the policy never moved
+            d_hat = policy_distance_dhat(
+                mu_old, self.policy.act_batch(states) if mu is None else mu)
             self.dhat_history.append(d_hat)
             adapt_beta(self.trust, d_hat)
 

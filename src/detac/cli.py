@@ -42,17 +42,26 @@ def _add_bandit(sub):
     p.add_argument("--seed-offset", type=int, default=0, dest="seed_offset")
 
 
-def _check_out_dir(path):
-    """Raise ValueError unless ``path`` is not empty and it, or the nearest
-    of its ancestors that exists, is a writable directory, so that
-    ``os.makedirs(path, exist_ok=True)`` can succeed."""
+def _check_out(path, report=False):
+    """Raise ValueError unless ``path`` is not empty and can be written.
+    An output directory needs itself, or the nearest of its ancestors that
+    exists, to be a writable directory, so that ``os.makedirs(path,
+    exist_ok=True)`` can succeed.  A ``report`` file must not be a
+    directory, and its parent must be a writable directory that exists."""
+    what = "the report to" if report else "into"
     if not path:
-        raise ValueError("cannot write into '': the path is empty")
+        raise ValueError(f"cannot write {what} '': the path is empty")
     probe = os.path.abspath(path)
-    while not os.path.exists(probe):
+    if report:
+        if os.path.isdir(probe):
+            raise ValueError(f"cannot write {what} {path!r}: it is a "
+                             "directory")
         probe = os.path.dirname(probe)
+    else:
+        while not os.path.exists(probe):
+            probe = os.path.dirname(probe)
     if not (os.path.isdir(probe) and os.access(probe, os.W_OK)):
-        raise ValueError(f"cannot write into {path!r}: {probe!r} is not a "
+        raise ValueError(f"cannot write {what} {path!r}: {probe!r} is not a "
                          "writable directory")
 
 
@@ -72,7 +81,7 @@ def cmd_train(args):
         overrides[key.strip()] = val.strip()
     try:
         config = parse_config(args.config, overrides)
-        _check_out_dir(config.out)
+        _check_out(config.out)
         harness.worker_cap()
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -89,11 +98,10 @@ def cmd_train(args):
 
 def cmd_verify(args):
     if args.out is not None:
-        parent = os.path.dirname(os.path.abspath(args.out))
-        if (os.path.isdir(args.out) or not os.path.isdir(parent)
-                or not os.access(parent, os.W_OK) or not args.out):
-            print(f"verify: cannot write the report to {args.out!r}: its "
-                  "directory must exist and be writable", file=sys.stderr)
+        try:
+            _check_out(args.out, report=True)
+        except ValueError as exc:
+            print(f"verify: {exc}", file=sys.stderr)
             return 2
     code, lines = harness.run_verification(args.suite, seed=args.seed,
                                            out=args.out)
@@ -108,7 +116,7 @@ def cmd_bandit_suite(args):
                 or args.episodes < 1 or args.seed_offset < 0):
             raise ValueError("need --dims, --seeds and --episodes >= 1 "
                              "and --seed-offset >= 0")
-        _check_out_dir(args.out)
+        _check_out(args.out)
     except ValueError as exc:
         print(f"bandit-suite: {exc}", file=sys.stderr)
         return 2

@@ -80,30 +80,38 @@ def lambda_returns(batch, critic, gamma, lam):
     G_t = r_t + gamma [(1 - lam) V(s_{t+1}) + lam G_{t+1}], with each
     episode's recursion seeded by V(s_T) so a horizon cut bootstraps and a
     true terminal contributes no tail value.  One critic call covers the
-    next states of the whole batch.
+    next states of the whole batch; the rest of the inputs, the batch's
+    ``reversed_steps``, are built once for every call on it.
     """
     if not len(batch.lengths) or not batch.lengths.all():
         raise ValueError("empty batch or 0-length episode")
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lambda must lie in [0, 1]")
-    values = critic.values(batch.per_step(batch.states[:, 1:])).tolist()
-    # the recursion runs on Python floats, episode by episode: numpy's IEEE
-    # operations, 0.29 ms per 5x100-phase call against 1.20 on (n,) vectors
-    one_minus_lam = 1 - lam
+    next_states, rewards, episodes = batch.reversed_steps()
+    # V(s'), last step first, and (1 - lam) V(s') as one numpy multiply:
+    # the IEEE product of each pair, as on Python floats.  The recursion
+    # runs on Python floats, episode by episode: numpy's IEEE operations,
+    # 0.29 ms per 5x100-phase call against 1.20 on (n,) vectors
+    values = critic.values(next_states)[::-1]
+    tails = ((1 - lam) * values).tolist()
     targets = []
-    end = len(values)
-    for rewards, length, terminal in zip(batch.rewards[::-1],
-                                         batch.lengths[::-1].tolist(),
-                                         batch.terminal[::-1].tolist()):
-        start = end - length
-        g_next = values[end - 1]
-        for t, (r, v) in enumerate(zip(reversed(rewards[:length].tolist()),
-                                       reversed(values[start:end]))):
-            tail = 0.0 if terminal and t == 0 else gamma * (
-                one_minus_lam * v + lam * g_next)
-            g_next = r + tail
-            targets.append(g_next)
-        end = start
+    append = targets.append
+    start = 0
+    for length, terminal in episodes:
+        stop = start + length
+        if terminal:
+            # no tail value: r + 0.0, which turns -0.0 into +0.0
+            g = rewards[start] + 0.0
+            append(g)
+            first = start + 1
+        else:
+            # a horizon cut bootstraps from V(s_T)
+            g = values.item(start)
+            first = start
+        for r, tail in zip(rewards[first:stop], tails[first:stop]):
+            g = r + gamma * (tail + lam * g)
+            append(g)
+        start = stop
     targets.reverse()
     return np.array(targets)
 

@@ -106,22 +106,25 @@ class PointMass:
         return np.zeros(2)
 
     def step(self, states, actions, rng=None):
-        states = np.asarray(states, dtype=float)
         n = len(states)
-        u = _check_action(self.spec, actions, n)[:, 0]
-        bound = self.STATE_BOUND
-        next_states = np.empty((n, 2))
-        pos, vel = next_states[:, 0], next_states[:, 1]
-        np.minimum(np.maximum(states[:, 1] + self.DT * u, -bound), bound,
-                   out=vel)
-        np.minimum(np.maximum(states[:, 0] + self.DT * vel, -bound), bound,
-                   out=pos)
-        # the reward row by row on Python floats: its ** is libm's pow,
-        # whose bits numpy's x * x and np.power do not always match
-        goal = self.goal
-        rewards = np.array([-(p - goal) ** 2 - 0.01 * (a * a)
-                            for p, a in zip(pos.tolist(), u.tolist())])
-        return next_states, rewards, np.zeros(n, dtype=bool)
+        u = _check_action(self.spec, actions, n).ravel().tolist()
+        bound, dt, goal = self.STATE_BOUND, self.DT, self.goal
+        # row by row on Python floats: a lockstep step has a few rows, far
+        # fewer than pay for numpy's per-call cost.  Each + and * is the
+        # IEEE operation numpy makes; the clip's two comparisons keep a NaN
+        # as np.minimum(np.maximum(x, -bound), bound) does; the reward's **
+        # is libm's pow, whose bits numpy's x * x and np.power do not
+        # always match
+        flat, rewards = [], []
+        for (pos, vel), a in zip(np.asarray(states, dtype=float).tolist(), u):
+            vel += dt * a
+            vel = -bound if vel < -bound else bound if vel > bound else vel
+            pos += dt * vel
+            pos = -bound if pos < -bound else bound if pos > bound else pos
+            flat += (pos, vel)
+            rewards.append(-(pos - goal) ** 2 - 0.01 * (a * a))
+        return (np.array(flat).reshape(n, 2), np.array(rewards),
+                np.zeros(n, dtype=bool))
 
 
 class FiniteMdp:

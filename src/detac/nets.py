@@ -244,18 +244,7 @@ class MlpNet:
         needs."""
         z_hat, out = work["bn_hat"][0], work["bn_out"][0]
         if training:
-            if z.shape[0] < 1:
-                raise ValueError("training-mode batch norm needs batch size >= 1")
-            # z.mean(axis=0) and z.var(axis=0), with np.var's steps
-            n = len(z)
-            mean = _column_sum(z) / n
-            np.subtract(z, mean, out=z_hat)
-            var = _column_sum(np.square(z_hat, out=out)) / n
-            self.bn_running_mean = (BN_MOMENTUM * self.bn_running_mean
-                                    + (1 - BN_MOMENTUM) * mean)
-            self.bn_running_var = (BN_MOMENTUM * self.bn_running_var
-                                   + (1 - BN_MOMENTUM) * var)
-            inv_std = 1.0 / np.sqrt(var + BN_EPS)
+            inv_std = 1.0 / np.sqrt(self._bn_update_running(z, work) + BN_EPS)
         else:
             np.subtract(z, self.bn_running_mean, out=z_hat)
             inv_std = self._bn_inv_std
@@ -263,6 +252,41 @@ class MlpNet:
         np.multiply(self.bn_gamma, z_hat, out=out)
         out += self.bn_beta
         return out, {"z_hat": z_hat, "inv_std": inv_std, "training": training}
+
+    def _bn_update_running(self, z, work):
+        """Fold the batch mean and variance of the rows of ``z`` into the
+        running stats and return the variance; leaves z - mean in
+        ``work["bn_hat"][0]``."""
+        if z.shape[0] < 1:
+            raise ValueError("training-mode batch norm needs batch size >= 1")
+        # z.mean(axis=0) and z.var(axis=0), with np.var's steps
+        n = len(z)
+        z_hat = work["bn_hat"][0]
+        mean = _column_sum(z) / n
+        np.subtract(z, mean, out=z_hat)
+        var = _column_sum(np.square(z_hat, out=work["bn_out"][0])) / n
+        self.bn_running_mean = (BN_MOMENTUM * self.bn_running_mean
+                                + (1 - BN_MOMENTUM) * mean)
+        self.bn_running_var = (BN_MOMENTUM * self.bn_running_var
+                               + (1 - BN_MOMENTUM) * var)
+        return var
+
+    def refresh_batch_norm(self, x):
+        """Move the running stats as a training-mode ``forward(x)`` would,
+        bit for bit, from the first layer alone: the stats read only its
+        pre-activations.  Without batch norm nothing changes.  The latest
+        pass is dropped, as its work arrays are overwritten."""
+        if not self.batch_norm:
+            return
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 2 or x.shape[1] != self.layer_sizes[0]:
+            raise ValueError(f"expected (n, {self.layer_sizes[0]}) inputs, "
+                             f"got shape {x.shape}")
+        work = self._work(len(x))
+        z = np.matmul(x, self.weights[0], out=work["z"][0])
+        z += self.biases[0]
+        self._bn_update_running(z, work)
+        self._cache = None
 
     def backward(self, grad_out):
         """Backpropagate an upstream gradient through the latest forward
@@ -387,6 +411,16 @@ class Adam:
         step *= self.alpha
         step /= tmp
         return params - step
+
+    def idle(self, count):
+        """``count`` more steps on an all-zero gradient, right after a
+        ``step`` on one.  With beta1 = 0 that step left m and the
+        parameters at fixed points: its m is +-0, so its parameter step is
+        +-0, and (1 - beta2) g^2 adds +0 to v.  Each further step therefore
+        only decays v and advances t, the same bits as ``step``."""
+        for _ in range(count):
+            self.v *= ADAM_BETA2
+        self.t += count
 
 
 def _leaky_pattern(net):

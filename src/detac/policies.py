@@ -42,8 +42,13 @@ class MlpPolicy:
     def act(self, state):
         return self.net.forward(state, training=False)
 
-    def act_batch(self, states, training=False):
-        return self.net.forward(np.atleast_2d(states), training=training)
+    def act_batch(self, states):
+        return self.net.forward(np.atleast_2d(states))
+
+    def refresh_batch_norm(self, states):
+        """Move the batch-norm running stats as a training-mode pass on
+        ``states`` would."""
+        self.net.refresh_batch_norm(np.atleast_2d(states))
 
     def backward_batch(self, upstream):
         """Parameter gradient of sum_t upstream_t . mu(s_t) for the last
@@ -125,11 +130,12 @@ class GaussianExploration:
             return self._redraw_row(mu, rng)
         mu = self.policy.act_batch(states)
         a = mu + sigma * rng.standard_normal(mu.shape)
+        # the whole block on its largest |a_j|; a NaN is that maximum
+        if np.maximum.reduce(np.abs(a), axis=None) <= ACTION_BOUND:
+            return a
         # per row, whether |a| <= ACTION_BOUND holds everywhere (NaN fails)
         inside = np.logical_and.reduce(np.abs(a) <= ACTION_BOUND,
                                        axis=1).tolist()
-        if all(inside):
-            return a
         if len(a) == 1:
             return self._redraw_row(mu[0], rng)[None]
         rows = [i for i, ok in enumerate(inside) if not ok]

@@ -24,6 +24,7 @@ class Trajectory:
         self.rewards = np.zeros((n, horizon))
         self.lengths = np.zeros(n, dtype=int)
         self.terminal = np.zeros(n, dtype=bool)
+        self._reversed = None
 
     def append(self, rows, t, actions, rewards, next_states, terminals):
         """Record time step ``t`` of the episodes ``rows`` (distinct
@@ -35,9 +36,24 @@ class Trajectory:
         self.states[rows, t + 1] = next_states
         self.terminal[rows] = terminals
         self.lengths[rows] = t + 1
+        self._reversed = None
 
     def per_step(self, array):
         """The ``array[i, t]`` with ``t < lengths[i]`` of an (n, >= H, ...)
         array, such as ``states[:, 1:]``, stacked in episode order."""
         horizon = self.rewards.shape[1]
         return array[:, :horizon][np.arange(horizon) < self.lengths[:, None]]
+
+    def reversed_steps(self):
+        """What a backward recursion over the steps reads: the (L, d) next
+        states in episode order, then, from the last step to the first,
+        the rewards as one list of Python floats and a ``(length,
+        terminal)`` pair per episode.  Built on the first call and kept
+        until the next ``append``."""
+        if self._reversed is None:
+            self._reversed = (
+                self.per_step(self.states[:, 1:]),
+                self.per_step(self.rewards)[::-1].tolist(),
+                list(zip(self.lengths[::-1].tolist(),
+                         self.terminal[::-1].tolist())))
+        return self._reversed

@@ -70,7 +70,7 @@ def adapt_beta(trust, d_hat):
 
 
 def batch_gated_direction(policy, states, actions, advantages,
-                          scale_by_delta, mu_old=None, beta=0.0):
+                          scale_by_delta, mu_old=None, beta=0.0, mu=None):
     """Mean gated direction over a batch, with one forward/backward pass:
 
         g = mean_t [ w_t (a_t - mu(s_t)) - 2 beta (mu(s_t) - mu_old_t) ]^T J_mu(s_t)
@@ -79,13 +79,18 @@ def batch_gated_direction(policy, states, actions, advantages,
     scaling).  ``states`` and ``actions`` are (L, n) and (L, m) arrays;
     ``mu_old`` holds the pre-update policy's actions on ``states`` and is
     a constant (no gradient flows through it).  Ascent convention.
+
+    ``mu``, when given, must be the output of the policy's latest
+    ``act_batch(states)``, with its parameters unchanged since: the
+    forward is then skipped and the backward reads that pass.
     """
     advantages = np.asarray(advantages, dtype=float)
     if not len(states) == len(actions) == len(advantages):
         raise ValueError("states, actions and advantages must have equal length")
     if not len(states):
         raise ValueError("empty batch")
-    mu = policy.act_batch(states)
+    if mu is None:
+        mu = policy.act_batch(states)
     gate = (advantages > 0).astype(float)
     weight = gate * advantages if scale_by_delta else gate
     upstream = weight[:, None] * (actions - mu)

@@ -161,8 +161,8 @@ def test_lockstep_evaluation_pointmass_batch_norm_policy():
     rng = np.random.default_rng(2)
     pol = MlpPolicy(2, 1, hidden_sizes=(32, 32), hidden="leaky_relu",
                     batch_norm=True, rng=rng)
-    # a training-mode refresh moves the running stats off their init
-    pol.act_batch(rng.standard_normal((50, 2)), training=True)
+    # a batch-norm refresh moves the running stats off their init
+    pol.refresh_batch_norm(rng.standard_normal((50, 2)))
     pol.set_params(pol.get_params() + 0.3 * rng.standard_normal(pol.n_params))
     returns = _assert_lockstep_matches_loop(pol, PointMass(goal=0.5), 10)
     assert returns[0] != 0.0
@@ -421,7 +421,7 @@ def test_penfac_dhat_measures_against_pre_phase_policy():
     batch = run_episodes(lambda s: agent.exploration.act(s, rng), env, 2, rng)
     states = batch.per_step(batch.states)
     before = copy.deepcopy(agent.policy)
-    before.act_batch(states, training=True)
+    before.net.forward(states, training=True)
     agent.update_phase(batch)
     after = agent.policy
     assert not np.array_equal(after.get_params(), before.get_params())
@@ -450,7 +450,7 @@ def _update_phase_all_directions(agent, batch):
     cfg = agent.config
     states = batch.per_step(batch.states)
     if cfg.batch_norm:
-        agent.policy.act_batch(states, training=True)
+        agent.policy.net.forward(states, training=True)
     penfac = cfg.rule == "penfac"
     mu_old = agent.policy.act_batch(states) if penfac else None
     fitted_value_iteration(agent.critic, batch, cfg.gamma, cfg.lam,
@@ -471,6 +471,18 @@ def _update_phase_all_directions(agent, batch):
         adapt_beta(agent.trust, d_hat)
 
 
+def _count_calls(obj, method):
+    """Record every call of ``obj.method`` in the returned list."""
+    calls, original = [], getattr(obj, method)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    setattr(obj, method, counted)
+    return calls
+
+
 def _actor_state_bytes(agent):
     adam = agent.actor_adam
     return (agent.policy.get_params().tobytes(), adam.m.tobytes(),
@@ -482,9 +494,9 @@ def _actor_state_bytes(agent):
 @pytest.mark.parametrize("rule", ["penfac", "nfac"])
 def test_update_phase_stops_directions_at_zero_bit_for_bit(rule, monkeypatch):
     # a phase with no positive advantage computes one direction, all zero,
-    # and still takes every Adam step; the closed phase after the open one
-    # starts from a nonzero Adam state, so a zero-direction step that moved
-    # the policy would show there
+    # and takes one Adam step; its other steps only decay v and advance t.
+    # The closed phase after the open one starts from a nonzero Adam state,
+    # so a zero-direction step that moved the policy would show there
     cfg = AgentConfig(rule=rule, update_every=2, hidden=(8,),
                       batch_norm=True, actor_iterations=6,
                       fitted_iterations=2)
@@ -501,6 +513,8 @@ def test_update_phase_stops_directions_at_zero_bit_for_bit(rule, monkeypatch):
         return batch_gated_direction(*args, **kwargs)
 
     monkeypatch.setattr(detac.agents, "batch_gated_direction", counted)
+    steps = _count_calls(agent.actor_adam, "step")
+    forwards = _count_calls(agent.policy.net, "forward")
     rng = np.random.default_rng(4)
     for value, want_calls in ((1e3, 1), (-1e3, cfg.actor_iterations),
                               (1e3, 1)):
@@ -508,9 +522,19 @@ def test_update_phase_stops_directions_at_zero_bit_for_bit(rule, monkeypatch):
                              cfg.update_every, rng)
         agent.critic.c = reference.critic.c = value
         calls.clear()
+        steps.clear()
+        forwards.clear()
         agent.update_phase(batch)
         _update_phase_all_directions(reference, batch)
         assert len(calls) == want_calls
+        assert len(steps) == want_calls
+        # PeNFAC's one mu_old forward serves its first direction, and a
+        # policy that never moved needs no forward for d_hat
+        if rule == "penfac":
+            want_forwards = 1 if want_calls == 1 else want_calls + 1
+        else:
+            want_forwards = want_calls
+        assert len(forwards) == want_forwards
         assert _actor_state_bytes(agent) == _actor_state_bytes(reference)
     assert agent.actor_adam.t == 3 * cfg.actor_iterations
     if rule == "penfac":

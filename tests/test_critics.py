@@ -189,6 +189,37 @@ def test_lambda_returns_equal_numpy_recursion_bitwise():
         assert got.tobytes() == want.tobytes()
 
 
+def test_lambda_returns_inputs_never_go_stale():
+    # the inputs a Trajectory builds for lambda_returns are kept between
+    # calls: two critics on one batch each get their own targets, and a
+    # batch that grows after a call gets targets for its new steps
+    rng = np.random.default_rng(12)
+    episodes = [(rng.standard_normal(2),
+                 [(float(rng.standard_normal() * 5.0), rng.standard_normal(2))
+                  for _ in range(length)], terminal_end)
+                for length, terminal_end in ((6, False), (2, True),
+                                             (9, True), (4, False))]
+    batch = _batch(episodes)
+    critics = [MlpVCritic(2, hidden_sizes=(8,), rng=rng) for _ in range(2)]
+    for lam in (0.0, 0.7, 1.0):
+        for critic in (*critics, *critics):
+            got = lambda_returns(batch, critic, 0.95, lam)
+            want = _numpy_lambda_returns(batch, critic, 0.95, lam)
+            assert got.tobytes() == want.tobytes()
+            singles = np.concatenate(
+                [_numpy_lambda_returns(_batch([ep]), critic, 0.95, lam)
+                 for ep in episodes])
+            assert got.tobytes() == singles.tobytes()
+    grown = Trajectory(np.zeros((2, 2)), 3, 1)
+    for t in range(3):
+        grown.append(slice(None), t, np.zeros((2, 1)), rng.standard_normal(2),
+                     rng.standard_normal((2, 2)), np.array([False, t == 2]))
+        got = lambda_returns(grown, critics[0], 0.95, 0.7)
+        want = _numpy_lambda_returns(grown, critics[0], 0.95, 0.7)
+        assert len(got) == 2 * (t + 1)
+        assert got.tobytes() == want.tobytes()
+
+
 def test_lambda_returns_rejects_bad_inputs():
     critic = ConstantVCritic(0.0)
     traj = _make_traj([1.0])

@@ -527,9 +527,27 @@ def test_cli_verify_report_in_a_missing_directory_exits_2(tmp_path, capsys,
     assert out == ""
     assert err.startswith("verify: cannot write the report to")
     assert not (tmp_path / "no").exists()
-    assert main(["verify", "lemma1", "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("case", ["directory", "missing-parent",
+                                  "parent-is-a-file", "empty"])
+def test_cli_verify_out_that_cannot_be_a_report_exits_2(
+        case, tmp_path, a_file, capsys, monkeypatch):
     # an empty --out used to run the suite and write no report
-    assert main(["verify", "lemma1", "--out", ""]) == 2
+    monkeypatch.setattr(harness, "run_verification",
+                        lambda *a, **k: pytest.fail("verified"))
+    out = {"directory": str(tmp_path),
+           "missing-parent": str(tmp_path / "no" / "r.txt"),
+           "parent-is-a-file": os.path.join(a_file, "r.txt"),
+           "empty": ""}[case]
+    before = sorted(os.listdir(tmp_path))
+    assert main(["verify", "lemma1", "--out", out]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err.startswith("verify: cannot write the report to")
+    assert len(err.splitlines()) == 1
+    assert sorted(os.listdir(tmp_path)) == before
+    assert a_file.read_text() == "keep\n"
 
 
 def test_cli_bandit_suite_out_is_a_file_exits_2(a_file, capsys, monkeypatch):

@@ -539,3 +539,70 @@ def test_column_sum_equals_sum_over_rows_bitwise():
                 assert _column_sum(arr, out=out) is out
                 assert out.tobytes() == want.tobytes()
                 assert _column_sum(arr).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("arch", ["policy", "tanh"])
+def test_refresh_batch_norm_equals_a_training_forward_bitwise(arch):
+    # the first-layer refresh moves the running mean, the running var and
+    # the inv_std that eval-mode passes read exactly as a whole
+    # training-mode forward does, after passes at other batch sizes too
+    rng = np.random.default_rng(36)
+    if arch == "policy":
+        full, first = _default_policy_net(4), _default_policy_net(4)
+    else:
+        full, first = (MlpNet([3, 16, 8, 2], hidden="tanh", batch_norm=True,
+                              rng=np.random.default_rng(4)) for _ in range(2))
+    # nonzero biases, which the stats read too
+    params = full.get_params() + 0.5 * rng.standard_normal(full.num_params)
+    full.set_params(params)
+    first.set_params(params)
+    n_in = full.layer_sizes[0]
+    for rows in (500, 7, 800, 1, 500):
+        x = 3.0 * rng.standard_normal((rows, n_in)) + 1.0
+        full.forward(x, training=True)
+        first.refresh_batch_norm(x)
+        assert first._cache is None
+        for name in ("bn_running_mean", "bn_running_var", "_bn_inv_std"):
+            assert (getattr(first, name).tobytes()
+                    == getattr(full, name).tobytes()), (rows, name)
+        x = rng.standard_normal((rows, n_in))
+        assert (first.forward(x).tobytes() == full.forward(x).tobytes())
+    assert first.get_params().tobytes() == full.get_params().tobytes()
+    with pytest.raises(ValueError):
+        first.refresh_batch_norm(np.ones((4, n_in + 1)))
+
+
+def test_refresh_batch_norm_without_batch_norm_changes_nothing():
+    net = MlpNet([2, 8, 1], rng=np.random.default_rng(5))
+    x = np.random.default_rng(6).standard_normal((9, 2))
+    out = net.forward(x)
+    net.refresh_batch_norm(x)
+    assert net.backward(np.ones((9, 1))).shape == (net.num_params,)
+    assert net.forward(x).tobytes() == out.tobytes()
+
+
+def test_adam_idle_equals_zero_gradient_steps_bitwise():
+    # after one step on an all-zero (+-0) gradient, further zero steps only
+    # decay v and advance t; the state before holds negative m entries and
+    # -0.0 parameters, where a sign of zero could show
+    rng = np.random.default_rng(37)
+    n = 30
+    stepped, idled = Adam(n, alpha=1e-2), Adam(n, alpha=1e-2)
+    params = rng.standard_normal(n)
+    params[::5] = -0.0
+    for _ in range(3):
+        grad = rng.standard_normal(n)
+        params = stepped.step(params, grad, ascent=True)
+        idled.step(params, grad, ascent=True)
+    params[::5] = -0.0
+    zero = np.zeros(n)
+    zero[::2] = -0.0
+    want = stepped.step(params, zero, ascent=True)
+    got = idled.step(params, zero, ascent=True)
+    for _ in range(6):
+        want = stepped.step(want, zero, ascent=True)
+    idled.idle(6)
+    assert got.tobytes() == want.tobytes()
+    for name in ("m", "v"):
+        assert getattr(idled, name).tobytes() == getattr(stepped, name).tobytes()
+    assert idled.t == stepped.t == 10

@@ -234,6 +234,28 @@ def test_one_row_redraws_test_each_coordinate_on_exact_floats(
     assert rng.calls == calls
 
 
+@pytest.mark.parametrize("bad", [0, 1])
+@pytest.mark.parametrize("z", _REJECTED, ids=["nan", "over-largest",
+                                              "over-smallest", "over-middle"])
+def test_batched_exploration_accepts_a_block_only_when_every_row_fits(
+        bad, z):
+    # the first block is accepted on one test of its largest |a_j|; a NaN
+    # or one coordinate just outside, in either row, sends that row alone
+    # to a redraw
+    exploration = GaussianExploration(_MeanIsState(), sigma=0.5)
+    first = [_ON_BOUNDS, _ON_BOUNDS]
+    first[bad] = z
+    rng = _ScriptedNormals([first, [[0.4, -0.5, 0.1]]])
+    got = exploration.act(np.stack([_MU, _MU]), rng)
+    assert rng.calls == 2
+    assert np.array_equal(got[1 - bad], [1.0, -1.0, 1.0])
+    assert np.array_equal(got[bad], [0.7, -0.5, 0.05])
+    rng = _ScriptedNormals([[_ON_BOUNDS, [0.4, -0.5, 0.1]]])
+    got = exploration.act(np.stack([_MU, _MU]), rng)
+    assert rng.calls == 1
+    assert np.array_equal(got, [[1.0, -1.0, 1.0], [0.7, -0.5, 0.05]])
+
+
 def test_gaussian_exploration_anneal():
     expl = GaussianExploration(LinearPolicy(1), sigma=0.4, decay=0.5)
     expl.anneal()

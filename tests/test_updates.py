@@ -127,8 +127,7 @@ def test_gated_directions_match_reference_jacobian_form(name):
     state_dim = 1 if isinstance(pol, LinearPolicy) else pol.net.layer_sizes[0]
     if isinstance(pol, MlpPolicy):
         # batch-norm running stats away from their (0, 1) start
-        pol.act_batch(2.0 * rng.standard_normal((50, state_dim)),
-                      training=True)
+        pol.refresh_batch_norm(2.0 * rng.standard_normal((50, state_dim)))
     for _ in range(200):
         s = rng.standard_normal(state_dim)
         a = rng.uniform(-1, 1, pol.action_dim)
