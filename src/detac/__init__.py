@@ -5,8 +5,8 @@ from .agents import (AgentConfig, BanditConfig, BatchActorCritic,
                      IncrementalActorCritic, evaluate_deterministic,
                      make_agent, run_bandit, run_episodes)
 from .config import ExperimentConfig, parse_config
-from .critics import (CompatibleQCritic, ConstantVCritic, MlpVCritic,
-                      fitted_value_iteration, lambda_returns, td_error)
+from .critics import (CompatibleQCritic, MlpVCritic, fitted_value_iteration,
+                      lambda_returns, td_error)
 from .envs import (EnvSpec, FiniteMdp, PointMass, QuadraticBandit,
                    make_quadratic_bandit, random_finite_mdp)
 from .nets import Adam, MlpNet, gradient_check

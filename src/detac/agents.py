@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .critics import (CompatibleQCritic, ConstantVCritic, MlpVCritic,
-                      fitted_value_iteration, lambda_returns, td_error)
+from .critics import (CompatibleQCritic, MlpVCritic, fitted_value_iteration,
+                      lambda_returns, td_error)
 from .nets import Adam
 from .policies import GaussianExploration, LinearPolicy, MlpPolicy
 from .trajectory import Trajectory
@@ -32,7 +32,6 @@ class AgentConfig:
     actor_iterations: int = 30
     update_every: int = 5
     d_target: float = 0.03
-    batch_norm: bool = True
     hidden: tuple = (32, 32)
     hidden_activation: str = "leaky_relu"
 
@@ -47,7 +46,7 @@ class AgentConfig:
         if not 0 <= self.lam <= 1:
             raise ValueError("lambda must lie in [0, 1]")
         if not (self.sigma > 0 and self.lr_actor >= 0 and self.lr_critic >= 0):
-            raise ValueError("rates must be positive")
+            raise ValueError("need sigma > 0 and learning rates >= 0")
         if self.update_every < 1:
             raise ValueError("update_every must be >= 1")
         if self.fitted_iterations < 1 or self.actor_iterations < 1:
@@ -172,11 +171,6 @@ class BatchActorCritic:
         if not len(batch.lengths):
             raise ValueError("empty batch")
         states = batch.per_step(batch.states)
-        if cfg.batch_norm:
-            # refresh the first-layer normalization stats on this phase's
-            # states once, before mu_old, so the penalty and d_hat
-            # measure pure weight movement under a fixed normalization
-            self.policy.refresh_batch_norm(states)
         penfac = cfg.rule == "penfac"
         # the penalty and d_hat read the pre-update policy only through
         # its actions on the gathered states; fitting the critic leaves the
@@ -201,9 +195,9 @@ class BatchActorCritic:
                 self.policy.get_params(), g, ascent=True))
             if not g.any():
                 # an all-zero direction is a fixed point: Adam (beta1 = 0)
-                # took a +-0 step, the eval-mode policy keeps mu, so every
-                # later direction is the same zero, and its steps only
-                # decay v and advance t
+                # took a +-0 step, and mu depends on the parameters alone,
+                # so mu stays, every later direction is the same zero, and
+                # its steps only decay v and advance t
                 self.actor_adam.idle(cfg.actor_iterations - 1 - i)
                 break
             mu = None
@@ -222,8 +216,7 @@ def make_agent(config, env, rng):
     state_dim = env.spec.state_dim
     action_dim = env.spec.action_dim
     policy = MlpPolicy(state_dim, action_dim, hidden_sizes=config.hidden,
-                       hidden=config.hidden_activation,
-                       batch_norm=config.batch_norm, rng=rng)
+                       hidden=config.hidden_activation, rng=rng)
     critic = MlpVCritic(state_dim, hidden_sizes=config.hidden,
                         hidden=config.hidden_activation, lr=config.lr_critic,
                         rng=rng)
@@ -251,9 +244,9 @@ def run_bandit(rule, env, episodes, config, rng, eval_every=1):
     """One-state quadratic-bandit training loop.
 
     SPG and DPG learn a compatible-feature Q critic; CACLA keeps a single
-    baseline parameter.  Returns the deterministic-policy reward measured
-    every ``eval_every`` episodes (evaluations are analytic and consume no
-    environment samples).
+    baseline value, a float moved toward each reward.  Returns the
+    deterministic-policy reward measured every ``eval_every`` episodes
+    (evaluations are analytic and consume no environment samples).
     """
     if rule not in ("spg", "dpg", "cacla"):
         raise ValueError(f"unsupported bandit rule {rule!r}")
@@ -266,7 +259,7 @@ def run_bandit(rule, env, episodes, config, rng, eval_every=1):
     sigma = config.sigma
 
     q_critic = CompatibleQCritic(policy) if rule in ("spg", "dpg") else None
-    v_critic = ConstantVCritic() if rule == "cacla" else None
+    baseline = 0.0
 
     lr = config.lr_actor
     curve = []
@@ -275,8 +268,8 @@ def run_bandit(rule, env, episodes, config, rng, eval_every=1):
         _, reward, _ = env.step(state, action, rng)
 
         if rule == "cacla":
-            delta = reward - v_critic.v
-            v_critic.v += config.lr_critic * delta
+            delta = reward - baseline
+            baseline += config.lr_critic * delta
             if delta > 0:
                 policy.theta += lr * (action - policy.theta)
         else:

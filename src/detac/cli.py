@@ -97,12 +97,14 @@ def cmd_train(args):
 
 
 def cmd_verify(args):
-    if args.out is not None:
-        try:
+    try:
+        if args.seed < 0:
+            raise ValueError(f"need --seed >= 0, got {args.seed}")
+        if args.out is not None:
             _check_out(args.out, report=True)
-        except ValueError as exc:
-            print(f"verify: {exc}", file=sys.stderr)
-            return 2
+    except ValueError as exc:
+        print(f"verify: {exc}", file=sys.stderr)
+        return 2
     code, lines = harness.run_verification(args.suite, seed=args.seed,
                                            out=args.out)
     print("\n".join(lines))

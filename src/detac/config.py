@@ -18,15 +18,6 @@ from .envs import PointMass, make_quadratic_bandit
 ENVS = {"pointmass": PointMass, "bandit": make_quadratic_bandit}
 
 
-def _parse_bool(text):
-    t = str(text).strip().lower()
-    if t in ("1", "true", "yes", "on"):
-        return True
-    if t in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 def _parse_float(text):
     value = float(text)
     if not np.isfinite(value):
@@ -77,7 +68,7 @@ class ExperimentConfig:
 
 # converter per declared field type (a string under postponed annotations)
 _CONVERTERS = {"str": str, "int": int, "float": _parse_float,
-               "bool": _parse_bool, "tuple": _parse_hidden}
+               "tuple": _parse_hidden}
 
 # the AgentConfig fields whose key is not their name ("lambda" is a keyword)
 _AGENT_RENAMES = {"rule": "agent", "lam": "lambda"}

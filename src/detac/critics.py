@@ -47,25 +47,6 @@ class MlpVCritic:
         self.net.set_params(self.net.get_params() + lr * delta * grad)
 
 
-class ConstantVCritic:
-    """Single-parameter value function: V(s) = v for every state."""
-
-    def __init__(self, v0=0.0):
-        self.v = float(v0)
-
-    def value(self, state):
-        return self.v
-
-    def values(self, states):
-        return np.full(len(states), self.v)
-
-    def regress(self, states, targets):
-        self.v = float(np.mean(targets))
-
-    def td_update(self, state, delta, lr):
-        self.v += lr * delta
-
-
 def td_error(critic, transition, gamma):
     """delta = r + gamma V(s') (1 - terminal) - V(s)."""
     s, _a, r, s2, terminal = transition

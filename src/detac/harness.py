@@ -220,43 +220,29 @@ def suite_theorem1(seed=0, trials=50):
 
 def agent_architectures():
     """Every network shape/activation combination the agents build."""
-    archs = []
-    for hidden_act in ("tanh", "leaky_relu"):
-        for bn in (False, True):
-            archs.append(dict(sizes=[2, 32, 32, 1], hidden=hidden_act,
-                              output="tanh", batch_norm=bn))
-        archs.append(dict(sizes=[2, 32, 32, 1], hidden=hidden_act,
-                          output="linear", batch_norm=False))
-    archs.append(dict(sizes=[1, 16, 2], hidden="tanh", output="tanh",
-                      batch_norm=False))
+    archs = [dict(sizes=[2, 32, 32, 1], hidden=hidden_act, output=output)
+             for hidden_act in ("tanh", "leaky_relu")
+             for output in ("tanh", "linear")]
+    archs.append(dict(sizes=[1, 16, 2], hidden="tanh", output="tanh"))
     return archs
 
 
 def suite_gradcheck(seed=0, n_seeds=20, tol=1e-4):
     """Finite-difference check of every agent architecture on ``n_seeds``
-    seeded nets.  A batch-norm net is checked in training mode, then in
-    eval mode (the mode of the actor iterations, tagged ``mode=eval``)
-    after one training-mode forward on the same inputs has refreshed its
-    running stats, as ``BatchActorCritic.update_phase`` does."""
+    seeded nets."""
     lines = []
     worst = 0.0
     for arch in agent_architectures():
         for s in range(n_seeds):
             rng = np.random.default_rng(seed + s)
             net = MlpNet(arch["sizes"], hidden=arch["hidden"],
-                         output=arch["output"], batch_norm=arch["batch_norm"],
-                         rng=rng)
+                         output=arch["output"], rng=rng)
             x = rng.standard_normal((4, arch["sizes"][0]))
-            checks = [("", gradient_check(net, x, training=arch["batch_norm"]))]
-            if arch["batch_norm"]:
-                net.forward(x, training=True)
-                checks.append((" mode=eval", gradient_check(net, x)))
-            for mode, err in checks:
-                worst = max(worst, err)
-                lines.append(f"arch={arch['sizes']} hidden={arch['hidden']} "
-                             f"output={arch['output']} bn={arch['batch_norm']}"
-                             f"{mode} seed={s} max_rel_err={err:.3e} "
-                             f"pass={err < tol}")
+            err = gradient_check(net, x)
+            worst = max(worst, err)
+            lines.append(f"arch={arch['sizes']} hidden={arch['hidden']} "
+                         f"output={arch['output']} seed={s} "
+                         f"max_rel_err={err:.3e} pass={err < tol}")
     passed = worst < tol
     lines.append(f"max_rel_err={worst:.3e} pass={passed}")
     return passed, lines

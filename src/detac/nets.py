@@ -1,4 +1,4 @@
-"""Dense MLP with manual backpropagation, Adam, and batch normalization.
+"""Dense MLP with manual backpropagation and Adam.
 
 Everything here operates on a single flat parameter vector so that optimizers
 and policy-update rules can treat a network as a point in R^n.  No autodiff
@@ -15,8 +15,6 @@ HIDDEN_ACTIVATIONS = ("tanh", "leaky_relu")
 OUTPUT_ACTIVATIONS = ("linear", "tanh")
 
 LEAKY_SLOPE = 0.01
-BN_EPS = 1e-5
-BN_MOMENTUM = 0.9
 
 
 def _leaky_relu(x, out=None):
@@ -46,14 +44,12 @@ def _column_sum(a, out=None):
 
 
 class MlpNet:
-    """Fully connected network with an optional batch-norm on the first
-    hidden layer.
+    """Fully connected network.
 
     All parameters live in one flat vector: (W, b) per layer in order,
-    W of shape (n_in, n_out) row-major and b of shape (n_out,), followed
-    by (gamma, beta) when batch norm is enabled.  ``weights[k]``,
-    ``biases[k]``, ``bn_gamma`` and ``bn_beta`` are views into that
-    vector, so ``get_params`` and ``set_params`` are one copy each, and
+    W of shape (n_in, n_out) row-major and b of shape (n_out,).
+    ``weights[k]`` and ``biases[k]`` are views into that vector, so
+    ``get_params`` and ``set_params`` are one copy each, and
     ``backward`` writes every layer's gradient into the same layout of a
     second flat vector.
 
@@ -65,7 +61,7 @@ class MlpNet:
     """
 
     def __init__(self, layer_sizes, hidden="tanh", output="linear",
-                 batch_norm=False, rng=None):
+                 rng=None):
         if len(layer_sizes) < 2 or any(int(n) <= 0 for n in layer_sizes):
             raise ValueError("layer_sizes must be >= 2 positive integers")
         if hidden not in HIDDEN_ACTIVATIONS:
@@ -75,85 +71,53 @@ class MlpNet:
         self.layer_sizes = [int(n) for n in layer_sizes]
         self.hidden = hidden
         self.output = output
-        self.batch_norm = bool(batch_norm) and len(layer_sizes) > 2
         rng = rng if rng is not None else np.random.default_rng(0)
 
         sizes = self.layer_sizes
         n_params = sum((n_in + 1) * n_out
                        for n_in, n_out in zip(sizes[:-1], sizes[1:]))
-        if self.batch_norm:
-            n_params += 2 * sizes[1]
         self._flat = np.zeros(n_params)
         self._bind()
         for w in self.weights:
             bound = 1.0 / np.sqrt(w.shape[0])
             w[...] = rng.uniform(-bound, bound, size=w.shape)
-
-        if self.batch_norm:
-            n1 = sizes[1]
-            self.bn_gamma[...] = 1.0
-            self.bn_running_mean = np.zeros(n1)
-            self.bn_running_var = np.ones(n1)
-
         self._cache = None
         self._arrays = None
         self._views = None
 
     def _layout(self, flat):
         """Views of a flat vector in the parameter layout: the per-layer
-        W and b lists, then gamma and beta (None without batch norm)."""
+        W and b lists."""
         weights, biases, i = [], [], 0
         for n_in, n_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
             weights.append(flat[i:i + n_in * n_out].reshape(n_in, n_out))
             i += n_in * n_out
             biases.append(flat[i:i + n_out])
             i += n_out
-        gamma = beta = None
-        if self.batch_norm:
-            n1 = self.layer_sizes[1]
-            gamma, beta = flat[i:i + n1], flat[i + n1:i + 2 * n1]
-        return weights, biases, gamma, beta
+        return weights, biases
 
     def _bind(self):
         """Point the parameter views into ``_flat``, and the gradient views
         into a fresh flat gradient vector."""
-        (self.weights, self.biases, self.bn_gamma,
-         self.bn_beta) = self._layout(self._flat)
+        self.weights, self.biases = self._layout(self._flat)
         self._grad = np.empty_like(self._flat)
-        (self._grad_w, self._grad_b, self._grad_gamma,
-         self._grad_beta) = self._layout(self._grad)
-
-    # -- batch-norm running variance -----------------------------------------
-
-    @property
-    def bn_running_var(self):
-        return self._bn_running_var
-
-    @bn_running_var.setter
-    def bn_running_var(self, var):
-        # evaluation-mode passes read 1 / sqrt(var + eps) until the next
-        # assignment: a training-mode pass, a restore or an unpickling
-        self._bn_running_var = var
-        self._bn_inv_std = 1.0 / np.sqrt(var + BN_EPS)
+        self._grad_w, self._grad_b = self._layout(self._grad)
 
     # the views into the flat vectors, rebuilt by ``_bind``
-    _VIEWS = ("weights", "biases", "bn_gamma", "bn_beta", "_grad", "_grad_w",
-              "_grad_b", "_grad_gamma", "_grad_beta")
+    _VIEWS = ("weights", "biases", "_grad", "_grad_w", "_grad_b")
 
     def __getstate__(self):
         # a copy or a pickle carries the flat parameter vector, but neither
         # its views, the latest pass nor the work arrays, and rebuilds the
-        # views and the cached inv_std
+        # views
         state = dict(vars(self), _cache=None, _arrays=None, _views=None)
-        for key in (*self._VIEWS, "_bn_inv_std"):
-            state.pop(key, None)
+        for key in self._VIEWS:
+            del state[key]
         return state
 
     def __setstate__(self, state):
         vars(self).update(state)
         self._bind()
-        if self.batch_norm:
-            self.bn_running_var = self._bn_running_var
 
     # -- parameter vector ---------------------------------------------------
 
@@ -177,22 +141,18 @@ class MlpNet:
         """The first ``n`` rows of every work array, by name: one array per
         layer for ``z`` (x W + b), ``h`` (activation), ``gz`` (gradient at
         the pre-activation), ``g`` (gradient at the layer's output) and
-        ``mask`` (leaky_relu units on), and the batch-norm arrays
-        ``bn_hat`` (z_hat), ``bn_out``, ``bn_ghat`` and ``bn_tmp``.  The
-        arrays are reallocated only for a batch larger than any before;
-        the views of the latest batch size are kept."""
+        ``mask`` (leaky_relu units on).  The arrays are reallocated only
+        for a batch larger than any before; the views of the latest batch
+        size are kept."""
         if self._views is None or len(self._views["z"][0]) != n:
             if self._arrays is None or len(self._arrays["z"][0]) < n:
                 widths = self.layer_sizes[1:]
-                bn_widths = widths[:1] if self.batch_norm else []
                 self._arrays = {
                     "z": [np.empty((n, w)) for w in widths],
                     "h": [np.empty((n, w)) for w in widths],
                     "gz": [np.empty((n, w)) for w in widths],
                     "g": [np.empty((n, w)) for w in widths],
                     "mask": [np.empty((n, w), dtype=bool) for w in widths],
-                    **{key: [np.empty((n, w)) for w in bn_widths]
-                       for key in ("bn_hat", "bn_out", "bn_ghat", "bn_tmp")},
                 }
             self._views = {key: [a[:n] for a in arrays]
                            for key, arrays in self._arrays.items()}
@@ -205,10 +165,9 @@ class MlpNet:
 
         Keeps the intermediate activations in the work arrays so that
         ``backward`` can be called with an upstream gradient of the same
-        batch shape; the returned output is a fresh array.  In training
-        mode batch statistics are used for normalization and the running
-        stats are updated; in evaluation mode only the running stats are
-        read.
+        batch shape; the returned output is a fresh array.  ``training``
+        is accepted and ignored: no layer acts otherwise in training, and
+        the benchmark's tracer, which wraps ``forward``, passes it on.
         """
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
@@ -228,8 +187,6 @@ class MlpNet:
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
             z = np.matmul(h, w, out=work["z"][k])
             z += b
-            if k == 0 and self.batch_norm:
-                z, cache["bn"] = self._bn_forward(z, training, work)
             pre.append(z)
             if k == last:
                 act = ACTIVATIONS[self.output]
@@ -237,56 +194,6 @@ class MlpNet:
             post.append(h)
         self._cache = cache
         return h[0].copy() if single else h.copy()
-
-    def _bn_forward(self, z, training, work):
-        """Batch-normalize the rows of ``z`` into the ``work`` arrays of
-        its batch size: the normalized rows and the state ``backward``
-        needs."""
-        z_hat, out = work["bn_hat"][0], work["bn_out"][0]
-        if training:
-            inv_std = 1.0 / np.sqrt(self._bn_update_running(z, work) + BN_EPS)
-        else:
-            np.subtract(z, self.bn_running_mean, out=z_hat)
-            inv_std = self._bn_inv_std
-        z_hat *= inv_std
-        np.multiply(self.bn_gamma, z_hat, out=out)
-        out += self.bn_beta
-        return out, {"z_hat": z_hat, "inv_std": inv_std, "training": training}
-
-    def _bn_update_running(self, z, work):
-        """Fold the batch mean and variance of the rows of ``z`` into the
-        running stats and return the variance; leaves z - mean in
-        ``work["bn_hat"][0]``."""
-        if z.shape[0] < 1:
-            raise ValueError("training-mode batch norm needs batch size >= 1")
-        # z.mean(axis=0) and z.var(axis=0), with np.var's steps
-        n = len(z)
-        z_hat = work["bn_hat"][0]
-        mean = _column_sum(z) / n
-        np.subtract(z, mean, out=z_hat)
-        var = _column_sum(np.square(z_hat, out=work["bn_out"][0])) / n
-        self.bn_running_mean = (BN_MOMENTUM * self.bn_running_mean
-                                + (1 - BN_MOMENTUM) * mean)
-        self.bn_running_var = (BN_MOMENTUM * self.bn_running_var
-                               + (1 - BN_MOMENTUM) * var)
-        return var
-
-    def refresh_batch_norm(self, x):
-        """Move the running stats as a training-mode ``forward(x)`` would,
-        bit for bit, from the first layer alone: the stats read only its
-        pre-activations.  Without batch norm nothing changes.  The latest
-        pass is dropped, as its work arrays are overwritten."""
-        if not self.batch_norm:
-            return
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 2 or x.shape[1] != self.layer_sizes[0]:
-            raise ValueError(f"expected (n, {self.layer_sizes[0]}) inputs, "
-                             f"got shape {x.shape}")
-        work = self._work(len(x))
-        z = np.matmul(x, self.weights[0], out=work["z"][0])
-        z += self.biases[0]
-        self._bn_update_running(z, work)
-        self._cache = None
 
     def backward(self, grad_out):
         """Backpropagate an upstream gradient through the latest forward
@@ -328,39 +235,12 @@ class MlpNet:
                 np.multiply(g, gz, out=gz)
             else:
                 gz = g
-            if k == 0 and self.batch_norm:
-                bn = cache["bn"]
-                _column_sum(np.multiply(gz, bn["z_hat"], out=work["bn_tmp"][0]),
-                            out=self._grad_gamma)
-                _column_sum(gz, out=self._grad_beta)
-                gz = self._bn_backward(gz, bn)
             np.matmul(cache["post"][k].T, gz, out=self._grad_w[k])
             _column_sum(gz, out=self._grad_b[k])
             if k > 0:
                 # the input gradient of the first layer is never used
                 g = np.matmul(gz, self.weights[k].T, out=work["g"][k - 1])
         return self._grad.copy()
-
-    def _bn_backward(self, g_out, bn):
-        work = self._work(len(g_out))
-        g_hat = np.multiply(g_out, self.bn_gamma, out=work["bn_ghat"][0])
-        if not bn["training"]:
-            g_hat *= bn["inv_std"]
-            return g_hat
-        n = g_hat.shape[0]
-        z_hat = bn["z_hat"]
-        # standard batch-norm backward through batch mean and variance:
-        # (inv_std / n) (n g_hat - sum g_hat - z_hat sum(g_hat z_hat)),
-        # in place in g_hat
-        tmp = work["bn_tmp"][0]
-        sum_g = _column_sum(g_hat)
-        sum_gz = _column_sum(np.multiply(g_hat, z_hat, out=tmp))
-        np.multiply(n, g_hat, out=g_hat)
-        g_hat -= sum_g
-        g_hat -= np.multiply(z_hat, sum_gz, out=tmp)
-        g_hat *= bn["inv_std"] / n
-        return g_hat
-
 
 # Adam's moment decays and denominator guard; no momentum (beta1 = 0)
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.0, 0.999, 1e-8
@@ -430,7 +310,7 @@ def _leaky_pattern(net):
     return [z > 0 for z in net._cache["pre"][:-1]]
 
 
-def gradient_check(net, x, upstream=None, h=1e-5, training=False):
+def gradient_check(net, x, upstream=None, h=1e-5):
     """Max relative error between analytic and central-difference gradients.
 
     The implied scalar loss is sum(upstream * net(x)); a fixed random
@@ -447,21 +327,9 @@ def gradient_check(net, x, upstream=None, h=1e-5, training=False):
         upstream = np.random.default_rng(0).standard_normal(
             (x.shape[0], net.layer_sizes[-1]))
 
-    # freeze running stats so each finite-difference probe sees the same
-    # net; an evaluation-mode forward reads them and never writes them
-    saved = None
-    if net.batch_norm and training:
-        saved = (net.bn_running_mean.copy(), net.bn_running_var.copy())
-
-    def restore():
-        if saved is not None:
-            net.bn_running_mean = saved[0].copy()
-            net.bn_running_var = saved[1].copy()
-
-    net.forward(x, training=training)
+    net.forward(x)
     pattern = _leaky_pattern(net)
     analytic = net.backward(np.asarray(upstream, dtype=float))
-    restore()
 
     theta = net.get_params()
     flat = net._flat
@@ -475,8 +343,7 @@ def gradient_check(net, x, upstream=None, h=1e-5, training=False):
         switched = False
         for sign in (1.0, -1.0):
             flat[i] = theta[i] + sign * step
-            out = net.forward(x, training=training)
-            restore()
+            out = net.forward(x)
             loss.append(float(np.sum(upstream * out)))
             if check and not switched:
                 switched = any(not np.array_equal(a, b)
@@ -488,9 +355,9 @@ def gradient_check(net, x, upstream=None, h=1e-5, training=False):
 
     def rel_err():
         # floor the denominator at a fraction of the gradient's scale, so
-        # that entries whose true derivative is exactly zero (e.g. first-
-        # layer biases under batch norm) are judged against roundoff, not
-        # against 1e-8
+        # that entries whose true derivative is exactly zero (e.g. the
+        # weights of an input that is zero on every row) are judged
+        # against roundoff, not against 1e-8
         floor = max(1e-8, 1e-4 * float(np.max(np.abs(analytic)
                                                + np.abs(numeric))))
         scale = np.maximum(np.abs(analytic) + np.abs(numeric), floor)
@@ -509,5 +376,4 @@ def gradient_check(net, x, upstream=None, h=1e-5, training=False):
             value, switched = central(i, step, check=True)
         numeric[i] = value
     net.set_params(theta)
-    restore()
     return float(np.max(rel_err()))

@@ -23,10 +23,9 @@ class MlpPolicy:
     """MLP policy with tanh output, so actions stay inside [-1, 1] bounds."""
 
     def __init__(self, state_dim, action_dim, hidden_sizes=(32, 32),
-                 hidden="tanh", batch_norm=False, rng=None):
+                 hidden="tanh", rng=None):
         sizes = [state_dim, *hidden_sizes, action_dim]
-        self.net = MlpNet(sizes, hidden=hidden, output="tanh",
-                          batch_norm=batch_norm, rng=rng)
+        self.net = MlpNet(sizes, hidden=hidden, output="tanh", rng=rng)
         self.action_dim = action_dim
 
     @property
@@ -40,15 +39,10 @@ class MlpPolicy:
         self.net.set_params(flat)
 
     def act(self, state):
-        return self.net.forward(state, training=False)
+        return self.net.forward(state)
 
     def act_batch(self, states):
         return self.net.forward(np.atleast_2d(states))
-
-    def refresh_batch_norm(self, states):
-        """Move the batch-norm running stats as a training-mode pass on
-        ``states`` would."""
-        self.net.refresh_batch_norm(np.atleast_2d(states))
 
     def backward_batch(self, upstream):
         """Parameter gradient of sum_t upstream_t . mu(s_t) for the last

@@ -16,6 +16,9 @@ import numpy as np
 
 BETA_MIN = 1e-6
 BETA_MAX = 1e6
+# adapt_beta leaves beta alone while d_hat lies in
+# [d_target / DHAT_BAND, d_target * DHAT_BAND]
+DHAT_BAND = 1.5
 
 
 @dataclass
@@ -61,9 +64,9 @@ def adapt_beta(trust, d_hat):
     little/too much relative to the target distance."""
     if trust.beta <= 0:
         raise ValueError("beta must be positive")
-    if d_hat < trust.d_target / 1.5:
+    if d_hat < trust.d_target / DHAT_BAND:
         trust.beta /= 2.0
-    elif d_hat > trust.d_target * 1.5:
+    elif d_hat > trust.d_target * DHAT_BAND:
         trust.beta *= 2.0
     trust.beta = float(np.clip(trust.beta, BETA_MIN, BETA_MAX))
     return trust.beta

@@ -21,7 +21,7 @@ def jacobian(policy, state):
         raise TypeError(f"no reference Jacobian for {type(policy).__name__}")
     jac = np.empty((policy.action_dim, policy.n_params))
     for i in range(policy.action_dim):
-        policy.net.forward(state, training=False)
+        policy.net.forward(state)
         one_hot = np.zeros(policy.action_dim)
         one_hot[i] = 1.0
         jac[i] = policy.net.backward(one_hot)

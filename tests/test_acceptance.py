@@ -14,7 +14,7 @@ from scipy.stats import wilcoxon
 
 from detac.agents import (AgentConfig, BanditConfig, evaluate_deterministic,
                           make_agent, run_bandit)
-from detac.critics import ConstantVCritic, lambda_returns
+from detac.critics import lambda_returns
 from detac.envs import PointMass, make_quadratic_bandit, random_finite_mdp
 from detac.harness import (run_experiment, suite_gradcheck, suite_theorem1,
                            worker_cap)
@@ -23,7 +23,8 @@ from detac.oracle import (epsilon_smoothed, gated_direction_ratio,
                           performance_difference_residual)
 from detac.policies import MlpPolicy
 from detac.trajectory import Trajectory
-from detac.updates import cac_direction, cacla_direction
+from detac.updates import DHAT_BAND, cac_direction, cacla_direction
+from constant_critic import ConstantVCritic
 
 N_SEEDS = 20
 PHASES = 100
@@ -201,7 +202,10 @@ def test_acceptance_6_bandit_dimension_sensitivity(report):
 
 
 def test_acceptance_7_trust_region_containment(pointmass_runs, report):
-    lo, hi = 0.03 / 1.5, 0.03 * 1.5
+    # the band in which adapt_beta leaves beta alone, around the agent's
+    # own target
+    d_target = AgentConfig().d_target
+    lo, hi = d_target / DHAT_BAND, d_target * DHAT_BAND
     post = np.concatenate([np.asarray(h[BURN_IN:])
                            for h in pointmass_runs["penfac_dhats"]])
     frac = float(np.mean((post >= lo) & (post <= hi)))

@@ -11,13 +11,13 @@ import detac
 from detac.agents import (AgentConfig, BanditConfig, BatchActorCritic,
                           IncrementalActorCritic, evaluate_deterministic,
                           make_agent, run_bandit, run_episodes)
-from detac.critics import (ConstantVCritic, fitted_value_iteration,
-                           lambda_returns)
+from detac.critics import fitted_value_iteration, lambda_returns
 from detac.envs import (EnvSpec, PointMass, QuadraticBandit,
                         make_quadratic_bandit)
 from detac.policies import LinearPolicy, MlpPolicy
 from detac.updates import (adapt_beta, batch_gated_direction,
                            policy_distance_dhat)
+from constant_critic import ConstantVCritic
 
 
 def test_agent_config_validation():
@@ -36,6 +36,13 @@ def test_agent_config_validation():
                  "d_target"):
         with pytest.raises(ValueError):
             AgentConfig(**{name: float("nan")})
+    # sigma must be positive, and a learning rate of 0 is allowed
+    rates = "need sigma > 0 and learning rates >= 0"
+    for bad in ({"sigma": 0.0}, {"sigma": -0.1}, {"lr_actor": -1e-4},
+                {"lr_critic": -1e-3}):
+        with pytest.raises(ValueError, match=rates):
+            AgentConfig(**bad)
+    assert AgentConfig(lr_actor=0.0, lr_critic=0.0).lr_actor == 0.0
 
 
 def _sequential_episode(act, env, rng):
@@ -157,12 +164,10 @@ class _StaggeredEnv:
         return left, rewards, left[:, 0] <= 0.0
 
 
-def test_lockstep_evaluation_pointmass_batch_norm_policy():
+def test_lockstep_evaluation_pointmass_policy():
     rng = np.random.default_rng(2)
     pol = MlpPolicy(2, 1, hidden_sizes=(32, 32), hidden="leaky_relu",
-                    batch_norm=True, rng=rng)
-    # a batch-norm refresh moves the running stats off their init
-    pol.refresh_batch_norm(rng.standard_normal((50, 2)))
+                    rng=rng)
     pol.set_params(pol.get_params() + 0.3 * rng.standard_normal(pol.n_params))
     returns = _assert_lockstep_matches_loop(pol, PointMass(goal=0.5), 10)
     assert returns[0] != 0.0
@@ -280,8 +285,7 @@ def test_run_episodes_hands_act_the_running_rows_in_order():
 
 
 def test_lockstep_evaluation_single_episode():
-    pol = MlpPolicy(2, 1, hidden_sizes=(8,), batch_norm=True,
-                    rng=np.random.default_rng(6))
+    pol = MlpPolicy(2, 1, hidden_sizes=(8,), rng=np.random.default_rng(6))
     _assert_lockstep_matches_loop(pol, PointMass(horizon=30), 1)
     pol = MlpPolicy(1, 1, hidden_sizes=(8,), rng=np.random.default_rng(7))
     _assert_lockstep_matches_loop(pol, _StaggeredEnv(horizon=5), 1)
@@ -331,8 +335,7 @@ def test_incremental_agent_sigma_anneals_per_episode():
 
 def test_batch_agent_updates_only_every_n_episodes():
     cfg = AgentConfig(rule="nfac", update_every=3, hidden=(8,),
-                      batch_norm=False, actor_iterations=2,
-                      fitted_iterations=2)
+                      actor_iterations=2, fitted_iterations=2)
     env = PointMass(horizon=10)
     rng = np.random.default_rng(2)
     agent = make_agent(cfg, env, np.random.default_rng(3))
@@ -350,8 +353,8 @@ def test_batch_agent_updates_only_every_n_episodes():
 
 def test_batch_agent_phase_episodes_come_from_pre_update_policy():
     cfg = AgentConfig(rule="penfac", update_every=3, hidden=(8,),
-                      batch_norm=True, actor_iterations=3,
-                      fitted_iterations=20, lr_critic=0.05, sigma_decay=0.5)
+                      actor_iterations=3, fitted_iterations=20,
+                      lr_critic=0.05, sigma_decay=0.5)
     env = PointMass(horizon=10)
     rng = np.random.default_rng(8)
     agent = make_agent(cfg, env, np.random.default_rng(9))
@@ -383,8 +386,7 @@ def test_batch_agent_hands_out_each_episode_step_count():
     # a phase's episodes end at different steps; _StaggeredEnv's lengths
     # follow from the reset draws, which come first in the phase's stream
     cfg = AgentConfig(rule="nfac", update_every=6, hidden=(4,),
-                      batch_norm=False, actor_iterations=1,
-                      fitted_iterations=1)
+                      actor_iterations=1, fitted_iterations=1)
     env = _StaggeredEnv(horizon=8)
     agent = make_agent(cfg, env, np.random.default_rng(0))
     replay = np.random.default_rng(1)
@@ -396,8 +398,7 @@ def test_batch_agent_hands_out_each_episode_step_count():
 
 def test_penfac_tracks_dhat_and_adapts_beta():
     cfg = AgentConfig(rule="penfac", update_every=2, hidden=(8,),
-                      batch_norm=False, actor_iterations=2,
-                      fitted_iterations=2)
+                      actor_iterations=2, fitted_iterations=2)
     env = PointMass(horizon=10)
     rng = np.random.default_rng(4)
     agent = make_agent(cfg, env, np.random.default_rng(5))
@@ -409,25 +410,54 @@ def test_penfac_tracks_dhat_and_adapts_beta():
 
 
 def test_penfac_dhat_measures_against_pre_phase_policy():
-    # d_hat compares with the policy as it stood after the phase's
-    # training-mode batch-norm refresh, state by state; the critic is fitted
-    # hard enough that some advantages are positive and the actor moves
+    # d_hat compares with the policy as it stood before the phase, state
+    # by state; the critic is fitted hard enough that some advantages are
+    # positive and the actor moves
     cfg = AgentConfig(rule="penfac", update_every=2, hidden=(8,),
-                      batch_norm=True, actor_iterations=3,
-                      fitted_iterations=20, lr_critic=0.05)
+                      actor_iterations=3, fitted_iterations=20,
+                      lr_critic=0.05)
     env = PointMass(horizon=10)
     rng = np.random.default_rng(6)
     agent = make_agent(cfg, env, np.random.default_rng(7))
     batch = run_episodes(lambda s: agent.exploration.act(s, rng), env, 2, rng)
     states = batch.per_step(batch.states)
     before = copy.deepcopy(agent.policy)
-    before.net.forward(states, training=True)
     agent.update_phase(batch)
     after = agent.policy
     assert not np.array_equal(after.get_params(), before.get_params())
     expected = sum(np.linalg.norm(before.act(s) - after.act(s))
                    for s in states) / np.sqrt(len(states))
     assert abs(agent.dhat_history[-1] - expected) < 1e-12
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_penfac_dhat_is_the_whole_move_of_its_phase(seed):
+    # the trust region covers everything a phase changes: with the default
+    # agent, d_hat is the distance between mu on the phase's states before
+    # update_phase and after it, bit for bit, in phases where no gate
+    # opens (d_hat = 0) and in phases where the actor moves
+    env = PointMass()
+    agent = make_agent(AgentConfig(rule="penfac"), env,
+                       np.random.default_rng([seed, 0x5EED]))
+    update_phase = agent.update_phase
+    moved = []
+
+    def checked(batch):
+        states = batch.per_step(batch.states)
+        mu_before = agent.policy.act_batch(states)
+        update_phase(batch)
+        want = policy_distance_dhat(mu_before, agent.policy.act_batch(states))
+        got = agent.dhat_history[-1]
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (
+            got, want)
+        moved.append(want > 0.0)
+
+    agent.update_phase = checked
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        agent.run_episode(env, rng)
+    assert len(agent.dhat_history) == 20
+    assert set(moved) == {False, True}
 
 
 class _FixedValueCritic:
@@ -449,8 +479,6 @@ def _update_phase_all_directions(agent, batch):
     iteration, zero or not."""
     cfg = agent.config
     states = batch.per_step(batch.states)
-    if cfg.batch_norm:
-        agent.policy.net.forward(states, training=True)
     penfac = cfg.rule == "penfac"
     mu_old = agent.policy.act_batch(states) if penfac else None
     fitted_value_iteration(agent.critic, batch, cfg.gamma, cfg.lam,
@@ -498,11 +526,10 @@ def test_update_phase_stops_directions_at_zero_bit_for_bit(rule, monkeypatch):
     # The closed phase after the open one starts from a nonzero Adam state,
     # so a zero-direction step that moved the policy would show there
     cfg = AgentConfig(rule=rule, update_every=2, hidden=(8,),
-                      batch_norm=True, actor_iterations=6,
-                      fitted_iterations=2)
+                      actor_iterations=6, fitted_iterations=2)
     env = PointMass(horizon=10)
     policy = MlpPolicy(2, 1, hidden_sizes=cfg.hidden,
-                       hidden=cfg.hidden_activation, batch_norm=True,
+                       hidden=cfg.hidden_activation,
                        rng=np.random.default_rng(3))
     agent = BatchActorCritic(policy, _FixedValueCritic(0.0), cfg)
     reference = copy.deepcopy(agent)

@@ -96,7 +96,6 @@ KEY_CASES = {
                          lambda c: c.agent.actor_iterations, 4),
     "update_every": ("2", "pointmass", lambda c: c.agent.update_every, 2),
     "d_target": ("0.05", "pointmass", lambda c: c.agent.d_target, 0.05),
-    "batch_norm": ("off", "pointmass", lambda c: c.agent.batch_norm, False),
     "hidden": ("16, 8", "pointmass", lambda c: c.agent.hidden, (16, 8)),
     "hidden_activation": ("tanh", "pointmass",
                           lambda c: c.agent.hidden_activation, "tanh"),
@@ -116,7 +115,7 @@ KEY_CASES = {
 
 
 def test_config_keys_are_pinned():
-    assert len(KEY_CASES) == 25
+    assert len(KEY_CASES) == 24
     assert set(KEYS) == set(KEY_CASES)
 
 
@@ -131,7 +130,7 @@ def test_parse_config_key_lands_on_its_field(key):
 # the keys whose value is free text: every other key is converted, and a
 # value its converter rejects must be reported under the key's name
 FREE_TEXT_KEYS = {"agent", "env", "hidden_activation", "out"}
-MALFORMED = {"batch_norm": "maybe", "hidden": "32,x"}
+MALFORMED = {"hidden": "32,x"}
 # values float() accepts that no setting may take ("1e400" overflows)
 NON_FINITE = ["nan", "inf", "-inf", "1e400"]
 
@@ -296,25 +295,18 @@ def test_suite_lemma1_fails_on_a_zero_ratio(monkeypatch):
     assert lines[-1] == "pass=False"
 
 
-def test_suite_gradcheck_checks_eval_mode_batch_norm(monkeypatch):
+def test_suite_gradcheck_fails_on_a_wrong_backward(monkeypatch):
     passed, lines = suite_gradcheck(n_seeds=1)
     assert passed
-    n_bn = sum(arch["batch_norm"] for arch in agent_architectures())
-    assert n_bn > 0
-    assert sum("bn=True mode=eval seed=0" in line for line in lines) == n_bn
+    assert len(lines) == len(agent_architectures()) + 1
 
-    # an eval-mode backward that drops the running std must be caught
-    bn_backward = MlpNet._bn_backward
-
-    def no_std(self, g_out, bn):
-        if bn["training"]:
-            return bn_backward(self, g_out, bn)
-        return g_out * self.bn_gamma
-
-    monkeypatch.setattr(MlpNet, "_bn_backward", no_std)
+    # a backward 1% off on every entry must fail every line
+    backward = MlpNet.backward
+    monkeypatch.setattr(MlpNet, "backward",
+                        lambda self, g: 1.01 * backward(self, g))
     passed, lines = suite_gradcheck(n_seeds=1)
     assert not passed
-    assert all("pass=True" in line for line in lines if "bn=False" in line)
+    assert all("pass=False" in line for line in lines)
 
 
 def test_run_verification_unknown_suite():
@@ -548,6 +540,21 @@ def test_cli_verify_out_that_cannot_be_a_report_exits_2(
     assert len(err.splitlines()) == 1
     assert sorted(os.listdir(tmp_path)) == before
     assert a_file.read_text() == "keep\n"
+
+
+@pytest.mark.parametrize("suite", [*harness.SUITES, "all"])
+def test_cli_verify_negative_seed_exits_2(suite, tmp_path, capsys,
+                                          monkeypatch):
+    # lemma2, theorem1, gradcheck and all used to end in numpy's
+    # "expected non-negative integer" traceback, and lemma1 ignored the seed
+    monkeypatch.setattr(harness, "run_verification",
+                        lambda *a, **k: pytest.fail("verified"))
+    report = tmp_path / "r.txt"
+    assert main(["verify", suite, "--seed", "-1", "--out", str(report)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "verify: need --seed >= 0, got -1\n"
+    assert not report.exists()
 
 
 def test_cli_bandit_suite_out_is_a_file_exits_2(a_file, capsys, monkeypatch):

@@ -70,12 +70,14 @@ def test_tanh_output_stays_inside_unit_box():
 
 
 def test_forward_pure_in_eval_mode():
+    # forward keeps its ``training`` keyword and ignores it: no layer acts
+    # otherwise in training
     rng = np.random.default_rng(5)
-    net = MlpNet([2, 8, 1], batch_norm=True, rng=rng)
+    net = MlpNet([2, 8, 1], rng=rng)
     x = rng.standard_normal((3, 2))
     a = net.forward(x, training=False)
-    b = net.forward(x, training=False)
-    assert np.array_equal(a, b)
+    b = net.forward(x, training=True)
+    assert a.tobytes() == b.tobytes() == net.forward(x).tobytes()
 
 
 def test_backward_zero_upstream_gives_zero_gradient():
@@ -121,14 +123,6 @@ def test_gradient_check_probe_across_leaky_relu_kink(output):
     assert gradient_check(net, x) < 1e-4
 
 
-def test_gradient_check_batch_norm_training_mode():
-    rng = np.random.default_rng(9)
-    net = MlpNet([2, 8, 1], hidden="leaky_relu", output="tanh",
-                 batch_norm=True, rng=rng)
-    err = gradient_check(net, rng.standard_normal((6, 2)), training=True)
-    assert err < 1e-4
-
-
 def test_adam_zero_gradient_is_identity():
     adam = Adam(3, alpha=0.1)
     params = np.array([1.0, -2.0, 0.5])
@@ -161,33 +155,6 @@ def test_adam_ascent_flag_flips_direction():
         -up.step(np.zeros(1), g, ascent=True)[0])
 
 
-def test_batchnorm_identical_rows_normalize_to_zero():
-    net = MlpNet([2, 3, 1], batch_norm=True, rng=np.random.default_rng(2))
-    x = np.tile(np.array([0.4, -0.1]), (5, 1))
-    z = x @ net.weights[0] + net.biases[0]
-    normed, _ = net._bn_forward(z, True, net._work(len(z)))
-    # gamma=1, beta=0 initially: zero variance rows map to zero
-    assert np.allclose(normed, 0.0, atol=1e-12)
-
-
-def test_batchnorm_symmetric_pair():
-    net = MlpNet([1, 1, 1], batch_norm=True)
-    z = np.array([[-1.0], [1.0]])
-    normed, _ = net._bn_forward(z, True, net._work(len(z)))
-    floor = np.sqrt(1.0 / (1.0 + 1e-5))
-    assert np.allclose(normed, z * floor, atol=1e-9)
-
-
-def test_batchnorm_eval_reproduces_training_after_convergence():
-    rng = np.random.default_rng(3)
-    net = MlpNet([2, 4, 1], batch_norm=True, rng=rng)
-    x = rng.standard_normal((8, 2))
-    for _ in range(400):  # running stats converge to the fixed batch stats
-        train_out = net.forward(x, training=True)
-    eval_out = net.forward(x, training=False)
-    assert np.max(np.abs(train_out - eval_out)) < 1e-6
-
-
 def _backward_with_full_chain(net, grad_out):
     """MlpNet.backward as first written: the activation derivative
     recomputed from the pre-activation, and an input gradient for every
@@ -208,37 +175,27 @@ def _backward_with_full_chain(net, grad_out):
         else:
             d = np.ones_like(z)
         gz = g * d
-        if k == 0 and net.batch_norm:
-            bn = cache["bn"]
-            grad_gamma = (gz * bn["z_hat"]).sum(axis=0)
-            grad_beta = gz.sum(axis=0)
-            gz = net._bn_backward(gz, bn)
         grads_w[k] = cache["post"][k].T @ gz
         grads_b[k] = gz.sum(axis=0)
         g = gz @ net.weights[k].T
-    parts = [p for gw, gb in zip(grads_w, grads_b) for p in (gw.ravel(), gb)]
-    if net.batch_norm:
-        parts += [grad_gamma, grad_beta]
-    return np.concatenate(parts)
+    return np.concatenate([p for gw, gb in zip(grads_w, grads_b)
+                           for p in (gw.ravel(), gb)])
 
 
 @pytest.mark.parametrize("arch", [
-    dict(sizes=[2, 32, 32, 1], hidden="leaky_relu", output="tanh",
-         batch_norm=True),
-    dict(sizes=[2, 16, 16, 1], hidden="tanh", output="linear",
-         batch_norm=False),
-    dict(sizes=[3, 8, 2], hidden="tanh", output="tanh", batch_norm=True)])
-@pytest.mark.parametrize("training", [False, True])
-def test_backward_bitwise_equals_full_chain(arch, training):
+    dict(sizes=[2, 32, 32, 1], hidden="leaky_relu", output="tanh"),
+    dict(sizes=[2, 16, 16, 1], hidden="tanh", output="linear"),
+    dict(sizes=[3, 8, 2], hidden="tanh", output="tanh")])
+def test_backward_bitwise_equals_full_chain(arch):
     rng = np.random.default_rng(11)
     net = MlpNet(arch["sizes"], hidden=arch["hidden"], output=arch["output"],
-                 batch_norm=arch["batch_norm"], rng=rng)
+                 rng=rng)
     net.set_params(net.get_params() + 0.5 * rng.standard_normal(
         net.num_params))
     for rows in (1, 7):
         x = 2.0 * rng.standard_normal((rows, arch["sizes"][0]))
         upstream = rng.standard_normal((rows, arch["sizes"][-1]))
-        net.forward(x, training=training and rows > 1)
+        net.forward(x)
         assert np.array_equal(net.backward(upstream),
                               _backward_with_full_chain(net, upstream))
 
@@ -246,7 +203,7 @@ def test_backward_bitwise_equals_full_chain(arch, training):
 def _default_policy_net(seed=0):
     # the net MlpPolicy builds with the AgentConfig defaults on PointMass
     return MlpNet([2, 32, 32, 1], hidden="leaky_relu", output="tanh",
-                  batch_norm=True, rng=np.random.default_rng(seed))
+                  rng=np.random.default_rng(seed))
 
 
 def test_held_outputs_survive_later_passes():
@@ -258,26 +215,23 @@ def test_held_outputs_survive_later_passes():
     one = net.forward(x[0])
     want_held, want_one = held.copy(), one.copy()
     for rows in (500, 5, 800, 1):
-        net.forward(rng.standard_normal((rows, 2)), training=rows > 1)
+        net.forward(rng.standard_normal((rows, 2)))
         net.backward(rng.standard_normal((rows, 1)))
     assert np.array_equal(held, want_held)
     assert np.array_equal(one, want_one)
 
 
-@pytest.mark.parametrize("training", [False, True])
-def test_backward_after_passes_at_other_batch_sizes_equals_fresh_net(
-        training):
+def test_backward_after_passes_at_other_batch_sizes_equals_fresh_net():
     rng = np.random.default_rng(22)
     used, fresh = _default_policy_net(3), _default_policy_net(3)
     for rows in (500, 5, 800):
-        # evaluation passes leave the running stats alone
         used.forward(rng.standard_normal((rows, 2)))
         used.backward(rng.standard_normal((rows, 1)))
     x = rng.standard_normal((500, 2))
     upstream = rng.standard_normal((500, 1))
-    got_out = used.forward(x, training=training)
+    got_out = used.forward(x)
     got = used.backward(upstream)
-    want_out = fresh.forward(x, training=training)
+    want_out = fresh.forward(x)
     want = fresh.backward(upstream)
     assert np.array_equal(got_out, want_out)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -293,37 +247,6 @@ def test_backward_rejects_a_gradient_of_another_batch_size():
     net.set_params(net.get_params())
     with pytest.raises(RuntimeError):
         net.backward(np.ones((5, 1)))
-
-
-def _eval_reference(net, x):
-    """An evaluation-mode pass with 1 / sqrt(running_var + eps) computed
-    afresh."""
-    hidden, output = ACTIVATIONS[net.hidden], ACTIVATIONS[net.output]
-    z = x @ net.weights[0] + net.biases[0]
-    inv_std = 1.0 / np.sqrt(net.bn_running_var + 1e-5)
-    h = hidden(net.bn_gamma * ((z - net.bn_running_mean) * inv_std)
-               + net.bn_beta)
-    h = hidden(h @ net.weights[1] + net.biases[1])
-    return output(h @ net.weights[2] + net.biases[2])
-
-
-def test_eval_batch_norm_reads_the_running_var_of_each_assignment():
-    rng = np.random.default_rng(23)
-    net = _default_policy_net()
-    x = rng.standard_normal((6, 2))
-
-    def same_as_reference():
-        return np.array_equal(net.forward(x), _eval_reference(net, x))
-
-    assert same_as_reference()
-    net.forward(3.0 * rng.standard_normal((50, 2)), training=True)
-    assert same_as_reference()
-    net.bn_running_var = net.bn_running_var * 4.0
-    assert same_as_reference()
-    gradient_check(net, rng.standard_normal((3, 2)), training=True)
-    assert same_as_reference()
-    copy = pickle.loads(pickle.dumps(net))
-    assert np.array_equal(copy.forward(x), _eval_reference(net, x))
 
 
 def test_pickle_carries_no_work_arrays():
@@ -365,7 +288,7 @@ ALLOC_BOUND = 200 * 1024
 def test_steady_state_actor_step_allocates_few_per_row_arrays():
     rng = np.random.default_rng(25)
     policy = MlpPolicy(2, 1, hidden_sizes=(32, 32), hidden="leaky_relu",
-                       batch_norm=True, rng=rng)
+                       rng=rng)
     adam = Adam(policy.n_params, alpha=1e-4)
     states = rng.standard_normal((500, 2))
     actions = rng.uniform(-1, 1, (500, 1))
@@ -393,27 +316,19 @@ def test_steady_state_critic_regression_allocates_few_per_row_arrays():
 
 
 def _layer_arrays(net):
-    arrays = [*net.weights, *net.biases]
-    if net.batch_norm:
-        arrays += [net.bn_gamma, net.bn_beta]
-    return arrays
+    return [*net.weights, *net.biases]
 
 
 def _layout_reference(net):
     """The flat parameter vector built from the layer arrays, in the
     documented order."""
-    parts = [p for w, b in zip(net.weights, net.biases)
-             for p in (w.ravel(), b)]
-    if net.batch_norm:
-        parts += [net.bn_gamma, net.bn_beta]
-    return np.concatenate(parts)
+    return np.concatenate([p for w, b in zip(net.weights, net.biases)
+                           for p in (w.ravel(), b)])
 
 
-@pytest.mark.parametrize("batch_norm", [False, True])
-def test_layer_arrays_are_views_of_the_flat_vector(batch_norm):
+def test_layer_arrays_are_views_of_the_flat_vector():
     rng = np.random.default_rng(30)
-    net = MlpNet([2, 8, 4, 1], hidden="leaky_relu", output="tanh",
-                 batch_norm=batch_norm, rng=rng)
+    net = MlpNet([2, 8, 4, 1], hidden="leaky_relu", output="tanh", rng=rng)
     assert all(np.shares_memory(a, net._flat) for a in _layer_arrays(net))
     assert sum(a.size for a in _layer_arrays(net)) == net.num_params
     assert np.array_equal(net.get_params(), _layout_reference(net))
@@ -444,7 +359,7 @@ def test_layer_arrays_are_views_of_the_flat_vector(batch_norm):
 def test_copies_bind_their_views_to_their_own_vector(duplicate):
     rng = np.random.default_rng(31)
     net = _default_policy_net(4)
-    net.forward(rng.standard_normal((20, 2)), training=True)
+    net.forward(rng.standard_normal((20, 2)))
     x = rng.standard_normal((6, 2))
     out = net.forward(x)
     dup = duplicate(net)
@@ -473,7 +388,7 @@ def test_successive_backward_results_do_not_alias():
     second = net.backward(rng.standard_normal((9, 1)))
     assert not np.shares_memory(first, second)
     assert not np.array_equal(first, second)
-    net.forward(rng.standard_normal((40, 2)), training=True)
+    net.forward(rng.standard_normal((40, 2)))
     net.backward(rng.standard_normal((40, 1)))
     assert np.array_equal(first, kept)
 
@@ -539,46 +454,6 @@ def test_column_sum_equals_sum_over_rows_bitwise():
                 assert _column_sum(arr, out=out) is out
                 assert out.tobytes() == want.tobytes()
                 assert _column_sum(arr).tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("arch", ["policy", "tanh"])
-def test_refresh_batch_norm_equals_a_training_forward_bitwise(arch):
-    # the first-layer refresh moves the running mean, the running var and
-    # the inv_std that eval-mode passes read exactly as a whole
-    # training-mode forward does, after passes at other batch sizes too
-    rng = np.random.default_rng(36)
-    if arch == "policy":
-        full, first = _default_policy_net(4), _default_policy_net(4)
-    else:
-        full, first = (MlpNet([3, 16, 8, 2], hidden="tanh", batch_norm=True,
-                              rng=np.random.default_rng(4)) for _ in range(2))
-    # nonzero biases, which the stats read too
-    params = full.get_params() + 0.5 * rng.standard_normal(full.num_params)
-    full.set_params(params)
-    first.set_params(params)
-    n_in = full.layer_sizes[0]
-    for rows in (500, 7, 800, 1, 500):
-        x = 3.0 * rng.standard_normal((rows, n_in)) + 1.0
-        full.forward(x, training=True)
-        first.refresh_batch_norm(x)
-        assert first._cache is None
-        for name in ("bn_running_mean", "bn_running_var", "_bn_inv_std"):
-            assert (getattr(first, name).tobytes()
-                    == getattr(full, name).tobytes()), (rows, name)
-        x = rng.standard_normal((rows, n_in))
-        assert (first.forward(x).tobytes() == full.forward(x).tobytes())
-    assert first.get_params().tobytes() == full.get_params().tobytes()
-    with pytest.raises(ValueError):
-        first.refresh_batch_norm(np.ones((4, n_in + 1)))
-
-
-def test_refresh_batch_norm_without_batch_norm_changes_nothing():
-    net = MlpNet([2, 8, 1], rng=np.random.default_rng(5))
-    x = np.random.default_rng(6).standard_normal((9, 2))
-    out = net.forward(x)
-    net.refresh_batch_norm(x)
-    assert net.backward(np.ones((9, 1))).shape == (net.num_params,)
-    assert net.forward(x).tobytes() == out.tobytes()
 
 
 def test_adam_idle_equals_zero_gradient_steps_bitwise():

@@ -140,7 +140,7 @@ def _three_means_near_bounds(m):
 @pytest.mark.parametrize("make", [
     lambda: (LinearPolicy(4, theta=[0.95, -0.9, 0.2, 1.0]), None),
     lambda: (LinearPolicy(20, theta=np.ones(20)), None),   # always clipped
-    lambda: (MlpPolicy(2, 3, hidden_sizes=(8,), batch_norm=True,
+    lambda: (MlpPolicy(2, 3, hidden_sizes=(8,),
                        rng=np.random.default_rng(1)), np.array([2.0, -1.0])),
     lambda: (LinearPolicy(50, theta=_three_means_near_bounds(50)), None)])
 def test_single_state_exploration_draws_the_one_action_stream(make):

@@ -3,9 +3,10 @@ import pytest
 
 from detac.agents import (AgentConfig, evaluate_deterministic, make_agent,
                           run_episodes)
-from detac.critics import ConstantVCritic, lambda_returns
+from detac.critics import lambda_returns
 from detac.envs import EnvSpec, PointMass
 from detac.trajectory import Trajectory
+from constant_critic import ConstantVCritic
 
 
 class _ScriptedEnv:
