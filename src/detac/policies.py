@@ -86,9 +86,14 @@ class LinearPolicy:
 class GaussianExploration:
     """Isotropic truncated Gaussian around a deterministic policy.
 
-    Samples are redrawn until they fall inside the action box (at most
-    ``MAX_ATTEMPTS`` times, then clipped), which keeps the wrapper total
-    with means arbitrarily close to a bound.
+    The action box is a product of intervals and the noise is isotropic,
+    so the truncated Gaussian is a product of one-dimensional truncated
+    normals, and each coordinate is redrawn on its own until it falls
+    inside the box.  A coordinate still outside after ``MAX_ATTEMPTS``
+    draws is clipped, which keeps the wrapper total.  With the mean inside
+    the box and sigma at most 1 (the defaults are sqrt(0.2) and 0.3), each
+    draw fits with probability above 0.47, so in practice only a NaN or a
+    mean outside the box reaches the clip.
     """
 
     def __init__(self, policy, sigma, decay=1.0):
@@ -107,71 +112,32 @@ class GaussianExploration:
         ``None``, for a state-free policy), or one per row for a batch of
         shape ``(n, d)``.
 
-        Every row draws its first sample, then each round redraws the rows
-        still outside the box as one ``(k, action_dim)`` block in row
-        order, up to ``MAX_ATTEMPTS`` draws per row; a row still outside
-        after that is clipped.  A single row whose first sample is
-        rejected redraws in ``_redraw_row``, which draws the stream of a
-        loop that redraws a single action until it fits.
+        All coordinates draw their first sample, then each round makes one
+        ``standard_normal(k)`` call for the k coordinates still outside
+        the box, in C order; a coordinate keeps its first draw inside.
+        With one action dimension a coordinate is a row, so this is the
+        stream of a loop that redraws whole actions until they fit.
         """
         sigma = self.sigma
-        if np.ndim(states) != 2:
-            mu = self.policy.act(states)
-            a = mu + sigma * rng.standard_normal(mu.shape)
-            # the box test on the largest |a_j|; a NaN is that maximum
-            if np.maximum.reduce(np.abs(a)) <= ACTION_BOUND:
-                return a
-            return self._redraw_row(mu, rng)
-        mu = self.policy.act_batch(states)
+        mu = (self.policy.act_batch(states) if np.ndim(states) == 2
+              else self.policy.act(states))
         a = mu + sigma * rng.standard_normal(mu.shape)
-        # the whole block on its largest |a_j|; a NaN is that maximum
+        # the box test on the largest |a_j|; a NaN is that maximum
         if np.maximum.reduce(np.abs(a), axis=None) <= ACTION_BOUND:
             return a
-        # per row, whether |a| <= ACTION_BOUND holds everywhere (NaN fails)
-        inside = np.logical_and.reduce(np.abs(a) <= ACTION_BOUND,
-                                       axis=1).tolist()
-        if len(a) == 1:
-            return self._redraw_row(mu[0], rng)[None]
-        rows = [i for i, ok in enumerate(inside) if not ok]
-        mu_out = mu[rows]
+        # a is C-contiguous, as its noise term is, so flat is a view of it
+        flat, mu = a.reshape(-1), mu.reshape(-1)
+        # |a_j| <= ACTION_BOUND fails for a NaN too
+        out = np.flatnonzero(~(np.abs(flat) <= ACTION_BOUND))
         for _ in range(MAX_ATTEMPTS - 1):
-            draw = mu_out + sigma * rng.standard_normal(mu_out.shape)
-            inside = np.logical_and.reduce(np.abs(draw) <= ACTION_BOUND,
-                                           axis=1).tolist()
-            if any(inside):
-                a[rows] = draw
-                still_out = [not ok for ok in inside]
-                rows = [i for i, out in zip(rows, still_out) if out]
-                if not rows:
-                    break
-                mu_out, draw = mu_out[still_out], draw[still_out]
-        else:
-            a[rows] = np.clip(draw, self.low, self.high)
+            draw = mu[out] + sigma * rng.standard_normal(out.size)
+            flat[out] = draw
+            out = out[~(np.abs(draw) <= ACTION_BOUND)]
+            if not out.size:
+                return a
+        flat[out] = np.minimum(np.maximum(flat[out], -ACTION_BOUND),
+                               ACTION_BOUND)
         return a
-
-    def _redraw_row(self, mu, rng):
-        """The redraws of one row whose first sample was rejected.
-
-        Each candidate is one ``standard_normal(m)`` call, the values and
-        generator state of a ``(1, m)`` block, and is tested on Python
-        floats: ``abs(mu_j + sigma * z_j)`` rounds as numpy's separate
-        multiply, add and abs do, and NaN fails the test.  The coordinates
-        are tested largest |mu_j| first, so a rejected candidate usually
-        fails at its first one; only the accepted candidate becomes an
-        array.  The last of ``MAX_ATTEMPTS`` draws in all is clipped.
-        """
-        sigma = self.sigma
-        order = (-np.abs(mu)).argsort(kind="stable").tolist()
-        pairs = [(j, mu.item(j)) for j in order]
-        draw, m = rng.standard_normal, len(pairs)
-        for _ in range(MAX_ATTEMPTS - 1):
-            z = draw(m)
-            for j, mu_j in pairs:
-                if not abs(mu_j + sigma * z.item(j)) <= ACTION_BOUND:
-                    break
-            else:
-                return mu + sigma * z
-        return np.minimum(np.maximum(mu + sigma * z, self.low), self.high)
 
     def anneal(self):
         self.sigma *= self.decay

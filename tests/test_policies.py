@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.stats import kstest, truncnorm
 
 from detac.policies import (MAX_ATTEMPTS, GaussianExploration, LinearPolicy,
                             MlpPolicy)
@@ -106,8 +107,27 @@ def test_gaussian_exploration_moments():
     assert abs(samples.std() - 0.1) < 0.005
 
 
+def _coordinate_sampler(exploration, means, rng):
+    """The sampler as plain loops: one first draw for every coordinate,
+    then rounds that redraw the coordinates still outside the box with one
+    ``standard_normal(k)`` call, in C order; the last of MAX_ATTEMPTS draws
+    is clipped.  Also returns each coordinate's number of draws."""
+    means = np.asarray(means, dtype=float)
+    mu = means.reshape(-1)
+    a = (means + exploration.sigma * rng.standard_normal(means.shape)).ravel()
+    draws = np.ones(a.size, dtype=int)
+    outside = [j for j in range(a.size) if not abs(a[j]) <= 1.0]
+    while outside and draws[outside[0]] < MAX_ATTEMPTS:
+        for j, z_j in zip(outside, rng.standard_normal(len(outside))):
+            a[j] = mu[j] + exploration.sigma * z_j
+            draws[j] += 1
+        outside = [j for j in outside if not abs(a[j]) <= 1.0]
+    a[outside] = np.clip(a[outside], -1.0, 1.0)
+    return a.reshape(means.shape), draws.reshape(means.shape)
+
+
 def _one_action_sampler(exploration, state, rng):
-    """The single-state sampler as a plain loop: redraw the whole action
+    """The whole-action sampler as a plain loop: redraw the whole action
     until it lies in the box, clip the last draw after MAX_ATTEMPTS."""
     mu = np.asarray(exploration.policy.act(state), dtype=float).reshape(-1)
     for _ in range(MAX_ATTEMPTS):
@@ -117,10 +137,30 @@ def _one_action_sampler(exploration, state, rng):
     return np.clip(a, exploration.low, exploration.high)
 
 
+def _row_block_sampler(exploration, means, rng):
+    """The whole-row batch sampler: one first draw for all rows, then one
+    ``(k, m)`` block per round of the k rows still outside, in row order;
+    a row still outside after MAX_ATTEMPTS draws is clipped."""
+    sigma = exploration.sigma
+    a = means + sigma * rng.standard_normal(means.shape)
+    outside = [i for i in range(len(means)) if not np.all(np.abs(a[i]) <= 1.0)]
+    for _ in range(MAX_ATTEMPTS - 1):
+        if not outside:
+            break
+        block = means[outside] + sigma * rng.standard_normal(
+            (len(outside), means.shape[1]))
+        a[outside] = block
+        outside = [i for i, row in zip(outside, block)
+                   if not np.all(np.abs(row) <= 1.0)]
+    a[outside] = np.clip(a[outside], -1.0, 1.0)
+    return a
+
+
 class _MeanIsState:
     """Test-side policy whose deterministic action is the state itself."""
 
-    action_dim = 3
+    def __init__(self, action_dim=3):
+        self.action_dim = action_dim
 
     def act(self, state):
         return np.asarray(state, dtype=float)
@@ -131,7 +171,7 @@ class _MeanIsState:
 
 def _three_means_near_bounds(m):
     """Means at +-0.97 on three coordinates: at m = 50 and sigma 0.6 most
-    candidates are rejected, and most calls end in the clip."""
+    whole candidates are rejected, as a whole-row redraw would see them."""
     theta = np.zeros(m)
     theta[[7, 23, 41]] = [0.97, -0.97, 0.97]
     return theta
@@ -139,7 +179,7 @@ def _three_means_near_bounds(m):
 
 @pytest.mark.parametrize("make", [
     lambda: (LinearPolicy(4, theta=[0.95, -0.9, 0.2, 1.0]), None),
-    lambda: (LinearPolicy(20, theta=np.ones(20)), None),   # always clipped
+    lambda: (LinearPolicy(20, theta=np.ones(20)), None),
     lambda: (MlpPolicy(2, 3, hidden_sizes=(8,),
                        rng=np.random.default_rng(1)), np.array([2.0, -1.0])),
     lambda: (LinearPolicy(50, theta=_three_means_near_bounds(50)), None)])
@@ -149,15 +189,15 @@ def test_single_state_exploration_draws_the_one_action_stream(make):
     rng, ref = np.random.default_rng(3), np.random.default_rng(3)
     for _ in range(300):
         got = exploration.act(state, rng)
-        want = _one_action_sampler(exploration, state, ref)
+        want, _ = _coordinate_sampler(exploration, policy.act(state), ref)
         assert got.shape == want.shape
         assert np.array_equal(got, want)
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_batched_exploration_redraws_only_rejected_rows():
-    # rows near a bound are often rejected; the last row, with a mean six
-    # sigma outside, never fits and is clipped
+    # rows near a bound are often rejected; the first coordinate of the
+    # last row, with a mean six sigma outside, never fits and is clipped
     means = np.array([[0.0, 0.1, -0.2], [0.97, -0.97, 0.9],
                       [0.3, 0.99, 0.0], [-0.95, 0.0, 0.95], [4.0, 0.0, 0.0]])
     sigma = 0.5
@@ -165,28 +205,19 @@ def test_batched_exploration_redraws_only_rejected_rows():
     for seed in range(20):
         rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
         got = exploration.act(means, rng)
-        # replay: one first draw for all rows, then one block per round of
-        # the rows still outside, in row order
-        want = means + sigma * replay.standard_normal(means.shape)
-        draws = np.ones(len(means), dtype=int)
-        first = want.copy()
-        outside = [i for i in range(len(means))
-                   if not np.all(np.abs(want[i]) <= 1.0)]
-        while outside and draws[outside[0]] < MAX_ATTEMPTS:
-            block = means[outside] + sigma * replay.standard_normal(
-                (len(outside), 3))
-            want[outside] = block
-            draws[outside] += 1
-            outside = [i for i, row in zip(outside, block)
-                       if not np.all(np.abs(row) <= 1.0)]
-        want[outside] = np.clip(want[outside], -1.0, 1.0)
+        first = means + sigma * np.random.default_rng(seed).standard_normal(
+            means.shape)
+        want, draws = _coordinate_sampler(exploration, means, replay)
         assert np.array_equal(got, want)
         assert rng.bit_generator.state == replay.bit_generator.state
-        # rows accepted on the first draw keep it
+        # coordinates accepted on the first draw keep it, in rejected rows
+        # too
         kept = draws == 1
         assert np.array_equal(got[kept], first[kept])
-        assert draws[-1] == MAX_ATTEMPTS and np.all(np.abs(got) <= 1.0)
-    assert kept.any() and (draws[:-1] > 1).any()
+        assert draws[-1, 0] == MAX_ATTEMPTS and got[-1, 0] == 1.0
+        assert np.all(np.abs(got) <= 1.0)
+    assert (kept & (draws > 1).any(axis=1, keepdims=True)).any()
+    assert (draws[:-1] > 1).any()
 
 
 class _ScriptedNormals:
@@ -212,17 +243,27 @@ _REJECTED = [[0.0, np.nan, 0.0],       # NaN fails the box test
              [0.0, 0.0, 2.5],          # out at the smallest |mu| only
              [0.0, -2.0, 0.0]]         # out at the middle one only
 _ON_BOUNDS = [1.0, -1.5, 2.0]          # a = (1.0, -1.0, 1.0) exactly
+_REDRAWN = [0.4, -0.5, 0.1]            # a = (0.7, -0.5, 0.05)
+# coordinate 2 stays out for the rounds between the first draw and the last
+_STILL_OUT = [[2.5], [np.nan], [-2.0 - 2.0 ** -51]] * 33
 
 
 @pytest.mark.parametrize("state", [_MU, _MU[None]], ids=["state", "row"])
 @pytest.mark.parametrize("candidates, calls, want", [
-    (_REJECTED + [_ON_BOUNDS], 5, [1.0, -1.0, 1.0]),
-    # accepted on the last draw of the budget
-    ((_REJECTED * 25)[:MAX_ATTEMPTS - 1] + [[0.4, -0.5, 0.1]] + [[0.0] * 3],
+    # all three out, then the last two out (coordinates 0 and 1 land on a
+    # bound), then coordinate 2 alone lands on its bound
+    ([[_JUST_OVER, np.nan, 2.5], [1.0, -1.5, 3.0], [2.0]], 3,
+     [1.0, -1.0, 1.0]),
+    # coordinate 2 is accepted on the last draw of the budget
+    ([[_JUST_OVER, np.nan, 2.5], [0.4, -0.5, -2.5]]
+     + _STILL_OUT[:MAX_ATTEMPTS - 3] + [[0.1], [0.0]],
      MAX_ATTEMPTS, [0.7, -0.5, 0.05]),
-    # never accepted: the 100th candidate is clipped, no 101st is drawn
-    ((_REJECTED * 25)[:MAX_ATTEMPTS - 1] + [[3.0, -4.0, _JUST_OVER]]
-     + [[0.0] * 3], MAX_ATTEMPTS, [1.0, -1.0, 0.5 + 2.0 ** -52])],
+    # coordinates 0 and 1 never fit: their 100th draws are clipped, no
+    # 101st is drawn; coordinate 2 keeps its first draw
+    ([[np.nan, -4.0, _JUST_OVER]]
+     + [[_JUST_OVER, np.nan], [3.0, -4.0]] * ((MAX_ATTEMPTS - 2) // 2)
+     + [[_JUST_OVER, -4.0], [0.0, 0.0]],
+     MAX_ATTEMPTS, [1.0, -1.0, 0.5 + 2.0 ** -52])],
     ids=["on-bounds", "accepted-last", "clipped"])
 def test_one_row_redraws_test_each_coordinate_on_exact_floats(
         state, candidates, calls, want):
@@ -240,20 +281,67 @@ def test_one_row_redraws_test_each_coordinate_on_exact_floats(
 def test_batched_exploration_accepts_a_block_only_when_every_row_fits(
         bad, z):
     # the first block is accepted on one test of its largest |a_j|; a NaN
-    # or one coordinate just outside, in either row, sends that row alone
-    # to a redraw
+    # or one coordinate just outside, in either row, sends that coordinate
+    # alone to a redraw
     exploration = GaussianExploration(_MeanIsState(), sigma=0.5)
     first = [_ON_BOUNDS, _ON_BOUNDS]
     first[bad] = z
-    rng = _ScriptedNormals([first, [[0.4, -0.5, 0.1]]])
+    j = [k for k in range(3) if not abs(_MU[k] + 0.5 * z[k]) <= 1.0]
+    rng = _ScriptedNormals([first, [_REDRAWN[k] for k in j]])
     got = exploration.act(np.stack([_MU, _MU]), rng)
-    assert rng.calls == 2
+    assert rng.calls == 2 and len(j) == 1
     assert np.array_equal(got[1 - bad], [1.0, -1.0, 1.0])
-    assert np.array_equal(got[bad], [0.7, -0.5, 0.05])
-    rng = _ScriptedNormals([[_ON_BOUNDS, [0.4, -0.5, 0.1]]])
+    want = _MU.copy()
+    want[j] = np.array([0.7, -0.5, 0.05])[j]
+    assert np.array_equal(got[bad], want)
+    rng = _ScriptedNormals([[_ON_BOUNDS, _REDRAWN]])
     got = exploration.act(np.stack([_MU, _MU]), rng)
     assert rng.calls == 1
     assert np.array_equal(got, [[1.0, -1.0, 1.0], [0.7, -0.5, 0.05]])
+
+
+def test_exploration_samples_the_truncated_normal_in_fifty_dims():
+    # whole-row rejection at this mean and sigma uses up its draw budget on
+    # most calls and leaves about a tenth of the coordinates clipped onto a
+    # bound; a per-coordinate redraw puts none there and every coordinate's marginal passes a KS test against the
+    # one-dimensional truncated normal.  The floor is a 5% test over the
+    # 50 coordinates, Bonferroni-corrected.
+    mu, sigma = _three_means_near_bounds(50), 0.6
+    exploration = GaussianExploration(LinearPolicy(50, theta=mu), sigma)
+    rng = np.random.default_rng(1)
+    samples = np.array([exploration.act(None, rng) for _ in range(4000)])
+    assert not np.any(np.abs(samples) == 1.0)
+    p = [kstest(samples[:, j], truncnorm((-1.0 - mu[j]) / sigma,
+                                         (1.0 - mu[j]) / sigma,
+                                         loc=mu[j], scale=sigma).cdf).pvalue
+         for j in range(50)]
+    assert min(p) > 0.05 / 50
+
+
+@pytest.mark.parametrize("means", [
+    [0.97], [-0.99], [0.0], [4.0], [np.nan],
+    [[0.97]], [[4.0]],
+    [[0.0], [0.97], [-0.99], [0.9], [-0.95]],
+    [[0.99], [4.0], [-0.97], [-3.0], [0.5], [1.0]]],
+    ids=["state", "state-near-low", "state-centre", "state-outside",
+         "state-nan", "row", "row-outside", "batch", "batch-outside"])
+def test_one_dimensional_exploration_keeps_the_whole_row_stream(means):
+    # with one action dimension a coordinate is a row: the values and the
+    # generator state are those of the whole-row redraw loops, clipped
+    # draws included, so one-dimensional runs keep their outputs
+    means = np.array(means)
+    exploration = GaussianExploration(_MeanIsState(1), sigma=0.6)
+    for seed in range(10):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(30):
+            got = exploration.act(means, rng)
+            if means.ndim == 2:
+                want = _row_block_sampler(exploration, means, ref)
+            else:
+                want = _one_action_sampler(exploration, means, ref)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_gaussian_exploration_anneal():

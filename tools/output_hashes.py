@@ -7,6 +7,10 @@ and diff the two outputs:
 
     PYTHONPATH=src python tools/output_hashes.py > before.txt
 
+The ``run_bandit`` curves at m = 1 pin the exploration stream of a
+one-dimensional action, the stream every PointMass run draws; those at
+m = 5 and 50 move whenever the multi-dimensional sampler does.
+
 The PointMass runs use the default 10000 training steps: over the first
 few phases no NFAC/PeNFAC gate opens, so shorter runs can give the two
 rules identical CSVs and miss a change to either.
@@ -66,7 +70,7 @@ def main():
                 print(f"run_seed {rule} {env} steps={steps} seed={seed} "
                       f"{seed_csv_hash(rule, env, steps, seed)}", flush=True)
 
-    for m in (5, 50):
+    for m in (1, 5, 50):
         env = make_quadratic_bandit(m, seed=0)
         for rule in BANDIT_RULES:
             for seed in SEEDS:
