@@ -118,6 +118,11 @@ def cmd_bandit_suite(args):
                 or args.episodes < 1 or args.seed_offset < 0):
             raise ValueError("need --dims, --seeds and --episodes >= 1 "
                              "and --seed-offset >= 0")
+        repeated = sorted({m for m in dims if dims.count(m) > 1})
+        if repeated:
+            # each dimension writes bandit_m<m>_<rule>.csv once
+            raise ValueError("--dims repeats "
+                             + ", ".join(map(str, repeated)))
         _check_out(args.out)
     except ValueError as exc:
         print(f"bandit-suite: {exc}", file=sys.stderr)

@@ -239,7 +239,15 @@ class MlpNet:
             _column_sum(gz, out=self._grad_b[k])
             if k > 0:
                 # the input gradient of the first layer is never used
-                g = np.matmul(gz, self.weights[k].T, out=work["g"][k - 1])
+                w, out = self.weights[k], work["g"][k - 1]
+                if w.shape[1] == 1:
+                    # an (n, 1) @ (1, width) outer product at half
+                    # matmul's cost: einsum, like matmul, computes 0 + a b,
+                    # so a -0.0 product comes out +0.0, where gz * w.T
+                    # would keep the -0.0
+                    g = np.einsum("i,j->ij", gz[:, 0], w[:, 0], out=out)
+                else:
+                    g = np.matmul(gz, w.T, out=out)
         return self._grad.copy()
 
 # Adam's moment decays and denominator guard; no momentum (beta1 = 0)

@@ -94,6 +94,14 @@ class GaussianExploration:
     the box and sigma at most 1 (the defaults are sqrt(0.2) and 0.3), each
     draw fits with probability above 0.47, so in practice only a NaN or a
     mean outside the box reaches the clip.
+
+    The first draw is one vectorized sample over all coordinates.  The
+    redraw rounds touch a few coordinates each, so they run on Python
+    floats, as ``PointMass.step`` does: a numpy call on a handful of
+    elements costs more than the scalar work it does.  Python's ``+`` and
+    ``*`` on floats are the IEEE binary64 operations numpy's elementwise
+    ``add`` and ``multiply`` perform, so the values are those of the
+    vectorized rounds, bit for bit.
     """
 
     def __init__(self, policy, sigma, decay=1.0):
@@ -122,18 +130,23 @@ class GaussianExploration:
         mu = (self.policy.act_batch(states) if np.ndim(states) == 2
               else self.policy.act(states))
         a = mu + sigma * rng.standard_normal(mu.shape)
+        abs_a = np.abs(a)
         # the box test on the largest |a_j|; a NaN is that maximum
-        if np.maximum.reduce(np.abs(a), axis=None) <= ACTION_BOUND:
+        if np.maximum.reduce(abs_a, axis=None) <= ACTION_BOUND:
             return a
-        # a is C-contiguous, as its noise term is, so flat is a view of it
-        flat, mu = a.reshape(-1), mu.reshape(-1)
-        # |a_j| <= ACTION_BOUND fails for a NaN too
-        out = np.flatnonzero(~(np.abs(flat) <= ACTION_BOUND))
+        # a and abs_a are C-contiguous, so flat is a view of a and the
+        # indices are in C order; |a_j| <= ACTION_BOUND fails for a NaN too
+        flat, means = a.reshape(-1), mu.reshape(-1).tolist()
+        out = (~(abs_a.reshape(-1) <= ACTION_BOUND)).nonzero()[0].tolist()
         for _ in range(MAX_ATTEMPTS - 1):
-            draw = mu[out] + sigma * rng.standard_normal(out.size)
-            flat[out] = draw
-            out = out[~(np.abs(draw) <= ACTION_BOUND)]
-            if not out.size:
+            still = []
+            for j, z in zip(out, rng.standard_normal(len(out)).tolist()):
+                x = means[j] + sigma * z
+                flat[j] = x
+                if not abs(x) <= ACTION_BOUND:
+                    still.append(j)
+            out = still
+            if not out:
                 return a
         flat[out] = np.minimum(np.maximum(flat[out], -ACTION_BOUND),
                                ACTION_BOUND)

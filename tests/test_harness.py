@@ -351,15 +351,22 @@ def test_cli_train_bandit_only_rule_exits_2(tmp_path, capsys, rule, env):
     assert not (tmp_path / "runs").exists()
 
 
+# each would write dimension 5's CSVs twice
+REPEATED_DIMS = [["--dims", "5,5"], ["--dims", "5,50,05"]]
+
+
 @pytest.mark.parametrize("flags", [["--seeds", "0"], ["--dims", "0"],
                                    ["--dims", "5,x"], ["--dims", ","],
                                    ["--episodes", "0"], ["--episodes", "-4"],
-                                   ["--seed-offset", "-1"]])
+                                   ["--seed-offset", "-1"], *REPEATED_DIMS])
 def test_cli_bandit_suite_bad_arguments_exit_2(tmp_path, capsys, flags):
     code = main(["bandit-suite", "--episodes", "10",
                  "--out", str(tmp_path / "bandit"), *flags])
     assert code == 2
-    assert "bandit-suite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "bandit-suite" in err
+    if flags in REPEATED_DIMS:
+        assert "--dims repeats 5" in err
     assert not (tmp_path / "bandit").exists()
 
 

@@ -200,6 +200,34 @@ def test_backward_bitwise_equals_full_chain(arch):
                               _backward_with_full_chain(net, upstream))
 
 
+@pytest.mark.parametrize("rows", [1, 5, 500])
+def test_width_one_layer_input_gradient_is_the_matmul_bitwise(rows):
+    # the width-1 output layer's input gradient is an outer product.
+    # Upstream rows of +-0, +-inf and NaN against weights of +-0 give
+    # -0.0, inf and NaN products; the bits must be those of gz @ W.T, which
+    # a broadcast gz * W.T misses on the -0.0 ones
+    rng = np.random.default_rng(rows)
+    net = MlpNet([3, 6, 1], hidden="tanh", output="linear", rng=rng)
+    net.weights[1][:, 0] = [0.5, -0.0, 0.0, -2.0, 1e-310, -3.0]
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1e-300]
+    x = rng.standard_normal((rows, 3))
+    broadcast_differs = False
+    for shift in range(len(special)):
+        upstream = rng.standard_normal((rows, 1))
+        upstream[::2, 0] = np.resize(np.roll(special, shift),
+                                     len(upstream[::2]))
+        net.forward(x)
+        with np.errstate(invalid="ignore"):
+            grad = net.backward(upstream)
+            want = upstream @ net.weights[1].T
+            reference = _backward_with_full_chain(net, upstream)
+            broadcast = upstream * net.weights[1].T
+        assert net._work(rows)["g"][0].tobytes() == want.tobytes()
+        assert grad.tobytes() == reference.tobytes()
+        broadcast_differs |= broadcast.tobytes() != want.tobytes()
+    assert broadcast_differs
+
+
 def _default_policy_net(seed=0):
     # the net MlpPolicy builds with the AgentConfig defaults on PointMass
     return MlpNet([2, 32, 32, 1], hidden="leaky_relu", output="tanh",

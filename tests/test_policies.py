@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from scipy.stats import kstest, truncnorm
 
+from detac.agents import BanditConfig
+from detac.envs import make_quadratic_bandit
 from detac.policies import (MAX_ATTEMPTS, GaussianExploration, LinearPolicy,
                             MlpPolicy)
 from jacobian_reference import jacobian
@@ -191,8 +193,28 @@ def test_single_state_exploration_draws_the_one_action_stream(make):
         got = exploration.act(state, rng)
         want, _ = _coordinate_sampler(exploration, policy.act(state), ref)
         assert got.shape == want.shape
-        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("m", [5, 50])
+@pytest.mark.parametrize("sigma", [BanditConfig().sigma,
+                                   BanditConfig().sigma_min],
+                         ids=["start", "floor"])
+def test_exploration_at_the_bandit_target_draws_the_coordinate_stream(
+        m, sigma):
+    # the means bandit-suite converges to, at its start and floor sigma
+    target = make_quadratic_bandit(m, 0).target
+    exploration = GaussianExploration(LinearPolicy(m, theta=target), sigma)
+    rng, ref = np.random.default_rng(m), np.random.default_rng(m)
+    redrawn = 0
+    for _ in range(300):
+        got = exploration.act(None, rng)
+        want, draws = _coordinate_sampler(exploration, target, ref)
+        assert got.tobytes() == want.tobytes()
+        redrawn += int(draws.max() > 1)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert redrawn > 0
 
 
 def test_batched_exploration_redraws_only_rejected_rows():
@@ -208,12 +230,12 @@ def test_batched_exploration_redraws_only_rejected_rows():
         first = means + sigma * np.random.default_rng(seed).standard_normal(
             means.shape)
         want, draws = _coordinate_sampler(exploration, means, replay)
-        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
         assert rng.bit_generator.state == replay.bit_generator.state
         # coordinates accepted on the first draw keep it, in rejected rows
         # too
         kept = draws == 1
-        assert np.array_equal(got[kept], first[kept])
+        assert got[kept].tobytes() == first[kept].tobytes()
         assert draws[-1, 0] == MAX_ATTEMPTS and got[-1, 0] == 1.0
         assert np.all(np.abs(got) <= 1.0)
     assert (kept & (draws > 1).any(axis=1, keepdims=True)).any()
