@@ -95,11 +95,11 @@ def run_episodes(act, env, n, rng, on_step=None):
 
 def evaluate_deterministic(policy, env, n_episodes, rng=None):
     """Play the greedy policy for ``n_episodes`` episodes through
-    ``run_episodes``, one ``policy.act_batch`` per time step, and return
-    the mean and the list of episode returns.  Interactions stay out of
-    any training data."""
+    ``run_episodes``, one ``policy.act(states)`` on the running rows per
+    time step, and return the mean and the list of episode returns.
+    Interactions stay out of any training data."""
     rng = rng if rng is not None else np.random.default_rng(0)
-    batch = run_episodes(policy.act_batch, env, n_episodes, rng)
+    batch = run_episodes(policy.act, env, n_episodes, rng)
     returns = [float(sum(r[:k].tolist()))
                for r, k in zip(batch.rewards, batch.lengths)]
     return float(np.mean(returns)), returns
@@ -176,7 +176,7 @@ class BatchActorCritic:
         # its actions on the gathered states; fitting the critic leaves the
         # policy and its latest pass alone, so the first direction reuses
         # this forward
-        mu_old = self.policy.act_batch(states) if penfac else None
+        mu_old = self.policy.act(states) if penfac else None
 
         fitted_value_iteration(self.critic, batch, cfg.gamma, cfg.lam,
                                cfg.fitted_iterations)
@@ -206,7 +206,7 @@ class BatchActorCritic:
             # mu is still mu_old only when the first direction was zero,
             # so the policy never moved
             d_hat = policy_distance_dhat(
-                mu_old, self.policy.act_batch(states) if mu is None else mu)
+                mu_old, self.policy.act(states) if mu is None else mu)
             self.dhat_history.append(d_hat)
             adapt_beta(self.trust, d_hat)
 

@@ -122,7 +122,7 @@ class CompatibleQCritic:
         if not isinstance(policy, LinearPolicy):
             raise TypeError(f"{type(policy).__name__} is not a LinearPolicy")
         self.policy = policy
-        self.w = np.zeros(policy.n_params)
+        self.w = np.zeros(policy.action_dim)
         self.v = np.zeros(1)
 
     def q(self, state, action):

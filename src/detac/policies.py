@@ -1,12 +1,14 @@
 """Deterministic policy representations and the Gaussian exploration wrapper.
 
-All policies expose a common surface: ``act(state)`` returns the
-deterministic action, ``act_batch(states)`` one action per row,
-``backward_batch(upstream)`` the parameter gradient of
-sum_t upstream_t . mu(s_t) over the rows of the last ``act_batch`` call
-(one vector-Jacobian product), and ``get_params``/``set_params`` move the
-parameter point.  No state is scanned for NaN or inf: a non-finite state
-gives a non-finite action, which ``env.step`` rejects.
+``MlpPolicy`` is the policy of the PointMass agents.  ``act(states)``
+returns one action for a state of shape ``(d,)`` and one per row for a
+batch of shape ``(n, d)``, and ``backward_batch(upstream)`` returns the
+parameter gradient of sum_t upstream_t . mu(s_t) over the rows of the
+latest ``act`` call (one vector-Jacobian product).  ``LinearPolicy`` is
+not a general policy: it holds the bandit's theta, which ``run_bandit``
+moves directly, and ``act`` returns theta clipped to the action box.  No
+state is scanned for NaN or inf: a non-finite state gives a non-finite
+action, which ``env.step`` rejects.
 """
 
 from __future__ import annotations
@@ -38,20 +40,17 @@ class MlpPolicy:
     def set_params(self, flat):
         self.net.set_params(flat)
 
-    def act(self, state):
-        return self.net.forward(state)
-
-    def act_batch(self, states):
-        return self.net.forward(np.atleast_2d(states))
+    def act(self, states):
+        return self.net.forward(states)
 
     def backward_batch(self, upstream):
-        """Parameter gradient of sum_t upstream_t . mu(s_t) for the last
-        ``act_batch`` call."""
+        """Parameter gradient of sum_t upstream_t . mu(s_t) for the latest
+        ``act`` call."""
         return self.net.backward(upstream)
 
 
 class LinearPolicy:
-    """State-independent policy mu(.) = theta; the bandit representation."""
+    """The bandit's state-independent mean mu(.) = theta."""
 
     def __init__(self, action_dim, theta=None):
         self.action_dim = action_dim
@@ -60,27 +59,9 @@ class LinearPolicy:
         self.theta = (np.zeros(action_dim) if theta is None
                       else np.asarray(theta, dtype=float).copy())
 
-    @property
-    def n_params(self):
-        return self.action_dim
-
-    def get_params(self):
-        return self.theta.copy()
-
-    def set_params(self, flat):
-        self.theta = np.asarray(flat, dtype=float).reshape(self.action_dim).copy()
-
     def act(self, state=None):
         # np.clip's bits, NaN and signed zeros included, without its wrapper
         return np.minimum(np.maximum(self.theta, self.low), self.high)
-
-    def act_batch(self, states):
-        return np.tile(self.act(), (len(np.atleast_2d(states)), 1))
-
-    def backward_batch(self, upstream):
-        """Parameter gradient of sum_t upstream_t . mu(s_t): with J = I, the
-        sum of the upstream rows."""
-        return np.sum(upstream, axis=0)
 
 
 class GaussianExploration:
@@ -116,9 +97,10 @@ class GaussianExploration:
         self.decay = float(decay)
 
     def act(self, states, rng):
-        """One exploratory action for a state of shape ``(d,)`` (or
-        ``None``, for a state-free policy), or one per row for a batch of
-        shape ``(n, d)``.
+        """One exploratory action per action the policy's ``act(states)``
+        returns: one for a state of shape ``(d,)`` (or ``None``, for the
+        state-free ``LinearPolicy``), one per row for a batch of shape
+        ``(n, d)``.
 
         All coordinates draw their first sample, then each round makes one
         ``standard_normal(k)`` call for the k coordinates still outside
@@ -127,8 +109,7 @@ class GaussianExploration:
         stream of a loop that redraws whole actions until they fit.
         """
         sigma = self.sigma
-        mu = (self.policy.act_batch(states) if np.ndim(states) == 2
-              else self.policy.act(states))
+        mu = self.policy.act(states)
         a = mu + sigma * rng.standard_normal(mu.shape)
         abs_a = np.abs(a)
         # the box test on the largest |a_j|; a NaN is that maximum

@@ -84,7 +84,7 @@ def batch_gated_direction(policy, states, actions, advantages,
     a constant (no gradient flows through it).  Ascent convention.
 
     ``mu``, when given, must be the output of the policy's latest
-    ``act_batch(states)``, with its parameters unchanged since: the
+    ``act(states)``, with its parameters unchanged since: the
     forward is then skipped and the backward reads that pass.
     """
     advantages = np.asarray(advantages, dtype=float)
@@ -93,7 +93,7 @@ def batch_gated_direction(policy, states, actions, advantages,
     if not len(states):
         raise ValueError("empty batch")
     if mu is None:
-        mu = policy.act_batch(states)
+        mu = policy.act(states)
     gate = (advantages > 0).astype(float)
     weight = gate * advantages if scale_by_delta else gate
     upstream = weight[:, None] * (actions - mu)

@@ -15,12 +15,11 @@ from scipy.stats import wilcoxon
 from detac.agents import (AgentConfig, BanditConfig, evaluate_deterministic,
                           make_agent, run_bandit)
 from detac.critics import lambda_returns
-from detac.envs import PointMass, make_quadratic_bandit, random_finite_mdp
-from detac.harness import (run_experiment, suite_gradcheck, suite_theorem1,
-                           worker_cap)
+from detac.envs import PointMass, make_quadratic_bandit
+from detac.harness import (run_experiment, suite_gradcheck, suite_lemma2,
+                           suite_theorem1, worker_cap)
 from detac.config import parse_config
-from detac.oracle import (epsilon_smoothed, gated_direction_ratio,
-                          performance_difference_residual)
+from detac.oracle import gated_direction_ratio
 from detac.policies import MlpPolicy
 from detac.trajectory import Trajectory
 from detac.updates import DHAT_BAND, cac_direction, cacla_direction
@@ -78,21 +77,14 @@ def pointmass_runs():
 
 
 def test_acceptance_1_lemma2_identity(report):
+    # the loop of ``detac verify lemma2``; it passes below 1e-9
     t0 = time.time()
-    rng = np.random.default_rng(0)
-    worst = 0.0
-    for _ in range(100):
-        mdp = random_finite_mdp(4, 3, 0.9, rng)
-        mu = rng.integers(0, 3, size=4)
-        mu_tilde = rng.integers(0, 3, size=4)
-        pi = epsilon_smoothed(mdp, mu, rng.uniform(0.05, 0.5))
-        worst = max(worst, performance_difference_residual(mdp, mu, mu_tilde,
-                                                           pi))
+    passed, lines = suite_lemma2(seed=0, trials=100)
     elapsed = time.time() - t0
-    ok = worst < 1e-9 and elapsed < 10.0
+    ok = passed and elapsed < 10.0
     report(1, "performance-difference identity", ok,
-            f"max_residual={worst:.3e} time={elapsed:.1f}s")
-    assert worst < 1e-9
+            f"{lines[-1]} time={elapsed:.1f}s")
+    assert passed
     assert elapsed < 10.0
 
 

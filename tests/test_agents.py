@@ -14,7 +14,7 @@ from detac.agents import (AgentConfig, BanditConfig, BatchActorCritic,
 from detac.critics import fitted_value_iteration, lambda_returns
 from detac.envs import (EnvSpec, PointMass, QuadraticBandit,
                         make_quadratic_bandit)
-from detac.policies import LinearPolicy, MlpPolicy
+from detac.policies import MlpPolicy
 from detac.updates import (adapt_beta, batch_gated_direction,
                            policy_distance_dhat)
 from constant_critic import ConstantVCritic
@@ -178,10 +178,6 @@ def test_lockstep_evaluation_quadratic_bandit():
     pol = MlpPolicy(1, 3, hidden_sizes=(8,), rng=np.random.default_rng(3))
     returns = _assert_lockstep_matches_loop(pol, env, 4)
     assert len(set(returns)) == 1 and returns[0] < 0.0
-    # the exported bandit representation evaluates too
-    pol = LinearPolicy(3, theta=[0.2, -1.4, 0.5])
-    returns = _assert_lockstep_matches_loop(pol, env, 3)
-    assert returns[0] == env.step(np.zeros(1), pol.act())[1]
 
 
 def test_lockstep_evaluation_masks_finished_episodes():
@@ -201,8 +197,6 @@ class _RowPolicy:
 
     def act(self, states):
         return np.tanh(0.3 * np.asarray(states) - 0.5)
-
-    act_batch = act
 
 
 def test_run_episodes_equals_sequential_loop():
@@ -299,34 +293,34 @@ def test_evaluate_deterministic_rejects_no_episodes():
 
 
 def test_incremental_agent_rejects_batch_rules():
-    pol = LinearPolicy(1)
+    # the rule is checked before the policy is read
     with pytest.raises(ValueError):
-        IncrementalActorCritic(pol, ConstantVCritic(), AgentConfig(rule="nfac"))
+        IncrementalActorCritic(None, ConstantVCritic(), AgentConfig(rule="nfac"))
 
 
 def test_batch_agent_rejects_incremental_rules():
-    pol = LinearPolicy(1)
     with pytest.raises(ValueError):
-        BatchActorCritic(pol, ConstantVCritic(), AgentConfig(rule="cacla"))
+        BatchActorCritic(None, ConstantVCritic(), AgentConfig(rule="cacla"))
 
 
 def test_incremental_cacla_improves_on_bandit():
-    # one-state problem: positive TD errors pull theta toward the target
+    # one-state problem: positive TD errors pull mu toward the target
     env = QuadraticBandit([0.4])
     cfg = AgentConfig(rule="cacla", gamma=0.0, sigma=0.3,
                       lr_actor=0.1, lr_critic=0.2)
-    pol = LinearPolicy(1)
+    pol = MlpPolicy(1, 1, hidden_sizes=(4,), rng=np.random.default_rng(0))
     agent = IncrementalActorCritic(pol, ConstantVCritic(), cfg)
     rng = np.random.default_rng(0)
     for _ in range(500):
         agent.run_episode(env, rng)
-    assert abs(pol.theta[0] - 0.4) < 0.1
+    assert abs(pol.act(np.zeros(1))[0] - 0.4) < 0.1
 
 
 def test_incremental_agent_sigma_anneals_per_episode():
     env = QuadraticBandit([0.0])
     cfg = AgentConfig(rule="cacla", gamma=0.0, sigma=0.4, sigma_decay=0.5)
-    agent = IncrementalActorCritic(LinearPolicy(1), ConstantVCritic(), cfg)
+    pol = MlpPolicy(1, 1, hidden_sizes=(4,), rng=np.random.default_rng(0))
+    agent = IncrementalActorCritic(pol, ConstantVCritic(), cfg)
     rng = np.random.default_rng(1)
     agent.run_episode(env, rng)
     agent.run_episode(env, rng)
@@ -444,9 +438,9 @@ def test_penfac_dhat_is_the_whole_move_of_its_phase(seed):
 
     def checked(batch):
         states = batch.per_step(batch.states)
-        mu_before = agent.policy.act_batch(states)
+        mu_before = agent.policy.act(states)
         update_phase(batch)
-        want = policy_distance_dhat(mu_before, agent.policy.act_batch(states))
+        want = policy_distance_dhat(mu_before, agent.policy.act(states))
         got = agent.dhat_history[-1]
         assert np.float64(got).tobytes() == np.float64(want).tobytes(), (
             got, want)
@@ -480,7 +474,7 @@ def _update_phase_all_directions(agent, batch):
     cfg = agent.config
     states = batch.per_step(batch.states)
     penfac = cfg.rule == "penfac"
-    mu_old = agent.policy.act_batch(states) if penfac else None
+    mu_old = agent.policy.act(states) if penfac else None
     fitted_value_iteration(agent.critic, batch, cfg.gamma, cfg.lam,
                            cfg.fitted_iterations)
     actions = batch.per_step(batch.actions)
@@ -494,7 +488,7 @@ def _update_phase_all_directions(agent, batch):
         agent.policy.set_params(agent.actor_adam.step(
             agent.policy.get_params(), g, ascent=True))
     if penfac:
-        d_hat = policy_distance_dhat(mu_old, agent.policy.act_batch(states))
+        d_hat = policy_distance_dhat(mu_old, agent.policy.act(states))
         agent.dhat_history.append(d_hat)
         adapt_beta(agent.trust, d_hat)
 

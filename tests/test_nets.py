@@ -321,7 +321,7 @@ def test_steady_state_actor_step_allocates_few_per_row_arrays():
     states = rng.standard_normal((500, 2))
     actions = rng.uniform(-1, 1, (500, 1))
     advantages = rng.standard_normal(500)
-    mu_old = policy.act_batch(states)
+    mu_old = policy.act(states)
 
     def step():
         g = batch_gated_direction(policy, states, actions, advantages,

