@@ -258,7 +258,8 @@ def run_bandit(rule, env, episodes, config, rng, eval_every=1):
     state = env.reset(rng)
     sigma = config.sigma
 
-    q_critic = CompatibleQCritic(policy) if rule in ("spg", "dpg") else None
+    q_critic = (CompatibleQCritic(policy.action_dim) if rule in ("spg", "dpg")
+                else None)
     baseline = 0.0
 
     lr = config.lr_actor
@@ -273,12 +274,15 @@ def run_bandit(rule, env, episodes, config, rng, eval_every=1):
             if delta > 0:
                 policy.theta += lr * (action - policy.theta)
         else:
-            q_critic.sgd_fit_step(state, action, reward, config.lr_critic)
+            # the compatible feature a - mu: theta starts at 0 and is
+            # projected into the box after every update, so mu is theta
+            feat = action - policy.theta
+            q_critic.sgd_fit_step(feat, reward, config.lr_critic)
             if rule == "dpg":
                 g = q_critic.grad_a(state)
             else:
-                adv = q_critic.q(state, action) - q_critic.value(state)
-                g = adv * (action - policy.act(state)) / sigma ** 2
+                adv = q_critic.q(feat) - q_critic.value(state)
+                g = adv * feat / sigma ** 2
             policy.theta += lr * g
             # the gated rule's step vanishes near the optimum on its own;
             # the critic-driven steps keep a noise floor, so only they get

@@ -2,9 +2,10 @@
 iteration, and the compatible-feature Q critic used by the SPG/DPG
 baselines.
 
-Critics share a small surface: ``value(state)``, ``values(states)``,
-``regress(states, targets)`` (one fitting pass toward fixed targets) and
-``td_update(state, delta, lr)`` for incremental TD(0).
+The state-value critic ``MlpVCritic`` offers ``value(state)``,
+``values(states)``, ``regress(states, targets)`` (one fitting pass toward
+fixed targets) and ``td_update(state, delta, lr)`` for incremental TD(0).
+``CompatibleQCritic`` reads compatible features a - mu instead of states.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from .nets import Adam, MlpNet
-from .policies import LinearPolicy
 
 
 class MlpVCritic:
@@ -114,29 +114,25 @@ class CompatibleQCritic:
     """Q(s, a) = (a - mu)^T w + v for the state-free ``LinearPolicy``.
 
     Its J_mu = I, so the compatible features (a - mu(s))^T J_mu(s) of
-    Silver et al. (2014) are a - mu: grad_a Q = w, and Q(s, mu) = v.  The
-    state value is one constant parameter, held as the 1-vector ``v``.
+    Silver et al. (2014) are a - mu, which the caller passes as ``feat``:
+    grad_a Q = w, and Q(s, mu) = v, one constant held as a float.
     """
 
-    def __init__(self, policy):
-        if not isinstance(policy, LinearPolicy):
-            raise TypeError(f"{type(policy).__name__} is not a LinearPolicy")
-        self.policy = policy
-        self.w = np.zeros(policy.action_dim)
-        self.v = np.zeros(1)
+    def __init__(self, action_dim):
+        self.w = np.zeros(action_dim)
+        self.v = 0.0
 
-    def q(self, state, action):
-        return float((action - self.policy.act(state)) @ self.w + self.v[0])
+    def q(self, feat):
+        return float(feat @ self.w + self.v)
 
     def value(self, state):
-        return float(self.v[0])
+        return self.v
 
     def grad_a(self, state):
         return self.w.copy()
 
-    def sgd_fit_step(self, state, action, target, lr):
+    def sgd_fit_step(self, feat, target, lr):
         """One stochastic gradient step on the squared Bellman residual."""
-        feat_w = action - self.policy.act(state)
-        err = target - (feat_w @ self.w + self.v[0])
-        self.w += lr * err * feat_w
+        err = target - float(feat @ self.w + self.v)
+        self.w += lr * err * feat
         self.v += lr * err

@@ -169,6 +169,12 @@ class LipschitzGaussianChain:
         width = self.grid[1] - self.grid[0]
         self.edges = np.concatenate(
             [[-np.inf], self.grid[:-1] + width / 2, [np.inf]])
+        # only the rewards differ between the MDPs ``build_mdp`` makes, so
+        # they all share one read-only (n, k, n) transition tensor
+        rows = np.array([[self.transition_row(s, a) for a in self.actions]
+                         for s in range(self.grid.size)])
+        self.transitions = rows / rows.sum(axis=2, keepdims=True)
+        self.transitions.flags.writeable = False
 
     @property
     def n_states(self):
@@ -191,15 +197,9 @@ class LipschitzGaussianChain:
 
     def build_mdp(self, rewards, start=None):
         """Tabular MDP over (state grid x action grid)."""
-        n, k = self.n_states, self.n_actions
-        p = np.empty((n, k, n))
-        for s in range(n):
-            for a in range(k):
-                p[s, a] = self.transition_row(s, self.actions[a])
-                p[s, a] /= p[s, a].sum()
         if start is None:
-            start = np.full(n, 1.0 / n)
-        return FiniteMdp(p, rewards, start, self.gamma)
+            start = np.full(self.n_states, 1.0 / self.n_states)
+        return FiniteMdp(self.transitions, rewards, start, self.gamma)
 
     def smoothed_policy(self, mu_actions, sigma):
         """Discretized Gaussian policy over the action grid, centered at the

@@ -3,7 +3,7 @@ import pytest
 
 from detac.critics import (CompatibleQCritic, MlpVCritic,
                            fitted_value_iteration, lambda_returns, td_error)
-from detac.policies import LinearPolicy, MlpPolicy
+from detac.policies import LinearPolicy
 from detac.trajectory import Trajectory
 from constant_critic import ConstantVCritic
 from jacobian_reference import jacobian, toward
@@ -312,17 +312,17 @@ def test_compatible_q_identity_at_mean():
     # Q(s, mu(s)) equals psi(s)^T v bit-exactly because the advantage
     # feature vanishes at a = mu(s)
     pol = LinearPolicy(2, theta=np.array([0.2, -0.3]))
-    critic = CompatibleQCritic(pol)
+    critic = CompatibleQCritic(2)
     critic.w = np.array([0.7, -0.4])
-    critic.v = np.array([1.3])
-    mu = pol.act()
-    assert critic.q(None, mu) == critic.value(None)
-    assert not np.any(toward(pol, None, mu))
+    critic.v = 1.3
+    feat = toward(pol, None, pol.act())
+    assert not np.any(feat)
+    assert critic.q(feat) == critic.value(None) == 1.3
 
 
 def test_compatible_q_grad_a_is_jacobian_transpose_w():
     pol = LinearPolicy(2)
-    critic = CompatibleQCritic(pol)
+    critic = CompatibleQCritic(2)
     critic.w = np.array([0.5, -1.5])
     g = critic.grad_a(None)
     assert np.array_equal(g, jacobian(pol, None) @ critic.w)
@@ -343,15 +343,15 @@ def _reference_theta(rng, m):
 
 @pytest.mark.parametrize("m", [1, 5, 50])
 def test_compatible_q_matches_the_jacobian_form_bit_for_bit(m):
-    # the critic's features are a - mu; the reference builds the general
-    # compatible form (a - mu)^T J w + v from the test-side Jacobian, and
-    # every output and every updated parameter agrees byte for byte
+    # on the features (a - mu)^T J of the test-side Jacobian, every output
+    # and every updated parameter agrees byte for byte with the general
+    # compatible form (a - mu)^T J w + v, v held as a 1-vector
     rng = np.random.default_rng(m)
     for _ in range(200):
         pol = LinearPolicy(m, theta=_reference_theta(rng, m))
-        critic = CompatibleQCritic(pol)
+        critic = CompatibleQCritic(m)
         w, v = rng.standard_normal(m), rng.standard_normal(1)
-        critic.w, critic.v = w.copy(), v.copy()
+        critic.w, critic.v = w.copy(), float(v[0])
         action = np.clip(pol.act() + 0.3 * rng.standard_normal(m), -1, 1)
         # some coordinates exactly at the mean, where the feature is 0
         hit = rng.random(m) < 0.2
@@ -360,26 +360,27 @@ def test_compatible_q_matches_the_jacobian_form_bit_for_bit(m):
 
         feat = toward(pol, None, action)
         q_ref = float(feat @ w + v[0])
-        assert np.float64(critic.q(None, action)).tobytes() == \
+        assert np.float64(critic.q(feat)).tobytes() == \
             np.float64(q_ref).tobytes()
         assert critic.value(None) == v[0]
         assert critic.grad_a(None).tobytes() == \
             (jacobian(pol, None) @ w).tobytes()
 
         err = target - (feat @ w + v[0])
-        critic.sgd_fit_step(None, action, target, lr)
+        critic.sgd_fit_step(feat, target, lr)
         assert critic.w.tobytes() == (w + lr * err * feat).tobytes()
-        assert critic.v.tobytes() == (v + lr * err).tobytes()
+        assert type(critic.v) is float
+        assert np.float64(critic.v).tobytes() == (v + lr * err).tobytes()
 
 
-def _ridge_fit(critic, states, actions, targets, ridge=1e-6):
+def _ridge_fit(critic, policy, states, actions, targets, ridge=1e-6):
     """Reference least squares of (w, v) on the stacked compatible
     features [(a - mu(s))^T J_mu(s), 1]."""
-    x = np.stack([np.append(toward(critic.policy, s, a), 1.0)
+    x = np.stack([np.append(toward(policy, s, a), 1.0)
                   for s, a in zip(states, actions)])
     sol = np.linalg.solve(x.T @ x + ridge * np.eye(x.shape[1]),
                           x.T @ np.asarray(targets, dtype=float))
-    critic.w, critic.v = sol[:-1], sol[-1:]
+    critic.w, critic.v = sol[:-1], float(sol[-1])
 
 
 def test_compatible_q_fit_recovers_linear_model():
@@ -387,47 +388,41 @@ def test_compatible_q_fit_recovers_linear_model():
     rng = np.random.default_rng(9)
     pol = LinearPolicy(2, theta=np.array([0.1, 0.2]))
     true_w = np.array([0.8, -0.6])
-    true_v = np.array([0.4])
+    true_v = 0.4
     actions = pol.act() + 0.3 * rng.standard_normal((40, 2))
-    targets = [(a - pol.act()) @ true_w + true_v[0] for a in actions]
-    critic = CompatibleQCritic(pol)
-    _ridge_fit(critic, [None] * 40, actions, targets)
+    targets = [(a - pol.act()) @ true_w + true_v for a in actions]
+    critic = CompatibleQCritic(2)
+    _ridge_fit(critic, pol, [None] * 40, actions, targets)
     assert np.max(np.abs(critic.w - true_w)) < 1e-4
-    assert abs(critic.v[0] - true_v[0]) < 1e-4
+    assert abs(critic.v - true_v) < 1e-4
 
 
 def test_compatible_q_sgd_converges_to_fit():
     rng = np.random.default_rng(3)
     pol = LinearPolicy(1, theta=np.array([0.0]))
     true_w, true_v = 2.0, -1.0
-    critic = CompatibleQCritic(pol)
+    critic = CompatibleQCritic(1)
     for _ in range(4000):
         a = 0.4 * rng.standard_normal(1)
         target = a[0] * true_w + true_v
-        critic.sgd_fit_step(None, a, target, lr=0.05)
+        critic.sgd_fit_step(toward(pol, None, a), target, lr=0.05)
     assert abs(critic.w[0] - true_w) < 0.05
-    assert abs(critic.v[0] - true_v) < 0.05
-
-
-def test_compatible_q_rejects_other_policies():
-    # its features are a - mu, the compatible form for J = I only
-    pol = MlpPolicy(2, 2, hidden_sizes=(6,), rng=np.random.default_rng(4))
-    with pytest.raises(TypeError, match="not a LinearPolicy"):
-        CompatibleQCritic(pol)
+    assert abs(critic.v - true_v) < 0.05
 
 
 def test_compatible_q_gradcheck():
     # grad_a Q at mu should match finite differences of q in the action
     rng = np.random.default_rng(4)
     pol = LinearPolicy(3, theta=np.array([0.3, -1.0, 0.8]))
-    critic = CompatibleQCritic(pol)
+    critic = CompatibleQCritic(3)
     critic.w = rng.standard_normal(3)
-    critic.v = rng.standard_normal(1)
+    critic.v = float(rng.standard_normal())
     mu = pol.act()
     g = critic.grad_a(None)
     h = 1e-6
     for i in range(3):
         e = np.zeros(3)
         e[i] = h
-        fd = (critic.q(None, mu + e) - critic.q(None, mu - e)) / (2 * h)
+        fd = (critic.q(toward(pol, None, mu + e))
+              - critic.q(toward(pol, None, mu - e))) / (2 * h)
         assert abs(g[i] - fd) < 1e-8

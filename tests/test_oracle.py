@@ -209,6 +209,23 @@ def test_chain_transition_rows_sum_to_one():
             assert np.all(row >= 0)
 
 
+def test_chain_transitions_are_the_normalized_rows_bit_for_bit():
+    # built once per chain; build_mdp shares the tensor read-only
+    chain = LipschitzGaussianChain()
+    n, k = chain.n_states, chain.n_actions
+    p = np.empty((n, k, n))
+    for s in range(n):
+        for a in range(k):
+            p[s, a] = chain.transition_row(s, chain.actions[a])
+            p[s, a] /= p[s, a].sum()
+    assert chain.transitions.shape == p.shape
+    assert chain.transitions.tobytes() == p.tobytes()
+    mdp = chain.build_mdp(np.zeros((n, k)))
+    assert mdp.transitions is chain.transitions
+    with pytest.raises(ValueError):
+        mdp.transitions[0, 0, 0] = 1.0
+
+
 def test_chain_lipschitz_bound_on_rows():
     # L1 distance between rows for nearby actions obeys L |a1 - a2|
     chain = LipschitzGaussianChain()

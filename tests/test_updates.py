@@ -34,7 +34,7 @@ def bandit_reference(rule, env, episodes, config, rng):
     ``toward`` behind CACLA's gate."""
     policy = LinearPolicy(env.spec.action_dim)
     exploration = GaussianExploration(policy, config.sigma)
-    critic = CompatibleQCritic(policy)
+    critic = CompatibleQCritic(policy.action_dim)
     state = env.reset(rng)
     v, lr, curve = 0.0, config.lr_actor, []
     for _ in range(episodes):
@@ -46,11 +46,13 @@ def bandit_reference(rule, env, episodes, config, rng):
             if delta > 0:
                 policy.theta += lr * toward(policy, state, action)
         else:
-            critic.sgd_fit_step(state, action, reward, config.lr_critic)
+            critic.sgd_fit_step(toward(policy, state, action), reward,
+                                config.lr_critic)
             if rule == "dpg":
                 g = dpg_direction(policy, state, critic.grad_a(state))
             else:
-                adv = critic.q(state, action) - critic.value(state)
+                adv = (critic.q(toward(policy, state, action))
+                       - critic.value(state))
                 g = spg_direction(policy, exploration.sigma, state, action,
                                   adv)
             policy.theta += lr * g
@@ -58,6 +60,44 @@ def bandit_reference(rule, env, episodes, config, rng):
         policy.theta = np.clip(policy.theta, policy.low, policy.high)
         exploration.sigma = max(config.sigma_min,
                                 exploration.sigma * config.sigma_decay)
+        curve.append(-float(np.sum((policy.act(state) - env.target) ** 2)))
+    return np.asarray(curve)
+
+
+def old_form_bandit(rule, env, episodes, config, rng):
+    """run_bandit as it ran while the compatible critic held the policy,
+    evaluated every episode: each feature from ``toward``, the baseline v
+    a 1-vector, and SPG's step on a second a - mu."""
+    policy = LinearPolicy(env.spec.action_dim)
+    exploration = GaussianExploration(policy, config.sigma)
+    w, v = np.zeros(policy.action_dim), np.zeros(1)
+    state = env.reset(rng)
+    sigma, baseline, lr, curve = config.sigma, 0.0, config.lr_actor, []
+    for _ in range(episodes):
+        action = exploration.act(state, rng)
+        _, reward, _ = env.step(state, action, rng)
+        if rule == "cacla":
+            delta = reward - baseline
+            baseline += config.lr_critic * delta
+            if delta > 0:
+                policy.theta += lr * (action - policy.theta)
+        else:
+            feat = toward(policy, None, action)
+            err = reward - (feat @ w + v[0])
+            w += config.lr_critic * err * feat
+            v += config.lr_critic * err
+            if rule == "dpg":
+                g = w.copy()
+            else:
+                adv = (float(toward(policy, None, action) @ w + v[0])
+                       - float(v[0]))
+                g = adv * (action - policy.act(state)) / sigma ** 2
+            policy.theta += lr * g
+            lr = max(config.lr_actor_min, lr * config.lr_actor_decay)
+        policy.theta = np.minimum(np.maximum(policy.theta, policy.low),
+                                  policy.high)
+        sigma = max(config.sigma_min, sigma * config.sigma_decay)
+        exploration.sigma = sigma
         curve.append(-float(np.sum((policy.act(state) - env.target) ** 2)))
     return np.asarray(curve)
 
@@ -336,3 +376,17 @@ def test_run_bandit_matches_reference_directions(rule):
                             np.random.default_rng(1))
     assert got[-1] > got[0]
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize("m", [1, 5, 50])
+@pytest.mark.parametrize("rule", ["spg", "dpg", "cacla"])
+def test_run_bandit_is_the_old_form_byte_for_byte(rule, m):
+    # run_bandit builds each episode's feature once, as a - theta, and
+    # keeps the critic's v a float; every curve value keeps its bits
+    env = make_quadratic_bandit(m, 0)
+    for seed in (1, 2):
+        got = run_bandit(rule, env, 300, BanditConfig(),
+                         np.random.default_rng(seed))
+        want = old_form_bandit(rule, env, 300, BanditConfig(),
+                               np.random.default_rng(seed))
+        assert got.tobytes() == want.tobytes()
