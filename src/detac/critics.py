@@ -35,6 +35,8 @@ class MlpVCritic:
     def regress(self, states, targets):
         states = np.atleast_2d(states)
         targets = np.asarray(targets, dtype=float).reshape(-1)
+        if len(targets) != len(states):
+            raise ValueError("states and targets must have equal length")
         pred = self.net.forward(states)
         upstream = (2.0 / len(targets)) * (pred - targets[:, None])
         grad = self.net.backward(upstream)

@@ -17,16 +17,18 @@ OUTPUT_ACTIVATIONS = ("linear", "tanh")
 LEAKY_SLOPE = 0.01
 
 
-def _leaky_relu(x, out=None):
+def _leaky_relu(x, out=None, scratch=None):
     # max(x, slope * x) is x for x > 0 and slope * x otherwise, the same
-    # bits as np.where(x > 0, x, slope * x) at a lower cost
-    y = np.multiply(LEAKY_SLOPE, x, out=out)
-    return np.maximum(x, y, out=y)
+    # bits as np.where(x > 0, x, slope * x) at a lower cost; the product
+    # goes to ``scratch`` and the result to ``out``, which may be ``x``
+    y = np.multiply(LEAKY_SLOPE, x, out=scratch)
+    return np.maximum(x, y, out=out)
 
 
-# activation(x, out=None), by name
-ACTIVATIONS = {"tanh": np.tanh, "leaky_relu": _leaky_relu,
-               "linear": lambda x, out=None: x}
+# activation(x, out=None, scratch=None), by name; in place when out is x
+ACTIVATIONS = {"tanh": lambda x, out=None, scratch=None: np.tanh(x, out=out),
+               "leaky_relu": _leaky_relu,
+               "linear": lambda x, out=None, scratch=None: x}
 
 
 def _column_sum(a, out=None):
@@ -55,9 +57,10 @@ class MlpNet:
 
     ``forward`` and ``backward`` write every per-row array into work
     arrays that only grow, to the largest batch seen, and are reused by
-    later passes; ``forward`` hands out a fresh copy of its output, and
-    ``backward`` reads the arrays of the latest ``forward`` and hands out
-    a fresh copy of its gradient.
+    later passes: each layer's output, the gradient at each hidden
+    layer's output, and one scratch array.  ``forward`` hands out a fresh
+    copy of its output, and ``backward`` reads the outputs of the latest
+    ``forward`` and hands out a fresh copy of its gradient.
     """
 
     def __init__(self, layer_sizes, hidden="tanh", output="linear",
@@ -138,24 +141,23 @@ class MlpNet:
     # -- work arrays ----------------------------------------------------------
 
     def _work(self, n):
-        """The first ``n`` rows of every work array, by name: one array per
-        layer for ``z`` (x W + b), ``h`` (activation), ``gz`` (gradient at
-        the pre-activation), ``g`` (gradient at the layer's output) and
-        ``mask`` (leaky_relu units on).  The arrays are reallocated only
-        for a batch larger than any before; the views of the latest batch
-        size are kept."""
-        if self._views is None or len(self._views["z"][0]) != n:
-            if self._arrays is None or len(self._arrays["z"][0]) < n:
-                widths = self.layer_sizes[1:]
+        """The first ``n`` rows of every work array, by name: ``h``, each
+        layer's output; ``g``, the gradient at each hidden layer's output,
+        scaled in place by the activation's derivative; and ``d``, an
+        (n, width) view per layer of one scratch as wide as the widest
+        layer.  The arrays are reallocated only for a batch larger than any
+        before; the views of the latest batch size are kept."""
+        if self._views is None or len(self._views["h"][0]) != n:
+            widths = self.layer_sizes[1:]
+            if self._arrays is None or len(self._arrays["h"][0]) < n:
                 self._arrays = {
-                    "z": [np.empty((n, w)) for w in widths],
                     "h": [np.empty((n, w)) for w in widths],
-                    "gz": [np.empty((n, w)) for w in widths],
-                    "g": [np.empty((n, w)) for w in widths],
-                    "mask": [np.empty((n, w), dtype=bool) for w in widths],
+                    "g": [np.empty((n, w)) for w in widths[:-1]],
+                    "d": np.empty(n * max(widths)),
                 }
-            self._views = {key: [a[:n] for a in arrays]
-                           for key, arrays in self._arrays.items()}
+            h, g, d = self._arrays.values()
+            self._views = {"h": [a[:n] for a in h], "g": [a[:n] for a in g],
+                           "d": [d[:n * w].reshape(n, w) for w in widths]}
         return self._views
 
     # -- forward / backward -------------------------------------------------
@@ -179,20 +181,18 @@ class MlpNet:
                 f"size {self.layer_sizes[0]}")
 
         work = self._work(len(x))
-        cache = {"pre": [], "post": [x]}
-        pre, post = cache["pre"], cache["post"]
         last = len(self.weights) - 1
         act = ACTIVATIONS[self.hidden]
         h = x
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = np.matmul(h, w, out=work["z"][k])
-            z += b
-            pre.append(z)
+            # x W + b, and then the activation, in the layer's output
+            h = np.matmul(h, w, out=work["h"][k])
+            h += b
             if k == last:
                 act = ACTIVATIONS[self.output]
-            h = act(z, work["h"][k])
-            post.append(h)
-        self._cache = cache
+            act(h, h, work["d"][k])
+        # every layer's input, and the last layer's output
+        self._cache = [x, *work["h"]]
         return h[0].copy() if single else h.copy()
 
     def backward(self, grad_out):
@@ -205,49 +205,48 @@ class MlpNet:
         """
         if self._cache is None:
             raise RuntimeError("backward called without a cached forward pass")
-        cache = self._cache
+        post = self._cache
         grad_out = np.asarray(grad_out, dtype=float)
         if grad_out.ndim == 1:
             grad_out = grad_out[None, :]
-        if grad_out.shape != cache["post"][-1].shape:
+        if grad_out.shape != post[-1].shape:
             raise ValueError("upstream gradient shape does not match cached batch")
 
         work = self._work(len(grad_out))
-        n_layers = len(self.weights)
+        last = len(self.weights) - 1
         g = grad_out
-        for k in reversed(range(n_layers)):
-            name = self.output if k == n_layers - 1 else self.hidden
-            gz = work["gz"][k]
-            if name == "tanh":
-                # g * tanh', with tanh' = 1 - tanh^2 from the cached
-                # activation
-                h = cache["post"][k + 1]
-                np.multiply(h, h, out=gz)
-                np.subtract(1.0, gz, out=gz)
-                np.multiply(g, gz, out=gz)
-            elif name == "leaky_relu":
-                # g * where(z > 0, 1, slope), with the factor built as
-                # (z > 0) (1 - slope) + slope: exactly 1 or slope, at a
-                # fraction of the cost of np.where
-                on = np.greater(cache["pre"][k], 0, out=work["mask"][k])
-                np.multiply(on, 1.0 - LEAKY_SLOPE, out=gz)
-                gz += LEAKY_SLOPE
-                np.multiply(g, gz, out=gz)
-            else:
-                gz = g
-            np.matmul(cache["post"][k].T, gz, out=self._grad_w[k])
-            _column_sum(gz, out=self._grad_b[k])
+        for k in reversed(range(last + 1)):
+            name = self.output if k == last else self.hidden
+            if name != "linear":
+                h, d = post[k + 1], work["d"][k]
+                if name == "tanh":
+                    # tanh' = 1 - tanh^2, from the layer's output
+                    np.multiply(h, h, out=d)
+                    np.subtract(1.0, d, out=d)
+                else:
+                    # leaky_relu' = where(z > 0, 1, slope), built as
+                    # (h > 0) (1 - slope) + slope: exactly 1 or slope, at a
+                    # fraction of the cost of np.where.  h > 0 exactly
+                    # where z > 0, at +-0, subnormals, +-inf and NaN too
+                    np.greater(h, 0, out=d)
+                    d *= 1.0 - LEAKY_SLOPE
+                    d += LEAKY_SLOPE
+                # the gradient at x W + b: g times the derivative, in place
+                # in g, or in the scratch for the caller's grad_out
+                g = np.multiply(g, d, out=d if k == last else g)
+            np.matmul(post[k].T, g, out=self._grad_w[k])
+            _column_sum(g, out=self._grad_b[k])
             if k > 0:
                 # the input gradient of the first layer is never used
                 w, out = self.weights[k], work["g"][k - 1]
                 if w.shape[1] == 1:
                     # an (n, 1) @ (1, width) outer product at half
                     # matmul's cost: einsum, like matmul, computes 0 + a b,
-                    # so a -0.0 product comes out +0.0, where gz * w.T
+                    # so a -0.0 product comes out +0.0, where g * w.T
                     # would keep the -0.0
-                    g = np.einsum("i,j->ij", gz[:, 0], w[:, 0], out=out)
+                    g = np.einsum("i,j->ij", g[:, 0], w[:, 0], out=out)
                 else:
-                    g = np.matmul(gz, w.T, out=out)
+                    g = np.matmul(g, w.T, out=out)
         return self._grad.copy()
 
 # Adam's moment decays and denominator guard; no momentum (beta1 = 0)
@@ -312,10 +311,10 @@ class Adam:
 
 
 def _leaky_pattern(net):
-    """On/off state of every leaky_relu unit in the last forward pass."""
+    """On/off state (output > 0) of every leaky_relu unit in the last pass."""
     if net.hidden != "leaky_relu":
         return []
-    return [z > 0 for z in net._cache["pre"][:-1]]
+    return [h > 0 for h in net._cache[1:-1]]
 
 
 def gradient_check(net, x, upstream=None, h=1e-5):

@@ -52,9 +52,10 @@ def policy_distance_dhat(mu_old, mu):
     """d_hat = (1 / sqrt(m L)) sum_s ||mu_old(s) - mu(s)||_2 over the L
     gathered states (a sqrt(L)-scaled sum, not an average), from the
     (L, m) actions of the pre-update and the current policy."""
-    diff = np.asarray(mu_old, float) - np.asarray(mu, float)
-    if diff.ndim != 2 or diff.shape[0] == 0:
-        raise ValueError("expected a non-empty (L, m) array of actions")
+    mu_old, mu = np.asarray(mu_old, float), np.asarray(mu, float)
+    if mu_old.ndim != 2 or mu_old.size == 0 or mu_old.shape != mu.shape:
+        raise ValueError("expected two non-empty (L, m) arrays of actions")
+    diff = mu_old - mu
     n_states, m = diff.shape
     return float(np.linalg.norm(diff, axis=1).sum() / np.sqrt(m * n_states))
 

@@ -266,6 +266,17 @@ def test_mlp_critic_regression_reduces_loss():
     assert loss1 < 0.1 * loss0
 
 
+@pytest.mark.parametrize("n_targets", [1, 3, 5])
+def test_mlp_critic_regress_rejects_a_target_count_unequal_to_the_states(
+        n_targets):
+    # one target for four rows used to be broadcast to every row
+    critic = MlpVCritic(2, hidden_sizes=(8,), rng=np.random.default_rng(3))
+    params = critic.net.get_params()
+    with pytest.raises(ValueError, match="equal length"):
+        critic.regress(np.zeros((4, 2)), np.ones(n_targets))
+    assert np.array_equal(critic.net.get_params(), params)
+
+
 def test_mlp_critic_td_update_moves_value_toward_target():
     critic = MlpVCritic(1, hidden_sizes=(8,), rng=np.random.default_rng(2))
     s = np.array([0.5])

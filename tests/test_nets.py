@@ -7,7 +7,7 @@ import pytest
 
 from detac.critics import MlpVCritic
 from detac.nets import (ACTIVATIONS, LEAKY_SLOPE, Adam, MlpNet, _column_sum,
-                        gradient_check)
+                        _leaky_pattern, _leaky_relu, gradient_check)
 from detac.policies import MlpPolicy
 from detac.updates import batch_gated_direction
 
@@ -48,6 +48,15 @@ def test_leaky_relu_equals_where_form_bitwise():
     where_form = np.where(x > 0, x, LEAKY_SLOPE * x)
     got = ACTIVATIONS["leaky_relu"](x)
     assert np.array_equal(got.view(np.uint64), where_form.view(np.uint64))
+
+
+def test_leaky_relu_output_is_positive_exactly_where_its_input_is():
+    # backward builds leaky_relu's derivative from the output's sign
+    tiny = np.finfo(float).smallest_subnormal
+    z = np.array([0.0, -0.0, tiny, -tiny, np.inf, -np.inf, np.nan, -np.nan,
+                  1.0, -1.0, 1e-300, -1e-300, 1e308, -1e308])
+    z = np.concatenate([z, np.random.default_rng(1).standard_normal(1000)])
+    assert np.array_equal(_leaky_relu(z) > 0, z > 0)
 
 
 def test_param_count_matches_layer_sizes():
@@ -158,15 +167,17 @@ def test_adam_ascent_flag_flips_direction():
 def _backward_with_full_chain(net, grad_out):
     """MlpNet.backward as first written: the activation derivative
     recomputed from the pre-activation, and an input gradient for every
-    layer, the first included.  The reference for the trimmed form."""
-    cache = net._cache
+    layer, the first included.  The reference for the trimmed form; it
+    reads only each layer's input from the net's latest pass, and
+    recomputes the pre-activation z = x W + b from it."""
+    post = net._cache
     grad_out = np.atleast_2d(np.asarray(grad_out, dtype=float))
     n_layers = len(net.weights)
     grads_w, grads_b = [None] * n_layers, [None] * n_layers
     g = grad_out
     for k in reversed(range(n_layers)):
         name = net.output if k == n_layers - 1 else net.hidden
-        z = cache["pre"][k]
+        z = post[k] @ net.weights[k] + net.biases[k]
         if name == "tanh":
             t = np.tanh(z)
             d = 1.0 - t * t
@@ -175,7 +186,7 @@ def _backward_with_full_chain(net, grad_out):
         else:
             d = np.ones_like(z)
         gz = g * d
-        grads_w[k] = cache["post"][k].T @ gz
+        grads_w[k] = post[k].T @ gz
         grads_b[k] = gz.sum(axis=0)
         g = gz @ net.weights[k].T
     return np.concatenate([p for gw, gb in zip(grads_w, grads_b)
@@ -200,12 +211,34 @@ def test_backward_bitwise_equals_full_chain(arch):
                               _backward_with_full_chain(net, upstream))
 
 
+def test_leaky_relu_units_at_exactly_zero_count_as_off():
+    # zero input rows against +-0 biases put first-layer pre-activations
+    # at +-0.0, where the derivative is the slope and the unit is off
+    rng = np.random.default_rng(12)
+    net = MlpNet([2, 8, 8, 1], hidden="leaky_relu", output="tanh", rng=rng)
+    net.biases[0][:4] = [0.0, -0.0, 0.0, -0.0]
+    net.biases[1][:2] = [0.0, -0.0]
+    x = rng.standard_normal((6, 2))
+    x[::2] = 0.0
+    upstream = rng.standard_normal((6, 1))
+    net.forward(x)
+    z0 = x @ net.weights[0] + net.biases[0]
+    z1 = _leaky_relu(z0) @ net.weights[1] + net.biases[1]
+    assert np.any(z0 == 0.0)
+    assert all(np.array_equal(on, z > 0)
+               for on, z in zip(_leaky_pattern(net), (z0, z1)))
+    assert np.array_equal(net.backward(upstream),
+                          _backward_with_full_chain(net, upstream))
+
+
 @pytest.mark.parametrize("rows", [1, 5, 500])
 def test_width_one_layer_input_gradient_is_the_matmul_bitwise(rows):
     # the width-1 output layer's input gradient is an outer product.
     # Upstream rows of +-0, +-inf and NaN against weights of +-0 give
     # -0.0, inf and NaN products; the bits must be those of gz @ W.T, which
-    # a broadcast gz * W.T misses on the -0.0 ones
+    # a broadcast gz * W.T misses on the -0.0 ones.  The net keeps that
+    # gradient scaled in place by tanh' of the hidden layer, a product
+    # that keeps the sign of every zero
     rng = np.random.default_rng(rows)
     net = MlpNet([3, 6, 1], hidden="tanh", output="linear", rng=rng)
     net.weights[1][:, 0] = [0.5, -0.0, 0.0, -2.0, 1e-310, -3.0]
@@ -217,14 +250,16 @@ def test_width_one_layer_input_gradient_is_the_matmul_bitwise(rows):
         upstream[::2, 0] = np.resize(np.roll(special, shift),
                                      len(upstream[::2]))
         net.forward(x)
+        hidden = np.tanh(x @ net.weights[0] + net.biases[0])
         with np.errstate(invalid="ignore"):
             grad = net.backward(upstream)
             want = upstream @ net.weights[1].T
             reference = _backward_with_full_chain(net, upstream)
-            broadcast = upstream * net.weights[1].T
-        assert net._work(rows)["g"][0].tobytes() == want.tobytes()
+            scaled = want * (1.0 - hidden * hidden)
+            broadcast = upstream * net.weights[1].T * (1.0 - hidden * hidden)
+        assert net._work(rows)["g"][0].tobytes() == scaled.tobytes()
         assert grad.tobytes() == reference.tobytes()
-        broadcast_differs |= broadcast.tobytes() != want.tobytes()
+        broadcast_differs |= broadcast.tobytes() != scaled.tobytes()
     assert broadcast_differs
 
 
@@ -288,6 +323,29 @@ def test_pickle_carries_no_work_arrays():
     assert np.array_equal(copy.forward(x), net.forward(x))
     assert np.array_equal(copy.backward(np.ones((7, 1))),
                           net.backward(np.ones((7, 1))))
+
+
+def test_work_arrays_hold_two_per_row_arrays_per_layer_and_a_scratch():
+    # after a 500-row pass, the net holds each layer's output, the gradient
+    # at each hidden layer's output and one scratch as wide as the widest
+    # layer: (32 + 32 + 1 + 32 + 32 + 32) 500 floats, 644,000 B.  One
+    # more (500, 32) array would exceed the bound
+    rng = np.random.default_rng(27)
+    x = rng.standard_normal((500, 2))
+    upstream = rng.standard_normal((500, 1))
+    net = _default_policy_net()
+    widths = net.layer_sizes[1:]
+    bound = 500 * 8 * (2 * sum(widths) + max(widths))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        net.forward(x)
+        net.backward(upstream)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # a few KB of views and lists on top of the arrays' data
+    assert held < bound + 16 * 1024
 
 
 def _peak_bytes(fn):

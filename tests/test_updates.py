@@ -260,6 +260,16 @@ def test_policy_distance_rejects_empty():
         policy_distance_dhat(np.zeros((0, 1)), np.zeros((0, 1)))
 
 
+@pytest.mark.parametrize("old_shape, new_shape", [
+    ((5, 1), (5,)), ((5,), (5, 1)), ((5, 1), (1, 1)), ((1, 1), (5, 1)),
+    ((5, 2), (5, 1)), ((5, 2), (2,)), ((4, 1), (5, 1)), ((5, 0), (5, 0))])
+def test_policy_distance_rejects_unequal_or_empty_shapes(old_shape,
+                                                          new_shape):
+    # a (5, 1) against a (5,) would broadcast to a 5 x 5 difference
+    with pytest.raises(ValueError):
+        policy_distance_dhat(np.zeros(old_shape), np.ones(new_shape))
+
+
 def test_adapt_beta_dead_zone_and_doubling():
     trust = TrustRegionState(d_target=0.03, beta=1.0)
     assert adapt_beta(trust, 0.03) == 1.0          # inside the band
