@@ -269,7 +269,7 @@ def test_mlp_critic_regression_reduces_loss():
 @pytest.mark.parametrize("n_targets", [1, 3, 5])
 def test_mlp_critic_regress_rejects_a_target_count_unequal_to_the_states(
         n_targets):
-    # one target for four rows used to be broadcast to every row
+    # one target for four rows must not be broadcast to every row
     critic = MlpVCritic(2, hidden_sizes=(8,), rng=np.random.default_rng(3))
     params = critic.net.get_params()
     with pytest.raises(ValueError, match="equal length"):
