@@ -254,6 +254,7 @@ def run_bandit(rule, env, episodes, config, rng, eval_every=1):
         raise ValueError(f"need episodes >= 1 and eval_every >= 1, got "
                          f"{episodes} and {eval_every}")
     policy = LinearPolicy(env.spec.action_dim)
+    low, high = policy.low, policy.high
     exploration = GaussianExploration(policy, config.sigma)
     state = env.reset(rng)
     sigma = config.sigma
@@ -271,11 +272,11 @@ def run_bandit(rule, env, episodes, config, rng, eval_every=1):
         if rule == "cacla":
             delta = reward - baseline
             baseline += config.lr_critic * delta
-            if delta > 0:
-                policy.theta += lr * (action - policy.theta)
+            # a closed gate leaves theta where it is, inside the box
+            step = lr * (action - policy.theta) if delta > 0 else None
         else:
-            # the compatible feature a - mu: theta starts at 0 and is
-            # projected into the box after every update, so mu is theta
+            # the compatible feature a - mu: theta stays in the box, so
+            # mu is theta
             feat = action - policy.theta
             q_critic.sgd_fit_step(feat, reward, config.lr_critic)
             if rule == "dpg":
@@ -283,15 +284,16 @@ def run_bandit(rule, env, episodes, config, rng, eval_every=1):
             else:
                 adv = q_critic.q(feat) - q_critic.value(state)
                 g = adv * feat / sigma ** 2
-            policy.theta += lr * g
+            step = lr * g
             # the gated rule's step vanishes near the optimum on its own;
             # the critic-driven steps keep a noise floor, so only they get
             # the annealed rate
             lr = max(config.lr_actor_min, lr * config.lr_actor_decay)
-        # projected step: an unbounded theta would blow up the compatible
-        # features once the exploration mean leaves the action box
-        policy.theta = np.minimum(np.maximum(policy.theta, policy.low),
-                                  policy.high)
+        if step is not None:
+            # projected step: an unbounded theta would blow up the
+            # compatible features once the exploration mean leaves the box
+            policy.theta = np.minimum(np.maximum(policy.theta + step, low),
+                                      high)
 
         sigma = max(config.sigma_min, sigma * config.sigma_decay)
         exploration.sigma = sigma

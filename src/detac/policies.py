@@ -6,8 +6,9 @@ batch of shape ``(n, d)``, and ``backward_batch(upstream)`` returns the
 parameter gradient of sum_t upstream_t . mu(s_t) over the rows of the
 latest ``act`` call (one vector-Jacobian product).  ``LinearPolicy`` is
 not a general policy: it holds the bandit's theta, which ``run_bandit``
-moves directly, and ``act`` returns theta clipped to the action box.  No
-state is scanned for NaN or inf: a non-finite state gives a non-finite
+moves directly, and ``act`` returns a copy of theta.  Theta lies in the
+action box: the constructor clips it once, and ``run_bandit`` projects it
+after every step that moves it.  No state is scanned for NaN or inf: a non-finite state gives a non-finite
 action, which ``env.step`` rejects.
 """
 
@@ -50,18 +51,20 @@ class MlpPolicy:
 
 
 class LinearPolicy:
-    """The bandit's state-independent mean mu(.) = theta."""
+    """The bandit's state-independent mean mu(.) = theta, theta in the box."""
 
     def __init__(self, action_dim, theta=None):
         self.action_dim = action_dim
         self.low = np.full(action_dim, -ACTION_BOUND)
         self.high = np.full(action_dim, ACTION_BOUND)
+        # np.clip's bits, NaN and signed zeros included, without its wrapper
         self.theta = (np.zeros(action_dim) if theta is None
-                      else np.asarray(theta, dtype=float).copy())
+                      else np.minimum(np.maximum(
+                          np.asarray(theta, dtype=float), self.low),
+                          self.high))
 
     def act(self, state=None):
-        # np.clip's bits, NaN and signed zeros included, without its wrapper
-        return np.minimum(np.maximum(self.theta, self.low), self.high)
+        return self.theta.copy()
 
 
 class GaussianExploration:

@@ -62,21 +62,38 @@ def test_linear_policy_clips_to_bounds():
     assert pol.act()[0] == 1.0
 
 
-def test_linear_policy_clip_matches_np_clip_bits():
-    # act() clips with maximum/minimum instead of np.clip: the same bits for
-    # signed zeros, values on and beyond the bounds, infinities and NaN
+def _clip_inputs():
+    """Signed zeros, values on and beyond the bounds, infinities and NaN,
+    then 50 uniform draws in [-2, 2]."""
     theta = np.array([0.0, -0.0, 1.0, -1.0, np.nextafter(1.0, 2.0),
                       np.nextafter(-1.0, -2.0), 0.5, -0.25, 3.0, -7.5,
                       np.inf, -np.inf, np.nan, -np.nan])
-    rng = np.random.default_rng(11)
-    for t in (theta, rng.uniform(-2.0, 2.0, 50)):
+    return theta, np.random.default_rng(11).uniform(-2.0, 2.0, 50)
+
+
+def test_linear_policy_clip_matches_np_clip_bits():
+    # the constructor clips with maximum/minimum instead of np.clip: the
+    # same bits for every input of _clip_inputs
+    for t in _clip_inputs():
         pol = LinearPolicy(len(t), theta=t)
         got = pol.act()
         assert got.dtype == np.float64
         assert got.tobytes() == np.clip(t, -1.0, 1.0).tobytes()
         # a fresh array: writing to it leaves theta alone
         got[:] = 0.25
-        assert pol.theta.tobytes() == t.tobytes()
+        assert pol.theta.tobytes() == np.clip(t, -1.0, 1.0).tobytes()
+
+
+def test_linear_policy_stores_theta_clipped_into_the_box():
+    # the box is enforced once, at construction: theta itself has the
+    # bits of np.clip, and the caller's array is neither kept nor changed
+    for t in _clip_inputs():
+        given = t.copy()
+        pol = LinearPolicy(len(t), theta=given)
+        assert pol.theta.dtype == np.float64
+        assert pol.theta.tobytes() == np.clip(t, -1.0, 1.0).tobytes()
+        assert given.tobytes() == t.tobytes()
+        assert not np.shares_memory(pol.theta, given)
 
 
 def test_linear_policy_jacobian_is_identity():

@@ -400,3 +400,31 @@ def test_run_bandit_is_the_old_form_byte_for_byte(rule, m):
         want = old_form_bandit(rule, env, 300, BanditConfig(),
                                np.random.default_rng(seed))
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rule", ["spg", "dpg", "cacla"])
+def test_run_bandit_keeps_theta_in_the_box_before_every_episode(rule,
+                                                                monkeypatch):
+    # theta is clipped once at construction and projected after each step
+    # that moves it, so every episode explores around a mean in the box.
+    # lr_actor = 1.5 takes CACLA's convex step 1.5 (a - theta) past the box
+    # too, so every rule's projection has something to clip
+    seen = []
+    explore = GaussianExploration.act
+
+    def checked(self, states, rng):
+        theta = self.policy.theta
+        assert np.all(np.abs(theta) <= 1.0), theta
+        seen.append(np.any(np.abs(theta) == 1.0))
+        return explore(self, states, rng)
+
+    monkeypatch.setattr(GaussianExploration, "act", checked)
+    for config in (BanditConfig(), BanditConfig(lr_actor=1.5)):
+        for m in (1, 5, 50):
+            seen.clear()
+            run_bandit(rule, make_quadratic_bandit(m, 0), 300, config,
+                       np.random.default_rng(1))
+            assert len(seen) == 300
+            if m == 50 and config.lr_actor == 1.5:
+                # the check is not vacuous: theta sits on a bound
+                assert sum(seen) > 100
