@@ -8,8 +8,8 @@ latest ``act`` call (one vector-Jacobian product).  ``LinearPolicy`` is
 not a general policy: it holds the bandit's theta, which ``run_bandit``
 moves directly, and ``act`` returns a copy of theta.  Theta lies in the
 action box: the constructor clips it once, and ``run_bandit`` projects it
-after every step that moves it.  No state is scanned for NaN or inf: a non-finite state gives a non-finite
-action, which ``env.step`` rejects.
+after every step that moves it.  No state is scanned for NaN or inf: a
+non-finite state gives a non-finite action, which ``env.step`` rejects.
 """
 
 from __future__ import annotations

@@ -407,8 +407,8 @@ def test_run_bandit_keeps_theta_in_the_box_before_every_episode(rule,
                                                                 monkeypatch):
     # theta is clipped once at construction and projected after each step
     # that moves it, so every episode explores around a mean in the box.
-    # lr_actor = 1.5 takes CACLA's convex step 1.5 (a - theta) past the box
-    # too, so every rule's projection has something to clip
+    # At lr_actor <= 1 CACLA's step keeps theta between theta and a; at
+    # 1.5 it overshoots a, so every rule's projection has something to clip
     seen = []
     explore = GaussianExploration.act
 
