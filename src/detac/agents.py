@@ -168,8 +168,6 @@ class BatchActorCritic:
 
     def update_phase(self, batch):
         cfg = self.config
-        if not len(batch.lengths):
-            raise ValueError("empty batch")
         states = batch.per_step(batch.states)
         penfac = cfg.rule == "penfac"
         # the penalty and d_hat read the pre-update policy only through
@@ -194,10 +192,10 @@ class BatchActorCritic:
             self.policy.set_params(self.actor_adam.step(
                 self.policy.get_params(), g, ascent=True))
             if not g.any():
-                # an all-zero direction is a fixed point: Adam (beta1 = 0)
-                # took a +-0 step, and mu depends on the parameters alone,
-                # so mu stays, every later direction is the same zero, and
-                # its steps only decay v and advance t
+                # an all-zero direction is a fixed point: Adam took a +-0
+                # step, and mu depends on the parameters alone, so mu
+                # stays, every later direction is the same zero, and its
+                # steps only decay v and advance t
                 self.actor_adam.idle(cfg.actor_iterations - 1 - i)
                 break
             mu = None
@@ -257,7 +255,6 @@ def run_bandit(rule, env, episodes, config, rng, eval_every=1):
     low, high = policy.low, policy.high
     exploration = GaussianExploration(policy, config.sigma)
     state = env.reset(rng)
-    sigma = config.sigma
 
     q_critic = (CompatibleQCritic(policy.action_dim) if rule in ("spg", "dpg")
                 else None)
@@ -283,7 +280,7 @@ def run_bandit(rule, env, episodes, config, rng, eval_every=1):
                 g = q_critic.grad_a(state)
             else:
                 adv = q_critic.q(feat) - q_critic.value(state)
-                g = adv * feat / sigma ** 2
+                g = adv * feat / exploration.sigma ** 2
             step = lr * g
             # the gated rule's step vanishes near the optimum on its own;
             # the critic-driven steps keep a noise floor, so only they get
@@ -295,8 +292,8 @@ def run_bandit(rule, env, episodes, config, rng, eval_every=1):
             policy.theta = np.minimum(np.maximum(policy.theta + step, low),
                                       high)
 
-        sigma = max(config.sigma_min, sigma * config.sigma_decay)
-        exploration.sigma = sigma
+        exploration.sigma = max(config.sigma_min,
+                                exploration.sigma * config.sigma_decay)
 
         if (episode + 1) % eval_every == 0:
             a_det = policy.act(state)

@@ -66,13 +66,9 @@ def _check_out(path, report=False):
 
 
 def cmd_train(args):
-    overrides = {}
-    if args.seeds is not None:
-        overrides["seeds"] = args.seeds
-    if args.out is not None:
-        overrides["out"] = args.out
-    if args.seed_offset is not None:
-        overrides["seed_offset"] = args.seed_offset
+    # parse_config skips the None of a flag left unset
+    overrides = {"seeds": args.seeds, "out": args.out,
+                 "seed_offset": args.seed_offset}
     for item in args.set:
         if "=" not in item:
             print(f"--set expects KEY=VALUE, got {item!r}", file=sys.stderr)

@@ -104,8 +104,6 @@ def fitted_value_iteration(critic, batch, gamma, lam, n_iterations):
     and take one regression pass toward them."""
     if n_iterations < 1:
         raise ValueError("n_iterations must be >= 1")
-    if not len(batch.lengths):
-        raise ValueError("empty batch")
     states = batch.per_step(batch.states)
     for _ in range(n_iterations):
         critic.regress(states, lambda_returns(batch, critic, gamma, lam))

@@ -249,18 +249,18 @@ class MlpNet:
                     g = np.matmul(g, w.T, out=out)
         return self._grad.copy()
 
-# Adam's moment decays and denominator guard; no momentum (beta1 = 0)
-ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.0, 0.999, 1e-8
+# Adam's second-moment decay and denominator guard.  There is no momentum
+# (beta1 = 0), so the bias-corrected first moment is the gradient itself
+ADAM_BETA2, ADAM_EPS = 0.999, 1e-8
 
 
 class Adam:
-    """Adam state for one flat parameter vector.
+    """Adam without momentum for one flat parameter vector.
 
-    ``m`` and ``v`` are updated in place, and ``step`` computes in two
-    work vectors of the same size."""
+    The second moment ``v`` is updated in place, and ``step`` computes in
+    two work vectors of the same size."""
 
     def __init__(self, size, alpha=1e-3):
-        self.m = np.zeros(size)
         self.v = np.zeros(size)
         self.t = 0
         self.alpha = alpha
@@ -274,37 +274,30 @@ class Adam:
         set, in which case the update moves along +grad.
         """
         grad = np.asarray(grad, dtype=float)
-        if grad.shape != self.m.shape:
+        if grad.shape != self.v.shape:
             raise ValueError("gradient shape does not match optimizer state")
-        a, tmp = self._buffers
-        if ascent:
-            grad = np.negative(grad, out=a)
+        step, tmp = self._buffers
         self.t += 1
-        m, v = self.m, self.v
-        # m = beta1 m + (1 - beta1) grad and v = beta2 v + (1 - beta2)
-        # grad grad, with the operations of those expressions in their order
-        np.multiply(ADAM_BETA1, m, out=m)
-        m += np.multiply(1 - ADAM_BETA1, grad, out=tmp)
-        np.multiply(ADAM_BETA2, v, out=v)
+        # v = beta2 v + (1 - beta2) grad grad, with the operations of that
+        # expression in their order; its bits do not depend on grad's sign
+        v = np.multiply(ADAM_BETA2, self.v, out=self.v)
         np.multiply(1 - ADAM_BETA2, grad, out=tmp)
         tmp *= grad
         v += tmp
-        # alpha m_hat / (sqrt(v_hat) + eps), with m_hat = m / (1 - beta1^t)
-        # and v_hat = v / (1 - beta2^t)
+        # alpha grad / (sqrt(v_hat) + eps), with v_hat = v / (1 - beta2^t)
         np.divide(v, 1 - ADAM_BETA2 ** self.t, out=tmp)
         np.sqrt(tmp, out=tmp)
         tmp += ADAM_EPS
-        step = np.divide(m, 1 - ADAM_BETA1 ** self.t, out=a)
-        step *= self.alpha
+        np.multiply(grad, self.alpha, out=step)
         step /= tmp
-        return params - step
+        return params + step if ascent else params - step
 
     def idle(self, count):
         """``count`` more steps on an all-zero gradient, right after a
-        ``step`` on one.  With beta1 = 0 that step left m and the
-        parameters at fixed points: its m is +-0, so its parameter step is
-        +-0, and (1 - beta2) g^2 adds +0 to v.  Each further step therefore
-        only decays v and advances t, the same bits as ``step``."""
+        ``step`` on one.  That step left the parameters at a fixed point:
+        its parameter step is +-0, and (1 - beta2) g^2 adds +0 to v.  Each
+        further step therefore only decays v and advances t, the same bits
+        as ``step``."""
         for _ in range(count):
             self.v *= ADAM_BETA2
         self.t += count

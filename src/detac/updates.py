@@ -25,7 +25,7 @@ DHAT_BAND = 1.5
 class TrustRegionState:
     """Adaptive penalty coefficient and the distance it steers toward."""
 
-    d_target: float = 0.03
+    d_target: float
     beta: float = 1.0
 
 

@@ -15,6 +15,7 @@ from detac.critics import fitted_value_iteration, lambda_returns
 from detac.envs import (EnvSpec, PointMass, QuadraticBandit,
                         make_quadratic_bandit)
 from detac.policies import MlpPolicy
+from detac.trajectory import Trajectory
 from detac.updates import (adapt_beta, batch_gated_direction,
                            policy_distance_dhat)
 from constant_critic import ConstantVCritic
@@ -507,10 +508,27 @@ def _count_calls(obj, method):
 
 def _actor_state_bytes(agent):
     adam = agent.actor_adam
-    return (agent.policy.get_params().tobytes(), adam.m.tobytes(),
-            adam.v.tobytes(), adam.t,
+    return (agent.policy.get_params().tobytes(), adam.v.tobytes(), adam.t,
             np.array(agent.dhat_history, dtype=float).tobytes(),
             np.float64(agent.trust.beta).tobytes())
+
+
+@pytest.mark.parametrize("rule", ["penfac", "nfac"])
+def test_update_phase_rejects_an_empty_batch_before_any_state_moves(rule):
+    # lambda_returns owns the empty-batch check; by the time it raises, only
+    # PeNFAC's mu_old forward on 0 rows has run
+    cfg = AgentConfig(rule=rule, hidden=(8,))
+    agent = make_agent(cfg, PointMass(horizon=10), np.random.default_rng(5))
+    critic = agent.critic
+
+    def state():
+        return (_actor_state_bytes(agent), critic.net.get_params().tobytes(),
+                critic.adam.v.tobytes(), critic.adam.t)
+
+    before = state()
+    with pytest.raises(ValueError, match="empty batch"):
+        agent.update_phase(Trajectory(np.zeros((0, 2)), 10, 1))
+    assert state() == before
 
 
 @pytest.mark.parametrize("rule", ["penfac", "nfac"])

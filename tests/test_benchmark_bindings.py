@@ -1,14 +1,15 @@
 """The benchmark's tracer (``perfbench/tracer.py``) rebinds detac functions
 and methods by name.  The tier-1 run does not run the benchmark, so a
-renamed or deleted method that the tracer wraps, or a bandit span that no
-longer fires, would otherwise first show up as a failed benchmark run."""
+renamed or deleted method that the tracer wraps, or a span that no longer
+fires, would otherwise first show up as a failed benchmark run."""
 
 import types
 from pathlib import Path
 
 import numpy as np
 
-from detac import agents, envs
+from detac import agents, envs, harness
+from detac.config import parse_config
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -53,4 +54,36 @@ def test_bandit_spans_fire():
     fires = ["policies.explore.calls", "policies.explore.accept_ratio",
              "policies.act.calls", "envs.step.calls",
              "critics.compatible_q.s", "agents.run_bandit.self_s"]
+    assert [m for m in fires if not metrics[m] > 0] == []
+
+
+def test_pointmass_spans_fire():
+    # perfbench's penfac-pointmass FIRES list on a tiny PeNFAC run, less
+    # three kinds of metric: nets.forward.b1.calls, which only the
+    # per-step CACLA/CAC paths fire; updates.gate_open_frac, which reads 0
+    # until a gate opens, several phases later than this run ends; and
+    # harness.csv.s, config.parse.s and import.s, which are recorded
+    # outside run_seed
+    config = parse_config(None, {
+        "agent": "penfac", "env": "pointmass", "pointmass_horizon": "10",
+        "update_every": "2", "hidden": "8", "total_steps": "40",
+        "eval_interval": "20", "eval_episodes": "2",
+        "fitted_iterations": "2", "actor_iterations": "3"})
+    tracer = _load_tracer().Tracer()
+    try:
+        tracer.install()
+        harness.run_seed(config, 0)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics(0.0)
+    fires = ["nets.forward.bN.calls", "nets.forward.bN.rows",
+             "nets.forward.flop", "nets.backward.calls", "nets.adam.s",
+             "nets.set_params.calls", "policies.explore.calls",
+             "policies.explore.accept_ratio", "policies.act.calls",
+             "envs.step.calls", "trajectory.append.calls", "critics.fvi.s",
+             "critics.lambda_returns.calls", "critics.regress.s",
+             "updates.gated_direction.calls", "updates.dhat.calls",
+             "agents.update_phase.calls", "agents.update_phase.self_s",
+             "agents.update_phase.p50_ms", "agents.update_phase.p90_ms",
+             "agents.rollout.s", "agents.eval.s", "harness.run_seed.s"]
     assert [m for m in fires if not metrics[m] > 0] == []

@@ -279,9 +279,9 @@ def test_adapt_beta_dead_zone_and_doubling():
 
 
 def test_adapt_beta_clamps():
-    trust = TrustRegionState(beta=1e6)
+    trust = TrustRegionState(d_target=0.03, beta=1e6)
     assert adapt_beta(trust, 1.0) == 1e6
-    trust = TrustRegionState(beta=1e-6)
+    trust = TrustRegionState(d_target=0.03, beta=1e-6)
     assert adapt_beta(trust, 0.0) == 1e-6
 
 
