@@ -47,6 +47,8 @@ class AgentConfig:
             raise ValueError("lambda must lie in [0, 1]")
         if not (self.sigma > 0 and self.lr_actor >= 0 and self.lr_critic >= 0):
             raise ValueError("need sigma > 0 and learning rates >= 0")
+        if not 0 < self.sigma_decay <= 1:
+            raise ValueError("sigma_decay must lie in (0, 1]")
         if self.update_every < 1:
             raise ValueError("update_every must be >= 1")
         if self.fitted_iterations < 1 or self.actor_iterations < 1:
@@ -115,15 +117,15 @@ class IncrementalActorCritic:
         self.policy = policy
         self.critic = critic
         self.config = config
-        self.exploration = GaussianExploration(
-            policy, config.sigma, decay=config.sigma_decay)
+        self.exploration = GaussianExploration(config.sigma)
 
     def run_episode(self, env, rng):
         """Play and learn from one episode, this rule's whole phase;
         returns its step count."""
-        batch = run_episodes(lambda s: self.exploration.act(s, rng), env, 1,
-                             rng, on_step=self._learn)
-        self.exploration.anneal()
+        batch = run_episodes(
+            lambda s: self.exploration.act(self.policy.act(s), rng), env, 1,
+            rng, on_step=self._learn)
+        self.exploration.sigma *= self.config.sigma_decay
         return int(batch.lengths[0])
 
     def _learn(self, state, action, reward, next_state, terminal):
@@ -150,8 +152,7 @@ class BatchActorCritic:
         self.policy = policy
         self.critic = critic
         self.config = config
-        self.exploration = GaussianExploration(
-            policy, config.sigma, decay=config.sigma_decay)
+        self.exploration = GaussianExploration(config.sigma)
         self.actor_adam = Adam(policy.n_params, alpha=config.lr_actor)
         self.trust = TrustRegionState(d_target=config.d_target)
         self.dhat_history = []
@@ -160,10 +161,11 @@ class BatchActorCritic:
         """Run one phase and return its env steps: roll out
         ``update_every`` episodes in lockstep under the exploratory policy,
         run ``update_phase`` on them, then anneal the exploration."""
-        batch = run_episodes(lambda s: self.exploration.act(s, rng), env,
-                             self.config.update_every, rng)
+        batch = run_episodes(
+            lambda s: self.exploration.act(self.policy.act(s), rng), env,
+            self.config.update_every, rng)
         self.update_phase(batch)
-        self.exploration.anneal()
+        self.exploration.sigma *= self.config.sigma_decay
         return int(batch.lengths.sum())
 
     def update_phase(self, batch):
@@ -253,7 +255,7 @@ def run_bandit(rule, env, episodes, config, rng, eval_every=1):
                          f"{episodes} and {eval_every}")
     policy = LinearPolicy(env.spec.action_dim)
     low, high = policy.low, policy.high
-    exploration = GaussianExploration(policy, config.sigma)
+    exploration = GaussianExploration(config.sigma)
     state = env.reset(rng)
 
     q_critic = (CompatibleQCritic(policy.action_dim) if rule in ("spg", "dpg")
@@ -263,7 +265,8 @@ def run_bandit(rule, env, episodes, config, rng, eval_every=1):
     lr = config.lr_actor
     curve = []
     for episode in range(episodes):
-        action = exploration.act(state, rng)
+        # theta is in the box, and act only reads its mean
+        action = exploration.act(policy.theta, rng)
         _, reward, _ = env.step(state, action, rng)
 
         if rule == "cacla":

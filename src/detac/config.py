@@ -61,8 +61,8 @@ class ExperimentConfig:
             raise ValueError("total_steps must be >= 0")
         if self.eval_episodes < 1:
             raise ValueError("eval_episodes must be >= 1")
-        # the env and the agent check their own parameters (a horizon >= 1,
-        # the hidden sizes, the exploration decay): build both once
+        # the env and the networks check their own parameters (a horizon
+        # >= 1, the hidden sizes, the activation): build both once
         make_agent(self.agent, make_env(self), np.random.default_rng(0))
 
 

@@ -1,4 +1,4 @@
-"""Deterministic policy representations and the Gaussian exploration wrapper.
+"""Deterministic policy representations and the Gaussian exploration sampler.
 
 ``MlpPolicy`` is the policy of the PointMass agents.  ``act(states)``
 returns one action for a state of shape ``(d,)`` and one per row for a
@@ -8,7 +8,9 @@ latest ``act`` call (one vector-Jacobian product).  ``LinearPolicy`` is
 not a general policy: it holds the bandit's theta, which ``run_bandit``
 moves directly, and ``act`` returns a copy of theta.  Theta lies in the
 action box: the constructor clips it once, and ``run_bandit`` projects it
-after every step that moves it.  No state is scanned for NaN or inf: a
+after every step that moves it.  ``GaussianExploration`` holds no policy:
+its ``act(mu, rng)`` samples around the mean it is given, and each
+learner scales its ``sigma``.  No state is scanned for NaN or inf: a
 non-finite state gives a non-finite action, which ``env.step`` rejects.
 """
 
@@ -68,13 +70,13 @@ class LinearPolicy:
 
 
 class GaussianExploration:
-    """Isotropic truncated Gaussian around a deterministic policy.
+    """Isotropic truncated Gaussian around a given mean.
 
     The action box is a product of intervals and the noise is isotropic,
     so the truncated Gaussian is a product of one-dimensional truncated
     normals, and each coordinate is redrawn on its own until it falls
     inside the box.  A coordinate still outside after ``MAX_ATTEMPTS``
-    draws is clipped, which keeps the wrapper total.  With the mean inside
+    draws is clipped, which keeps the sampler total.  With the mean inside
     the box and sigma at most 1 (the defaults are sqrt(0.2) and 0.3), each
     draw fits with probability above 0.47, so in practice only a NaN or a
     mean outside the box reaches the clip.
@@ -88,22 +90,18 @@ class GaussianExploration:
     vectorized rounds, bit for bit.
     """
 
-    def __init__(self, policy, sigma, decay=1.0):
+    # the box; perfbench's exploration span tests each action against it
+    low, high = -ACTION_BOUND, ACTION_BOUND
+
+    def __init__(self, sigma):
         if not sigma > 0:
             raise ValueError("sigma must be positive")
-        if not 0.0 < decay <= 1.0:
-            raise ValueError("decay must lie in (0, 1]")
-        self.policy = policy
         self.sigma = float(sigma)
-        self.low = np.full(policy.action_dim, -ACTION_BOUND)
-        self.high = np.full(policy.action_dim, ACTION_BOUND)
-        self.decay = float(decay)
 
-    def act(self, states, rng):
-        """One exploratory action per action the policy's ``act(states)``
-        returns: one for a state of shape ``(d,)`` (or ``None``, for the
-        state-free ``LinearPolicy``), one per row for a batch of shape
-        ``(n, d)``.
+    def act(self, mu, rng):
+        """One exploratory action around each mean: one for a mean of
+        shape ``(m,)``, one per row for means of shape ``(n, m)``.  The
+        mean is only read, never written.
 
         All coordinates draw their first sample, then each round makes one
         ``standard_normal(k)`` call for the k coordinates still outside
@@ -112,7 +110,6 @@ class GaussianExploration:
         stream of a loop that redraws whole actions until they fit.
         """
         sigma = self.sigma
-        mu = self.policy.act(states)
         a = mu + sigma * rng.standard_normal(mu.shape)
         abs_a = np.abs(a)
         # the box test on the largest |a_j|; a NaN is that maximum
@@ -135,6 +132,3 @@ class GaussianExploration:
         flat[out] = np.minimum(np.maximum(flat[out], -ACTION_BOUND),
                                ACTION_BOUND)
         return a
-
-    def anneal(self):
-        self.sigma *= self.decay

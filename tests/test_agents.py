@@ -46,6 +46,15 @@ def test_agent_config_validation():
     assert AgentConfig(lr_actor=0.0, lr_critic=0.0).lr_actor == 0.0
 
 
+def test_agent_config_checks_sigma_decay():
+    # each agent scales its exploration sigma by sigma_decay once per
+    # phase, so the config owns the check: a factor in (0, 1]
+    for bad in (0.0, 2.0, float("nan")):
+        with pytest.raises(ValueError, match="sigma_decay"):
+            AgentConfig(sigma_decay=bad)
+    assert AgentConfig(sigma_decay=1.0).sigma_decay == 1.0
+
+
 def _sequential_episode(act, env, rng):
     """One episode, one ``act(state)`` and one one-row ``env.step`` per
     step, kept in per-step lists: the reference for the lockstep
@@ -362,8 +371,9 @@ def test_batch_agent_phase_episodes_come_from_pre_update_policy():
         # before the phase
         before = copy.deepcopy(agent)
         replay = copy.deepcopy(rng)
-        want = run_episodes(lambda s: before.exploration.act(s, replay),
-                            env, cfg.update_every, replay)
+        want = run_episodes(
+            lambda s: before.exploration.act(before.policy.act(s), replay),
+            env, cfg.update_every, replay)
         # one call runs the phase and returns its step count, and the
         # update learns from the replayed batch
         assert agent.run_episode(env, rng) == want.lengths.sum()
@@ -414,7 +424,8 @@ def test_penfac_dhat_measures_against_pre_phase_policy():
     env = PointMass(horizon=10)
     rng = np.random.default_rng(6)
     agent = make_agent(cfg, env, np.random.default_rng(7))
-    batch = run_episodes(lambda s: agent.exploration.act(s, rng), env, 2, rng)
+    batch = run_episodes(
+        lambda s: agent.exploration.act(agent.policy.act(s), rng), env, 2, rng)
     states = batch.per_step(batch.states)
     before = copy.deepcopy(agent.policy)
     agent.update_phase(batch)
@@ -557,8 +568,9 @@ def test_update_phase_stops_directions_at_zero_bit_for_bit(rule, monkeypatch):
     rng = np.random.default_rng(4)
     for value, want_calls in ((1e3, 1), (-1e3, cfg.actor_iterations),
                               (1e3, 1)):
-        batch = run_episodes(lambda s: agent.exploration.act(s, rng), env,
-                             cfg.update_every, rng)
+        batch = run_episodes(
+            lambda s: agent.exploration.act(agent.policy.act(s), rng), env,
+            cfg.update_every, rng)
         agent.critic.c = reference.critic.c = value
         calls.clear()
         steps.clear()

@@ -162,7 +162,8 @@ def test_parse_config_hidden_tuple():
     assert cfg.agent.hidden == (16, 16)
 
 
-# agent settings that only the exploration wrapper or the networks check
+# agent settings that AgentConfig or the networks reject; parse_config
+# builds the agent once, so each is a config error
 UNBUILDABLE_AGENT = [("sigma_decay", "0"), ("sigma_decay", "2"),
                      ("hidden_activation", "relu"), ("hidden", "0"),
                      ("hidden", "32,-1"), ("actor_iterations", "0"),

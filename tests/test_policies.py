@@ -102,21 +102,21 @@ def test_linear_policy_jacobian_is_identity():
 
 
 def test_gaussian_exploration_stays_in_bounds():
-    pol = LinearPolicy(2, theta=np.array([0.95, -0.95]))
-    expl = GaussianExploration(pol, sigma=0.5)
+    mu = np.array([0.95, -0.95])
+    expl = GaussianExploration(sigma=0.5)
     rng = np.random.default_rng(5)
     for _ in range(200):
-        a = expl.act(None, rng)
+        a = expl.act(mu, rng)
         assert np.all(a >= -1.0) and np.all(a <= 1.0)
 
 
 def test_gaussian_exploration_moments():
     # interior mean, small sigma: truncation is negligible, so the sample
     # mean and std should match the nominal Gaussian
-    pol = LinearPolicy(1, theta=np.array([0.0]))
-    expl = GaussianExploration(pol, sigma=0.1)
+    mu = np.array([0.0])
+    expl = GaussianExploration(sigma=0.1)
     rng = np.random.default_rng(8)
-    samples = np.array([expl.act(None, rng)[0] for _ in range(20000)])
+    samples = np.array([expl.act(mu, rng)[0] for _ in range(20000)])
     assert abs(samples.mean()) < 0.005
     assert abs(samples.std() - 0.1) < 0.005
 
@@ -140,10 +140,10 @@ def _coordinate_sampler(exploration, means, rng):
     return a.reshape(means.shape), draws.reshape(means.shape)
 
 
-def _one_action_sampler(exploration, state, rng):
+def _one_action_sampler(exploration, mean, rng):
     """The whole-action sampler as a plain loop: redraw the whole action
     until it lies in the box, clip the last draw after MAX_ATTEMPTS."""
-    mu = np.asarray(exploration.policy.act(state), dtype=float).reshape(-1)
+    mu = np.asarray(mean, dtype=float).reshape(-1)
     for _ in range(MAX_ATTEMPTS):
         a = mu + exploration.sigma * rng.standard_normal(mu.size)
         if ((a >= exploration.low) & (a <= exploration.high)).all():
@@ -170,16 +170,6 @@ def _row_block_sampler(exploration, means, rng):
     return a
 
 
-class _MeanIsState:
-    """Test-side policy whose deterministic action is the state itself."""
-
-    def __init__(self, action_dim=3):
-        self.action_dim = action_dim
-
-    def act(self, states):
-        return np.asarray(states, dtype=float)
-
-
 def _three_means_near_bounds(m):
     """Means at +-0.97 on three coordinates: at m = 50 and sigma 0.6 most
     whole candidates are rejected, as a whole-row redraw would see them."""
@@ -196,10 +186,10 @@ def _three_means_near_bounds(m):
     lambda: (LinearPolicy(50, theta=_three_means_near_bounds(50)), None)])
 def test_single_state_exploration_draws_the_one_action_stream(make):
     policy, state = make()
-    exploration = GaussianExploration(policy, sigma=0.6)
+    exploration = GaussianExploration(sigma=0.6)
     rng, ref = np.random.default_rng(3), np.random.default_rng(3)
     for _ in range(300):
-        got = exploration.act(state, rng)
+        got = exploration.act(policy.act(state), rng)
         want, _ = _coordinate_sampler(exploration, policy.act(state), ref)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -214,11 +204,11 @@ def test_exploration_at_the_bandit_target_draws_the_coordinate_stream(
         m, sigma):
     # the means bandit-suite converges to, at its start and floor sigma
     target = make_quadratic_bandit(m, 0).target
-    exploration = GaussianExploration(LinearPolicy(m, theta=target), sigma)
+    exploration = GaussianExploration(sigma)
     rng, ref = np.random.default_rng(m), np.random.default_rng(m)
     redrawn = 0
     for _ in range(300):
-        got = exploration.act(None, rng)
+        got = exploration.act(target, rng)
         want, draws = _coordinate_sampler(exploration, target, ref)
         assert got.tobytes() == want.tobytes()
         redrawn += int(draws.max() > 1)
@@ -232,7 +222,7 @@ def test_batched_exploration_redraws_only_rejected_rows():
     means = np.array([[0.0, 0.1, -0.2], [0.97, -0.97, 0.9],
                       [0.3, 0.99, 0.0], [-0.95, 0.0, 0.95], [4.0, 0.0, 0.0]])
     sigma = 0.5
-    exploration = GaussianExploration(_MeanIsState(), sigma)
+    exploration = GaussianExploration(sigma)
     for seed in range(20):
         rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
         got = exploration.act(means, rng)
@@ -279,7 +269,7 @@ _REDRAWN = [0.4, -0.5, 0.1]            # a = (0.7, -0.5, 0.05)
 _STILL_OUT = [[2.5], [np.nan], [-2.0 - 2.0 ** -51]] * 33
 
 
-@pytest.mark.parametrize("state", [_MU, _MU[None]], ids=["state", "row"])
+@pytest.mark.parametrize("mean", [_MU, _MU[None]], ids=["state", "row"])
 @pytest.mark.parametrize("candidates, calls, want", [
     # all three out, then the last two out (coordinates 0 and 1 land on a
     # bound), then coordinate 2 alone lands on its bound
@@ -297,11 +287,11 @@ _STILL_OUT = [[2.5], [np.nan], [-2.0 - 2.0 ** -51]] * 33
      MAX_ATTEMPTS, [1.0, -1.0, 0.5 + 2.0 ** -52])],
     ids=["on-bounds", "accepted-last", "clipped"])
 def test_one_row_redraws_test_each_coordinate_on_exact_floats(
-        state, candidates, calls, want):
-    exploration = GaussianExploration(_MeanIsState(), sigma=0.5)
+        mean, candidates, calls, want):
+    exploration = GaussianExploration(sigma=0.5)
     rng = _ScriptedNormals(candidates)
-    got = exploration.act(state, rng)
-    assert got.shape == np.shape(state)
+    got = exploration.act(mean, rng)
+    assert got.shape == np.shape(mean)
     assert np.array_equal(got.reshape(-1), want)
     assert rng.calls == calls
 
@@ -314,7 +304,7 @@ def test_batched_exploration_accepts_a_block_only_when_every_row_fits(
     # the first block is accepted on one test of its largest |a_j|; a NaN
     # or one coordinate just outside, in either row, sends that coordinate
     # alone to a redraw
-    exploration = GaussianExploration(_MeanIsState(), sigma=0.5)
+    exploration = GaussianExploration(sigma=0.5)
     first = [_ON_BOUNDS, _ON_BOUNDS]
     first[bad] = z
     j = [k for k in range(3) if not abs(_MU[k] + 0.5 * z[k]) <= 1.0]
@@ -331,6 +321,29 @@ def test_batched_exploration_accepts_a_block_only_when_every_row_fits(
     assert np.array_equal(got, [[1.0, -1.0, 1.0], [0.7, -0.5, 0.05]])
 
 
+@pytest.mark.parametrize("rows", [None, 1, 2], ids=["state", "row", "rows"])
+@pytest.mark.parametrize("path", ["first-draw", "redraw", "clip"])
+def test_exploration_never_writes_its_mean(rows, path):
+    # run_bandit passes theta itself as the mean, so no path may write to
+    # it or hand back an action that shares its memory
+    mean = _MU.copy() if rows is None else np.stack([_MU] * rows)
+    n = mean.size
+    candidates = {
+        "first-draw": [_REDRAWN * (n // 3)],
+        "redraw": [[_JUST_OVER, np.nan, 2.5] * (n // 3), _REDRAWN * (n // 3)],
+        # a = mu + 2 is outside the box on every coordinate, every time
+        "clip": [[4.0] * n] * MAX_ATTEMPTS}[path]
+    given = mean.tobytes()
+    rng = _ScriptedNormals(candidates)
+    got = GaussianExploration(sigma=0.5).act(mean, rng)
+    assert rng.calls == len(candidates)
+    assert mean.tobytes() == given
+    assert not np.shares_memory(got, mean)
+    assert np.array_equal(got.reshape(-1, 3),
+                          np.broadcast_to(np.ones(3) if path == "clip"
+                                          else [0.7, -0.5, 0.05], (n // 3, 3)))
+
+
 def test_exploration_samples_the_truncated_normal_in_fifty_dims():
     # whole-row rejection at this mean and sigma uses up its draw budget on
     # most calls and leaves about a tenth of the coordinates clipped onto a
@@ -338,9 +351,9 @@ def test_exploration_samples_the_truncated_normal_in_fifty_dims():
     # one-dimensional truncated normal.  The floor is a 5% test over the
     # 50 coordinates, Bonferroni-corrected.
     mu, sigma = _three_means_near_bounds(50), 0.6
-    exploration = GaussianExploration(LinearPolicy(50, theta=mu), sigma)
+    exploration = GaussianExploration(sigma)
     rng = np.random.default_rng(1)
-    samples = np.array([exploration.act(None, rng) for _ in range(4000)])
+    samples = np.array([exploration.act(mu, rng) for _ in range(4000)])
     assert not np.any(np.abs(samples) == 1.0)
     p = [kstest(samples[:, j], truncnorm((-1.0 - mu[j]) / sigma,
                                          (1.0 - mu[j]) / sigma,
@@ -361,7 +374,7 @@ def test_one_dimensional_exploration_keeps_the_whole_row_stream(means):
     # generator state are those of the whole-row redraw loops, clipped
     # draws included, so one-dimensional runs keep their outputs
     means = np.array(means)
-    exploration = GaussianExploration(_MeanIsState(1), sigma=0.6)
+    exploration = GaussianExploration(sigma=0.6)
     for seed in range(10):
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(30):
@@ -375,17 +388,8 @@ def test_one_dimensional_exploration_keeps_the_whole_row_stream(means):
         assert rng.bit_generator.state == ref.bit_generator.state
 
 
-def test_gaussian_exploration_anneal():
-    expl = GaussianExploration(LinearPolicy(1), sigma=0.4, decay=0.5)
-    expl.anneal()
-    expl.anneal()
-    assert expl.sigma == pytest.approx(0.1)
-
-
 def test_gaussian_exploration_rejects_bad_sigma():
     with pytest.raises(ValueError):
-        GaussianExploration(LinearPolicy(1), sigma=0.0)
+        GaussianExploration(sigma=0.0)
     with pytest.raises(ValueError):
-        GaussianExploration(LinearPolicy(1), sigma=np.nan)
-    with pytest.raises(ValueError):
-        GaussianExploration(LinearPolicy(1), sigma=0.1, decay=0.0)
+        GaussianExploration(sigma=np.nan)

@@ -33,12 +33,12 @@ def bandit_reference(rule, env, episodes, config, rng):
     taken from a reference direction: spg_direction, dpg_direction, or
     ``toward`` behind CACLA's gate."""
     policy = LinearPolicy(env.spec.action_dim)
-    exploration = GaussianExploration(policy, config.sigma)
+    exploration = GaussianExploration(config.sigma)
     critic = CompatibleQCritic(policy.action_dim)
     state = env.reset(rng)
     v, lr, curve = 0.0, config.lr_actor, []
     for _ in range(episodes):
-        action = exploration.act(state, rng)
+        action = exploration.act(policy.theta, rng)
         _, reward, _ = env.step(state, action, rng)
         if rule == "cacla":
             delta = reward - v
@@ -69,12 +69,12 @@ def old_form_bandit(rule, env, episodes, config, rng):
     evaluated every episode: each feature from ``toward``, the baseline v
     a 1-vector, and SPG's step on a second a - mu."""
     policy = LinearPolicy(env.spec.action_dim)
-    exploration = GaussianExploration(policy, config.sigma)
+    exploration = GaussianExploration(config.sigma)
     w, v = np.zeros(policy.action_dim), np.zeros(1)
     state = env.reset(rng)
     sigma, baseline, lr, curve = config.sigma, 0.0, config.lr_actor, []
     for _ in range(episodes):
-        action = exploration.act(state, rng)
+        action = exploration.act(policy.theta, rng)
         _, reward, _ = env.step(state, action, rng)
         if rule == "cacla":
             delta = reward - baseline
@@ -376,6 +376,21 @@ def test_batch_gated_direction_matches_per_sample_loops():
     assert np.max(np.abs(g_batch - g_loop / 7)) < 1e-10
 
 
+def test_batch_gated_direction_keeps_the_gate_closed_at_exactly_zero():
+    # H(0) = 0 for either zero: without the TD scaling the weight is the
+    # gate itself, so zero advantages must give an all-zero direction
+    rng = np.random.default_rng(17)
+    pol = MlpPolicy(2, 2, hidden_sizes=(5,), rng=rng)
+    states = rng.standard_normal((3, 2))
+    actions = np.array([[0.9, -0.9], [-0.8, 0.7], [0.5, 0.5]])
+    g = batch_gated_direction(pol, states, actions, [0.0, -0.0, 0.0],
+                              scale_by_delta=False)
+    assert g.shape == (pol.n_params,) and not g.any()
+    # not vacuous: the smallest positive advantage opens its row's gate
+    assert batch_gated_direction(pol, states, actions, [0.0, -0.0, 5e-324],
+                                 scale_by_delta=False).any()
+
+
 @pytest.mark.parametrize("rule", ["spg", "dpg", "cacla"])
 def test_run_bandit_matches_reference_directions(rule):
     # run_bandit writes the SPG and DPG steps inline; they must agree with
@@ -412,11 +427,10 @@ def test_run_bandit_keeps_theta_in_the_box_before_every_episode(rule,
     seen = []
     explore = GaussianExploration.act
 
-    def checked(self, states, rng):
-        theta = self.policy.theta
-        assert np.all(np.abs(theta) <= 1.0), theta
-        seen.append(np.any(np.abs(theta) == 1.0))
-        return explore(self, states, rng)
+    def checked(self, mu, rng):
+        assert np.all(np.abs(mu) <= 1.0), mu
+        seen.append(np.any(np.abs(mu) == 1.0))
+        return explore(self, mu, rng)
 
     monkeypatch.setattr(GaussianExploration, "act", checked)
     for config in (BanditConfig(), BanditConfig(lr_actor=1.5)):
