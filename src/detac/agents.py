@@ -11,7 +11,8 @@ import numpy as np
 from .critics import (CompatibleQCritic, MlpVCritic, fitted_value_iteration,
                       lambda_returns, td_error)
 from .nets import Adam
-from .policies import GaussianExploration, LinearPolicy, MlpPolicy
+from .policies import (GaussianExploration, LinearPolicy, MlpPolicy,
+                       NormalStream)
 from .trajectory import Trajectory
 from .updates import (TrustRegionState, adapt_beta, batch_gated_direction,
                       cac_direction, cacla_direction, policy_distance_dhat)
@@ -247,6 +248,12 @@ def run_bandit(rule, env, episodes, config, rng, eval_every=1):
     baseline value, a float moved toward each reward.  Returns the
     deterministic-policy reward measured every ``eval_every`` episodes
     (evaluations are analytic and consume no environment samples).
+
+    Once the arguments are checked and ``env.reset(rng)`` has run, the
+    exploration and ``env.step`` get a ``NormalStream`` over ``rng``, which
+    serves only ``standard_normal``: the values of per-call draws, taken
+    from block draws.  When the call returns or raises, ``rng`` is where
+    per-call draws leave it.
     """
     if rule not in ("spg", "dpg", "cacla"):
         raise ValueError(f"unsupported bandit rule {rule!r}")
@@ -264,41 +271,46 @@ def run_bandit(rule, env, episodes, config, rng, eval_every=1):
 
     lr = config.lr_actor
     curve = []
-    for episode in range(episodes):
-        # theta is in the box, and act only reads its mean
-        action = exploration.act(policy.theta, rng)
-        _, reward, _ = env.step(state, action, rng)
+    # closed in a finally, so rng ends in the per-call state on a raise too
+    normals = NormalStream(rng)
+    try:
+        for episode in range(episodes):
+            # theta is in the box, and act only reads its mean
+            action = exploration.act(policy.theta, normals)
+            _, reward, _ = env.step(state, action, normals)
 
-        if rule == "cacla":
-            delta = reward - baseline
-            baseline += config.lr_critic * delta
-            # a closed gate leaves theta where it is, inside the box
-            step = lr * (action - policy.theta) if delta > 0 else None
-        else:
-            # the compatible feature a - mu: theta stays in the box, so
-            # mu is theta
-            feat = action - policy.theta
-            q_critic.sgd_fit_step(feat, reward, config.lr_critic)
-            if rule == "dpg":
-                g = q_critic.grad_a(state)
+            if rule == "cacla":
+                delta = reward - baseline
+                baseline += config.lr_critic * delta
+                # a closed gate leaves theta where it is, inside the box
+                step = lr * (action - policy.theta) if delta > 0 else None
             else:
-                adv = q_critic.q(feat) - q_critic.value(state)
-                g = adv * feat / exploration.sigma ** 2
-            step = lr * g
-            # the gated rule's step vanishes near the optimum on its own;
-            # the critic-driven steps keep a noise floor, so only they get
-            # the annealed rate
-            lr = max(config.lr_actor_min, lr * config.lr_actor_decay)
-        if step is not None:
-            # projected step: an unbounded theta would blow up the
-            # compatible features once the exploration mean leaves the box
-            policy.theta = np.minimum(np.maximum(policy.theta + step, low),
-                                      high)
+                # the compatible feature a - mu: theta stays in the box, so
+                # mu is theta
+                feat = action - policy.theta
+                q_critic.sgd_fit_step(feat, reward, config.lr_critic)
+                if rule == "dpg":
+                    g = q_critic.grad_a(state)
+                else:
+                    adv = q_critic.q(feat) - q_critic.value(state)
+                    g = adv * feat / exploration.sigma ** 2
+                step = lr * g
+                # the gated rule's step vanishes near the optimum on its own;
+                # the critic-driven steps keep a noise floor, so only they get
+                # the annealed rate
+                lr = max(config.lr_actor_min, lr * config.lr_actor_decay)
+            if step is not None:
+                # projected step: an unbounded theta would blow up the
+                # compatible features once the exploration mean leaves the box
+                policy.theta = np.minimum(np.maximum(policy.theta + step, low),
+                                          high)
 
-        exploration.sigma = max(config.sigma_min,
-                                exploration.sigma * config.sigma_decay)
+            exploration.sigma = max(config.sigma_min,
+                                    exploration.sigma * config.sigma_decay)
 
-        if (episode + 1) % eval_every == 0:
-            a_det = policy.act(state)
-            curve.append(-float(np.sum((a_det - env.target) ** 2)))
+            if (episode + 1) % eval_every == 0:
+                a_det = policy.act(state)
+                curve.append(-float(np.sum((a_det - env.target) ** 2)))
+    finally:
+        normals.close()
     return np.asarray(curve)

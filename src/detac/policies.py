@@ -12,9 +12,16 @@ after every step that moves it.  ``GaussianExploration`` holds no policy:
 its ``act(mu, rng)`` samples around the mean it is given, and each
 learner scales its ``sigma``.  No state is scanned for NaN or inf: a
 non-finite state gives a non-finite action, which ``env.step`` rejects.
+
+``NormalStream(rng)`` serves ``rng``'s ``standard_normal`` stream from
+blocks of ``NORMAL_BLOCK`` values: the values are those of per-call draws,
+bit for bit, and after ``close()`` the Generator's ``bit_generator.state``
+is the one per-call draws leave.  ``run_bandit`` explores through one.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -22,6 +29,8 @@ from .envs import ACTION_BOUND
 from .nets import MlpNet
 
 MAX_ATTEMPTS = 100
+# normals per block draw of a NormalStream: 64 KB of float64
+NORMAL_BLOCK = 8192
 
 
 class MlpPolicy:
@@ -132,3 +141,67 @@ class GaussianExploration:
         flat[out] = np.minimum(np.maximum(flat[out], -ACTION_BOUND),
                                ACTION_BOUND)
         return a
+
+
+class NormalStream:
+    """A Generator's ``standard_normal`` stream, served from block draws.
+
+    ``Generator.standard_normal(n)`` gives the values of n successive
+    single draws and leaves the Generator where they leave it, so slices
+    of a drawn block are the values of per-call draws, bit for bit; one
+    slice costs less than one call.  Only the Generator runs ahead of the
+    values read, and ``close()`` moves it back: it restores the state saved
+    before the latest block draw and redraws the fresh values read since.
+
+    A refill keeps the unread tail of the block and draws at least
+    ``NORMAL_BLOCK`` fresh values after it.  The stream has no other draw
+    method, so code that asks it for another distribution fails with an
+    AttributeError instead of drawing out of order.
+    """
+
+    __slots__ = ("rng", "_block", "_pos", "_end", "_tail", "_state")
+
+    def __init__(self, rng):
+        self.rng = rng
+        self._block, self._pos, self._end, self._tail = np.empty(0), 0, 0, 0
+        self._state = None
+
+    def standard_normal(self, size):
+        """The next ``size`` values, ``size`` an int or a shape tuple, as a
+        read-only view of the block."""
+        shaped = isinstance(size, tuple)
+        start = self._pos
+        stop = start + (math.prod(size) if shaped else size)
+        if stop > self._end:
+            self._refill(stop - start)
+            start, stop = 0, stop - start
+        self._pos = stop
+        z = self._block[start:stop]
+        return z.reshape(size) if shaped and len(size) > 1 else z
+
+    def _refill(self, n):
+        """Start a new block: the unread tail, then at least
+        ``NORMAL_BLOCK`` fresh values and at least ``n`` values in all."""
+        # with the tail copied out, the old block is freed before the new
+        # one is made unless a caller still holds a view of it
+        tail = self._block[self._pos:].copy()
+        self._block = None
+        k = len(tail)
+        block = np.empty(k + max(NORMAL_BLOCK, n - k))
+        block[:k] = tail
+        self._state = self.rng.bit_generator.state
+        self.rng.standard_normal(out=block[k:])
+        block.flags.writeable = False
+        self._block, self._pos, self._end, self._tail = block, 0, len(block), k
+
+    def close(self):
+        """Leave the Generator where per-call draws would have left it and
+        empty the stream, so a later draw starts a block from there."""
+        state, fresh = self._state, self._pos - self._tail
+        self._block, self._pos, self._end, self._tail = np.empty(0), 0, 0, 0
+        self._state = None
+        if state is not None:
+            # each refill serves more values than its tail holds, so
+            # fresh > 0; the block is gone before the redraw is made
+            self.rng.bit_generator.state = state
+            self.rng.standard_normal(fresh)

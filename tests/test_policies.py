@@ -4,8 +4,9 @@ from scipy.stats import kstest, truncnorm
 
 from detac.agents import BanditConfig
 from detac.envs import make_quadratic_bandit
-from detac.policies import (MAX_ATTEMPTS, GaussianExploration, LinearPolicy,
-                            MlpPolicy)
+from detac import policies
+from detac.policies import (MAX_ATTEMPTS, NORMAL_BLOCK, GaussianExploration,
+                            LinearPolicy, MlpPolicy, NormalStream)
 from jacobian_reference import jacobian
 
 
@@ -393,3 +394,74 @@ def test_gaussian_exploration_rejects_bad_sigma():
         GaussianExploration(sigma=0.0)
     with pytest.raises(ValueError):
         GaussianExploration(sigma=np.nan)
+
+
+def _normal_sizes(rng, block):
+    """Int and shape-tuple sizes, empty ones included, that cross many
+    block boundaries, with one size larger than ``block``."""
+    sizes = []
+    for _ in range(200):
+        kind = rng.integers(4)
+        if kind == 0:
+            sizes.append(int(rng.integers(0, 12)))
+        elif kind == 1:
+            sizes.append((int(rng.integers(1, 12)),))
+        elif kind == 2:
+            sizes.append((int(rng.integers(1, 4)), int(rng.integers(0, 5))))
+        else:
+            sizes.append((2, 1, int(rng.integers(1, 4))))
+    sizes.insert(100, block + 3)
+    return sizes
+
+
+@pytest.mark.parametrize("block", [7, NORMAL_BLOCK])
+def test_normal_stream_serves_the_per_call_stream(block, monkeypatch):
+    # slices of block draws are the values of per-call draws, and close()
+    # leaves the Generator where per-call draws leave it
+    monkeypatch.setattr(policies, "NORMAL_BLOCK", block)
+    for seed in range(5):
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        normals = NormalStream(rng)
+        sizes = _normal_sizes(np.random.default_rng(100 + seed), block)
+        if block == NORMAL_BLOCK:
+            # cross a real block boundary after the large size too
+            sizes += [(50,)] * 200
+        for size in sizes:
+            got = normals.standard_normal(size)
+            want = twin.standard_normal(size)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        normals.close()
+        assert rng.bit_generator.state == twin.bit_generator.state
+        # the stream starts again from there, and closes again
+        assert (normals.standard_normal(3).tobytes()
+                == twin.standard_normal(3).tobytes())
+        normals.close()
+        normals.close()
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def test_normal_stream_close_before_any_draw_leaves_the_generator():
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    NormalStream(rng).close()
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("size", [0, 3, (4,), (2, 3)])
+def test_normal_stream_returns_read_only_views(size):
+    normals = NormalStream(np.random.default_rng(0))
+    normals.standard_normal(5)
+    z = normals.standard_normal(size)
+    assert not z.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        z[...] = 0.0
+
+
+@pytest.mark.parametrize("method", ["uniform", "normal", "integers",
+                                    "random", "standard_exponential",
+                                    "choice", "permutation"])
+def test_normal_stream_has_no_other_draw_method(method):
+    # another distribution's draw would be taken out of the stream's order
+    with pytest.raises(AttributeError):
+        getattr(NormalStream(np.random.default_rng(0)), method)

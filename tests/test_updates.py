@@ -407,14 +407,51 @@ def test_run_bandit_matches_reference_directions(rule):
 @pytest.mark.parametrize("rule", ["spg", "dpg", "cacla"])
 def test_run_bandit_is_the_old_form_byte_for_byte(rule, m):
     # run_bandit builds each episode's feature once, as a - theta, and
-    # keeps the critic's v a float; every curve value keeps its bits
+    # keeps the critic's v a float; every curve value keeps its bits.  It
+    # reads its normals from block draws, and leaves the Generator where
+    # the reference loop's per-call draws do; at m = 50 the run reads
+    # past the first block
     env = make_quadratic_bandit(m, 0)
     for seed in (1, 2):
-        got = run_bandit(rule, env, 300, BanditConfig(),
-                         np.random.default_rng(seed))
-        want = old_form_bandit(rule, env, 300, BanditConfig(),
-                               np.random.default_rng(seed))
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = run_bandit(rule, env, 300, BanditConfig(), rng)
+        want = old_form_bandit(rule, env, 300, BanditConfig(), ref)
         assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+class _StepRaises:
+    """A bandit whose ``step`` raises on its ``k``-th call."""
+
+    def __init__(self, env, k):
+        self.env, self.k, self.spec = env, k, env.spec
+        self.target = env.target
+
+    def reset(self, rng=None):
+        return self.env.reset(rng)
+
+    def step(self, state, action, rng=None):
+        self.k -= 1
+        if not self.k:
+            raise RuntimeError("step failed")
+        return self.env.step(state, action, rng)
+
+
+@pytest.mark.parametrize("m", [5, 50])
+@pytest.mark.parametrize("rule", ["spg", "dpg", "cacla"])
+def test_run_bandit_leaves_the_per_call_rng_state_when_it_raises(rule, m):
+    # the stream closes in a finally: after an episode raises, the
+    # Generator is where per-call draws leave it, on the first episode,
+    # within the first block and, at m = 50, past it
+    env = make_quadratic_bandit(m, 0)
+    for k in (1, 40, 250):
+        rng, ref = np.random.default_rng(k), np.random.default_rng(k)
+        with pytest.raises(RuntimeError, match="step failed"):
+            run_bandit(rule, _StepRaises(env, k), 300, BanditConfig(), rng)
+        with pytest.raises(RuntimeError, match="step failed"):
+            old_form_bandit(rule, _StepRaises(env, k), 300, BanditConfig(),
+                            ref)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 @pytest.mark.parametrize("rule", ["spg", "dpg", "cacla"])

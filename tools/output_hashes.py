@@ -9,7 +9,10 @@ and diff the two outputs:
 
 The ``run_bandit`` curves at m = 1 pin the exploration stream of a
 one-dimensional action, the stream every PointMass run draws; those at
-m = 5 and 50 move whenever the multi-dimensional sampler does.
+m = 5 and 50 move whenever the multi-dimensional sampler does.  Each
+curve's ``run_bandit-rng`` line hashes the Generator's
+``bit_generator.state`` after the call, so a change in the number of
+normals a run consumes shows even when its curve keeps its bits.
 
 The PointMass runs use the default 10000 training steps: over the first
 few phases no NFAC/PeNFAC gate opens, so shorter runs can give the two
@@ -74,11 +77,14 @@ def main():
         env = make_quadratic_bandit(m, seed=0)
         for rule in BANDIT_RULES:
             for seed in SEEDS:
-                curve = run_bandit(rule, env, BANDIT_STEPS,
-                                   BanditConfig(), np.random.default_rng(seed),
-                                   eval_every=BANDIT_STEPS // 100)
+                rng = np.random.default_rng(seed)
+                curve = run_bandit(rule, env, BANDIT_STEPS, BanditConfig(),
+                                   rng, eval_every=BANDIT_STEPS // 100)
                 print(f"run_bandit {rule} m={m} seed={seed} "
                       f"{_sha(curve.tobytes())}", flush=True)
+                state = repr(rng.bit_generator.state).encode()
+                print(f"run_bandit-rng {rule} m={m} seed={seed} "
+                      f"{_sha(state)}", flush=True)
 
     for suite in harness.SUITES:
         code, lines = harness.run_verification(suite, seed=0)
