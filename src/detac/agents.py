@@ -96,12 +96,12 @@ def run_episodes(act, env, n, rng, on_step=None):
     return batch
 
 
-def evaluate_deterministic(policy, env, n_episodes, rng=None):
+def evaluate_deterministic(policy, env, n_episodes, rng):
     """Play the greedy policy for ``n_episodes`` episodes through
     ``run_episodes``, one ``policy.act(states)`` on the running rows per
-    time step, and return the mean and the list of episode returns.
-    Interactions stay out of any training data."""
-    rng = rng if rng is not None else np.random.default_rng(0)
+    time step, and return the mean and the list of episode returns.  The
+    resets and env steps draw from ``rng``; interactions stay out of any
+    training data."""
     batch = run_episodes(policy.act, env, n_episodes, rng)
     returns = [float(sum(r[:k].tolist()))
                for r, k in zip(batch.rewards, batch.lengths)]
@@ -205,11 +205,13 @@ class BatchActorCritic:
 
         if penfac:
             # mu is still mu_old only when the first direction was zero,
-            # so the policy never moved
+            # so the policy never moved: d_hat is 0.0, and beta stays, as
+            # PPO's adaptive-KL rule adapts only after an update
             d_hat = policy_distance_dhat(
                 mu_old, self.policy.act(states) if mu is None else mu)
             self.dhat_history.append(d_hat)
-            adapt_beta(self.trust, d_hat)
+            if mu is None:
+                adapt_beta(self.trust, d_hat)
 
 
 def make_agent(config, env, rng):

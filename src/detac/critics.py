@@ -18,10 +18,10 @@ from .nets import Adam, MlpNet
 class MlpVCritic:
     """MLP state-value function; each regression pass is one full-batch
     Adam step on the squared error, so repeated fitted iterations drive the
-    fit."""
+    fit.  ``rng`` draws the net's initial weights."""
 
     def __init__(self, state_dim, hidden_sizes=(32, 32), hidden="tanh",
-                 lr=1e-3, rng=None):
+                 lr=1e-3, *, rng):
         self.net = MlpNet([state_dim, *hidden_sizes, 1], hidden=hidden,
                           output="linear", rng=rng)
         self.adam = Adam(self.net.num_params, alpha=lr)

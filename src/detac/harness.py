@@ -16,6 +16,8 @@ from .oracle import (LipschitzGaussianChain, epsilon_smoothed,
                      performance_difference_residual)
 
 CSV_HEADER = "seed,env_steps,mean_return,returns..."
+THEOREM1_TRIALS = 50  # random MDPs per suite_theorem1 run
+GRADCHECK_TOL = 1e-4  # suite_gradcheck's bound on the relative error
 
 
 def _fmt(x):
@@ -194,12 +196,12 @@ def suite_lemma1(seed=0):
     return ok, lines
 
 
-def suite_theorem1(seed=0, trials=50):
+def suite_theorem1(seed=0):
     rng = np.random.default_rng(seed)
     chain = LipschitzGaussianChain()
     lines = []
     n_ok = 0
-    for i in range(trials):
+    for i in range(THEOREM1_TRIALS):
         rewards = rng.uniform(-1.0, 1.0, size=(chain.n_states, chain.n_actions))
         mdp = chain.build_mdp(rewards)
         mu = rng.integers(0, chain.n_actions, size=chain.n_states)
@@ -213,8 +215,8 @@ def suite_theorem1(seed=0, trials=50):
         n_ok += int(sat)
         lines.append(f"trial={i} sigma={sigma:.4f} lhs={lhs:.6e} "
                      f"rhs={rhs:.6e} pass={sat}")
-    passed = n_ok == trials
-    lines.append(f"satisfied={n_ok}/{trials} pass={passed}")
+    passed = n_ok == THEOREM1_TRIALS
+    lines.append(f"satisfied={n_ok}/{THEOREM1_TRIALS} pass={passed}")
     return passed, lines
 
 
@@ -227,9 +229,9 @@ def agent_architectures():
     return archs
 
 
-def suite_gradcheck(seed=0, n_seeds=20, tol=1e-4):
+def suite_gradcheck(seed=0, n_seeds=20):
     """Finite-difference check of every agent architecture on ``n_seeds``
-    seeded nets."""
+    seeded nets; a net passes below ``GRADCHECK_TOL``."""
     lines = []
     worst = 0.0
     for arch in agent_architectures():
@@ -242,8 +244,8 @@ def suite_gradcheck(seed=0, n_seeds=20, tol=1e-4):
             worst = max(worst, err)
             lines.append(f"arch={arch['sizes']} hidden={arch['hidden']} "
                          f"output={arch['output']} seed={s} "
-                         f"max_rel_err={err:.3e} pass={err < tol}")
-    passed = worst < tol
+                         f"max_rel_err={err:.3e} pass={err < GRADCHECK_TOL}")
+    passed = worst < GRADCHECK_TOL
     lines.append(f"max_rel_err={worst:.3e} pass={passed}")
     return passed, lines
 

@@ -46,7 +46,7 @@ def _column_sum(a, out=None):
 
 
 class MlpNet:
-    """Fully connected network.
+    """Fully connected network, its initial weights drawn from ``rng``.
 
     All parameters live in one flat vector: (W, b) per layer in order,
     W of shape (n_in, n_out) row-major and b of shape (n_out,).
@@ -63,8 +63,7 @@ class MlpNet:
     ``forward`` and hands out a fresh copy of its gradient.
     """
 
-    def __init__(self, layer_sizes, hidden="tanh", output="linear",
-                 rng=None):
+    def __init__(self, layer_sizes, hidden="tanh", output="linear", *, rng):
         if len(layer_sizes) < 2 or any(int(n) <= 0 for n in layer_sizes):
             raise ValueError("layer_sizes must be >= 2 positive integers")
         if hidden not in HIDDEN_ACTIVATIONS:
@@ -74,7 +73,6 @@ class MlpNet:
         self.layer_sizes = [int(n) for n in layer_sizes]
         self.hidden = hidden
         self.output = output
-        rng = rng if rng is not None else np.random.default_rng(0)
 
         sizes = self.layer_sizes
         n_params = sum((n_in + 1) * n_out
@@ -310,26 +308,26 @@ def _leaky_pattern(net):
     return [h > 0 for h in net._cache[1:-1]]
 
 
-def gradient_check(net, x, upstream=None, h=1e-5):
+def gradient_check(net, x):
     """Max relative error between analytic and central-difference gradients.
 
-    The implied scalar loss is sum(upstream * net(x)); a fixed random
-    upstream is drawn when none is given.
+    The implied scalar loss is sum(upstream * net(x)), with a fixed
+    upstream: standard normals from ``default_rng(0)``, one per output.
 
-    A central difference is only valid where the net is smooth.  If the
-    coordinate with the largest error was probed across a leaky_relu kink
-    (a +-h probe switched a unit on or off), it is probed again with the
-    step divided by 10 until no unit switches, and the next largest error
-    is examined the same way.
+    A central difference with step h = 1e-5 is only valid where the net
+    is smooth.  If the coordinate with the largest error was probed across
+    a leaky_relu kink (a +-h probe switched a unit on or off), it is probed
+    again with the step divided by 10 until no unit switches, and the next
+    largest error is examined the same way.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    if upstream is None:
-        upstream = np.random.default_rng(0).standard_normal(
-            (x.shape[0], net.layer_sizes[-1]))
+    upstream = np.random.default_rng(0).standard_normal(
+        (x.shape[0], net.layer_sizes[-1]))
+    h = 1e-5
 
     net.forward(x)
     pattern = _leaky_pattern(net)
-    analytic = net.backward(np.asarray(upstream, dtype=float))
+    analytic = net.backward(upstream)
 
     theta = net.get_params()
     flat = net._flat

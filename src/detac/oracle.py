@@ -30,7 +30,6 @@ class DpSolution:
     advantage: np.ndarray  # q - v
     occupancy: np.ndarray  # discounted state distribution, sums to 1/(1-gamma)
     j: float               # T0-weighted performance
-    policy: np.ndarray     # (n_states, n_actions) stochastic matrix
 
 
 def policy_matrix(mdp, policy):
@@ -58,8 +57,7 @@ def dp_solve(mdp, policy):
     adv = q - v[:, None]
     occupancy = np.linalg.solve(eye - mdp.gamma * p_pi.T, mdp.start)
     j = float(mdp.start @ v)
-    return DpSolution(v=v, q=q, advantage=adv, occupancy=occupancy,
-                      j=j, policy=pi)
+    return DpSolution(v=v, q=q, advantage=adv, occupancy=occupancy, j=j)
 
 
 def performance_difference_residual(mdp, mu, mu_tilde, pi):
@@ -147,10 +145,16 @@ def gated_direction_ratio(target, theta, sigmas):
 # occupancy-shift bound on a Gaussian chain
 # ---------------------------------------------------------------------------
 
+# the chain of ``suite_theorem1``: states and actions on grids over
+# [-1, 1], the kernel's gain and noise scale, and the discount
+CHAIN_STATES, CHAIN_ACTIONS = 41, 21
+CHAIN_GAIN, CHAIN_TAU, CHAIN_GAMMA = 0.3, 0.4, 0.9
+
+
 class LipschitzGaussianChain:
     """1-D state grid with kernel s' ~ Normal(s + gain * a, tau^2), binned
     onto the grid with tail mass absorbed by the edge cells (rows sum to 1
-    exactly).
+    exactly).  Its sizes and constants are the ``CHAIN_*`` values.
 
     Binning a distribution cannot increase total-variation distance, so the
     L1 Lipschitz constant of the continuous kernel carries over:
@@ -158,14 +162,9 @@ class LipschitzGaussianChain:
     L = 2 gain / (tau sqrt(2 pi)), which also bounds every single entry.
     """
 
-    def __init__(self, n_states=41, state_low=-1.0, state_high=1.0,
-                 n_actions=21, action_low=-1.0, action_high=1.0,
-                 gain=0.3, tau=0.4, gamma=0.9):
-        self.grid = np.linspace(state_low, state_high, n_states)
-        self.actions = np.linspace(action_low, action_high, n_actions)
-        self.gain = float(gain)
-        self.tau = float(tau)
-        self.gamma = float(gamma)
+    def __init__(self):
+        self.grid = np.linspace(-1.0, 1.0, CHAIN_STATES)
+        self.actions = np.linspace(-1.0, 1.0, CHAIN_ACTIONS)
         width = self.grid[1] - self.grid[0]
         self.edges = np.concatenate(
             [[-np.inf], self.grid[:-1] + width / 2, [np.inf]])
@@ -185,21 +184,20 @@ class LipschitzGaussianChain:
         return self.actions.size
 
     def lipschitz_constant(self):
-        return 2.0 * self.gain / (self.tau * np.sqrt(2.0 * np.pi))
+        return 2.0 * CHAIN_GAIN / (CHAIN_TAU * np.sqrt(2.0 * np.pi))
 
     def transition_row(self, state_idx, action):
         """Distribution over next grid states for a (possibly off-grid)
         continuous action."""
-        mean = self.grid[state_idx] + self.gain * float(action)
-        z = (self.edges - mean) / (self.tau * np.sqrt(2.0))
+        mean = self.grid[state_idx] + CHAIN_GAIN * float(action)
+        z = (self.edges - mean) / (CHAIN_TAU * np.sqrt(2.0))
         cdf = 0.5 * (1.0 + np.array([math.erf(v) for v in z]))
         return np.diff(cdf)
 
-    def build_mdp(self, rewards, start=None):
-        """Tabular MDP over (state grid x action grid)."""
-        if start is None:
-            start = np.full(self.n_states, 1.0 / self.n_states)
-        return FiniteMdp(self.transitions, rewards, start, self.gamma)
+    def build_mdp(self, rewards):
+        """Tabular MDP over (state grid x action grid), uniform start."""
+        start = np.full(self.n_states, 1.0 / self.n_states)
+        return FiniteMdp(self.transitions, rewards, start, CHAIN_GAMMA)
 
     def smoothed_policy(self, mu_actions, sigma):
         """Discretized Gaussian policy over the action grid, centered at the

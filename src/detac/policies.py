@@ -6,9 +6,9 @@ batch of shape ``(n, d)``, and ``backward_batch(upstream)`` returns the
 parameter gradient of sum_t upstream_t . mu(s_t) over the rows of the
 latest ``act`` call (one vector-Jacobian product).  ``LinearPolicy`` is
 not a general policy: it holds the bandit's theta, which ``run_bandit``
-moves directly, and ``act`` returns a copy of theta.  Theta lies in the
-action box: the constructor clips it once, and ``run_bandit`` projects it
-after every step that moves it.  ``GaussianExploration`` holds no policy:
+moves directly, and ``act`` returns a copy of theta.  Theta starts at
+zero, inside the action box, and ``run_bandit`` projects it after every
+step that moves it.  ``GaussianExploration`` holds no policy:
 its ``act(mu, rng)`` samples around the mean it is given, and each
 learner scales its ``sigma``.  No state is scanned for NaN or inf: a
 non-finite state gives a non-finite action, which ``env.step`` rejects.
@@ -37,7 +37,7 @@ class MlpPolicy:
     """MLP policy with tanh output, so actions stay inside [-1, 1] bounds."""
 
     def __init__(self, state_dim, action_dim, hidden_sizes=(32, 32),
-                 hidden="tanh", rng=None):
+                 hidden="tanh", *, rng):
         sizes = [state_dim, *hidden_sizes, action_dim]
         self.net = MlpNet(sizes, hidden=hidden, output="tanh", rng=rng)
         self.action_dim = action_dim
@@ -62,17 +62,13 @@ class MlpPolicy:
 
 
 class LinearPolicy:
-    """The bandit's state-independent mean mu(.) = theta, theta in the box."""
+    """The bandit's mean mu(.) = theta: zero at first, kept in the box."""
 
-    def __init__(self, action_dim, theta=None):
+    def __init__(self, action_dim):
         self.action_dim = action_dim
         self.low = np.full(action_dim, -ACTION_BOUND)
         self.high = np.full(action_dim, ACTION_BOUND)
-        # np.clip's bits, NaN and signed zeros included, without its wrapper
-        self.theta = (np.zeros(action_dim) if theta is None
-                      else np.minimum(np.maximum(
-                          np.asarray(theta, dtype=float), self.low),
-                          self.high))
+        self.theta = np.zeros(action_dim)
 
     def act(self, state=None):
         return self.theta.copy()

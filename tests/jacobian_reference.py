@@ -3,11 +3,21 @@
 ``detac`` computes every gated direction as one vector-Jacobian product
 (``batch_gated_direction``); the per-sample oracles in the tests build the
 full Jacobian instead, so that they do not share that code path.
+``linear_policy(theta)`` builds the bandit's ``LinearPolicy`` at a given
+theta.
 """
 
 import numpy as np
 
 from detac.policies import LinearPolicy, MlpPolicy
+
+
+def linear_policy(theta):
+    """A ``LinearPolicy`` whose theta is ``theta`` clipped into the action
+    box, where ``run_bandit`` keeps it."""
+    policy = LinearPolicy(len(theta))
+    policy.theta = np.clip(np.asarray(theta, dtype=float), -1.0, 1.0)
+    return policy
 
 
 def jacobian(policy, state):

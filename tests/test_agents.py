@@ -16,8 +16,8 @@ from detac.envs import (EnvSpec, PointMass, QuadraticBandit,
                         make_quadratic_bandit)
 from detac.policies import MlpPolicy
 from detac.trajectory import Trajectory
-from detac.updates import (adapt_beta, batch_gated_direction,
-                           policy_distance_dhat)
+from detac.updates import (TrustRegionState, adapt_beta,
+                           batch_gated_direction, policy_distance_dhat)
 from constant_critic import ConstantVCritic
 
 
@@ -121,7 +121,8 @@ def test_evaluate_deterministic_does_not_change_policy():
     pol = MlpPolicy(2, 1, hidden_sizes=(4,), rng=np.random.default_rng(0))
     env = PointMass(horizon=10)
     before = pol.get_params().copy()
-    mean, returns = evaluate_deterministic(pol, env, 3)
+    mean, returns = evaluate_deterministic(pol, env, 3,
+                                           np.random.default_rng(0))
     assert np.array_equal(pol.get_params(), before)
     assert len(returns) == 3
     assert mean == pytest.approx(np.mean(returns))
@@ -299,7 +300,8 @@ def test_evaluate_deterministic_rejects_no_episodes():
     pol = MlpPolicy(2, 1, hidden_sizes=(4,), rng=np.random.default_rng(0))
     for n in (0, -1):
         with pytest.raises(ValueError):
-            evaluate_deterministic(pol, PointMass(horizon=5), n)
+            evaluate_deterministic(pol, PointMass(horizon=5), n,
+                                   np.random.default_rng(0))
 
 
 def test_incremental_agent_rejects_batch_rules():
@@ -482,7 +484,8 @@ class _FixedValueCritic:
 
 def _update_phase_all_directions(agent, batch):
     """``update_phase`` with a direction computed on every actor
-    iteration, zero or not."""
+    iteration, zero or not; PeNFAC adapts beta only when the first
+    direction is nonzero."""
     cfg = agent.config
     states = batch.per_step(batch.states)
     penfac = cfg.rule == "penfac"
@@ -493,16 +496,19 @@ def _update_phase_all_directions(agent, batch):
     advantages = (lambda_returns(batch, agent.critic, cfg.gamma, cfg.lam)
                   - agent.critic.values(states))
     beta = agent.trust.beta if penfac else 0.0
+    directions = []
     for _ in range(cfg.actor_iterations):
         g = batch_gated_direction(agent.policy, states, actions, advantages,
                                   scale_by_delta=penfac, mu_old=mu_old,
                                   beta=beta)
+        directions.append(g)
         agent.policy.set_params(agent.actor_adam.step(
             agent.policy.get_params(), g, ascent=True))
     if penfac:
         d_hat = policy_distance_dhat(mu_old, agent.policy.act(states))
         agent.dhat_history.append(d_hat)
-        adapt_beta(agent.trust, d_hat)
+        if directions[0].any():
+            adapt_beta(agent.trust, d_hat)
 
 
 def _count_calls(obj, method):
@@ -593,6 +599,36 @@ def test_update_phase_stops_directions_at_zero_bit_for_bit(rule, monkeypatch):
         assert closed == 0.0 and closed_again == 0.0 and opened > 0.0
 
 
+def test_penfac_closed_phase_keeps_beta_and_open_phase_adapts_it():
+    # a phase whose first direction is zero never moves the policy: it
+    # records d_hat = 0.0 and leaves beta alone.  An open phase adapts beta
+    # on its d_hat, which here lies outside the band, so beta moves
+    cfg = AgentConfig(rule="penfac", update_every=2, hidden=(8,),
+                      actor_iterations=3, fitted_iterations=2)
+    env = PointMass(horizon=10)
+    policy = MlpPolicy(2, 1, hidden_sizes=cfg.hidden,
+                       hidden=cfg.hidden_activation,
+                       rng=np.random.default_rng(3))
+    agent = BatchActorCritic(policy, _FixedValueCritic(0.0), cfg)
+    rng = np.random.default_rng(4)
+    for value, opened in ((1e3, False), (-1e3, True), (1e3, False)):
+        batch = run_episodes(
+            lambda s: agent.exploration.act(agent.policy.act(s), rng), env,
+            cfg.update_every, rng)
+        agent.critic.c = value
+        beta = agent.trust.beta
+        agent.update_phase(batch)
+        d_hat = agent.dhat_history[-1]
+        if opened:
+            want = adapt_beta(TrustRegionState(cfg.d_target, beta), d_hat)
+            assert d_hat > 0.0
+            assert agent.trust.beta == want != beta
+        else:
+            assert d_hat == 0.0
+            assert agent.trust.beta == beta
+    assert len(agent.dhat_history) == 3
+
+
 def test_nfac_update_is_deterministic_given_batch():
     # same seeds, same episodes: parameters must match bit for bit
     def run(seed):
@@ -659,12 +695,17 @@ def test_run_bandit_curve_is_deterministic_in_seed():
 
 
 def test_run_bandit_runs_without_scipy():
-    # src/ depends on numpy alone; scipy is a test-only dependency
+    # src/ depends on numpy alone; scipy is a test-only dependency.  The
+    # package root, the harness and the CLI import without it, and the
+    # bandit loop and a verification suite run
     code = ("import sys; sys.modules['scipy'] = None\n"
             "import numpy as np, detac\n"
+            "import detac.cli, detac.harness\n"
             "curve = detac.run_bandit('spg', detac.make_quadratic_bandit(2, 0),"
             " 1, detac.BanditConfig(), np.random.default_rng(0))\n"
-            "assert curve.shape == (1,)\n")
+            "assert curve.shape == (1,)\n"
+            "code, lines = detac.harness.run_verification('lemma1')\n"
+            "assert code == 0, lines\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(detac.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))

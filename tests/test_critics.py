@@ -6,7 +6,7 @@ from detac.critics import (CompatibleQCritic, MlpVCritic,
 from detac.policies import LinearPolicy
 from detac.trajectory import Trajectory
 from constant_critic import ConstantVCritic
-from jacobian_reference import jacobian, toward
+from jacobian_reference import jacobian, linear_policy, toward
 
 
 class TabularVCritic:
@@ -322,7 +322,7 @@ def test_fitted_value_iteration_rejects_bad_args():
 def test_compatible_q_identity_at_mean():
     # Q(s, mu(s)) equals psi(s)^T v bit-exactly because the advantage
     # feature vanishes at a = mu(s)
-    pol = LinearPolicy(2, theta=np.array([0.2, -0.3]))
+    pol = linear_policy(np.array([0.2, -0.3]))
     critic = CompatibleQCritic(2)
     critic.w = np.array([0.7, -0.4])
     critic.v = 1.3
@@ -359,7 +359,7 @@ def test_compatible_q_matches_the_jacobian_form_bit_for_bit(m):
     # compatible form (a - mu)^T J w + v, v held as a 1-vector
     rng = np.random.default_rng(m)
     for _ in range(200):
-        pol = LinearPolicy(m, theta=_reference_theta(rng, m))
+        pol = linear_policy(_reference_theta(rng, m))
         critic = CompatibleQCritic(m)
         w, v = rng.standard_normal(m), rng.standard_normal(1)
         critic.w, critic.v = w.copy(), float(v[0])
@@ -397,7 +397,7 @@ def _ridge_fit(critic, policy, states, actions, targets, ridge=1e-6):
 def test_compatible_q_fit_recovers_linear_model():
     # targets generated exactly by the compatible form are recovered
     rng = np.random.default_rng(9)
-    pol = LinearPolicy(2, theta=np.array([0.1, 0.2]))
+    pol = linear_policy(np.array([0.1, 0.2]))
     true_w = np.array([0.8, -0.6])
     true_v = 0.4
     actions = pol.act() + 0.3 * rng.standard_normal((40, 2))
@@ -410,7 +410,7 @@ def test_compatible_q_fit_recovers_linear_model():
 
 def test_compatible_q_sgd_converges_to_fit():
     rng = np.random.default_rng(3)
-    pol = LinearPolicy(1, theta=np.array([0.0]))
+    pol = linear_policy(np.array([0.0]))
     true_w, true_v = 2.0, -1.0
     critic = CompatibleQCritic(1)
     for _ in range(4000):
@@ -424,7 +424,7 @@ def test_compatible_q_sgd_converges_to_fit():
 def test_compatible_q_gradcheck():
     # grad_a Q at mu should match finite differences of q in the action
     rng = np.random.default_rng(4)
-    pol = LinearPolicy(3, theta=np.array([0.3, -1.0, 0.8]))
+    pol = linear_policy(np.array([0.3, -1.0, 0.8]))
     critic = CompatibleQCritic(3)
     critic.w = rng.standard_normal(3)
     critic.v = float(rng.standard_normal())

@@ -13,14 +13,15 @@ from detac.updates import batch_gated_direction
 
 
 def test_forward_zero_weights_tanh_output_is_zero():
-    net = MlpNet([3, 4, 2], hidden="tanh", output="tanh")
+    net = MlpNet([3, 4, 2], hidden="tanh", output="tanh",
+                 rng=np.random.default_rng(0))
     net.set_params(np.zeros(net.num_params))
     out = net.forward(np.array([0.7, -1.2, 3.0]))
     assert np.all(out == 0.0)
 
 
 def test_forward_identity_single_linear_layer():
-    net = MlpNet([2, 2], output="linear")
+    net = MlpNet([2, 2], output="linear", rng=np.random.default_rng(0))
     flat = np.concatenate([np.eye(2).ravel(), np.zeros(2)])
     net.set_params(flat)
     out = net.forward(np.array([0.2, -0.3]))
@@ -60,12 +61,12 @@ def test_leaky_relu_output_is_positive_exactly_where_its_input_is():
 
 
 def test_param_count_matches_layer_sizes():
-    net = MlpNet([4, 8, 8, 2])
+    net = MlpNet([4, 8, 8, 2], rng=np.random.default_rng(0))
     assert net.num_params == (4 + 1) * 8 + (8 + 1) * 8 + (8 + 1) * 2
 
 
 def test_forward_rejects_dimension_mismatch():
-    net = MlpNet([3, 2])
+    net = MlpNet([3, 2], rng=np.random.default_rng(0))
     with pytest.raises(ValueError):
         net.forward(np.zeros(4))
 
@@ -98,7 +99,7 @@ def test_backward_zero_upstream_gives_zero_gradient():
 
 def test_backward_scalar_tanh_analytic():
     # f(theta) = tanh(theta * x) at theta=0, x=1: df/dtheta = sech^2(0) = 1
-    net = MlpNet([1, 1], output="tanh")
+    net = MlpNet([1, 1], output="tanh", rng=np.random.default_rng(0))
     net.set_params(np.zeros(2))
     net.forward(np.array([1.0]))
     grad = net.backward(np.array([1.0]))
@@ -107,7 +108,7 @@ def test_backward_scalar_tanh_analytic():
 
 
 def test_backward_requires_cached_forward():
-    net = MlpNet([2, 1])
+    net = MlpNet([2, 1], rng=np.random.default_rng(0))
     with pytest.raises(RuntimeError):
         net.backward(np.ones((1, 1)))
 

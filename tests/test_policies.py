@@ -7,7 +7,7 @@ from detac.envs import make_quadratic_bandit
 from detac import policies
 from detac.policies import (MAX_ATTEMPTS, NORMAL_BLOCK, GaussianExploration,
                             LinearPolicy, MlpPolicy, NormalStream)
-from jacobian_reference import jacobian
+from jacobian_reference import jacobian, linear_policy
 
 
 def _fd_jacobian(policy, state, h=1e-6):
@@ -54,47 +54,14 @@ def test_mlp_policy_backward_batch_matches_jacobian_sum():
 
 
 def test_linear_policy_act_is_theta():
-    pol = LinearPolicy(3, theta=np.array([0.1, -0.4, 0.9]))
-    assert np.array_equal(pol.act(), [0.1, -0.4, 0.9])
-
-
-def test_linear_policy_clips_to_bounds():
-    pol = LinearPolicy(1, theta=np.array([1.7]))
-    assert pol.act()[0] == 1.0
-
-
-def _clip_inputs():
-    """Signed zeros, values on and beyond the bounds, infinities and NaN,
-    then 50 uniform draws in [-2, 2]."""
-    theta = np.array([0.0, -0.0, 1.0, -1.0, np.nextafter(1.0, 2.0),
-                      np.nextafter(-1.0, -2.0), 0.5, -0.25, 3.0, -7.5,
-                      np.inf, -np.inf, np.nan, -np.nan])
-    return theta, np.random.default_rng(11).uniform(-2.0, 2.0, 50)
-
-
-def test_linear_policy_clip_matches_np_clip_bits():
-    # the constructor clips with maximum/minimum instead of np.clip: the
-    # same bits for every input of _clip_inputs
-    for t in _clip_inputs():
-        pol = LinearPolicy(len(t), theta=t)
-        got = pol.act()
-        assert got.dtype == np.float64
-        assert got.tobytes() == np.clip(t, -1.0, 1.0).tobytes()
-        # a fresh array: writing to it leaves theta alone
-        got[:] = 0.25
-        assert pol.theta.tobytes() == np.clip(t, -1.0, 1.0).tobytes()
-
-
-def test_linear_policy_stores_theta_clipped_into_the_box():
-    # the box is enforced once, at construction: theta itself has the
-    # bits of np.clip, and the caller's array is neither kept nor changed
-    for t in _clip_inputs():
-        given = t.copy()
-        pol = LinearPolicy(len(t), theta=given)
-        assert pol.theta.dtype == np.float64
-        assert pol.theta.tobytes() == np.clip(t, -1.0, 1.0).tobytes()
-        assert given.tobytes() == t.tobytes()
-        assert not np.shares_memory(pol.theta, given)
+    pol = LinearPolicy(3)
+    assert pol.theta.tobytes() == np.zeros(3).tobytes()
+    pol.theta = np.array([0.1, -0.4, 0.9])
+    got = pol.act()
+    assert np.array_equal(got, [0.1, -0.4, 0.9])
+    # a fresh array: writing to it leaves theta alone
+    got[:] = 0.25
+    assert np.array_equal(pol.theta, [0.1, -0.4, 0.9])
 
 
 def test_linear_policy_jacobian_is_identity():
@@ -180,11 +147,11 @@ def _three_means_near_bounds(m):
 
 
 @pytest.mark.parametrize("make", [
-    lambda: (LinearPolicy(4, theta=[0.95, -0.9, 0.2, 1.0]), None),
-    lambda: (LinearPolicy(20, theta=np.ones(20)), None),
+    lambda: (linear_policy([0.95, -0.9, 0.2, 1.0]), None),
+    lambda: (linear_policy(np.ones(20)), None),
     lambda: (MlpPolicy(2, 3, hidden_sizes=(8,),
                        rng=np.random.default_rng(1)), np.array([2.0, -1.0])),
-    lambda: (LinearPolicy(50, theta=_three_means_near_bounds(50)), None)])
+    lambda: (linear_policy(_three_means_near_bounds(50)), None)])
 def test_single_state_exploration_draws_the_one_action_stream(make):
     policy, state = make()
     exploration = GaussianExploration(sigma=0.6)

@@ -11,7 +11,7 @@ from detac.policies import GaussianExploration, LinearPolicy, MlpPolicy
 from detac.updates import (TrustRegionState, adapt_beta,
                            batch_gated_direction, cac_direction,
                            cacla_direction, policy_distance_dhat)
-from jacobian_reference import jacobian, toward
+from jacobian_reference import jacobian, linear_policy, toward
 
 
 def spg_direction(policy, sigma, state, action, advantage):
@@ -197,7 +197,7 @@ def test_cacla_direction_makes_one_backward_pass(monkeypatch):
 
 
 def test_spg_direction_formula():
-    pol = LinearPolicy(1, theta=np.array([0.2]))
+    pol = linear_policy(np.array([0.2]))
     a = np.array([0.5])
     g = spg_direction(pol, 0.5, None, a, advantage=2.0)
     assert g[0] == pytest.approx(2.0 * 0.3 / 0.25, abs=1e-12)
