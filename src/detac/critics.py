@@ -2,8 +2,8 @@
 iteration, and the compatible-feature Q critic used by the SPG/DPG
 baselines.
 
-The state-value critic ``MlpVCritic`` offers ``value(state)``,
-``values(states)``, ``regress(states, targets)`` (one fitting pass toward
+The state-value critic ``MlpVCritic`` offers ``values(states)`` on an
+``(n, d)`` batch, ``regress(states, targets)`` (one fitting pass toward
 fixed targets) and ``td_update(state, delta, lr)`` for incremental TD(0).
 ``CompatibleQCritic`` reads compatible features a - mu instead of states.
 """
@@ -20,14 +20,10 @@ class MlpVCritic:
     Adam step on the squared error, so repeated fitted iterations drive the
     fit.  ``rng`` draws the net's initial weights."""
 
-    def __init__(self, state_dim, hidden_sizes=(32, 32), hidden="tanh",
-                 lr=1e-3, *, rng):
-        self.net = MlpNet([state_dim, *hidden_sizes, 1], hidden=hidden,
-                          output="linear", rng=rng)
-        self.adam = Adam(self.net.num_params, alpha=lr)
-
-    def value(self, state):
-        return float(self.net.forward(np.asarray(state, float).reshape(-1))[0])
+    def __init__(self, state_dim, hidden_sizes, hidden, lr, *, rng):
+        self.net = MlpNet([state_dim, *hidden_sizes, 1], hidden, "linear",
+                          rng=rng)
+        self.adam = Adam(self.net.num_params, lr)
 
     def values(self, states):
         return self.net.forward(np.atleast_2d(states))[:, 0]
@@ -43,17 +39,18 @@ class MlpVCritic:
         self.net.set_params(self.adam.step(self.net.get_params(), grad))
 
     def td_update(self, state, delta, lr):
-        # v <- v + lr * delta * grad V(s)
-        self.net.forward(np.asarray(state, float).reshape(-1))
-        grad = self.net.backward(np.ones(1))
+        # v <- v + lr * delta * grad V(s), from a one-row pass
+        self.net.forward([state])
+        grad = self.net.backward(np.ones((1, 1)))
         self.net.set_params(self.net.get_params() + lr * delta * grad)
 
 
 def td_error(critic, transition, gamma):
-    """delta = r + gamma V(s') (1 - terminal) - V(s)."""
+    """delta = r + gamma V(s') (1 - terminal) - V(s), each value from a
+    one-row ``values`` call."""
     s, _a, r, s2, terminal = transition
-    bootstrap = 0.0 if terminal else gamma * critic.value(s2)
-    return r + bootstrap - critic.value(s)
+    bootstrap = 0.0 if terminal else gamma * critic.values([s2]).item()
+    return r + bootstrap - critic.values([s]).item()
 
 
 def lambda_returns(batch, critic, gamma, lam):

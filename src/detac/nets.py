@@ -63,7 +63,7 @@ class MlpNet:
     ``forward`` and hands out a fresh copy of its gradient.
     """
 
-    def __init__(self, layer_sizes, hidden="tanh", output="linear", *, rng):
+    def __init__(self, layer_sizes, hidden, output, *, rng):
         if len(layer_sizes) < 2 or any(int(n) <= 0 for n in layer_sizes):
             raise ValueError("layer_sizes must be >= 2 positive integers")
         if hidden not in HIDDEN_ACTIVATIONS:
@@ -161,22 +161,20 @@ class MlpNet:
     # -- forward / backward -------------------------------------------------
 
     def forward(self, x, training=False):
-        """Run the network on a batch (or single input).
+        """Run the network on the rows of an (n, d) batch; one input is one
+        row.
 
         Keeps the intermediate activations in the work arrays so that
-        ``backward`` can be called with an upstream gradient of the same
-        batch shape; the returned output is a fresh array.  ``training``
-        is accepted and ignored: no layer acts otherwise in training, and
-        the benchmark's tracer, which wraps ``forward``, passes it on.
+        ``backward`` can be called with an (n, m) upstream gradient; the
+        returned (n, m) output is a fresh array.  ``training`` is accepted
+        and ignored: no layer acts otherwise in training, and the
+        benchmark's tracer, which wraps ``forward``, passes it on.
         """
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        if single:
-            x = x[None, :]
-        if x.shape[1] != self.layer_sizes[0]:
+        if x.ndim != 2 or x.shape[1] != self.layer_sizes[0]:
             raise ValueError(
-                f"input width {x.shape[1]} does not match first layer "
-                f"size {self.layer_sizes[0]}")
+                f"expected an (n, {self.layer_sizes[0]}) input, got shape "
+                f"{x.shape}")
 
         work = self._work(len(x))
         last = len(self.weights) - 1
@@ -191,24 +189,25 @@ class MlpNet:
             act(h, h, work["d"][k])
         # every layer's input, and the last layer's output
         self._cache = [x, *work["h"]]
-        return h[0].copy() if single else h.copy()
+        return h.copy()
 
     def backward(self, grad_out):
         """Backpropagate an upstream gradient through the latest forward
         pass.
 
-        ``grad_out`` holds d(loss)/d(output) per batch row; the return value
-        is d(loss)/d(params) as one fresh flat vector (summed over the
-        batch), in the layout of ``get_params``.
+        ``grad_out`` holds d(loss)/d(output) per batch row, in the (n, m)
+        shape of the output; the return value is d(loss)/d(params) as one
+        fresh flat vector (summed over the batch), in the layout of
+        ``get_params``.
         """
         if self._cache is None:
             raise RuntimeError("backward called without a cached forward pass")
         post = self._cache
         grad_out = np.asarray(grad_out, dtype=float)
-        if grad_out.ndim == 1:
-            grad_out = grad_out[None, :]
         if grad_out.shape != post[-1].shape:
-            raise ValueError("upstream gradient shape does not match cached batch")
+            raise ValueError(
+                f"expected an upstream gradient of the output's shape "
+                f"{post[-1].shape}, got shape {grad_out.shape}")
 
         work = self._work(len(grad_out))
         last = len(self.weights) - 1
@@ -258,7 +257,7 @@ class Adam:
     The second moment ``v`` is updated in place, and ``step`` computes in
     two work vectors of the same size."""
 
-    def __init__(self, size, alpha=1e-3):
+    def __init__(self, size, alpha):
         self.v = np.zeros(size)
         self.t = 0
         self.alpha = alpha
@@ -309,7 +308,8 @@ def _leaky_pattern(net):
 
 
 def gradient_check(net, x):
-    """Max relative error between analytic and central-difference gradients.
+    """Max relative error between analytic and central-difference gradients
+    on the rows of an (n, d) batch ``x``.
 
     The implied scalar loss is sum(upstream * net(x)), with a fixed
     upstream: standard normals from ``default_rng(0)``, one per output.
@@ -320,7 +320,7 @@ def gradient_check(net, x):
     again with the step divided by 10 until no unit switches, and the next
     largest error is examined the same way.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
     upstream = np.random.default_rng(0).standard_normal(
         (x.shape[0], net.layer_sizes[-1]))
     h = 1e-5

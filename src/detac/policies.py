@@ -1,8 +1,8 @@
 """Deterministic policy representations and the Gaussian exploration sampler.
 
 ``MlpPolicy`` is the policy of the PointMass agents.  ``act(states)``
-returns one action for a state of shape ``(d,)`` and one per row for a
-batch of shape ``(n, d)``, and ``backward_batch(upstream)`` returns the
+returns one action per row of an ``(n, d)`` batch of states, and
+``backward_batch(upstream)`` returns the
 parameter gradient of sum_t upstream_t . mu(s_t) over the rows of the
 latest ``act`` call (one vector-Jacobian product).  ``LinearPolicy`` is
 not a general policy: it holds the bandit's theta, which ``run_bandit``
@@ -36,11 +36,9 @@ NORMAL_BLOCK = 8192
 class MlpPolicy:
     """MLP policy with tanh output, so actions stay inside [-1, 1] bounds."""
 
-    def __init__(self, state_dim, action_dim, hidden_sizes=(32, 32),
-                 hidden="tanh", *, rng):
+    def __init__(self, state_dim, action_dim, hidden_sizes, hidden, *, rng):
         sizes = [state_dim, *hidden_sizes, action_dim]
-        self.net = MlpNet(sizes, hidden=hidden, output="tanh", rng=rng)
-        self.action_dim = action_dim
+        self.net = MlpNet(sizes, hidden, "tanh", rng=rng)
 
     @property
     def n_params(self):

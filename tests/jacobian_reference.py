@@ -23,23 +23,24 @@ def linear_policy(theta):
 def jacobian(policy, state):
     """The (action_dim x n_params) derivative of mu(state): the identity
     for the state-free ``LinearPolicy`` (mu = theta), and for an
-    ``MlpPolicy`` one forward and one unit-vector backward pass per action
-    dimension."""
+    ``MlpPolicy`` a one-row forward and a unit-vector backward pass per
+    action dimension."""
     if isinstance(policy, LinearPolicy):
         return np.eye(policy.action_dim)
     if not isinstance(policy, MlpPolicy):
         raise TypeError(f"no reference Jacobian for {type(policy).__name__}")
-    jac = np.empty((policy.action_dim, policy.n_params))
-    for i in range(policy.action_dim):
-        policy.net.forward(state)
-        one_hot = np.zeros(policy.action_dim)
-        one_hot[i] = 1.0
+    action_dim = policy.net.layer_sizes[-1]
+    jac = np.empty((action_dim, policy.n_params))
+    for i in range(action_dim):
+        policy.net.forward([state])
+        one_hot = np.zeros((1, action_dim))
+        one_hot[0, i] = 1.0
         jac[i] = policy.net.backward(one_hot)
     return jac
 
 
 def toward(policy, state, action):
     """(a - mu(s))^T J(s), with the reference ``jacobian``."""
-    mu = np.asarray(policy.act(state), float).reshape(-1)
+    mu = np.asarray(policy.act([state]), float).reshape(-1)
     return (np.asarray(action, float).reshape(-1) - mu) @ jacobian(policy,
                                                                    state)

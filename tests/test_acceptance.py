@@ -168,6 +168,7 @@ def test_acceptance_5_lambda_return_endpoints(report):
     assert ok
 
 
+@pytest.mark.slow
 def test_acceptance_6_bandit_dimension_sensitivity(report):
     t0 = time.time()
     finals = {1: {}, 50: {}}
@@ -196,6 +197,7 @@ def test_acceptance_6_bandit_dimension_sensitivity(report):
     assert elapsed < 600.0
 
 
+@pytest.mark.slow
 def test_acceptance_7_trust_region_containment(pointmass_runs, report):
     # the band in which adapt_beta leaves beta alone, around the agent's
     # own target
@@ -213,6 +215,7 @@ def test_acceptance_7_trust_region_containment(pointmass_runs, report):
     assert elapsed < 900.0
 
 
+@pytest.mark.slow
 def test_acceptance_8_penfac_vs_nfac(pointmass_runs, capsys):
     penfac = pointmass_runs["penfac_finals"]
     nfac = pointmass_runs["nfac_finals"]
@@ -232,7 +235,7 @@ def test_acceptance_8_penfac_vs_nfac(pointmass_runs, capsys):
 
 def test_acceptance_9_gating_property(report):
     rng = np.random.default_rng(9)
-    pol = MlpPolicy(2, 2, hidden_sizes=(8,), rng=rng)
+    pol = MlpPolicy(2, 2, hidden_sizes=(8,), hidden="tanh", rng=rng)
     ok = True
     for _ in range(10_000):
         s = rng.standard_normal(2)

@@ -56,14 +56,14 @@ def test_agent_config_checks_sigma_decay():
 
 
 def _sequential_episode(act, env, rng):
-    """One episode, one ``act(state)`` and one one-row ``env.step`` per
+    """One episode, one one-row ``act`` and one one-row ``env.step`` per
     step, kept in per-step lists: the reference for the lockstep
     ``run_episodes``."""
     ep = SimpleNamespace(states=[], actions=[], rewards=[], next_states=[],
                          terminals=[])
     state = env.reset(rng)
     for _ in range(env.spec.horizon):
-        action = act(state)
+        action = act(state[None])[0]
         next_states, rewards, terminals = env.step(
             state[None], np.reshape(action, (1, -1)), rng)
         next_state, reward, terminal = (next_states[0], float(rewards[0]),
@@ -118,7 +118,8 @@ def test_run_episode_respects_horizon_and_terminal():
 
 
 def test_evaluate_deterministic_does_not_change_policy():
-    pol = MlpPolicy(2, 1, hidden_sizes=(4,), rng=np.random.default_rng(0))
+    pol = MlpPolicy(2, 1, hidden_sizes=(4,), hidden="tanh",
+                    rng=np.random.default_rng(0))
     env = PointMass(horizon=10)
     before = pol.get_params().copy()
     mean, returns = evaluate_deterministic(pol, env, 3,
@@ -186,14 +187,16 @@ def test_lockstep_evaluation_pointmass_policy():
 
 def test_lockstep_evaluation_quadratic_bandit():
     env = make_quadratic_bandit(3, 1)
-    pol = MlpPolicy(1, 3, hidden_sizes=(8,), rng=np.random.default_rng(3))
+    pol = MlpPolicy(1, 3, hidden_sizes=(8,), hidden="tanh",
+                    rng=np.random.default_rng(3))
     returns = _assert_lockstep_matches_loop(pol, env, 4)
     assert len(set(returns)) == 1 and returns[0] < 0.0
 
 
 def test_lockstep_evaluation_masks_finished_episodes():
     env = _StaggeredEnv(horizon=8)
-    pol = MlpPolicy(1, 1, hidden_sizes=(8,), rng=np.random.default_rng(4))
+    pol = MlpPolicy(1, 1, hidden_sizes=(8,), hidden="tanh",
+                    rng=np.random.default_rng(4))
     rng = np.random.default_rng(5)
     lengths = [len(_sequential_episode(pol.act, env, rng).rewards)
                for _ in range(12)]
@@ -290,14 +293,17 @@ def test_run_episodes_hands_act_the_running_rows_in_order():
 
 
 def test_lockstep_evaluation_single_episode():
-    pol = MlpPolicy(2, 1, hidden_sizes=(8,), rng=np.random.default_rng(6))
+    pol = MlpPolicy(2, 1, hidden_sizes=(8,), hidden="tanh",
+                    rng=np.random.default_rng(6))
     _assert_lockstep_matches_loop(pol, PointMass(horizon=30), 1)
-    pol = MlpPolicy(1, 1, hidden_sizes=(8,), rng=np.random.default_rng(7))
+    pol = MlpPolicy(1, 1, hidden_sizes=(8,), hidden="tanh",
+                    rng=np.random.default_rng(7))
     _assert_lockstep_matches_loop(pol, _StaggeredEnv(horizon=5), 1)
 
 
 def test_evaluate_deterministic_rejects_no_episodes():
-    pol = MlpPolicy(2, 1, hidden_sizes=(4,), rng=np.random.default_rng(0))
+    pol = MlpPolicy(2, 1, hidden_sizes=(4,), hidden="tanh",
+                    rng=np.random.default_rng(0))
     for n in (0, -1):
         with pytest.raises(ValueError):
             evaluate_deterministic(pol, PointMass(horizon=5), n,
@@ -320,18 +326,20 @@ def test_incremental_cacla_improves_on_bandit():
     env = QuadraticBandit([0.4])
     cfg = AgentConfig(rule="cacla", gamma=0.0, sigma=0.3,
                       lr_actor=0.1, lr_critic=0.2)
-    pol = MlpPolicy(1, 1, hidden_sizes=(4,), rng=np.random.default_rng(0))
+    pol = MlpPolicy(1, 1, hidden_sizes=(4,), hidden="tanh",
+                    rng=np.random.default_rng(0))
     agent = IncrementalActorCritic(pol, ConstantVCritic(), cfg)
     rng = np.random.default_rng(0)
     for _ in range(500):
         agent.run_episode(env, rng)
-    assert abs(pol.act(np.zeros(1))[0] - 0.4) < 0.1
+    assert abs(pol.act(np.zeros((1, 1)))[0, 0] - 0.4) < 0.1
 
 
 def test_incremental_agent_sigma_anneals_per_episode():
     env = QuadraticBandit([0.0])
     cfg = AgentConfig(rule="cacla", gamma=0.0, sigma=0.4, sigma_decay=0.5)
-    pol = MlpPolicy(1, 1, hidden_sizes=(4,), rng=np.random.default_rng(0))
+    pol = MlpPolicy(1, 1, hidden_sizes=(4,), hidden="tanh",
+                    rng=np.random.default_rng(0))
     agent = IncrementalActorCritic(pol, ConstantVCritic(), cfg)
     rng = np.random.default_rng(1)
     agent.run_episode(env, rng)
@@ -433,7 +441,7 @@ def test_penfac_dhat_measures_against_pre_phase_policy():
     agent.update_phase(batch)
     after = agent.policy
     assert not np.array_equal(after.get_params(), before.get_params())
-    expected = sum(np.linalg.norm(before.act(s) - after.act(s))
+    expected = sum(np.linalg.norm(before.act([s]) - after.act([s]))
                    for s in states) / np.sqrt(len(states))
     assert abs(agent.dhat_history[-1] - expected) < 1e-12
 

@@ -16,9 +16,6 @@ class TabularVCritic:
     def __init__(self, n_states):
         self.v = np.zeros(n_states)
 
-    def value(self, state):
-        return float(self.v[int(np.asarray(state).reshape(-1)[0])])
-
     def values(self, states):
         idx = np.asarray(states).reshape(len(states), -1)[:, 0].astype(int)
         return self.v[idx]
@@ -174,7 +171,7 @@ def _numpy_lambda_returns(batch, critic, gamma, lam):
 def test_lambda_returns_equal_numpy_recursion_bitwise():
     # the same IEEE operations on Python floats: no tolerance
     rng = np.random.default_rng(11)
-    critic = MlpVCritic(2, hidden_sizes=(8,), rng=rng)
+    critic = MlpVCritic(2, hidden_sizes=(8,), hidden="tanh", lr=1e-3, rng=rng)
     batch = _batch([(rng.standard_normal(2),
                      [(float(rng.standard_normal() * 10.0),
                        rng.standard_normal(2)) for _ in range(length)],
@@ -201,7 +198,8 @@ def test_lambda_returns_inputs_never_go_stale():
                 for length, terminal_end in ((6, False), (2, True),
                                              (9, True), (4, False))]
     batch = _batch(episodes)
-    critics = [MlpVCritic(2, hidden_sizes=(8,), rng=rng) for _ in range(2)]
+    critics = [MlpVCritic(2, hidden_sizes=(8,), hidden="tanh", lr=1e-3,
+                          rng=rng) for _ in range(2)]
     for lam in (0.0, 0.7, 1.0):
         for critic in (*critics, *critics):
             got = lambda_returns(batch, critic, 0.95, lam)
@@ -256,7 +254,8 @@ def test_constant_critic_regress_is_global_mean():
 
 def test_mlp_critic_regression_reduces_loss():
     rng = np.random.default_rng(7)
-    critic = MlpVCritic(2, hidden_sizes=(16,), lr=1e-2, rng=rng)
+    critic = MlpVCritic(2, hidden_sizes=(16,), hidden="tanh", lr=1e-2,
+                        rng=rng)
     states = rng.standard_normal((32, 2))
     targets = np.sin(states[:, 0]) + 0.5 * states[:, 1]
     loss0 = np.mean((critic.values(states) - targets) ** 2)
@@ -270,7 +269,8 @@ def test_mlp_critic_regression_reduces_loss():
 def test_mlp_critic_regress_rejects_a_target_count_unequal_to_the_states(
         n_targets):
     # one target for four rows must not be broadcast to every row
-    critic = MlpVCritic(2, hidden_sizes=(8,), rng=np.random.default_rng(3))
+    critic = MlpVCritic(2, hidden_sizes=(8,), hidden="tanh", lr=1e-3,
+                        rng=np.random.default_rng(3))
     params = critic.net.get_params()
     with pytest.raises(ValueError, match="equal length"):
         critic.regress(np.zeros((4, 2)), np.ones(n_targets))
@@ -278,11 +278,12 @@ def test_mlp_critic_regress_rejects_a_target_count_unequal_to_the_states(
 
 
 def test_mlp_critic_td_update_moves_value_toward_target():
-    critic = MlpVCritic(1, hidden_sizes=(8,), rng=np.random.default_rng(2))
+    critic = MlpVCritic(1, hidden_sizes=(8,), hidden="tanh", lr=1e-3,
+                        rng=np.random.default_rng(2))
     s = np.array([0.5])
-    before = critic.value(s)
+    before = critic.values([s]).item()
     critic.td_update(s, delta=1.0, lr=0.01)
-    assert critic.value(s) > before
+    assert critic.values([s]).item() > before
 
 
 def test_fitted_value_iteration_tabular_matches_dp():

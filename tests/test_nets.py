@@ -16,15 +16,16 @@ def test_forward_zero_weights_tanh_output_is_zero():
     net = MlpNet([3, 4, 2], hidden="tanh", output="tanh",
                  rng=np.random.default_rng(0))
     net.set_params(np.zeros(net.num_params))
-    out = net.forward(np.array([0.7, -1.2, 3.0]))
+    out = net.forward(np.array([[0.7, -1.2, 3.0]]))
     assert np.all(out == 0.0)
 
 
 def test_forward_identity_single_linear_layer():
-    net = MlpNet([2, 2], output="linear", rng=np.random.default_rng(0))
+    net = MlpNet([2, 2], hidden="tanh", output="linear",
+                 rng=np.random.default_rng(0))
     flat = np.concatenate([np.eye(2).ravel(), np.zeros(2)])
     net.set_params(flat)
-    out = net.forward(np.array([0.2, -0.3]))
+    out = net.forward(np.array([[0.2, -0.3]]))
     assert np.allclose(out, [0.2, -0.3], atol=1e-15)
 
 
@@ -36,7 +37,7 @@ def test_forward_matches_straight_line_reimplementation():
     w1, b1 = net.weights[0], net.biases[0]
     w2, b2 = net.weights[1], net.biases[1]
     expected = np.tanh(np.tanh(x @ w1 + b1) @ w2 + b2)
-    assert np.allclose(net.forward(x), expected, atol=1e-12)
+    assert np.allclose(net.forward([x]), expected, atol=1e-12)
 
 
 def test_leaky_relu_equals_where_form_bitwise():
@@ -61,21 +62,41 @@ def test_leaky_relu_output_is_positive_exactly_where_its_input_is():
 
 
 def test_param_count_matches_layer_sizes():
-    net = MlpNet([4, 8, 8, 2], rng=np.random.default_rng(0))
+    net = MlpNet([4, 8, 8, 2], hidden="tanh", output="linear",
+                 rng=np.random.default_rng(0))
     assert net.num_params == (4 + 1) * 8 + (8 + 1) * 8 + (8 + 1) * 2
 
 
 def test_forward_rejects_dimension_mismatch():
-    net = MlpNet([3, 2], rng=np.random.default_rng(0))
+    net = MlpNet([3, 2], hidden="tanh", output="linear",
+                 rng=np.random.default_rng(0))
     with pytest.raises(ValueError):
-        net.forward(np.zeros(4))
+        net.forward(np.zeros((1, 4)))
+
+
+@pytest.mark.parametrize("shape", [(3,), (), (1, 1, 3)])
+def test_forward_accepts_only_rows(shape):
+    # one input is one row: a (3,) state is not read as a batch of one
+    net = MlpNet([3, 2], hidden="tanh", output="linear",
+                 rng=np.random.default_rng(0))
+    with pytest.raises(ValueError, match=r"\(n, 3\)"):
+        net.forward(np.zeros(shape))
+
+
+@pytest.mark.parametrize("shape", [(2,), (), (1, 1, 2)])
+def test_backward_accepts_only_the_output_shape(shape):
+    net = MlpNet([3, 2], hidden="tanh", output="linear",
+                 rng=np.random.default_rng(0))
+    net.forward(np.zeros((1, 3)))
+    with pytest.raises(ValueError, match=r"\(1, 2\)"):
+        net.backward(np.ones(shape))
 
 
 def test_tanh_output_stays_inside_unit_box():
     rng = np.random.default_rng(7)
-    net = MlpNet([2, 16, 3], output="tanh", rng=rng)
+    net = MlpNet([2, 16, 3], hidden="tanh", output="tanh", rng=rng)
     for _ in range(50):
-        out = net.forward(rng.standard_normal(2) * 10)
+        out = net.forward([rng.standard_normal(2) * 10])
         assert np.all(np.abs(out) < 1.0)
 
 
@@ -83,7 +104,7 @@ def test_forward_pure_in_eval_mode():
     # forward keeps its ``training`` keyword and ignores it: no layer acts
     # otherwise in training
     rng = np.random.default_rng(5)
-    net = MlpNet([2, 8, 1], rng=rng)
+    net = MlpNet([2, 8, 1], hidden="tanh", output="linear", rng=rng)
     x = rng.standard_normal((3, 2))
     a = net.forward(x, training=False)
     b = net.forward(x, training=True)
@@ -91,7 +112,8 @@ def test_forward_pure_in_eval_mode():
 
 
 def test_backward_zero_upstream_gives_zero_gradient():
-    net = MlpNet([2, 4, 1], rng=np.random.default_rng(1))
+    net = MlpNet([2, 4, 1], hidden="tanh", output="linear",
+                 rng=np.random.default_rng(1))
     net.forward(np.ones((3, 2)))
     grad = net.backward(np.zeros((3, 1)))
     assert np.all(grad == 0.0)
@@ -99,16 +121,18 @@ def test_backward_zero_upstream_gives_zero_gradient():
 
 def test_backward_scalar_tanh_analytic():
     # f(theta) = tanh(theta * x) at theta=0, x=1: df/dtheta = sech^2(0) = 1
-    net = MlpNet([1, 1], output="tanh", rng=np.random.default_rng(0))
+    net = MlpNet([1, 1], hidden="tanh", output="tanh",
+                 rng=np.random.default_rng(0))
     net.set_params(np.zeros(2))
-    net.forward(np.array([1.0]))
-    grad = net.backward(np.array([1.0]))
+    net.forward(np.array([[1.0]]))
+    grad = net.backward(np.array([[1.0]]))
     assert grad[0] == pytest.approx(1.0, abs=1e-12)  # weight
     assert grad[1] == pytest.approx(1.0, abs=1e-12)  # bias
 
 
 def test_backward_requires_cached_forward():
-    net = MlpNet([2, 1], rng=np.random.default_rng(0))
+    net = MlpNet([2, 1], hidden="tanh", output="linear",
+                 rng=np.random.default_rng(0))
     with pytest.raises(RuntimeError):
         net.backward(np.ones((1, 1)))
 
@@ -276,7 +300,7 @@ def test_held_outputs_survive_later_passes():
     net = _default_policy_net()
     x = rng.standard_normal((500, 2))
     held = net.forward(x)
-    one = net.forward(x[0])
+    one = net.forward(x[:1])
     want_held, want_one = held.copy(), one.copy()
     for rows in (500, 5, 800, 1):
         net.forward(rng.standard_normal((rows, 2)))
@@ -395,7 +419,7 @@ def test_steady_state_actor_step_allocates_few_per_row_arrays():
 def test_steady_state_critic_regression_allocates_few_per_row_arrays():
     rng = np.random.default_rng(26)
     critic = MlpVCritic(2, hidden_sizes=(32, 32), hidden="leaky_relu",
-                        rng=rng)
+                        lr=1e-3, rng=rng)
     states = rng.standard_normal((500, 2))
     targets = rng.standard_normal(500)
     critic.regress(states, targets)

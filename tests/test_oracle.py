@@ -245,17 +245,48 @@ def test_chain_smoothed_policy_rows_normalized():
     assert np.allclose(pi.sum(axis=1), 1.0, atol=1e-12)
 
 
-def test_occupancy_shift_bound_holds():
-    chain = LipschitzGaussianChain()
-    rng = np.random.default_rng(10)
+def _chain_instance(chain, seed):
+    """Random rewards, a deterministic policy mu and a shifted mu~ within
+    three action cells of it, as action indices."""
+    rng = np.random.default_rng(seed)
     rewards = rng.uniform(-1, 1, size=(chain.n_states, chain.n_actions))
-    mdp = chain.build_mdp(rewards)
     mu = rng.integers(0, chain.n_actions, size=chain.n_states)
     mu_tilde = np.clip(mu + rng.integers(-3, 4, size=chain.n_states),
                        0, chain.n_actions - 1)
+    return chain.build_mdp(rewards), mu, mu_tilde
+
+
+def test_occupancy_shift_bound_holds():
+    chain = LipschitzGaussianChain()
+    mdp, mu, mu_tilde = _chain_instance(chain, 10)
     lhs, rhs, ok = occupancy_shift_bound_check(chain, mdp, mu, mu_tilde, 0.1)
     assert ok
     assert lhs >= 0 and rhs > 0
+
+
+@pytest.mark.parametrize("seed, negative_max", [(10, False), (12, True)])
+def test_occupancy_shift_bound_terms_match_theorem_1(seed, negative_max):
+    # lhs = |(d^mu~ - d^pi) . A^pi(., mu~)| and
+    # rhs = max|A^pi| L / (1 - gamma) (max_s |mu~ - mu| + 2 sigma / sqrt(2 pi)),
+    # recomputed term by term; on seed 12 max|A^pi| is a negative
+    # advantage, so eps = max A^pi would give a smaller rhs there
+    chain = LipschitzGaussianChain()
+    mdp, mu, mu_tilde = _chain_instance(chain, seed)
+    sigma = 0.1
+    pi = chain.smoothed_policy(chain.actions[mu], sigma)
+    sol_pi, sol_tilde = dp_solve(mdp, pi), dp_solve(mdp, mu_tilde)
+    adv = sol_pi.advantage
+    assert (-adv.min() > adv.max()) == negative_max
+    at_tilde = adv[np.arange(chain.n_states), mu_tilde]
+    want_lhs = abs((sol_tilde.occupancy - sol_pi.occupancy) @ at_tilde)
+    shift = (np.max(np.abs(chain.actions[mu_tilde] - chain.actions[mu]))
+             + 2.0 * sigma / np.sqrt(2.0 * np.pi))
+    want_rhs = (np.max(np.abs(adv)) * chain.lipschitz_constant()
+                / (1.0 - mdp.gamma) * shift)
+    lhs, rhs, ok = occupancy_shift_bound_check(chain, mdp, mu, mu_tilde, sigma)
+    assert lhs == pytest.approx(want_lhs, rel=1e-12, abs=0)
+    assert rhs == pytest.approx(want_rhs, rel=1e-12, abs=0)
+    assert ok == (want_lhs <= want_rhs)
 
 
 def test_occupancy_shift_bound_rejects_large_shift():

@@ -12,28 +12,28 @@ from jacobian_reference import jacobian, linear_policy
 
 def _fd_jacobian(policy, state, h=1e-6):
     theta = policy.get_params()
-    mu0 = np.asarray(policy.act(state), dtype=float).reshape(-1)
+    mu0 = np.asarray(policy.act([state]), dtype=float).reshape(-1)
     jac = np.empty((mu0.size, theta.size))
     for j in range(theta.size):
         bumped = theta.copy()
         bumped[j] += h
         policy.set_params(bumped)
-        jac[:, j] = (np.asarray(policy.act(state)).reshape(-1) - mu0) / h
+        jac[:, j] = (np.asarray(policy.act([state])).reshape(-1) - mu0) / h
     policy.set_params(theta)
     return jac
 
 
 def test_mlp_policy_action_in_bounds():
     rng = np.random.default_rng(0)
-    pol = MlpPolicy(2, 3, hidden_sizes=(8,), rng=rng)
+    pol = MlpPolicy(2, 3, hidden_sizes=(8,), hidden="tanh", rng=rng)
     for _ in range(20):
-        a = pol.act(rng.standard_normal(2) * 5)
+        a = pol.act([rng.standard_normal(2) * 5])
         assert np.all(np.abs(a) < 1.0)
 
 
 def test_mlp_policy_jacobian_matches_finite_differences():
     rng = np.random.default_rng(4)
-    pol = MlpPolicy(2, 2, hidden_sizes=(6,), rng=rng)
+    pol = MlpPolicy(2, 2, hidden_sizes=(6,), hidden="tanh", rng=rng)
     state = rng.standard_normal(2)
     jac = jacobian(pol, state)
     fd = _fd_jacobian(pol, state)
@@ -42,7 +42,7 @@ def test_mlp_policy_jacobian_matches_finite_differences():
 
 def test_mlp_policy_backward_batch_matches_jacobian_sum():
     rng = np.random.default_rng(6)
-    pol = MlpPolicy(2, 2, hidden_sizes=(5,), rng=rng)
+    pol = MlpPolicy(2, 2, hidden_sizes=(5,), hidden="tanh", rng=rng)
     states = rng.standard_normal((4, 2))
     upstream = rng.standard_normal((4, 2))
     pol.act(states)
@@ -149,8 +149,8 @@ def _three_means_near_bounds(m):
 @pytest.mark.parametrize("make", [
     lambda: (linear_policy([0.95, -0.9, 0.2, 1.0]), None),
     lambda: (linear_policy(np.ones(20)), None),
-    lambda: (MlpPolicy(2, 3, hidden_sizes=(8,),
-                       rng=np.random.default_rng(1)), np.array([2.0, -1.0])),
+    lambda: (MlpPolicy(2, 3, hidden_sizes=(8,), hidden="tanh",
+                       rng=np.random.default_rng(1)), np.array([[2.0, -1.0]])),
     lambda: (linear_policy(_three_means_near_bounds(50)), None)])
 def test_single_state_exploration_draws_the_one_action_stream(make):
     policy, state = make()

@@ -115,7 +115,7 @@ def penfac_actor_gradient(policy, snapshot, states, actions, advantages, beta):
     for s, a, adv in zip(states, actions, advantages):
         if adv > 0:
             g += adv * toward(policy, s, a)
-        drift = policy.act(s) - snapshot.act(s)
+        drift = policy.act([s])[0] - snapshot.act([s])[0]
         g -= 2.0 * beta * (drift @ jacobian(policy, s))
     return g / len(states)
 
@@ -125,7 +125,8 @@ BANDIT_STATE = np.zeros(1)
 
 
 def test_cacla_gate_closed_on_nonpositive_delta():
-    pol = MlpPolicy(1, 2, hidden_sizes=(5,), rng=np.random.default_rng(0))
+    pol = MlpPolicy(1, 2, hidden_sizes=(5,), hidden="tanh",
+                    rng=np.random.default_rng(0))
     for delta in (0.0, -0.5, -100.0):
         g = cacla_direction(pol, BANDIT_STATE, np.array([0.3, 0.3]), delta)
         assert g.shape == (pol.n_params,)
@@ -135,18 +136,19 @@ def test_cacla_gate_closed_on_nonpositive_delta():
 def test_cacla_moves_toward_action():
     # g = (a - mu)^T J, so a small step along g shrinks ||a - mu|| at the
     # rate ||g||^2
-    pol = MlpPolicy(1, 2, hidden_sizes=(5,), rng=np.random.default_rng(1))
+    pol = MlpPolicy(1, 2, hidden_sizes=(5,), hidden="tanh",
+                    rng=np.random.default_rng(1))
     a = np.array([0.5, 0.5])
-    gap = np.linalg.norm(a - pol.act(BANDIT_STATE))
+    gap = np.linalg.norm(a - pol.act([BANDIT_STATE]))
     g = cacla_direction(pol, BANDIT_STATE, a, delta=1.0)
     assert np.any(g)
     pol.set_params(pol.get_params() + 1e-3 * g)
-    assert np.linalg.norm(a - pol.act(BANDIT_STATE)) < gap
+    assert np.linalg.norm(a - pol.act([BANDIT_STATE])) < gap
 
 
 def test_cac_is_delta_times_cacla():
     rng = np.random.default_rng(0)
-    pol = MlpPolicy(2, 2, hidden_sizes=(5,), rng=rng)
+    pol = MlpPolicy(2, 2, hidden_sizes=(5,), hidden="tanh", rng=rng)
     s = rng.standard_normal(2)
     a = rng.uniform(-1, 1, 2)
     for delta in (0.3, 2.7):
@@ -172,7 +174,7 @@ def test_gated_directions_match_reference_jacobian_form(name):
     state_dim = pol.net.layer_sizes[0]
     for _ in range(200):
         s = rng.standard_normal(state_dim)
-        a = rng.uniform(-1, 1, pol.action_dim)
+        a = rng.uniform(-1, 1, pol.net.layer_sizes[-1])
         delta = rng.exponential()
         ref = toward(pol, s, a)
         tol = 1e-14 * np.max(np.abs(ref))
@@ -218,7 +220,7 @@ def test_dpg_direction_is_grad_a_through_jacobian():
 def test_dpg_matches_finite_difference_of_q_in_params():
     # with Q(s, a) fixed, d/dtheta Q(s, mu_theta(s)) via finite differences
     rng = np.random.default_rng(5)
-    pol = MlpPolicy(2, 1, hidden_sizes=(4,), rng=rng)
+    pol = MlpPolicy(2, 1, hidden_sizes=(4,), hidden="tanh", rng=rng)
     s = rng.standard_normal(2)
     w = np.array([1.3])  # Q(s, a) = w . a
 
@@ -230,10 +232,10 @@ def test_dpg_matches_finite_difference_of_q_in_params():
         bumped = theta.copy()
         bumped[j] += h
         pol.set_params(bumped)
-        up = float(w @ pol.act(s))
+        up = float(w @ pol.act([s])[0])
         bumped[j] -= 2 * h
         pol.set_params(bumped)
-        down = float(w @ pol.act(s))
+        down = float(w @ pol.act([s])[0])
         fd[j] = (up - down) / (2 * h)
     pol.set_params(theta)
     assert np.max(np.abs(g - fd)) < 1e-5
@@ -293,7 +295,7 @@ def test_penfac_gradient_matches_finite_difference_of_objective():
     #                       - beta ||mu(s_t) - mu_old(s_t)||^2 ]
     # whose gradient equals the penfac direction with w_t = max(A_t, 0)
     rng = np.random.default_rng(11)
-    pol = MlpPolicy(2, 2, hidden_sizes=(5,), rng=rng)
+    pol = MlpPolicy(2, 2, hidden_sizes=(5,), hidden="tanh", rng=rng)
     snap = copy.deepcopy(pol)
     snap.set_params(snap.get_params() + 0.05 * rng.standard_normal(pol.n_params))
     states = rng.standard_normal((6, 2))
@@ -308,10 +310,10 @@ def test_penfac_gradient_matches_finite_difference_of_objective():
         pol.set_params(theta)
         total = 0.0
         for s, a, adv in zip(states, actions, advs):
-            mu = pol.act(s)
+            mu = pol.act([s])[0]
             w = max(adv, 0.0)
             total += -0.5 * w * np.sum((a - mu) ** 2)
-            total -= beta * np.sum((mu - snap.act(s)) ** 2)
+            total -= beta * np.sum((mu - snap.act([s])[0]) ** 2)
         return total / len(states)
 
     theta0 = pol.get_params()
@@ -327,7 +329,7 @@ def test_penfac_gradient_matches_finite_difference_of_objective():
 
 def test_penfac_zero_beta_reduces_to_mean_cac():
     rng = np.random.default_rng(12)
-    pol = MlpPolicy(2, 1, hidden_sizes=(4,), rng=rng)
+    pol = MlpPolicy(2, 1, hidden_sizes=(4,), hidden="tanh", rng=rng)
     states = rng.standard_normal((5, 2))
     actions = rng.uniform(-1, 1, (5, 1))
     advs = rng.standard_normal(5)
@@ -342,7 +344,8 @@ def test_penfac_zero_beta_reduces_to_mean_cac():
 
 def test_penfac_rejects_length_mismatch():
     # (1, m) actions and one advantage would broadcast silently over two states
-    pol = MlpPolicy(2, 1, hidden_sizes=(4,), rng=np.random.default_rng(0))
+    pol = MlpPolicy(2, 1, hidden_sizes=(4,), hidden="tanh",
+                    rng=np.random.default_rng(0))
     states = np.zeros((2, 2))
     with pytest.raises(ValueError):
         batch_gated_direction(pol, states, np.zeros((1, 1)), [1.0],
@@ -354,7 +357,7 @@ def test_penfac_rejects_length_mismatch():
 
 def test_batch_gated_direction_matches_per_sample_loops():
     rng = np.random.default_rng(13)
-    pol = MlpPolicy(2, 2, hidden_sizes=(6,), rng=rng)
+    pol = MlpPolicy(2, 2, hidden_sizes=(6,), hidden="tanh", rng=rng)
     snap = copy.deepcopy(pol)
     snap.set_params(snap.get_params() + 0.02 * rng.standard_normal(pol.n_params))
     states = rng.standard_normal((7, 2))
@@ -380,7 +383,7 @@ def test_batch_gated_direction_keeps_the_gate_closed_at_exactly_zero():
     # H(0) = 0 for either zero: without the TD scaling the weight is the
     # gate itself, so zero advantages must give an all-zero direction
     rng = np.random.default_rng(17)
-    pol = MlpPolicy(2, 2, hidden_sizes=(5,), rng=rng)
+    pol = MlpPolicy(2, 2, hidden_sizes=(5,), hidden="tanh", rng=rng)
     states = rng.standard_normal((3, 2))
     actions = np.array([[0.9, -0.9], [-0.8, 0.7], [0.5, 0.5]])
     g = batch_gated_direction(pol, states, actions, [0.0, -0.0, 0.0],
