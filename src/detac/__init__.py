@@ -6,7 +6,7 @@ from .agents import (AgentConfig, BanditConfig, BatchActorCritic,
                      make_agent, run_bandit, run_episodes)
 from .config import ExperimentConfig, parse_config
 from .critics import (CompatibleQCritic, MlpVCritic, fitted_value_iteration,
-                      lambda_returns, td_error)
+                      lambda_returns)
 from .envs import (EnvSpec, FiniteMdp, PointMass, QuadraticBandit,
                    make_quadratic_bandit, random_finite_mdp)
 from .nets import Adam, MlpNet, gradient_check

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .critics import (CompatibleQCritic, MlpVCritic, fitted_value_iteration,
-                      lambda_returns, td_error)
+                      lambda_returns)
 from .nets import Adam
 from .policies import (GaussianExploration, LinearPolicy, MlpPolicy,
                        NormalStream)
@@ -66,12 +66,12 @@ def run_episodes(act, env, n, rng, on_step=None):
     All ``n`` episodes are reset from ``rng`` first.  Each time step then
     makes one ``act(states)`` call, one ``env.step`` and one
     ``Trajectory.append`` on the rows of the episodes still running, in
-    episode order; an episode leaves the batch when the env reports it
-    terminal.  ``on_step(state, action, reward, next_state, terminal)``,
-    when given, sees each transition before the next ``act`` call.  With
-    ``n > 1`` the draws of ``act`` and ``env.step`` from ``rng``
-    interleave across the episodes, so the episodes equal those of
-    one-at-a-time rollouts only when neither draws from ``rng``.
+    episode order, and then one ``on_step(states, actions, rewards,
+    next_states, terminals)`` on those rows, when given; an episode leaves
+    the batch when the env reports it terminal.  With ``n > 1`` the draws
+    of ``act`` and ``env.step`` from ``rng`` interleave across the
+    episodes, so the episodes equal those of one-at-a-time rollouts only
+    when neither draws from ``rng``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -86,9 +86,7 @@ def run_episodes(act, env, n, rng, on_step=None):
         next_states, rewards, terminals = env.step(states, actions, rng)
         batch.append(live, t, actions, rewards, next_states, terminals)
         if on_step is not None:
-            for transition in zip(states, actions, rewards.tolist(),
-                                  next_states, terminals.tolist()):
-                on_step(*transition)
+            on_step(states, actions, rewards, next_states, terminals)
         if terminals.any():
             live = np.arange(n)[live][~terminals]
             if not len(live):
@@ -109,8 +107,8 @@ def evaluate_deterministic(policy, env, n_episodes, rng):
 
 
 class IncrementalActorCritic:
-    """Per-step CACLA/CAC: TD(0) critic, gated actor step toward the
-    exploratory action."""
+    """Per-step CACLA/CAC: a TD(0) critic step at the critic's own rate,
+    and a gated actor step toward the exploratory action."""
 
     def __init__(self, policy, critic, config):
         if config.rule not in ("cacla", "cac"):
@@ -129,16 +127,16 @@ class IncrementalActorCritic:
         self.exploration.sigma *= self.config.sigma_decay
         return int(batch.lengths[0])
 
-    def _learn(self, state, action, reward, next_state, terminal):
+    def _learn(self, states, actions, rewards, next_states, terminals):
+        # td_step reads only the critic; the direction, the policy and delta
         cfg = self.config
-        delta = td_error(self.critic, (state, action, reward, next_state,
-                                       terminal), cfg.gamma)
+        delta = self.critic.td_step(states, rewards.item(), next_states,
+                                    terminals.item(), cfg.gamma)
         direction = (cac_direction if cfg.rule == "cac"
-                     else cacla_direction)(self.policy, state, action, delta)
+                     else cacla_direction)(self.policy, states, actions, delta)
         if np.any(direction):
             self.policy.set_params(self.policy.get_params()
                                    + cfg.lr_actor * direction)
-        self.critic.td_update(state, delta, cfg.lr_critic)
 
 
 class BatchActorCritic:

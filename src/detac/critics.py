@@ -1,10 +1,10 @@
-"""Value-function learning: TD errors, lambda-returns, fitted value
+"""Value-function learning: the TD(0) step, lambda-returns, fitted value
 iteration, and the compatible-feature Q critic used by the SPG/DPG
 baselines.
 
-The state-value critic ``MlpVCritic`` offers ``values(states)`` on an
-``(n, d)`` batch, ``regress(states, targets)`` (one fitting pass toward
-fixed targets) and ``td_update(state, delta, lr)`` for incremental TD(0).
+The state-value critic ``MlpVCritic`` takes (n, d) state rows:
+``values(states)``, ``regress(states, targets)`` (one fitting pass toward
+fixed targets) and ``td_step``, one TD(0) step on a (1, d) transition.
 ``CompatibleQCritic`` reads compatible features a - mu instead of states.
 """
 
@@ -26,10 +26,9 @@ class MlpVCritic:
         self.adam = Adam(self.net.num_params, lr)
 
     def values(self, states):
-        return self.net.forward(np.atleast_2d(states))[:, 0]
+        return self.net.forward(states)[:, 0]
 
     def regress(self, states, targets):
-        states = np.atleast_2d(states)
         targets = np.asarray(targets, dtype=float).reshape(-1)
         if len(targets) != len(states):
             raise ValueError("states and targets must have equal length")
@@ -38,19 +37,16 @@ class MlpVCritic:
         grad = self.net.backward(upstream)
         self.net.set_params(self.adam.step(self.net.get_params(), grad))
 
-    def td_update(self, state, delta, lr):
-        # v <- v + lr * delta * grad V(s), from a one-row pass
-        self.net.forward([state])
+    def td_step(self, state, reward, next_state, terminal, gamma):
+        """delta = r + gamma V(s') (1 - terminal) - V(s) on (1, d) rows,
+        V(s') first and none at a terminal, then v <- v + lr delta grad V(s)
+        from the V(s) pass, at the critic's own rate.  Returns delta."""
+        bootstrap = 0.0 if terminal else gamma * self.values(next_state).item()
+        delta = reward + bootstrap - self.values(state).item()
         grad = self.net.backward(np.ones((1, 1)))
-        self.net.set_params(self.net.get_params() + lr * delta * grad)
-
-
-def td_error(critic, transition, gamma):
-    """delta = r + gamma V(s') (1 - terminal) - V(s), each value from a
-    one-row ``values`` call."""
-    s, _a, r, s2, terminal = transition
-    bootstrap = 0.0 if terminal else gamma * critic.values([s2]).item()
-    return r + bootstrap - critic.values([s]).item()
+        self.net.set_params(self.net.get_params()
+                            + self.adam.alpha * delta * grad)
+        return delta
 
 
 def lambda_returns(batch, critic, gamma, lam):

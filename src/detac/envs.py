@@ -66,10 +66,10 @@ class QuadraticBandit:
         m = self.target.size
         self.spec = EnvSpec(state_dim=1, action_dim=m, horizon=1)
 
-    def reset(self, rng=None):
+    def reset(self, rng):
         return np.zeros(1)
 
-    def step(self, state, action, rng=None):
+    def step(self, state, action, rng):
         if np.ndim(state) == 1:
             # np.sum's own pairwise add.reduce, without its Python wrapper
             d = _check_action(self.spec, action) - self.target
@@ -102,10 +102,10 @@ class PointMass:
         self.goal = float(goal)
         self.spec = EnvSpec(state_dim=2, action_dim=1, horizon=horizon)
 
-    def reset(self, rng=None):
+    def reset(self, rng):
         return np.zeros(2)
 
-    def step(self, states, actions, rng=None):
+    def step(self, states, actions, rng):
         n = len(states)
         u = _check_action(self.spec, actions, n).ravel().tolist()
         bound, dt, goal = self.STATE_BOUND, self.DT, self.goal

@@ -68,7 +68,7 @@ class LinearPolicy:
         self.high = np.full(action_dim, ACTION_BOUND)
         self.theta = np.zeros(action_dim)
 
-    def act(self, state=None):
+    def act(self, state):
         return self.theta.copy()
 
 

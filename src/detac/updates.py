@@ -30,14 +30,13 @@ class TrustRegionState:
 
 
 def cacla_direction(policy, state, action, delta):
-    """Move toward the sampled action iff its TD error is positive;
-    H(0) = 0, so a zero advantage produces no update.  An open gate is a
-    one-row ``batch_gated_direction`` with weight 1: (a - mu(s))^T J_mu(s)
-    from one forward and one backward pass."""
+    """Move a (1, d) state row toward its (1, m) action row iff the TD
+    error is positive; H(0) = 0, so a zero advantage produces no update.
+    An open gate is a one-row ``batch_gated_direction`` with weight 1:
+    (a - mu(s))^T J_mu(s) from one forward and one backward pass."""
     if delta > 0:
-        return batch_gated_direction(
-            policy, [state], np.asarray(action, float).reshape(1, -1), [delta],
-            scale_by_delta=False)
+        return batch_gated_direction(policy, state, action, [delta],
+                                     scale_by_delta=False)
     return np.zeros(policy.n_params)
 
 

@@ -11,8 +11,9 @@ import numpy as np
 class ConstantVCritic:
     """Single-parameter value function: V(s) = v for every state."""
 
-    def __init__(self, v0=0.0):
+    def __init__(self, v0=0.0, lr=0.0):
         self.v = float(v0)
+        self.lr = lr
 
     def value(self, state):
         return self.v
@@ -23,5 +24,8 @@ class ConstantVCritic:
     def regress(self, states, targets):
         self.v = float(np.mean(targets))
 
-    def td_update(self, state, delta, lr):
-        self.v += lr * delta
+    def td_step(self, state, reward, next_state, terminal, gamma):
+        """The TD(0) step of ``MlpVCritic.td_step``; grad V = 1."""
+        delta = reward + (0.0 if terminal else gamma * self.v) - self.v
+        self.v += self.lr * delta
+        return delta

@@ -238,8 +238,8 @@ def test_acceptance_9_gating_property(report):
     pol = MlpPolicy(2, 2, hidden_sizes=(8,), hidden="tanh", rng=rng)
     ok = True
     for _ in range(10_000):
-        s = rng.standard_normal(2)
-        a = rng.uniform(-1, 1, 2)
+        s = rng.standard_normal(2)[None]
+        a = rng.uniform(-1, 1, 2)[None]
         delta = float(rng.standard_normal())
         if delta > 0:
             g_cacla = cacla_direction(pol, s, a, delta)

@@ -219,7 +219,7 @@ def test_run_episodes_equals_sequential_loop():
     env = _StaggeredEnv(horizon=8)
     seen = []
     batch = run_episodes(act, env, 40, np.random.default_rng(5),
-                         on_step=lambda *tr: seen.append(tr))
+                         on_step=lambda *step: seen.append(step))
     rng = np.random.default_rng(5)
     want = [_sequential_episode(act, env, rng) for _ in range(40)]
     assert sorted({len(ep.rewards) for ep in want}) == list(range(1, 9))
@@ -240,8 +240,17 @@ def test_run_episodes_equals_sequential_loop():
     _, returns = evaluate_deterministic(_RowPolicy(), env, 40,
                                         np.random.default_rng(5))
     assert returns == [float(sum(ep.rewards)) for ep in want]
-    # on_step sees every transition, time step by time step, and within a
-    # step in episode order
+    # on_step sees each time step once, as arrays of the running rows in
+    # episode order: every transition, in (t, i) order
+    assert [len(step[0]) for step in seen] == [
+        sum(t < len(ep.rewards) for ep in want) for t in range(8)]
+    for step in seen:
+        assert len({len(rows) for rows in step}) == 1
+    seen = [(state, action, reward, next_state, terminal)
+            for states, actions, rewards, next_states, terminals in seen
+            for state, action, reward, next_state, terminal in zip(
+                states, actions, rewards.tolist(), next_states,
+                terminals.tolist())]
     order = [(t, i) for t in range(8) for i in range(40)
              if t < len(want[i].rewards)]
     assert len(seen) == len(order)
@@ -328,7 +337,7 @@ def test_incremental_cacla_improves_on_bandit():
                       lr_actor=0.1, lr_critic=0.2)
     pol = MlpPolicy(1, 1, hidden_sizes=(4,), hidden="tanh",
                     rng=np.random.default_rng(0))
-    agent = IncrementalActorCritic(pol, ConstantVCritic(), cfg)
+    agent = IncrementalActorCritic(pol, ConstantVCritic(lr=0.2), cfg)
     rng = np.random.default_rng(0)
     for _ in range(500):
         agent.run_episode(env, rng)
@@ -340,11 +349,95 @@ def test_incremental_agent_sigma_anneals_per_episode():
     cfg = AgentConfig(rule="cacla", gamma=0.0, sigma=0.4, sigma_decay=0.5)
     pol = MlpPolicy(1, 1, hidden_sizes=(4,), hidden="tanh",
                     rng=np.random.default_rng(0))
-    agent = IncrementalActorCritic(pol, ConstantVCritic(), cfg)
+    agent = IncrementalActorCritic(pol, ConstantVCritic(lr=1e-3), cfg)
     rng = np.random.default_rng(1)
     agent.run_episode(env, rng)
     agent.run_episode(env, rng)
     assert agent.exploration.sigma == pytest.approx(0.1)
+
+
+def _incremental_reference(agent, env, rng, episodes):
+    """``IncrementalActorCritic.run_episode`` in the three-pass order it
+    replaced: per step V(s') and V(s) as two one-row ``values`` calls,
+    then the actor's direction and step, then the critic's step from a
+    third forward and a backward on ``[s]``."""
+    policy, critic, cfg = agent.policy, agent.critic, agent.config
+    for _ in range(episodes):
+        state = env.reset(rng)
+        for _ in range(env.spec.horizon):
+            action = agent.exploration.act(policy.act(state[None]), rng)[0]
+            next_states, rewards, terminals = env.step(
+                state[None], action[None], rng)
+            next_state = next_states[0]
+            reward, terminal = float(rewards[0]), bool(terminals[0])
+            bootstrap = (0.0 if terminal
+                         else cfg.gamma * critic.values([next_state]).item())
+            delta = reward + bootstrap - critic.values([state]).item()
+            if delta > 0:
+                direction = batch_gated_direction(
+                    policy, [state], action[None], [delta],
+                    scale_by_delta=False)
+                if cfg.rule == "cac":
+                    direction = delta * direction
+                if np.any(direction):
+                    policy.set_params(policy.get_params()
+                                      + cfg.lr_actor * direction)
+            critic.net.forward([state])
+            grad = critic.net.backward(np.ones((1, 1)))
+            critic.net.set_params(critic.net.get_params()
+                                  + cfg.lr_critic * delta * grad)
+            state = next_state
+            if terminal:
+                break
+        agent.exploration.sigma *= cfg.sigma_decay
+
+
+# each env and the episodes over which some gates open: 200 steps of
+# PointMass and 100 of the bandit
+INCREMENTAL_ENVS = {
+    "pointmass": (lambda: PointMass(horizon=20), 10),
+    "bandit": (lambda: make_quadratic_bandit(2, 0), 100),
+}
+
+
+@pytest.mark.parametrize("env_name", INCREMENTAL_ENVS)
+@pytest.mark.parametrize("rule", ["cacla", "cac"])
+def test_incremental_agent_matches_three_pass_reference_bit_for_bit(
+        rule, env_name):
+    make_env, episodes = INCREMENTAL_ENVS[env_name]
+    env = make_env()
+    cfg = AgentConfig(rule=rule, hidden=(8,), lr_actor=0.01, lr_critic=0.03,
+                      sigma_decay=0.99)
+    agent = make_agent(cfg, env, np.random.default_rng(3))
+    ref = copy.deepcopy(agent)
+    start = agent.policy.get_params()
+    rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+    for _ in range(episodes):
+        agent.run_episode(env, rng)
+    _incremental_reference(ref, env, ref_rng, episodes)
+    got, want = agent.policy.get_params(), ref.policy.get_params()
+    assert np.all(np.isfinite(got)) and not np.array_equal(got, start)
+    assert got.tobytes() == want.tobytes()
+    assert (agent.critic.net.get_params().tobytes()
+            == ref.critic.net.get_params().tobytes())
+    assert agent.exploration.sigma == ref.exploration.sigma != cfg.sigma
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("env_name, forwards", [("pointmass", 2),
+                                                ("bandit", 1)])
+def test_incremental_step_makes_two_critic_forwards_and_one_backward(
+        env_name, forwards):
+    # per step V(s') and V(s), and the backward reads the V(s) pass; a
+    # terminal step, every bandit step, reads no V(s')
+    env = INCREMENTAL_ENVS[env_name][0]()
+    agent = make_agent(AgentConfig(rule="cacla", hidden=(8,)), env,
+                       np.random.default_rng(3))
+    calls = _count_calls(agent.critic.net, "forward")
+    backward_calls = _count_calls(agent.critic.net, "backward")
+    steps = agent.run_episode(env, np.random.default_rng(4))
+    assert len(calls) == forwards * steps
+    assert len(backward_calls) == steps
 
 
 def test_batch_agent_updates_only_every_n_episodes():
@@ -657,7 +750,7 @@ def test_nan_state_is_stopped_at_env_step(rule):
     # no policy scans its input: a NaN state gives a NaN action, and the
     # env's action check rejects it
     class NanStart(PointMass):
-        def reset(self, rng=None):
+        def reset(self, rng):
             return np.full(2, np.nan)
 
     env = NanStart(horizon=5)
@@ -733,7 +826,7 @@ class _CountingEnv:
     def reset(self, rng):
         return self.env.reset(rng)
 
-    def step(self, states, actions, rng=None):
+    def step(self, states, actions, rng):
         assert np.ndim(states) == 2 and np.ndim(actions) == 2
         self.rows.append(len(states))
         return self.env.step(states, actions, rng)
@@ -755,5 +848,5 @@ def test_run_episodes_makes_one_env_step_per_time_step():
     # CACLA/CAC roll out one episode: one row per call
     env = _CountingEnv(PointMass(horizon=5))
     run_episodes(act, env, 1, np.random.default_rng(0),
-                 on_step=lambda *transition: None)
+                 on_step=lambda *step: None)
     assert env.rows == [1] * 5

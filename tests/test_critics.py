@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from detac.critics import (CompatibleQCritic, MlpVCritic,
-                           fitted_value_iteration, lambda_returns, td_error)
+                           fitted_value_iteration, lambda_returns)
 from detac.policies import LinearPolicy
 from detac.trajectory import Trajectory
 from constant_critic import ConstantVCritic
@@ -52,17 +52,53 @@ def _make_traj(rewards, terminal=False, n_state_dims=1):
     return _batch([(rng.standard_normal(n_state_dims), steps, terminal)])
 
 
-def test_td_error_zero_critic_is_reward():
-    critic = ConstantVCritic(0.0)
-    assert td_error(critic, (0, None, 2.5, 1, False), 0.9) == 2.5
+def _td_critic(lr=1e-3):
+    return MlpVCritic(2, hidden_sizes=(8,), hidden="leaky_relu", lr=lr,
+                      rng=np.random.default_rng(4))
 
 
-def test_td_error_bootstrap_and_terminal():
-    critic = ConstantVCritic(1.0)
-    # non-terminal: r + gamma*1 - 1
-    assert td_error(critic, (0, None, 0.0, 1, False), 0.9) == pytest.approx(-0.1)
-    # terminal: r - 1
-    assert td_error(critic, (0, None, 0.0, 1, True), 0.9) == pytest.approx(-1.0)
+def _td_rows(seed):
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal((1, 2)), float(rng.standard_normal()),
+            rng.standard_normal((1, 2)))
+
+
+def test_td_step_delta_matches_values_bit_for_bit():
+    # delta = r + gamma V(s') - V(s) from the pre-step values, and r - V(s)
+    # at a terminal
+    for seed in range(20):
+        for terminal in (False, True):
+            critic = _td_critic()
+            s, r, s2 = _td_rows(seed)
+            v, v2 = critic.values(s).item(), critic.values(s2).item()
+            want = r + (0.0 if terminal else 0.9 * v2) - v
+            delta = critic.td_step(s, r, s2, terminal, 0.9)
+            assert np.float64(delta).tobytes() == np.float64(want).tobytes()
+
+
+def test_td_step_terminal_drops_next_value():
+    # a terminal step never reads V(s'): a next state of the wrong width
+    # would raise in the forward
+    critic = _td_critic()
+    s, r, _ = _td_rows(0)
+    calls = []
+    forward = critic.net.forward
+    critic.net.forward = lambda x: calls.append(x) or forward(x)
+    delta = critic.td_step(s, r, np.zeros((1, 5)), True, 0.9)
+    assert len(calls) == 1 and calls[0] is s
+    assert delta == r - _td_critic().values(s).item()
+
+
+def test_td_step_moves_parameters_as_a_separate_pass():
+    # v + lr delta grad V(s), grad V(s) from its own forward and backward
+    for seed in range(20):
+        critic, ref = _td_critic(lr=0.01), _td_critic(lr=0.01)
+        s, r, s2 = _td_rows(seed)
+        delta = critic.td_step(s, r, s2, False, 0.9)
+        ref.net.forward(s)
+        grad = ref.net.backward(np.ones((1, 1)))
+        want = ref.net.get_params() + 0.01 * delta * grad
+        assert critic.net.get_params().tobytes() == want.tobytes()
 
 
 def test_lambda_zero_returns_are_one_step_targets():
@@ -277,13 +313,15 @@ def test_mlp_critic_regress_rejects_a_target_count_unequal_to_the_states(
     assert np.array_equal(critic.net.get_params(), params)
 
 
-def test_mlp_critic_td_update_moves_value_toward_target():
-    critic = MlpVCritic(1, hidden_sizes=(8,), hidden="tanh", lr=1e-3,
+def test_mlp_critic_td_step_moves_value_toward_target():
+    critic = MlpVCritic(1, hidden_sizes=(8,), hidden="tanh", lr=0.01,
                         rng=np.random.default_rng(2))
-    s = np.array([0.5])
-    before = critic.values([s]).item()
-    critic.td_update(s, delta=1.0, lr=0.01)
-    assert critic.values([s]).item() > before
+    s = np.array([[0.5]])
+    before = critic.values(s).item()
+    # a terminal reward 1 above V(s): delta = 1
+    delta = critic.td_step(s, before + 1.0, None, True, 0.9)
+    assert delta == pytest.approx(1.0)
+    assert critic.values(s).item() > before
 
 
 def test_fitted_value_iteration_tabular_matches_dp():
@@ -327,7 +365,7 @@ def test_compatible_q_identity_at_mean():
     critic = CompatibleQCritic(2)
     critic.w = np.array([0.7, -0.4])
     critic.v = 1.3
-    feat = toward(pol, None, pol.act())
+    feat = toward(pol, None, pol.act(None))
     assert not np.any(feat)
     assert critic.q(feat) == critic.value(None) == 1.3
 
@@ -364,10 +402,10 @@ def test_compatible_q_matches_the_jacobian_form_bit_for_bit(m):
         critic = CompatibleQCritic(m)
         w, v = rng.standard_normal(m), rng.standard_normal(1)
         critic.w, critic.v = w.copy(), float(v[0])
-        action = np.clip(pol.act() + 0.3 * rng.standard_normal(m), -1, 1)
+        action = np.clip(pol.act(None) + 0.3 * rng.standard_normal(m), -1, 1)
         # some coordinates exactly at the mean, where the feature is 0
         hit = rng.random(m) < 0.2
-        action[hit] = pol.act()[hit]
+        action[hit] = pol.act(None)[hit]
         target, lr = 3.0 * rng.standard_normal(), rng.uniform(0.001, 0.5)
 
         feat = toward(pol, None, action)
@@ -401,8 +439,8 @@ def test_compatible_q_fit_recovers_linear_model():
     pol = linear_policy(np.array([0.1, 0.2]))
     true_w = np.array([0.8, -0.6])
     true_v = 0.4
-    actions = pol.act() + 0.3 * rng.standard_normal((40, 2))
-    targets = [(a - pol.act()) @ true_w + true_v for a in actions]
+    actions = pol.act(None) + 0.3 * rng.standard_normal((40, 2))
+    targets = [(a - pol.act(None)) @ true_w + true_v for a in actions]
     critic = CompatibleQCritic(2)
     _ridge_fit(critic, pol, [None] * 40, actions, targets)
     assert np.max(np.abs(critic.w - true_w)) < 1e-4
@@ -429,7 +467,7 @@ def test_compatible_q_gradcheck():
     critic = CompatibleQCritic(3)
     critic.w = rng.standard_normal(3)
     critic.v = float(rng.standard_normal())
-    mu = pol.act()
+    mu = pol.act(None)
     g = critic.grad_a(None)
     h = 1e-6
     for i in range(3):

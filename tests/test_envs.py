@@ -7,6 +7,9 @@ from detac.envs import (EnvSpec, FiniteMdp, PointMass, QuadraticBandit,
                         _check_action, make_quadratic_bandit,
                         random_finite_mdp)
 
+# the bandit and the point mass draw nothing from the rng they are handed
+RNG = np.random.default_rng(0)
+
 
 @pytest.mark.parametrize("horizon", [0, -1])
 def test_envspec_rejects_horizon_below_one(horizon):
@@ -44,7 +47,7 @@ def test_pointmass_step_equals_numpy_scalar_reference(caplog):
     with caplog.at_level(logging.ERROR, logger="detac.envs"):
         for state, action in zip(states, actions):
             # one (1, 2) row per call, as the incremental agent steps
-            s2, r, done = env.step(state[None], action[None])
+            s2, r, done = env.step(state[None], action[None], RNG)
             ref_s2, ref_r = _reference_pointmass_step(env, state, action)
             assert np.array_equal(_bits(s2[0]), _bits(ref_s2))
             assert _bits(r[0]) == _bits(ref_r) and not done[0]
@@ -98,33 +101,33 @@ def test_check_action_leaves_in_bounds_values_unchanged(caplog):
 
 def test_bandit_reward_at_target_is_zero():
     env = QuadraticBandit([0.3, -0.2])
-    _, r, done = env.step(env.reset(), np.array([0.3, -0.2]))
+    _, r, done = env.step(env.reset(RNG), np.array([0.3, -0.2]), RNG)
     assert r == 0.0
     assert done
 
 
 def test_bandit_reward_is_negative_squared_distance():
     env = QuadraticBandit([0.5])
-    _, r, _ = env.step(env.reset(), np.array([0.1]))
+    _, r, _ = env.step(env.reset(RNG), np.array([0.1]), RNG)
     assert r == pytest.approx(-0.16, abs=1e-12)
 
 
 def test_bandit_clips_out_of_bound_action():
     env = QuadraticBandit([0.0])
-    _, r, _ = env.step(env.reset(), np.array([3.0]))
+    _, r, _ = env.step(env.reset(RNG), np.array([3.0]), RNG)
     assert r == pytest.approx(-1.0)  # clipped to 1.0
 
 
 def test_bandit_rejects_nonfinite_action():
     env = QuadraticBandit([0.0])
     with pytest.raises(ValueError):
-        env.step(env.reset(), np.array([np.nan]))
+        env.step(env.reset(RNG), np.array([np.nan]), RNG)
 
 
 def test_bandit_rejects_wrong_action_dim():
     env = QuadraticBandit([0.0, 0.0])
     with pytest.raises(ValueError):
-        env.step(env.reset(), np.array([0.1]))
+        env.step(env.reset(RNG), np.array([0.1]), RNG)
 
 
 def test_make_quadratic_bandit_target_in_box():
@@ -142,7 +145,7 @@ def test_make_quadratic_bandit_deterministic_in_seed():
 
 def test_pointmass_one_step_kinematics():
     env = PointMass(goal=0.5)
-    s2, r, done = env.step(np.zeros((1, 2)), np.array([[1.0]]))
+    s2, r, done = env.step(np.zeros((1, 2)), np.array([[1.0]]), RNG)
     # vel = 0.1, pos = 0.01
     assert np.allclose(s2, [[0.01, 0.1]], atol=1e-15)
     assert r[0] == pytest.approx(-(0.01 - 0.5) ** 2 - 0.01, abs=1e-12)
@@ -153,14 +156,14 @@ def test_pointmass_state_clipped():
     env = PointMass()
     s = np.array([[2.0, 2.0]])
     for _ in range(20):
-        s, _, _ = env.step(s, np.array([[1.0]]))
+        s, _, _ = env.step(s, np.array([[1.0]]), RNG)
     assert s[0, 0] <= 2.0 and s[0, 1] <= 2.0
 
 
 def test_pointmass_parked_on_goal_reward():
     env = PointMass(goal=0.5)
     s = np.array([[0.5, 0.0]])
-    _, r, _ = env.step(s, np.array([[0.0]]))
+    _, r, _ = env.step(s, np.array([[0.0]]), RNG)
     assert r.tolist() == [0.0]
 
 
@@ -192,7 +195,7 @@ def test_pointmass_rows_equal_numpy_scalar_reference(caplog):
     states[:5] = [[0.37, 0.0], [2.0, 2.0], [-2.0, -2.0], [-0.0, 0.0], [0.0, -0.0]]
     actions[:5] = [[0.0], [1.0], [-1.0], [-0.0], [1e-300]]
     with caplog.at_level(logging.ERROR, logger="detac.envs"):
-        next_states, rewards, terminals = env.step(states, actions)
+        next_states, rewards, terminals = env.step(states, actions, RNG)
     assert next_states.shape == (3000, 2)
     assert rewards.shape == terminals.shape == (3000,)
     assert not terminals.any()
@@ -209,12 +212,12 @@ def test_bandit_rows_equal_one_state_steps(m):
     actions = np.random.default_rng(m).uniform(-1.5, 1.5, size=(40, m))
     actions[0] = env.target
     states = np.zeros((40, 1))
-    next_states, rewards, terminals = env.step(states, actions)
+    next_states, rewards, terminals = env.step(states, actions, RNG)
     assert np.array_equal(next_states, states)
     assert terminals.dtype == bool and terminals.all()
     assert rewards[0] == 0.0
     for action, r in zip(actions, rewards):
-        s2, want, done = env.step(np.zeros(1), action)
+        s2, want, done = env.step(np.zeros(1), action, RNG)
         assert _bits(r) == _bits(want) and done is True
         clipped = np.clip(action, -1.0, 1.0)
         assert r == -float(np.sum((clipped - env.target) ** 2))
@@ -231,9 +234,9 @@ def test_rows_clip_out_of_box_actions_and_reject_nonfinite(env, caplog):
     clipped = outside.copy()
     clipped[1, 0] = 1.0
     with caplog.at_level(logging.WARNING, logger="detac.envs"):
-        got = env.step(states, outside)
+        got = env.step(states, outside, RNG)
     assert "out of bounds" in caplog.text
-    want = env.step(states, clipped)
+    want = env.step(states, clipped, RNG)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
     assert outside[1, 0] == 4.0   # clipped on a copy
@@ -241,7 +244,7 @@ def test_rows_clip_out_of_box_actions_and_reject_nonfinite(env, caplog):
         bad = outside.copy()
         bad[2, -1] = value
         with pytest.raises(ValueError, match="non-finite"):
-            env.step(states, bad)
+            env.step(states, bad, RNG)
     for shape in ((2, m), (3, m + 1), (3,)):
         with pytest.raises(ValueError):
-            env.step(states, np.zeros(shape))
+            env.step(states, np.zeros(shape), RNG)

@@ -57,7 +57,7 @@ def test_linear_policy_act_is_theta():
     pol = LinearPolicy(3)
     assert pol.theta.tobytes() == np.zeros(3).tobytes()
     pol.theta = np.array([0.1, -0.4, 0.9])
-    got = pol.act()
+    got = pol.act(np.zeros(1))
     assert np.array_equal(got, [0.1, -0.4, 0.9])
     # a fresh array: writing to it leaves theta alone
     got[:] = 0.25

@@ -120,15 +120,15 @@ def penfac_actor_gradient(policy, snapshot, states, actions, advantages, beta):
     return g / len(states)
 
 
-# the bandit's one state, as run_bandit passes it
-BANDIT_STATE = np.zeros(1)
+# the bandit's one state, as one (1, 1) row
+BANDIT_STATE = np.zeros((1, 1))
 
 
 def test_cacla_gate_closed_on_nonpositive_delta():
     pol = MlpPolicy(1, 2, hidden_sizes=(5,), hidden="tanh",
                     rng=np.random.default_rng(0))
     for delta in (0.0, -0.5, -100.0):
-        g = cacla_direction(pol, BANDIT_STATE, np.array([0.3, 0.3]), delta)
+        g = cacla_direction(pol, BANDIT_STATE, np.array([[0.3, 0.3]]), delta)
         assert g.shape == (pol.n_params,)
         assert np.all(g == 0.0)
 
@@ -138,19 +138,19 @@ def test_cacla_moves_toward_action():
     # rate ||g||^2
     pol = MlpPolicy(1, 2, hidden_sizes=(5,), hidden="tanh",
                     rng=np.random.default_rng(1))
-    a = np.array([0.5, 0.5])
-    gap = np.linalg.norm(a - pol.act([BANDIT_STATE]))
+    a = np.array([[0.5, 0.5]])
+    gap = np.linalg.norm(a - pol.act(BANDIT_STATE))
     g = cacla_direction(pol, BANDIT_STATE, a, delta=1.0)
     assert np.any(g)
     pol.set_params(pol.get_params() + 1e-3 * g)
-    assert np.linalg.norm(a - pol.act([BANDIT_STATE])) < gap
+    assert np.linalg.norm(a - pol.act(BANDIT_STATE)) < gap
 
 
 def test_cac_is_delta_times_cacla():
     rng = np.random.default_rng(0)
     pol = MlpPolicy(2, 2, hidden_sizes=(5,), hidden="tanh", rng=rng)
-    s = rng.standard_normal(2)
-    a = rng.uniform(-1, 1, 2)
+    s = rng.standard_normal(2)[None]
+    a = rng.uniform(-1, 1, 2)[None]
     for delta in (0.3, 2.7):
         g_cacla = cacla_direction(pol, s, a, delta)
         g_cac = cac_direction(pol, s, a, delta)
@@ -178,9 +178,10 @@ def test_gated_directions_match_reference_jacobian_form(name):
         delta = rng.exponential()
         ref = toward(pol, s, a)
         tol = 1e-14 * np.max(np.abs(ref))
-        assert np.max(np.abs(cacla_direction(pol, s, a, delta) - ref)) <= tol
-        assert np.max(np.abs(cac_direction(pol, s, a, delta) - delta * ref)) \
-            <= delta * tol
+        g_cacla = cacla_direction(pol, s[None], a[None], delta)
+        g_cac = cac_direction(pol, s[None], a[None], delta)
+        assert np.max(np.abs(g_cacla - ref)) <= tol
+        assert np.max(np.abs(g_cac - delta * ref)) <= delta * tol
 
 
 def test_cacla_direction_makes_one_backward_pass(monkeypatch):
@@ -194,7 +195,8 @@ def test_cacla_direction_makes_one_backward_pass(monkeypatch):
     monkeypatch.setattr(MlpNet, "backward", counted)
     rng = np.random.default_rng(22)
     pol = GATED_POLICIES["mlp-1-32-32-5"](rng)
-    cacla_direction(pol, rng.standard_normal(1), rng.uniform(-1, 1, 5), 0.5)
+    cacla_direction(pol, rng.standard_normal(1)[None],
+                    rng.uniform(-1, 1, 5)[None], 0.5)
     assert calls == [(1, 5)]
 
 
@@ -430,10 +432,10 @@ class _StepRaises:
         self.env, self.k, self.spec = env, k, env.spec
         self.target = env.target
 
-    def reset(self, rng=None):
+    def reset(self, rng):
         return self.env.reset(rng)
 
-    def step(self, state, action, rng=None):
+    def step(self, state, action, rng):
         self.k -= 1
         if not self.k:
             raise RuntimeError("step failed")

@@ -16,7 +16,10 @@ normals a run consumes shows even when its curve keeps its bits.
 
 The PointMass runs use the default 10000 training steps: over the first
 few phases no NFAC/PeNFAC gate opens, so shorter runs can give the two
-rules identical CSVs and miss a change to either.
+rules identical CSVs and miss a change to either.  At the default
+``lr_critic`` the CACLA/CAC PointMass runs diverge within 2200 steps, so
+their lines pin only those first steps; the CACLA/CAC runs at
+``lr_critic=1e-5`` reach step 10000 and pin the whole incremental loop.
 
 ``run_seed`` evaluates and stops on phase ends only.  Both step counts
 and the default ``eval_interval`` (1000) are multiples of every rule's
@@ -44,16 +47,18 @@ BANDIT_RULES = ("spg", "dpg", "cacla")
 SEEDS = (1, 2, 3)
 POINTMASS_STEPS = 10000
 BANDIT_STEPS = 3000
+# a critic rate at which the CACLA/CAC PointMass runs stay finite
+SLOW_CRITIC_LR = "1e-5"
 
 
 def _sha(data):
     return hashlib.sha256(data).hexdigest()
 
 
-def seed_csv_hash(rule, env, steps, seed):
-    """The sha256 of the seed's CSV, or the message of its divergence."""
-    cfg = parse_config(None, {"agent": rule, "env": env,
-                              "total_steps": str(steps)})
+def seed_csv_hash(seed, **keys):
+    """The sha256 of the seed's CSV under the given config keys, or the
+    message of its divergence."""
+    cfg = parse_config(None, {k: str(v) for k, v in keys.items()})
     try:
         rows = harness.run_seed(cfg, seed)
     except harness.DivergenceError as exc:
@@ -70,8 +75,17 @@ def main():
                        ("bandit", BANDIT_STEPS)):
         for rule in RULES:
             for seed in SEEDS:
+                csv = seed_csv_hash(seed, agent=rule, env=env,
+                                    total_steps=steps)
                 print(f"run_seed {rule} {env} steps={steps} seed={seed} "
-                      f"{seed_csv_hash(rule, env, steps, seed)}", flush=True)
+                      f"{csv}", flush=True)
+    for rule in ("cacla", "cac"):
+        for seed in SEEDS:
+            csv = seed_csv_hash(seed, agent=rule, env="pointmass",
+                                total_steps=POINTMASS_STEPS,
+                                lr_critic=SLOW_CRITIC_LR)
+            print(f"run_seed {rule} pointmass steps={POINTMASS_STEPS} "
+                  f"lr_critic={SLOW_CRITIC_LR} seed={seed} {csv}", flush=True)
 
     for m in (1, 5, 50):
         env = make_quadratic_bandit(m, seed=0)
