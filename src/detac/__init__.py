@@ -11,7 +11,7 @@ from .envs import (EnvSpec, FiniteMdp, PointMass, QuadraticBandit,
                    make_quadratic_bandit, random_finite_mdp)
 from .nets import Adam, MlpNet, gradient_check
 from .oracle import (DpSolution, LipschitzGaussianChain, dp_solve,
-                     epsilon_smoothed, gated_direction_ratio,
+                     epsilon_smoothed, gated_scaled_direction_1d,
                      occupancy_shift_bound_check, performance_difference_residual)
 from .policies import GaussianExploration, LinearPolicy, MlpPolicy
 from .trajectory import Trajectory

@@ -241,7 +241,7 @@ class BanditConfig:
     lr_critic: float = 0.1
 
 
-def run_bandit(rule, env, episodes, config, rng, eval_every=1):
+def run_bandit(rule, env, episodes, config, rng, eval_every):
     """One-state quadratic-bandit training loop.
 
     SPG and DPG learn a compatible-feature Q critic; CACLA keeps a single

@@ -11,13 +11,23 @@ from .agents import evaluate_deterministic, make_agent
 from .config import make_env
 from .envs import random_finite_mdp
 from .nets import MlpNet, gradient_check
-from .oracle import (LipschitzGaussianChain, epsilon_smoothed,
-                     gated_direction_ratio, occupancy_shift_bound_check,
+from .oracle import (CHAIN_ACTIONS, CHAIN_STATES, LipschitzGaussianChain,
+                     epsilon_smoothed, gated_scaled_direction_1d,
+                     occupancy_shift_bound_check,
                      performance_difference_residual)
 
 CSV_HEADER = "seed,env_steps,mean_return,returns..."
+LEMMA2_TRIALS = 100  # random MDPs per suite_lemma2 run
 THEOREM1_TRIALS = 50  # random MDPs per suite_theorem1 run
+GRADCHECK_SEEDS = 20  # seeded nets per architecture in suite_gradcheck
 GRADCHECK_TOL = 1e-4  # suite_gradcheck's bound on the relative error
+# suite_gradcheck's nets: the PointMass policy (tanh output) and critic
+# (linear output) under either hidden activation, and the default
+# ``detac train env=bandit`` policy, the one default net with several outputs
+GRADCHECK_ARCHS = [
+    *(dict(sizes=[2, 32, 32, 1], hidden=hidden, output=output)
+      for hidden in ("tanh", "leaky_relu") for output in ("tanh", "linear")),
+    dict(sizes=[1, 32, 32, 5], hidden="leaky_relu", output="tanh")]
 
 
 def _fmt(x):
@@ -156,11 +166,11 @@ def run_experiment(config):
 # verification suites
 # ---------------------------------------------------------------------------
 
-def suite_lemma2(seed=0, trials=100):
+def suite_lemma2(seed=0):
     rng = np.random.default_rng(seed)
     lines = []
     worst = 0.0
-    for i in range(trials):
+    for i in range(LEMMA2_TRIALS):
         mdp = random_finite_mdp(4, 3, 0.9, rng)
         mu = rng.integers(0, 3, size=4)
         mu_tilde = rng.integers(0, 3, size=4)
@@ -175,22 +185,27 @@ def suite_lemma2(seed=0, trials=100):
 
 
 def suite_lemma1(seed=0):
+    """The gated direction against the deterministic gradient 2(t - theta)
+    of the quadratic bandit with target t = 1: a (0, 1] fraction of it at
+    theta = 0, and exactly 0.0 at theta = t."""
     lines = []
     ok = True
-    results = gated_direction_ratio(target=1.0, theta=0.0,
-                                    sigmas=(0.5, 0.2, 0.1, 0.05))
-    for r in results:
+    target, theta = 1.0, 0.0
+    dpg = 2.0 * (target - theta)
+    for sigma in (0.5, 0.2, 0.1, 0.05):
+        gated = gated_scaled_direction_1d(target, theta, sigma)
+        ratio = gated / dpg
         # the deterministic gradient is nonzero here, so a zero ratio
         # would mean the gated direction was lost, not attenuated
-        in_range = 0.0 < r["ratio"] <= 1.0
+        in_range = 0.0 < ratio <= 1.0
         ok = ok and in_range
-        lines.append(f"sigma={r['sigma']} gated={r['gated']:.6f} "
-                     f"deterministic={r['deterministic']:.6f} "
-                     f"ratio={r['ratio']:.6f} pass={in_range}")
-    zero = gated_direction_ratio(target=1.0, theta=1.0, sigmas=(0.01,))[0]
-    zero_ok = zero["zero_ok"]
+        lines.append(f"sigma={sigma} gated={gated:.6f} "
+                     f"deterministic={dpg:.6f} "
+                     f"ratio={ratio:.6f} pass={in_range}")
+    zero = gated_scaled_direction_1d(target, target, 0.01)
+    zero_ok = zero == 0.0
     ok = ok and zero_ok
-    lines.append(f"theta=target sigma=0.01 gated={zero['gated']:.3e} "
+    lines.append(f"theta=target sigma=0.01 gated={zero:.3e} "
                  f"pass={zero_ok}")
     lines.append(f"pass={ok}")
     return ok, lines
@@ -202,13 +217,13 @@ def suite_theorem1(seed=0):
     lines = []
     n_ok = 0
     for i in range(THEOREM1_TRIALS):
-        rewards = rng.uniform(-1.0, 1.0, size=(chain.n_states, chain.n_actions))
+        rewards = rng.uniform(-1.0, 1.0, size=(CHAIN_STATES, CHAIN_ACTIONS))
         mdp = chain.build_mdp(rewards)
-        mu = rng.integers(0, chain.n_actions, size=chain.n_states)
+        mu = rng.integers(0, CHAIN_ACTIONS, size=CHAIN_STATES)
         shiftmax = 3
         mu_tilde = np.clip(mu + rng.integers(-shiftmax, shiftmax + 1,
-                                             size=chain.n_states),
-                           0, chain.n_actions - 1)
+                                             size=CHAIN_STATES),
+                           0, CHAIN_ACTIONS - 1)
         sigma = rng.uniform(0.05, 0.25)
         lhs, rhs, sat = occupancy_shift_bound_check(chain, mdp, mu, mu_tilde,
                                                     sigma)
@@ -220,22 +235,13 @@ def suite_theorem1(seed=0):
     return passed, lines
 
 
-def agent_architectures():
-    """Every network shape/activation combination the agents build."""
-    archs = [dict(sizes=[2, 32, 32, 1], hidden=hidden_act, output=output)
-             for hidden_act in ("tanh", "leaky_relu")
-             for output in ("tanh", "linear")]
-    archs.append(dict(sizes=[1, 16, 2], hidden="tanh", output="tanh"))
-    return archs
-
-
-def suite_gradcheck(seed=0, n_seeds=20):
-    """Finite-difference check of every agent architecture on ``n_seeds``
-    seeded nets; a net passes below ``GRADCHECK_TOL``."""
+def suite_gradcheck(seed=0):
+    """Finite-difference check of every ``GRADCHECK_ARCHS`` net on
+    ``GRADCHECK_SEEDS`` seeded nets; a net passes below ``GRADCHECK_TOL``."""
     lines = []
     worst = 0.0
-    for arch in agent_architectures():
-        for s in range(n_seeds):
+    for arch in GRADCHECK_ARCHS:
+        for s in range(GRADCHECK_SEEDS):
             rng = np.random.default_rng(seed + s)
             net = MlpNet(arch["sizes"], hidden=arch["hidden"],
                          output=arch["output"], rng=rng)

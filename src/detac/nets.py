@@ -268,7 +268,8 @@ class Adam:
         ``params`` as it is.
 
         ``grad`` is interpreted as a descent gradient unless ``ascent`` is
-        set, in which case the update moves along +grad.
+        set; the step is then added, where the textbook form negates
+        ``grad`` and subtracts, which differs only in a zero step's sign.
         """
         grad = np.asarray(grad, dtype=float)
         if grad.shape != self.v.shape:

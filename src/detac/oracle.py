@@ -4,8 +4,8 @@ integral, and the numerical verification checks built on them:
 * value/advantage/occupancy solutions by direct linear solves,
 * the performance-difference identity relating two deterministic policies
   through a stochastic smoothing of the first,
-* the gated TD-scaled direction versus the deterministic gradient on the
-  quadratic bandit (their per-coordinate ratio lies in (0, 1]),
+* the gated TD-scaled direction on the 1-D quadratic bandit in closed form
+  (its ratio to the deterministic gradient 2 (t - theta) lies in (0, 1]),
 * the occupancy-shift bound for Lipschitz transition kernels.
 """
 
@@ -115,40 +115,16 @@ def gated_scaled_direction_1d(target, theta, sigma):
     return math.copysign(sigma * (m1 - m3) + 2.0 * abs(d) * m2, d)
 
 
-def deterministic_gradient_1d(target, theta):
-    """Exact action gradient of the quadratic reward at a = theta."""
-    return 2.0 * (float(target) - float(theta))
-
-
-def gated_direction_ratio(target, theta, sigmas):
-    """Per-sigma ratio of the gated TD-scaled direction to the
-    deterministic gradient.
-
-    Returns a list of dicts with keys sigma, gated, deterministic, ratio.
-    When the deterministic gradient vanishes (theta == target) the ratio is
-    None and ``zero_ok`` says whether the gated direction is exactly 0.0.
-    """
-    dpg = deterministic_gradient_1d(target, theta)
-    out = []
-    for sigma in sigmas:
-        gated = gated_scaled_direction_1d(target, theta, sigma)
-        if dpg == 0.0:
-            out.append({"sigma": sigma, "gated": gated, "deterministic": 0.0,
-                        "ratio": None, "zero_ok": gated == 0.0})
-        else:
-            out.append({"sigma": sigma, "gated": gated, "deterministic": dpg,
-                        "ratio": gated / dpg})
-    return out
-
-
 # ---------------------------------------------------------------------------
 # occupancy-shift bound on a Gaussian chain
 # ---------------------------------------------------------------------------
 
 # the chain of ``suite_theorem1``: states and actions on grids over
-# [-1, 1], the kernel's gain and noise scale, and the discount
+# [-1, 1], the kernel's gain and noise scale, the discount, and the
+# kernel's L1 Lipschitz constant in the action (see the class docstring)
 CHAIN_STATES, CHAIN_ACTIONS = 41, 21
 CHAIN_GAIN, CHAIN_TAU, CHAIN_GAMMA = 0.3, 0.4, 0.9
+CHAIN_LIPSCHITZ = 2.0 * CHAIN_GAIN / (CHAIN_TAU * np.sqrt(2.0 * np.pi))
 
 
 class LipschitzGaussianChain:
@@ -175,17 +151,6 @@ class LipschitzGaussianChain:
         self.transitions = rows / rows.sum(axis=2, keepdims=True)
         self.transitions.flags.writeable = False
 
-    @property
-    def n_states(self):
-        return self.grid.size
-
-    @property
-    def n_actions(self):
-        return self.actions.size
-
-    def lipschitz_constant(self):
-        return 2.0 * CHAIN_GAIN / (CHAIN_TAU * np.sqrt(2.0 * np.pi))
-
     def transition_row(self, state_idx, action):
         """Distribution over next grid states for a (possibly off-grid)
         continuous action."""
@@ -196,7 +161,7 @@ class LipschitzGaussianChain:
 
     def build_mdp(self, rewards):
         """Tabular MDP over (state grid x action grid), uniform start."""
-        start = np.full(self.n_states, 1.0 / self.n_states)
+        start = np.full(CHAIN_STATES, 1.0 / CHAIN_STATES)
         return FiniteMdp(self.transitions, rewards, start, CHAIN_GAMMA)
 
     def smoothed_policy(self, mu_actions, sigma):
@@ -237,5 +202,5 @@ def occupancy_shift_bound_check(chain, mdp, mu_idx, mu_tilde_idx, sigma):
     lhs = abs(float((sol_tilde.occupancy - sol_pi.occupancy) @ a_at_tilde))
 
     eps = float(np.max(np.abs(sol_pi.advantage)))
-    rhs = eps * chain.lipschitz_constant() / (1.0 - mdp.gamma) * shift
+    rhs = eps * CHAIN_LIPSCHITZ / (1.0 - mdp.gamma) * shift
     return lhs, rhs, lhs <= rhs

@@ -16,10 +16,11 @@ from detac.agents import (AgentConfig, BanditConfig, evaluate_deterministic,
                           make_agent, run_bandit)
 from detac.critics import lambda_returns
 from detac.envs import PointMass, make_quadratic_bandit
-from detac.harness import (GRADCHECK_TOL, run_experiment, suite_gradcheck,
-                           suite_lemma2, suite_theorem1, worker_cap)
+from detac.harness import (GRADCHECK_SEEDS, GRADCHECK_TOL, LEMMA2_TRIALS,
+                           run_experiment, suite_gradcheck, suite_lemma2,
+                           suite_theorem1, worker_cap)
 from detac.config import parse_config
-from detac.oracle import gated_direction_ratio
+from detac.oracle import gated_scaled_direction_1d
 from detac.policies import MlpPolicy
 from detac.trajectory import Trajectory
 from detac.updates import DHAT_BAND, cac_direction, cacla_direction
@@ -77,9 +78,11 @@ def pointmass_runs():
 
 
 def test_acceptance_1_lemma2_identity(report):
-    # the loop of ``detac verify lemma2``; it passes below 1e-9
+    # the loop of ``detac verify lemma2`` on the criterion's 100 random
+    # MDPs; it passes below 1e-9
+    assert LEMMA2_TRIALS == 100
     t0 = time.time()
-    passed, lines = suite_lemma2(seed=0, trials=100)
+    passed, lines = suite_lemma2(seed=0)
     elapsed = time.time() - t0
     ok = passed and elapsed < 10.0
     report(1, "performance-difference identity", ok,
@@ -92,20 +95,21 @@ def test_acceptance_2_gated_ratio(report):
     t0 = time.time()
     env = make_quadratic_bandit(1, 0)
     target = float(env.target[0])
-    rows = gated_direction_ratio(target, theta=0.0,
-                                 sigmas=(0.5, 0.2, 0.1, 0.05))
-    ratios = [r["ratio"] for r in rows]
+    # the deterministic gradient of the quadratic reward at theta = 0
+    dpg = 2.0 * (target - 0.0)
+    ratios = [gated_scaled_direction_1d(target, 0.0, sigma) / dpg
+              for sigma in (0.5, 0.2, 0.1, 0.05)]
     # theta != target, so the deterministic gradient is nonzero and the
     # gated direction must be a strictly positive fraction of it
     in_range = all(0.0 < r <= 1.0 for r in ratios)
-    zero = gated_direction_ratio(target, theta=target, sigmas=(0.01,))[0]
+    zero = gated_scaled_direction_1d(target, target, 0.01)
     elapsed = time.time() - t0
-    ok = in_range and zero["zero_ok"] and elapsed < 5.0
+    ok = in_range and zero == 0.0 and elapsed < 5.0
     report(2, "gated/deterministic direction ratio", ok,
             f"ratios={[round(float(r), 4) for r in ratios]} "
-            f"|gated_at_opt|={abs(zero['gated']):.2e} time={elapsed:.1f}s")
+            f"|gated_at_opt|={abs(zero):.2e} time={elapsed:.1f}s")
     assert in_range
-    assert zero["gated"] == 0.0
+    assert zero == 0.0
     assert elapsed < 5.0
 
 
@@ -123,9 +127,11 @@ def test_acceptance_3_occupancy_shift_bound(report):
 
 def test_acceptance_4_gradient_integrity(report):
     t0 = time.time()
-    # the suite's pass bound is the criterion's relative error of 1e-4
+    # the suite's pass bound is the criterion's relative error of 1e-4,
+    # on 20 seeded nets per architecture
     assert GRADCHECK_TOL == 1e-4
-    passed, lines = suite_gradcheck(seed=0, n_seeds=20)
+    assert GRADCHECK_SEEDS == 20
+    passed, lines = suite_gradcheck(seed=0)
     elapsed = time.time() - t0
     ok = passed and elapsed < 30.0
     report(4, "finite-difference gradient checks", ok,

@@ -765,7 +765,8 @@ def test_nan_state_is_stopped_at_env_step(rule):
 def test_run_bandit_rejects_unknown_rule():
     env = QuadraticBandit([0.0])
     with pytest.raises(ValueError):
-        run_bandit("nfac", env, 10, BanditConfig(), np.random.default_rng(0))
+        run_bandit("nfac", env, 10, BanditConfig(), np.random.default_rng(0),
+                   eval_every=1)
 
 
 @pytest.mark.parametrize("episodes, eval_every",
@@ -790,8 +791,10 @@ def test_run_bandit_learns_1d(rule):
 
 def test_run_bandit_curve_is_deterministic_in_seed():
     env = make_quadratic_bandit(2, 5)
-    a = run_bandit("cacla", env, 200, BanditConfig(), np.random.default_rng(9))
-    b = run_bandit("cacla", env, 200, BanditConfig(), np.random.default_rng(9))
+    a = run_bandit("cacla", env, 200, BanditConfig(), np.random.default_rng(9),
+                   eval_every=1)
+    b = run_bandit("cacla", env, 200, BanditConfig(), np.random.default_rng(9),
+                   eval_every=1)
     assert np.array_equal(a, b)
 
 
@@ -803,7 +806,7 @@ def test_run_bandit_runs_without_scipy():
             "import numpy as np, detac\n"
             "import detac.cli, detac.harness\n"
             "curve = detac.run_bandit('spg', detac.make_quadratic_bandit(2, 0),"
-            " 1, detac.BanditConfig(), np.random.default_rng(0))\n"
+            " 1, detac.BanditConfig(), np.random.default_rng(0), eval_every=1)\n"
             "assert curve.shape == (1,)\n"
             "code, lines = detac.harness.run_verification('lemma1')\n"
             "assert code == 0, lines\n")

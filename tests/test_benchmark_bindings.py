@@ -47,7 +47,7 @@ def test_bandit_spans_fire():
         tracer.install()
         for rule in ("spg", "dpg", "cacla"):
             agents.run_bandit(rule, env, 50, agents.BanditConfig(),
-                              np.random.default_rng(0))
+                              np.random.default_rng(0), eval_every=1)
     finally:
         tracer.uninstall()
     metrics = tracer.metrics(0.0)

@@ -13,7 +13,7 @@ from detac.cli import main
 from detac.config import (KEYS, ExperimentConfig, make_env, parse_config,
                           read_config_file)
 from detac.envs import make_quadratic_bandit
-from detac.harness import (CSV_HEADER, DivergenceError, agent_architectures,
+from detac.harness import (CSV_HEADER, GRADCHECK_ARCHS, DivergenceError,
                            run_seed, run_verification, suite_gradcheck,
                            suite_lemma1, suite_lemma2, write_aggregate_csv,
                            write_seed_csv)
@@ -268,44 +268,54 @@ def test_csv_byte_identical_across_runs(tmp_path):
 
 # -- verification suites ------------------------------------------------------
 
-def test_suite_lemma2_passes():
-    ok, lines = suite_lemma2(seed=0, trials=10)
+def test_suite_lemma2_passes(monkeypatch):
+    monkeypatch.setattr(harness, "LEMMA2_TRIALS", 10)
+    ok, lines = suite_lemma2(seed=0)
     assert ok
+    assert len(lines) == 11
     assert lines[-1].startswith("max_residual=")
 
 
 def test_suite_lemma1_passes():
+    # the whole report of ``detac verify lemma1``, line for line
     ok, lines = suite_lemma1()
     assert ok
-    assert any("ratio=" in line for line in lines)
+    assert lines == [
+        "sigma=0.5 gated=0.798668 deterministic=2.000000 ratio=0.399334 "
+        "pass=True",
+        "sigma=0.2 gated=0.920081 deterministic=2.000000 ratio=0.460040 "
+        "pass=True",
+        "sigma=0.1 gated=0.960089 deterministic=2.000000 ratio=0.480045 "
+        "pass=True",
+        "sigma=0.05 gated=0.980051 deterministic=2.000000 ratio=0.490025 "
+        "pass=True",
+        "theta=target sigma=0.01 gated=0.000e+00 pass=True",
+        "pass=True"]
 
 
 def test_suite_lemma1_fails_on_a_zero_ratio(monkeypatch):
     # a gated direction of 0 against a nonzero deterministic gradient is
     # the vacuous pass the suite used to accept
-    def vanished(target, theta, sigmas):
-        if theta == target:
-            return [{"sigma": s, "gated": 0.0, "deterministic": 0.0,
-                     "ratio": None, "zero_ok": True} for s in sigmas]
-        return [{"sigma": s, "gated": 0.0, "deterministic": 2.0,
-                 "ratio": 0.0} for s in sigmas]
-
-    monkeypatch.setattr(harness, "gated_direction_ratio", vanished)
+    monkeypatch.setattr(harness, "gated_scaled_direction_1d",
+                        lambda target, theta, sigma: 0.0)
     ok, lines = suite_lemma1()
     assert not ok
+    assert [line.endswith("pass=False") for line in lines] == [
+        True, True, True, True, False, True]
     assert lines[-1] == "pass=False"
 
 
 def test_suite_gradcheck_fails_on_a_wrong_backward(monkeypatch):
-    passed, lines = suite_gradcheck(n_seeds=1)
+    monkeypatch.setattr(harness, "GRADCHECK_SEEDS", 1)
+    passed, lines = suite_gradcheck()
     assert passed
-    assert len(lines) == len(agent_architectures()) + 1
+    assert len(lines) == len(GRADCHECK_ARCHS) + 1
 
     # a backward 1% off on every entry must fail every line
     backward = MlpNet.backward
     monkeypatch.setattr(MlpNet, "backward",
                         lambda self, g: 1.01 * backward(self, g))
-    passed, lines = suite_gradcheck(n_seeds=1)
+    passed, lines = suite_gradcheck()
     assert not passed
     assert all("pass=False" in line for line in lines)
 

@@ -3,8 +3,8 @@ import pytest
 from scipy.integrate import quad
 
 from detac.envs import make_quadratic_bandit, random_finite_mdp
-from detac.oracle import (LipschitzGaussianChain, deterministic_gradient_1d,
-                          dp_solve, epsilon_smoothed, gated_direction_ratio,
+from detac.oracle import (CHAIN_ACTIONS, CHAIN_LIPSCHITZ, CHAIN_STATES,
+                          LipschitzGaussianChain, dp_solve, epsilon_smoothed,
                           gated_scaled_direction_1d,
                           occupancy_shift_bound_check,
                           performance_difference_residual, policy_matrix)
@@ -25,6 +25,11 @@ def bandit_exact_advantage(target, theta, sigma):
         return (-np.sum((a - t) ** 2) + np.sum((th - t) ** 2)
                 + a.size * sigma ** 2)
     return advantage
+
+
+def deterministic_gradient_1d(target, theta):
+    """The quadratic reward's exact action gradient at a = theta."""
+    return 2.0 * (target - theta)
 
 
 def _gaussian_density(a, theta, sigma):
@@ -167,8 +172,9 @@ def test_gated_direction_matches_quad(target, sigma):
 
 
 def test_gated_direction_ratio_in_unit_interval():
-    rows = gated_direction_ratio(0.5, 0.0, sigmas=[0.5, 0.2, 0.1, 0.05])
-    ratios = [r["ratio"] for r in rows]
+    ratios = [gated_scaled_direction_1d(0.5, 0.0, sigma)
+              / deterministic_gradient_1d(0.5, 0.0)
+              for sigma in (0.5, 0.2, 0.1, 0.05)]
     # a nonzero deterministic gradient needs a strictly positive ratio
     assert all(0.0 < r <= 1.0 for r in ratios)
     # shrinking exploration keeps the gated direction a strict attenuation
@@ -176,10 +182,9 @@ def test_gated_direction_ratio_in_unit_interval():
 
 
 def test_gated_direction_zero_at_optimum():
-    rows = gated_direction_ratio(0.3, 0.3, sigmas=[0.01])
-    assert rows[0]["ratio"] is None
-    assert rows[0]["zero_ok"]
-    assert rows[0]["gated"] == 0.0
+    # both directions vanish at theta = target, the gated one exactly
+    assert deterministic_gradient_1d(0.3, 0.3) == 0.0
+    assert gated_scaled_direction_1d(0.3, 0.3, 0.01) == 0.0
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -188,16 +193,20 @@ def test_gated_direction_ratio_strictly_inside_unit_interval_on_grid(sign):
     sigmas = np.geomspace(1e-3, 2.0, 40)
     for gap in sigmas:
         target = 0.2 + sign * gap
-        rows = gated_direction_ratio(target, 0.2, sigmas)
-        assert all(0.0 < r["ratio"] < 1.0 for r in rows), (target, rows)
+        ratios = [gated_scaled_direction_1d(target, 0.2, sigma)
+                  / deterministic_gradient_1d(target, 0.2)
+                  for sigma in sigmas]
+        assert all(0.0 < r < 1.0 for r in ratios), (target, ratios)
         assert all(gated_scaled_direction_1d(target, target, s) == 0.0
                    for s in sigmas)
 
 
 def test_gated_direction_sign_matches_gradient():
     # theta below target: move up; above: move down
-    assert gated_scaled_direction_1d(0.5, 0.0, 0.2) > 0
-    assert gated_scaled_direction_1d(-0.5, 0.0, 0.2) < 0
+    for target in (0.5, -0.5):
+        gated = gated_scaled_direction_1d(target, 0.0, 0.2)
+        assert np.sign(gated) == np.sign(deterministic_gradient_1d(target, 0.0))
+        assert gated != 0.0
 
 
 def test_chain_transition_rows_sum_to_one():
@@ -212,7 +221,7 @@ def test_chain_transition_rows_sum_to_one():
 def test_chain_transitions_are_the_normalized_rows_bit_for_bit():
     # built once per chain; build_mdp shares the tensor read-only
     chain = LipschitzGaussianChain()
-    n, k = chain.n_states, chain.n_actions
+    n, k = CHAIN_STATES, CHAIN_ACTIONS
     p = np.empty((n, k, n))
     for s in range(n):
         for a in range(k):
@@ -229,19 +238,18 @@ def test_chain_transitions_are_the_normalized_rows_bit_for_bit():
 def test_chain_lipschitz_bound_on_rows():
     # L1 distance between rows for nearby actions obeys L |a1 - a2|
     chain = LipschitzGaussianChain()
-    lip = chain.lipschitz_constant()
     rng = np.random.default_rng(9)
     for _ in range(50):
-        s = rng.integers(0, chain.n_states)
+        s = rng.integers(0, CHAIN_STATES)
         a1, a2 = rng.uniform(-1, 1, size=2)
         l1 = np.abs(chain.transition_row(s, a1)
                     - chain.transition_row(s, a2)).sum()
-        assert l1 <= lip * abs(a1 - a2) + 1e-12
+        assert l1 <= CHAIN_LIPSCHITZ * abs(a1 - a2) + 1e-12
 
 
 def test_chain_smoothed_policy_rows_normalized():
     chain = LipschitzGaussianChain()
-    pi = chain.smoothed_policy(np.zeros(chain.n_states), 0.2)
+    pi = chain.smoothed_policy(np.zeros(CHAIN_STATES), 0.2)
     assert np.allclose(pi.sum(axis=1), 1.0, atol=1e-12)
 
 
@@ -249,10 +257,10 @@ def _chain_instance(chain, seed):
     """Random rewards, a deterministic policy mu and a shifted mu~ within
     three action cells of it, as action indices."""
     rng = np.random.default_rng(seed)
-    rewards = rng.uniform(-1, 1, size=(chain.n_states, chain.n_actions))
-    mu = rng.integers(0, chain.n_actions, size=chain.n_states)
-    mu_tilde = np.clip(mu + rng.integers(-3, 4, size=chain.n_states),
-                       0, chain.n_actions - 1)
+    rewards = rng.uniform(-1, 1, size=(CHAIN_STATES, CHAIN_ACTIONS))
+    mu = rng.integers(0, CHAIN_ACTIONS, size=CHAIN_STATES)
+    mu_tilde = np.clip(mu + rng.integers(-3, 4, size=CHAIN_STATES),
+                       0, CHAIN_ACTIONS - 1)
     return chain.build_mdp(rewards), mu, mu_tilde
 
 
@@ -277,11 +285,11 @@ def test_occupancy_shift_bound_terms_match_theorem_1(seed, negative_max):
     sol_pi, sol_tilde = dp_solve(mdp, pi), dp_solve(mdp, mu_tilde)
     adv = sol_pi.advantage
     assert (-adv.min() > adv.max()) == negative_max
-    at_tilde = adv[np.arange(chain.n_states), mu_tilde]
+    at_tilde = adv[np.arange(CHAIN_STATES), mu_tilde]
     want_lhs = abs((sol_tilde.occupancy - sol_pi.occupancy) @ at_tilde)
     shift = (np.max(np.abs(chain.actions[mu_tilde] - chain.actions[mu]))
              + 2.0 * sigma / np.sqrt(2.0 * np.pi))
-    want_rhs = (np.max(np.abs(adv)) * chain.lipschitz_constant()
+    want_rhs = (np.max(np.abs(adv)) * CHAIN_LIPSCHITZ
                 / (1.0 - mdp.gamma) * shift)
     lhs, rhs, ok = occupancy_shift_bound_check(chain, mdp, mu, mu_tilde, sigma)
     assert lhs == pytest.approx(want_lhs, rel=1e-12, abs=0)
@@ -291,9 +299,9 @@ def test_occupancy_shift_bound_terms_match_theorem_1(seed, negative_max):
 
 def test_occupancy_shift_bound_rejects_large_shift():
     chain = LipschitzGaussianChain()
-    rewards = np.zeros((chain.n_states, chain.n_actions))
+    rewards = np.zeros((CHAIN_STATES, CHAIN_ACTIONS))
     mdp = chain.build_mdp(rewards)
-    mu = np.zeros(chain.n_states, dtype=int)
-    mu_tilde = np.full(chain.n_states, chain.n_actions - 1, dtype=int)
+    mu = np.zeros(CHAIN_STATES, dtype=int)
+    mu_tilde = np.full(CHAIN_STATES, CHAIN_ACTIONS - 1, dtype=int)
     with pytest.raises(ValueError):
         occupancy_shift_bound_check(chain, mdp, mu, mu_tilde, 0.5)

@@ -401,7 +401,8 @@ def test_run_bandit_matches_reference_directions(rule):
     # run_bandit writes the SPG and DPG steps inline; they must agree with
     # the reference directions the rules are defined by
     env = make_quadratic_bandit(5, 0)
-    got = run_bandit(rule, env, 300, BanditConfig(), np.random.default_rng(1))
+    got = run_bandit(rule, env, 300, BanditConfig(), np.random.default_rng(1),
+                     eval_every=1)
     want = bandit_reference(rule, env, 300, BanditConfig(),
                             np.random.default_rng(1))
     assert got[-1] > got[0]
@@ -419,7 +420,7 @@ def test_run_bandit_is_the_old_form_byte_for_byte(rule, m):
     env = make_quadratic_bandit(m, 0)
     for seed in (1, 2):
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = run_bandit(rule, env, 300, BanditConfig(), rng)
+        got = run_bandit(rule, env, 300, BanditConfig(), rng, eval_every=1)
         want = old_form_bandit(rule, env, 300, BanditConfig(), ref)
         assert got.tobytes() == want.tobytes()
         assert rng.bit_generator.state == ref.bit_generator.state
@@ -452,7 +453,8 @@ def test_run_bandit_leaves_the_per_call_rng_state_when_it_raises(rule, m):
     for k in (1, 40, 250):
         rng, ref = np.random.default_rng(k), np.random.default_rng(k)
         with pytest.raises(RuntimeError, match="step failed"):
-            run_bandit(rule, _StepRaises(env, k), 300, BanditConfig(), rng)
+            run_bandit(rule, _StepRaises(env, k), 300, BanditConfig(), rng,
+                       eval_every=1)
         with pytest.raises(RuntimeError, match="step failed"):
             old_form_bandit(rule, _StepRaises(env, k), 300, BanditConfig(),
                             ref)
@@ -479,7 +481,7 @@ def test_run_bandit_keeps_theta_in_the_box_before_every_episode(rule,
         for m in (1, 5, 50):
             seen.clear()
             run_bandit(rule, make_quadratic_bandit(m, 0), 300, config,
-                       np.random.default_rng(1))
+                       np.random.default_rng(1), eval_every=1)
             assert len(seen) == 300
             if m == 50 and config.lr_actor == 1.5:
                 # the check is not vacuous: theta sits on a bound
