@@ -15,7 +15,7 @@ from .oracle import (DpSolution, LipschitzGaussianChain, dp_solve,
                      occupancy_shift_bound_check, performance_difference_residual)
 from .policies import GaussianExploration, LinearPolicy, MlpPolicy
 from .trajectory import Trajectory
-from .updates import (TrustRegionState, adapt_beta, batch_gated_direction,
-                      cac_direction, cacla_direction, policy_distance_dhat)
+from .updates import (adapt_beta, batch_gated_direction, cac_direction,
+                      cacla_direction, policy_distance_dhat)
 
 __version__ = "0.1.0"

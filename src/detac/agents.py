@@ -14,7 +14,7 @@ from .nets import Adam
 from .policies import (GaussianExploration, LinearPolicy, MlpPolicy,
                        NormalStream)
 from .trajectory import Trajectory
-from .updates import (TrustRegionState, adapt_beta, batch_gated_direction,
+from .updates import (BETA_START, adapt_beta, batch_gated_direction,
                       cac_direction, cacla_direction, policy_distance_dhat)
 
 RULES = ("cacla", "cac", "nfac", "penfac")
@@ -152,8 +152,10 @@ class BatchActorCritic:
         self.critic = critic
         self.config = config
         self.exploration = GaussianExploration(config.sigma)
-        self.actor_adam = Adam(policy.n_params, alpha=config.lr_actor)
-        self.trust = TrustRegionState(d_target=config.d_target)
+        self.actor_adam = Adam(policy.num_params, alpha=config.lr_actor)
+        # PeNFAC's penalty coefficient, adapted after each phase that moves
+        # the policy
+        self.beta = BETA_START
         self.dhat_history = []
 
     def run_episode(self, env, rng):
@@ -184,7 +186,7 @@ class BatchActorCritic:
         advantages = (lambda_returns(batch, self.critic, cfg.gamma, cfg.lam)
                       - self.critic.values(states))
 
-        beta = self.trust.beta if penfac else 0.0
+        beta = self.beta if penfac else 0.0
         mu = mu_old
         for i in range(cfg.actor_iterations):
             g = batch_gated_direction(self.policy, states, actions,
@@ -209,7 +211,7 @@ class BatchActorCritic:
                 mu_old, self.policy.act(states) if mu is None else mu)
             self.dhat_history.append(d_hat)
             if mu is None:
-                adapt_beta(self.trust, d_hat)
+                self.beta = adapt_beta(self.beta, d_hat, cfg.d_target)
 
 
 def make_agent(config, env, rng):

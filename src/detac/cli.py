@@ -27,7 +27,9 @@ def _add_train(sub):
 def _add_verify(sub):
     p = sub.add_parser("verify", help="run a randomized verification suite")
     p.add_argument("suite", choices=[*harness.SUITES, "all"])
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seeds lemma2, theorem1 and gradcheck; lemma1 is a "
+                        "closed form and ignores it")
     p.add_argument("--out", help="write the line-oriented report here")
 
 

@@ -75,9 +75,9 @@ class MlpNet:
         self.output = output
 
         sizes = self.layer_sizes
-        n_params = sum((n_in + 1) * n_out
-                       for n_in, n_out in zip(sizes[:-1], sizes[1:]))
-        self._flat = np.zeros(n_params)
+        size = sum((n_in + 1) * n_out
+                   for n_in, n_out in zip(sizes[:-1], sizes[1:]))
+        self._flat = np.zeros(size)
         self._bind()
         for w in self.weights:
             bound = 1.0 / np.sqrt(w.shape[0])

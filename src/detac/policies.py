@@ -1,10 +1,8 @@
 """Deterministic policy representations and the Gaussian exploration sampler.
 
-``MlpPolicy`` is the policy of the PointMass agents.  ``act(states)``
-returns one action per row of an ``(n, d)`` batch of states, and
-``backward_batch(upstream)`` returns the
-parameter gradient of sum_t upstream_t . mu(s_t) over the rows of the
-latest ``act`` call (one vector-Jacobian product).  ``LinearPolicy`` is
+``MlpPolicy`` is the policy of the PointMass agents: an ``MlpNet`` with a
+tanh output, whose ``act(states)`` is its ``forward``, one action per row
+of an ``(n, d)`` batch of states.  ``LinearPolicy`` is
 not a general policy: it holds the bandit's theta, which ``run_bandit``
 moves directly, and ``act`` returns a copy of theta.  Theta starts at
 zero, inside the action box, and ``run_bandit`` projects it after every
@@ -33,30 +31,15 @@ MAX_ATTEMPTS = 100
 NORMAL_BLOCK = 8192
 
 
-class MlpPolicy:
+class MlpPolicy(MlpNet):
     """MLP policy with tanh output, so actions stay inside [-1, 1] bounds."""
 
     def __init__(self, state_dim, action_dim, hidden_sizes, hidden, *, rng):
-        sizes = [state_dim, *hidden_sizes, action_dim]
-        self.net = MlpNet(sizes, hidden, "tanh", rng=rng)
-
-    @property
-    def n_params(self):
-        return self.net.num_params
-
-    def get_params(self):
-        return self.net.get_params()
-
-    def set_params(self, flat):
-        self.net.set_params(flat)
+        super().__init__([state_dim, *hidden_sizes, action_dim], hidden,
+                         "tanh", rng=rng)
 
     def act(self, states):
-        return self.net.forward(states)
-
-    def backward_batch(self, upstream):
-        """Parameter gradient of sum_t upstream_t . mu(s_t) for the latest
-        ``act`` call."""
-        return self.net.backward(upstream)
+        return self.forward(states)
 
 
 class LinearPolicy:

@@ -10,23 +10,14 @@ after every phase.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+BETA_START = 1.0
 BETA_MIN = 1e-6
 BETA_MAX = 1e6
 # adapt_beta leaves beta alone while d_hat lies in
 # [d_target / DHAT_BAND, d_target * DHAT_BAND]
 DHAT_BAND = 1.5
-
-
-@dataclass
-class TrustRegionState:
-    """Adaptive penalty coefficient and the distance it steers toward."""
-
-    d_target: float
-    beta: float = 1.0
 
 
 def cacla_direction(policy, state, action, delta):
@@ -37,14 +28,14 @@ def cacla_direction(policy, state, action, delta):
     if delta > 0:
         return batch_gated_direction(policy, state, action, [delta],
                                      scale_by_delta=False)
-    return np.zeros(policy.n_params)
+    return np.zeros(policy.num_params)
 
 
 def cac_direction(policy, state, action, delta):
     """Gated move toward the action, scaled by the positive TD error."""
     if delta > 0:
         return delta * cacla_direction(policy, state, action, delta)
-    return np.zeros(policy.n_params)
+    return np.zeros(policy.num_params)
 
 
 def policy_distance_dhat(mu_old, mu):
@@ -59,17 +50,17 @@ def policy_distance_dhat(mu_old, mu):
     return float(np.linalg.norm(diff, axis=1).sum() / np.sqrt(m * n_states))
 
 
-def adapt_beta(trust, d_hat):
-    """Halve/double the penalty coefficient when the policy moved too
-    little/too much relative to the target distance."""
-    if trust.beta <= 0:
+def adapt_beta(beta, d_hat, d_target):
+    """The penalty coefficient after a phase that moved the policy
+    ``d_hat``: beta halved/doubled when that is too little/too much
+    relative to ``d_target``, then clipped to [BETA_MIN, BETA_MAX]."""
+    if beta <= 0:
         raise ValueError("beta must be positive")
-    if d_hat < trust.d_target / DHAT_BAND:
-        trust.beta /= 2.0
-    elif d_hat > trust.d_target * DHAT_BAND:
-        trust.beta *= 2.0
-    trust.beta = float(np.clip(trust.beta, BETA_MIN, BETA_MAX))
-    return trust.beta
+    if d_hat < d_target / DHAT_BAND:
+        beta /= 2.0
+    elif d_hat > d_target * DHAT_BAND:
+        beta *= 2.0
+    return float(np.clip(beta, BETA_MIN, BETA_MAX))
 
 
 def batch_gated_direction(policy, states, actions, advantages,
@@ -99,4 +90,4 @@ def batch_gated_direction(policy, states, actions, advantages,
     upstream = weight[:, None] * (actions - mu)
     if mu_old is not None and beta != 0.0:
         upstream -= 2.0 * beta * (mu - mu_old)
-    return policy.backward_batch(upstream) / len(states)
+    return policy.backward(upstream) / len(states)

@@ -21,7 +21,7 @@ def linear_policy(theta):
 
 
 def jacobian(policy, state):
-    """The (action_dim x n_params) derivative of mu(state): the identity
+    """The (action_dim x num_params) derivative of mu(state): the identity
     for the state-free ``LinearPolicy`` (mu = theta), and for an
     ``MlpPolicy`` a one-row forward and a unit-vector backward pass per
     action dimension."""
@@ -29,13 +29,13 @@ def jacobian(policy, state):
         return np.eye(policy.action_dim)
     if not isinstance(policy, MlpPolicy):
         raise TypeError(f"no reference Jacobian for {type(policy).__name__}")
-    action_dim = policy.net.layer_sizes[-1]
-    jac = np.empty((action_dim, policy.n_params))
+    action_dim = policy.layer_sizes[-1]
+    jac = np.empty((action_dim, policy.num_params))
     for i in range(action_dim):
-        policy.net.forward([state])
+        policy.forward([state])
         one_hot = np.zeros((1, action_dim))
         one_hot[0, i] = 1.0
-        jac[i] = policy.net.backward(one_hot)
+        jac[i] = policy.backward(one_hot)
     return jac
 
 

@@ -16,8 +16,8 @@ from detac.envs import (EnvSpec, PointMass, QuadraticBandit,
                         make_quadratic_bandit)
 from detac.policies import MlpPolicy
 from detac.trajectory import Trajectory
-from detac.updates import (TrustRegionState, adapt_beta,
-                           batch_gated_direction, policy_distance_dhat)
+from detac.updates import (adapt_beta, batch_gated_direction,
+                           policy_distance_dhat)
 from constant_critic import ConstantVCritic
 
 
@@ -180,7 +180,8 @@ def test_lockstep_evaluation_pointmass_policy():
     rng = np.random.default_rng(2)
     pol = MlpPolicy(2, 1, hidden_sizes=(32, 32), hidden="leaky_relu",
                     rng=rng)
-    pol.set_params(pol.get_params() + 0.3 * rng.standard_normal(pol.n_params))
+    pol.set_params(pol.get_params()
+                   + 0.3 * rng.standard_normal(pol.num_params))
     returns = _assert_lockstep_matches_loop(pol, PointMass(goal=0.5), 10)
     assert returns[0] != 0.0
 
@@ -514,7 +515,7 @@ def test_penfac_tracks_dhat_and_adapts_beta():
         agent.run_episode(env, rng)
     assert len(agent.dhat_history) == 2
     assert all(d >= 0 for d in agent.dhat_history)
-    assert 1e-6 <= agent.trust.beta <= 1e6
+    assert 1e-6 <= agent.beta <= 1e6
 
 
 def test_penfac_dhat_measures_against_pre_phase_policy():
@@ -596,7 +597,7 @@ def _update_phase_all_directions(agent, batch):
     actions = batch.per_step(batch.actions)
     advantages = (lambda_returns(batch, agent.critic, cfg.gamma, cfg.lam)
                   - agent.critic.values(states))
-    beta = agent.trust.beta if penfac else 0.0
+    beta = agent.beta if penfac else 0.0
     directions = []
     for _ in range(cfg.actor_iterations):
         g = batch_gated_direction(agent.policy, states, actions, advantages,
@@ -609,7 +610,7 @@ def _update_phase_all_directions(agent, batch):
         d_hat = policy_distance_dhat(mu_old, agent.policy.act(states))
         agent.dhat_history.append(d_hat)
         if directions[0].any():
-            adapt_beta(agent.trust, d_hat)
+            agent.beta = adapt_beta(agent.beta, d_hat, cfg.d_target)
 
 
 def _count_calls(obj, method):
@@ -628,7 +629,7 @@ def _actor_state_bytes(agent):
     adam = agent.actor_adam
     return (agent.policy.get_params().tobytes(), adam.v.tobytes(), adam.t,
             np.array(agent.dhat_history, dtype=float).tobytes(),
-            np.float64(agent.trust.beta).tobytes())
+            np.float64(agent.beta).tobytes())
 
 
 @pytest.mark.parametrize("rule", ["penfac", "nfac"])
@@ -671,7 +672,7 @@ def test_update_phase_stops_directions_at_zero_bit_for_bit(rule, monkeypatch):
 
     monkeypatch.setattr(detac.agents, "batch_gated_direction", counted)
     steps = _count_calls(agent.actor_adam, "step")
-    forwards = _count_calls(agent.policy.net, "forward")
+    forwards = _count_calls(agent.policy, "forward")
     rng = np.random.default_rng(4)
     for value, want_calls in ((1e3, 1), (-1e3, cfg.actor_iterations),
                               (1e3, 1)):
@@ -717,16 +718,16 @@ def test_penfac_closed_phase_keeps_beta_and_open_phase_adapts_it():
             lambda s: agent.exploration.act(agent.policy.act(s), rng), env,
             cfg.update_every, rng)
         agent.critic.c = value
-        beta = agent.trust.beta
+        beta = agent.beta
         agent.update_phase(batch)
         d_hat = agent.dhat_history[-1]
         if opened:
-            want = adapt_beta(TrustRegionState(cfg.d_target, beta), d_hat)
+            want = adapt_beta(beta, d_hat, cfg.d_target)
             assert d_hat > 0.0
-            assert agent.trust.beta == want != beta
+            assert agent.beta == want != beta
         else:
             assert d_hat == 0.0
-            assert agent.trust.beta == beta
+            assert agent.beta == beta
     assert len(agent.dhat_history) == 3
 
 

@@ -325,6 +325,19 @@ def test_run_verification_unknown_suite():
         run_verification("lemma3")
 
 
+def test_run_verification_lemma1_ignores_the_seed():
+    # lemma1 checks closed forms: every seed prints the report of seed 0
+    assert run_verification("lemma1", seed=5) == run_verification("lemma1")
+
+
+def test_cli_verify_seed_help_names_the_suites_it_seeds(capsys):
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert ("seeds lemma2, theorem1 and gradcheck; lemma1 is a closed form "
+            "and ignores it") in help_text
+
+
 def test_run_verification_writes_report(tmp_path):
     out = tmp_path / "report.txt"
     code, lines = run_verification("lemma1", out=str(out))

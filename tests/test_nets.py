@@ -400,7 +400,7 @@ def test_steady_state_actor_step_allocates_few_per_row_arrays():
     rng = np.random.default_rng(25)
     policy = MlpPolicy(2, 1, hidden_sizes=(32, 32), hidden="leaky_relu",
                        rng=rng)
-    adam = Adam(policy.n_params, alpha=1e-4)
+    adam = Adam(policy.num_params, alpha=1e-4)
     states = rng.standard_normal((500, 2))
     actions = rng.uniform(-1, 1, (500, 1))
     advantages = rng.standard_normal(500)

@@ -40,14 +40,14 @@ def test_mlp_policy_jacobian_matches_finite_differences():
     assert np.max(np.abs(jac - fd)) < 1e-5
 
 
-def test_mlp_policy_backward_batch_matches_jacobian_sum():
+def test_mlp_policy_backward_matches_jacobian_sum():
     rng = np.random.default_rng(6)
     pol = MlpPolicy(2, 2, hidden_sizes=(5,), hidden="tanh", rng=rng)
     states = rng.standard_normal((4, 2))
     upstream = rng.standard_normal((4, 2))
     pol.act(states)
-    g_batch = pol.backward_batch(upstream)
-    g_ref = np.zeros(pol.n_params)
+    g_batch = pol.backward(upstream)
+    g_ref = np.zeros(pol.num_params)
     for s, u in zip(states, upstream):
         g_ref += u @ jacobian(pol, s)
     assert np.max(np.abs(g_batch - g_ref)) < 1e-10

@@ -8,9 +8,9 @@ from detac.critics import CompatibleQCritic
 from detac.envs import make_quadratic_bandit
 from detac.nets import MlpNet
 from detac.policies import GaussianExploration, LinearPolicy, MlpPolicy
-from detac.updates import (TrustRegionState, adapt_beta,
-                           batch_gated_direction, cac_direction,
-                           cacla_direction, policy_distance_dhat)
+from detac.updates import (DHAT_BAND, adapt_beta, batch_gated_direction,
+                           cac_direction, cacla_direction,
+                           policy_distance_dhat)
 from jacobian_reference import jacobian, linear_policy, toward
 
 
@@ -111,7 +111,7 @@ def penfac_actor_gradient(policy, snapshot, states, actions, advantages, beta):
     with mu_old read from the ``snapshot`` policy and J_mu the reference
     Jacobian, one state at a time.
     """
-    g = np.zeros(policy.n_params)
+    g = np.zeros(policy.num_params)
     for s, a, adv in zip(states, actions, advantages):
         if adv > 0:
             g += adv * toward(policy, s, a)
@@ -129,7 +129,7 @@ def test_cacla_gate_closed_on_nonpositive_delta():
                     rng=np.random.default_rng(0))
     for delta in (0.0, -0.5, -100.0):
         g = cacla_direction(pol, BANDIT_STATE, np.array([[0.3, 0.3]]), delta)
-        assert g.shape == (pol.n_params,)
+        assert g.shape == (pol.num_params,)
         assert np.all(g == 0.0)
 
 
@@ -171,10 +171,10 @@ def test_gated_directions_match_reference_jacobian_form(name):
     # up to rounding, within 1e-14 of the largest entry (measured: 2.0e-16)
     rng = np.random.default_rng(21)
     pol = GATED_POLICIES[name](rng)
-    state_dim = pol.net.layer_sizes[0]
+    state_dim = pol.layer_sizes[0]
     for _ in range(200):
         s = rng.standard_normal(state_dim)
-        a = rng.uniform(-1, 1, pol.net.layer_sizes[-1])
+        a = rng.uniform(-1, 1, pol.layer_sizes[-1])
         delta = rng.exponential()
         ref = toward(pol, s, a)
         tol = 1e-14 * np.max(np.abs(ref))
@@ -275,18 +275,26 @@ def test_policy_distance_rejects_unequal_or_empty_shapes(old_shape,
 
 
 def test_adapt_beta_dead_zone_and_doubling():
-    trust = TrustRegionState(d_target=0.03, beta=1.0)
-    assert adapt_beta(trust, 0.03) == 1.0          # inside the band
-    assert adapt_beta(trust, 0.1) == 2.0           # too far: double
-    assert adapt_beta(trust, 0.001) == 1.0         # too close: halve
-    assert adapt_beta(trust, 0.001) == 0.5
+    assert adapt_beta(1.0, 0.03, 0.03) == 1.0      # inside the band
+    assert adapt_beta(1.0, 0.1, 0.03) == 2.0       # too far: double
+    assert adapt_beta(2.0, 0.001, 0.03) == 1.0     # too close: halve
+    assert adapt_beta(1.0, 0.001, 0.03) == 0.5
 
 
 def test_adapt_beta_clamps():
-    trust = TrustRegionState(d_target=0.03, beta=1e6)
-    assert adapt_beta(trust, 1.0) == 1e6
-    trust = TrustRegionState(d_target=0.03, beta=1e-6)
-    assert adapt_beta(trust, 0.0) == 1e-6
+    assert adapt_beta(1e6, 1.0, 0.03) == 1e6
+    assert adapt_beta(1e-6, 0.0, 0.03) == 1e-6
+
+
+def test_adapt_beta_band_is_closed():
+    # beta stays at both ends of [d_target / DHAT_BAND, d_target * DHAT_BAND]
+    # and moves one float beyond either
+    d_target = 0.03
+    low, high = d_target / DHAT_BAND, d_target * DHAT_BAND
+    assert adapt_beta(1.0, low, d_target) == 1.0
+    assert adapt_beta(1.0, high, d_target) == 1.0
+    assert adapt_beta(1.0, np.nextafter(low, 0.0), d_target) == 0.5
+    assert adapt_beta(1.0, np.nextafter(high, np.inf), d_target) == 2.0
 
 
 def test_penfac_gradient_matches_finite_difference_of_objective():
@@ -299,7 +307,7 @@ def test_penfac_gradient_matches_finite_difference_of_objective():
     rng = np.random.default_rng(11)
     pol = MlpPolicy(2, 2, hidden_sizes=(5,), hidden="tanh", rng=rng)
     snap = copy.deepcopy(pol)
-    snap.set_params(snap.get_params() + 0.05 * rng.standard_normal(pol.n_params))
+    snap.set_params(snap.get_params() + 0.05 * rng.standard_normal(pol.num_params))
     states = rng.standard_normal((6, 2))
     actions = rng.uniform(-1, 1, (6, 2))
     advs = rng.standard_normal(6)
@@ -337,7 +345,7 @@ def test_penfac_zero_beta_reduces_to_mean_cac():
     advs = rng.standard_normal(5)
     g = batch_gated_direction(pol, states, actions, advs, scale_by_delta=True,
                               mu_old=pol.act(states), beta=0.0)
-    ref = np.zeros(pol.n_params)
+    ref = np.zeros(pol.num_params)
     for s, a, adv in zip(states, actions, advs):
         if adv > 0:
             ref += adv * toward(pol, s, a)
@@ -361,7 +369,7 @@ def test_batch_gated_direction_matches_per_sample_loops():
     rng = np.random.default_rng(13)
     pol = MlpPolicy(2, 2, hidden_sizes=(6,), hidden="tanh", rng=rng)
     snap = copy.deepcopy(pol)
-    snap.set_params(snap.get_params() + 0.02 * rng.standard_normal(pol.n_params))
+    snap.set_params(snap.get_params() + 0.02 * rng.standard_normal(pol.num_params))
     states = rng.standard_normal((7, 2))
     actions = rng.uniform(-1, 1, (7, 2))
     advs = rng.standard_normal(7)
@@ -374,7 +382,7 @@ def test_batch_gated_direction_matches_per_sample_loops():
 
     g_batch = batch_gated_direction(pol, states, actions, advs,
                                     scale_by_delta=False)
-    g_loop = np.zeros(pol.n_params)
+    g_loop = np.zeros(pol.num_params)
     for s, a, adv in zip(states, actions, advs):
         if adv > 0:
             g_loop += toward(pol, s, a)
@@ -390,7 +398,7 @@ def test_batch_gated_direction_keeps_the_gate_closed_at_exactly_zero():
     actions = np.array([[0.9, -0.9], [-0.8, 0.7], [0.5, 0.5]])
     g = batch_gated_direction(pol, states, actions, [0.0, -0.0, 0.0],
                               scale_by_delta=False)
-    assert g.shape == (pol.n_params,) and not g.any()
+    assert g.shape == (pol.num_params,) and not g.any()
     # not vacuous: the smallest positive advantage opens its row's gate
     assert batch_gated_direction(pol, states, actions, [0.0, -0.0, 5e-324],
                                  scale_by_delta=False).any()
