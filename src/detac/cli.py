@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -122,6 +123,7 @@ def cmd_bandit_suite(args):
             raise ValueError("--dims repeats "
                              + ", ".join(map(str, repeated)))
         _check_out(args.out)
+        harness.worker_cap()
     except ValueError as exc:
         print(f"bandit-suite: {exc}", file=sys.stderr)
         return 2
@@ -130,11 +132,11 @@ def cmd_bandit_suite(args):
     for m in dims:
         env = make_quadratic_bandit(m, seed=0)
         for rule in ("spg", "dpg", "cacla"):
-            arr = np.stack([
-                run_bandit(rule, env, args.episodes, BanditConfig(),
-                           np.random.default_rng(args.seed_offset + s),
-                           eval_every=stride)
-                for s in range(args.seeds)])
+            rngs = [np.random.default_rng(args.seed_offset + s)
+                    for s in range(args.seeds)]
+            arr = np.stack(harness.fan_out(functools.partial(
+                run_bandit, rule, env, args.episodes, BanditConfig(),
+                eval_every=stride), rngs))
             path = os.path.join(args.out, f"bandit_m{m}_{rule}.csv")
             lines = ["episode,mean,std"]
             for i in range(arr.shape[1]):

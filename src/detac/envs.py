@@ -12,12 +12,9 @@ Episode horizons are enforced by the caller (see ``EnvSpec.horizon``).
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
-
-log = logging.getLogger(__name__)
 
 
 # every env's actions live in the box [-ACTION_BOUND, ACTION_BOUND]^m
@@ -53,7 +50,9 @@ def _check_action(spec, action, n=None):
     if not np.maximum.reduce(np.abs(a), axis=None) <= ACTION_BOUND:
         if not np.isfinite(a).all():
             raise ValueError("non-finite action")
-        log.warning("action out of bounds, clipping: %s", a)
+        import logging  # imported here: only a clipped action pays for it
+        logging.getLogger(__name__).warning(
+            "action out of bounds, clipping: %s", a)
         a = np.clip(a, -ACTION_BOUND, ACTION_BOUND)
     return a
 

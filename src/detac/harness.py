@@ -137,19 +137,26 @@ def worker_cap():
     return cap
 
 
+def fan_out(fn, *args):
+    """``list(map(fn, *args))`` over sized ``args``, in a pool of
+    ``min(worker_cap(), jobs)`` worker processes when that is above 1.
+    Jobs seeded by their own arguments give results that do not depend on
+    the worker count; the first exception in job order is raised."""
+    workers = min(worker_cap(), *map(len, args))
+    if workers <= 1:
+        return list(map(fn, *args))
+    # imported here: a one-worker run never pays for multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, *args))
+
+
 def run_experiment(config):
     """Train every seed, write one CSV per seed plus an aggregate CSV.
     Returns the list of written file paths.  Nothing is written unless
     every seed trains to the end."""
     seeds = [config.seed_offset + i for i in range(config.seeds)]
-    workers = min(worker_cap(), len(seeds))
-    if workers > 1:
-        # imported here: a one-worker run never pays for multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            all_rows = list(pool.map(run_seed, [config] * len(seeds), seeds))
-    else:
-        all_rows = [run_seed(config, s) for s in seeds]
+    all_rows = fan_out(run_seed, [config] * len(seeds), seeds)
 
     os.makedirs(config.out, exist_ok=True)
     paths = []

@@ -4,9 +4,7 @@ The PointMass training runs (criteria 7 and 8) are shared through a
 module-scoped fixture so the expensive seeds are trained once.
 """
 
-import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,8 +15,8 @@ from detac.agents import (AgentConfig, BanditConfig, evaluate_deterministic,
 from detac.critics import lambda_returns
 from detac.envs import PointMass, make_quadratic_bandit
 from detac.harness import (GRADCHECK_SEEDS, GRADCHECK_TOL, LEMMA2_TRIALS,
-                           run_experiment, suite_gradcheck, suite_lemma2,
-                           suite_theorem1, worker_cap)
+                           fan_out, run_experiment, suite_gradcheck,
+                           suite_lemma2, suite_theorem1)
 from detac.config import parse_config
 from detac.oracle import gated_scaled_direction_1d
 from detac.policies import MlpPolicy
@@ -41,12 +39,12 @@ def report(capsys):
     return _report
 
 
-def _train_pointmass(rule, seed, phases):
+def _train_pointmass(rule, seed):
     cfg = AgentConfig(rule=rule)
     env = PointMass()
     agent = make_agent(cfg, env, np.random.default_rng([seed, 0x5EED]))
     rng = np.random.default_rng(seed)
-    for _ in range(phases):
+    for _ in range(PHASES):
         agent.run_episode(env, rng)
     mean, _ = evaluate_deterministic(agent.policy, env, 5,
                                      np.random.default_rng([seed, 0xEAA]))
@@ -55,25 +53,16 @@ def _train_pointmass(rule, seed, phases):
 
 @pytest.fixture(scope="module")
 def pointmass_runs():
-    """The 40 seeded runs in a process pool, PeNFAC's first; each run is
-    seeded on its own, so the pool does not change its numbers.
-    ``penfac_time`` is taken when the last PeNFAC run is back."""
+    """The 20 seeded PeNFAC runs, then the 20 NFAC runs, through
+    ``fan_out``; ``penfac_time`` is the wall time of the PeNFAC runs."""
     t0 = time.time()
-    rules = ["penfac"] * N_SEEDS + ["nfac"] * N_SEEDS
-    seeds = [*range(N_SEEDS)] * 2
-    results = []
-    workers = min(worker_cap(), N_SEEDS)
-    spawn = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(workers, mp_context=spawn) as pool:
-        for result in pool.map(_train_pointmass, rules, seeds,
-                               [PHASES] * len(rules)):
-            results.append(result)
-            if len(results) == N_SEEDS:
-                penfac_time = time.time() - t0
+    penfac = fan_out(_train_pointmass, ["penfac"] * N_SEEDS, range(N_SEEDS))
+    penfac_time = time.time() - t0
+    nfac = fan_out(_train_pointmass, ["nfac"] * N_SEEDS, range(N_SEEDS))
     total_time = time.time() - t0
-    return dict(penfac_dhats=[dhats for dhats, _ in results[:N_SEEDS]],
-                penfac_finals=np.array([f for _, f in results[:N_SEEDS]]),
-                nfac_finals=np.array([f for _, f in results[N_SEEDS:]]),
+    return dict(penfac_dhats=[dhats for dhats, _ in penfac],
+                penfac_finals=np.array([f for _, f in penfac]),
+                nfac_finals=np.array([f for _, f in nfac]),
                 penfac_time=penfac_time, total_time=total_time)
 
 
@@ -174,17 +163,19 @@ def test_acceptance_5_lambda_return_endpoints(report):
     assert ok
 
 
+def _bandit_final(rule, m, seed):
+    return run_bandit(rule, make_quadratic_bandit(m, seed), 3000,
+                      BanditConfig(), np.random.default_rng([seed, 1]),
+                      eval_every=3000)[-1]
+
+
 @pytest.mark.slow
 def test_acceptance_6_bandit_dimension_sensitivity(report):
     t0 = time.time()
-    finals = {1: {}, 50: {}}
-    for m in (1, 50):
-        for rule in ("cacla", "spg", "dpg"):
-            finals[m][rule] = np.array([
-                run_bandit(rule, make_quadratic_bandit(m, s), 3000,
-                           BanditConfig(), np.random.default_rng([s, 1]),
-                           eval_every=3000)[-1]
-                for s in range(N_SEEDS)])
+    finals = {m: {rule: np.array(fan_out(_bandit_final, [rule] * N_SEEDS,
+                                         [m] * N_SEEDS, range(N_SEEDS)))
+                  for rule in ("cacla", "spg", "dpg")}
+              for m in (1, 50)}
     p_cacla = wilcoxon(finals[50]["cacla"], finals[50]["spg"],
                        alternative="greater").pvalue
     p_dpg = wilcoxon(finals[50]["dpg"], finals[50]["spg"],

@@ -430,22 +430,78 @@ def test_cli_train_empty_hidden_item_exits_2(tmp_path, capsys, value):
 
 def test_cli_train_bad_detac_threads_exits_2(tmp_path):
     # "x" used to fail in int() with exit status 1; "0" and "-2" used to
-    # mean 1 worker
+    # mean 1 worker; bandit-suite used to ignore it
     src = os.path.dirname(os.path.dirname(os.path.abspath(detac.__file__)))
     out = tmp_path / "runs"
-    for value in ("x", "0", "-2"):
-        env = dict(os.environ, DETAC_THREADS=value, PYTHONPATH=os.pathsep.join(
-            [src, os.environ.get("PYTHONPATH", "")]))
-        result = subprocess.run(
-            [sys.executable, "-m", "detac.cli", "train", "--set", "agent=nfac",
-             "--set", "env=pointmass", "--set", "total_steps=0",
-             "--out", str(out)],
-            env=env, capture_output=True, text=True, timeout=60)
-        assert result.returncode == 2, (value, result.stderr)
-        assert ("DETAC_THREADS must be a positive integer, "
-                f"got {value!r}") in result.stderr
-        assert result.stdout == ""
-        assert not out.exists()
+    commands = {"config error": ["train", "--set", "agent=nfac", "--set",
+                                 "env=pointmass", "--set", "total_steps=0"],
+                "bandit-suite": ["bandit-suite", "--episodes", "10"]}
+    for prefix, command in commands.items():
+        for value in ("x", "0", "-2"):
+            env = dict(os.environ, DETAC_THREADS=value,
+                       PYTHONPATH=os.pathsep.join(
+                           [src, os.environ.get("PYTHONPATH", "")]))
+            result = subprocess.run(
+                [sys.executable, "-m", "detac.cli", *command,
+                 "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=60)
+            assert result.returncode == 2, (value, result.stderr)
+            assert (f"{prefix}: DETAC_THREADS must be a positive integer, "
+                    f"got {value!r}\n") == result.stderr
+            assert result.stdout == ""
+            assert not out.exists()
+
+
+def test_import_detac_loads_neither_logging_nor_a_process_pool():
+    # both are imported where they are used: a clipped action, a pool
+    src = os.path.dirname(os.path.dirname(os.path.abspath(detac.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, detac; print(sorted("
+         "{'logging', 'concurrent.futures'} & set(sys.modules)))"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
+SMALL_TRAIN = ["train", "--set", "agent=nfac", "--set", "env=pointmass",
+               "--set", "hidden=8", "--set", "total_steps=40",
+               "--set", "eval_interval=20", "--set", "eval_episodes=2",
+               "--set", "pointmass_horizon=10", "--set", "update_every=2",
+               "--set", "fitted_iterations=2", "--set", "actor_iterations=2",
+               "--seeds", "3"]
+SMALL_BANDIT_SUITE = ["bandit-suite", "--seeds", "3", "--episodes", "200"]
+
+
+@pytest.mark.parametrize("argv, n_files", [(SMALL_TRAIN, 4),
+                                           (SMALL_BANDIT_SUITE, 6)],
+                         ids=["train", "bandit-suite"])
+def test_cli_outputs_do_not_depend_on_the_worker_count(
+        tmp_path, capsys, monkeypatch, argv, n_files):
+    outputs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("DETAC_THREADS", threads)
+        out = tmp_path / threads
+        assert main([*argv, "--out", str(out)]) == 0
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert len(outputs[0]) == n_files
+    assert outputs[0] == outputs[1]
+
+
+def test_cli_train_divergence_in_a_worker_exits_1_without_csv(
+        tmp_path, capsys, monkeypatch):
+    # seed 0 is the first job, so its error is the one reported
+    monkeypatch.setenv("DETAC_THREADS", "2")
+    out = tmp_path / "runs"
+    code = main(["train", "--set", "agent=cacla", "--set", "env=pointmass",
+                 "--seeds", "2", "--out", str(out)])
+    assert code == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err == ("training diverged: seed 0: the critic has non-finite "
+                   "parameters after env step 1000; no CSV written\n")
+    assert not out.exists()
 
 
 def test_cli_train_zero_horizon_exits_2(tmp_path):

@@ -1,6 +1,7 @@
 """Print a sha256 for every seeded output that a refactor must keep
 byte-identical: the per-seed CSV of ``run_seed``, the ``run_bandit``
-curves and the ``verify`` reports.
+curves, the ``verify`` reports and the six CSVs of a small ``detac
+bandit-suite`` run, which pin its mean/std over seeds.
 
 Run it from the root of a checkout, once before a change and once after,
 and diff the two outputs:
@@ -31,13 +32,15 @@ test_run_seed_evaluates_and_stops_at_phase_ends`` pins that case.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import os
 import tempfile
 
 import numpy as np
 
-from detac import harness
+from detac import cli, harness
 from detac.agents import BanditConfig, run_bandit
 from detac.config import parse_config
 from detac.envs import make_quadratic_bandit
@@ -68,6 +71,19 @@ def seed_csv_hash(seed, **keys):
         harness.write_seed_csv(path, rows)
         with open(path, "rb") as f:
             return _sha(f.read())
+
+
+def bandit_suite_hash(*flags):
+    """The exit status of ``detac bandit-suite`` with ``flags`` and the
+    sha256 of its CSVs, each file's name and bytes in name order."""
+    with tempfile.TemporaryDirectory() as tmp:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["bandit-suite", *flags, "--out", tmp])
+        data = b""
+        for name in sorted(os.listdir(tmp)):
+            with open(os.path.join(tmp, name), "rb") as f:
+                data += name.encode() + b"\n" + f.read()
+    return code, _sha(data)
 
 
 def main():
@@ -104,6 +120,10 @@ def main():
         code, lines = harness.run_verification(suite, seed=0)
         report = ("\n".join(lines) + "\n").encode()
         print(f"verify {suite} seed=0 exit={code} {_sha(report)}", flush=True)
+
+    flags = ("--dims", "5,50", "--seeds", "3", "--episodes", "200")
+    code, csvs = bandit_suite_hash(*flags)
+    print(f"bandit-suite {' '.join(flags)} exit={code} {csvs}", flush=True)
 
 
 if __name__ == "__main__":
