@@ -154,7 +154,7 @@ class BatchActorCritic:
         self.exploration = GaussianExploration(config.sigma)
         self.actor_adam = Adam(policy.num_params, alpha=config.lr_actor)
         # PeNFAC's penalty coefficient, adapted after each phase that moves
-        # the policy
+        # the policy, and both rules' d_hat per phase
         self.beta = BETA_START
         self.dhat_history = []
 
@@ -173,11 +173,11 @@ class BatchActorCritic:
         cfg = self.config
         states = batch.per_step(batch.states)
         penfac = cfg.rule == "penfac"
-        # the penalty and d_hat read the pre-update policy only through
-        # its actions on the gathered states; fitting the critic leaves the
-        # policy and its latest pass alone, so the first direction reuses
-        # this forward
-        mu_old = self.policy.act(states) if penfac else None
+        # mu is the policy's latest forward on the gathered states, the pass
+        # each direction's backward reads: fitting the critic leaves the
+        # policy alone, so the first direction reuses this one, and mu_old
+        # keeps the pre-update actions for the penalty and d_hat
+        mu = mu_old = self.policy.act(states)
 
         fitted_value_iteration(self.critic, batch, cfg.gamma, cfg.lam,
                                cfg.fitted_iterations)
@@ -187,11 +187,10 @@ class BatchActorCritic:
                       - self.critic.values(states))
 
         beta = self.beta if penfac else 0.0
-        mu = mu_old
         for i in range(cfg.actor_iterations):
-            g = batch_gated_direction(self.policy, states, actions,
-                                      advantages, scale_by_delta=penfac,
-                                      mu_old=mu_old, beta=beta, mu=mu)
+            g = batch_gated_direction(self.policy, mu, actions, advantages,
+                                      scale_by_delta=penfac, mu_old=mu_old,
+                                      beta=beta)
             self.policy.set_params(self.actor_adam.step(
                 self.policy.get_params(), g, ascent=True))
             if not g.any():
@@ -201,17 +200,15 @@ class BatchActorCritic:
                 # steps only decay v and advance t
                 self.actor_adam.idle(cfg.actor_iterations - 1 - i)
                 break
-            mu = None
+            mu = self.policy.act(states)
 
-        if penfac:
-            # mu is still mu_old only when the first direction was zero,
-            # so the policy never moved: d_hat is 0.0, and beta stays, as
-            # PPO's adaptive-KL rule adapts only after an update
-            d_hat = policy_distance_dhat(
-                mu_old, self.policy.act(states) if mu is None else mu)
-            self.dhat_history.append(d_hat)
-            if mu is None:
-                self.beta = adapt_beta(self.beta, d_hat, cfg.d_target)
+        # mu is still mu_old only when the first direction was zero, so the
+        # policy never moved: d_hat is 0.0, and beta stays, as PPO's
+        # adaptive-KL rule adapts only after an update
+        d_hat = policy_distance_dhat(mu_old, mu)
+        self.dhat_history.append(d_hat)
+        if penfac and mu is not mu_old:
+            self.beta = adapt_beta(self.beta, d_hat, cfg.d_target)
 
 
 def make_agent(config, env, rng):

@@ -23,11 +23,12 @@ DHAT_BAND = 1.5
 def cacla_direction(policy, state, action, delta):
     """Move a (1, d) state row toward its (1, m) action row iff the TD
     error is positive; H(0) = 0, so a zero advantage produces no update.
-    An open gate is a one-row ``batch_gated_direction`` with weight 1:
-    (a - mu(s))^T J_mu(s) from one forward and one backward pass."""
+    An open gate runs the policy's forward on the row, then a one-row
+    ``batch_gated_direction`` with weight 1: (a - mu(s))^T J_mu(s) from
+    one forward and one backward pass."""
     if delta > 0:
-        return batch_gated_direction(policy, state, action, [delta],
-                                     scale_by_delta=False)
+        return batch_gated_direction(policy, policy.act(state), action,
+                                     [delta], scale_by_delta=False)
     return np.zeros(policy.num_params)
 
 
@@ -63,31 +64,27 @@ def adapt_beta(beta, d_hat, d_target):
     return float(np.clip(beta, BETA_MIN, BETA_MAX))
 
 
-def batch_gated_direction(policy, states, actions, advantages,
-                          scale_by_delta, mu_old=None, beta=0.0, mu=None):
-    """Mean gated direction over a batch, with one forward/backward pass:
+def batch_gated_direction(policy, mu, actions, advantages, scale_by_delta,
+                          mu_old=None, beta=0.0):
+    """Mean gated direction over a batch, from one backward pass:
 
         g = mean_t [ w_t (a_t - mu(s_t)) - 2 beta (mu(s_t) - mu_old_t) ]^T J_mu(s_t)
 
     where w_t = H(A_t), times A_t when ``scale_by_delta`` (the CAC/PeNFAC
-    scaling).  ``states`` and ``actions`` are (L, n) and (L, m) arrays;
-    ``mu_old`` holds the pre-update policy's actions on ``states`` and is
-    a constant (no gradient flows through it).  Ascent convention.
-
-    ``mu``, when given, must be the output of the policy's latest
-    ``act(states)``, with its parameters unchanged since: the
-    forward is then skipped and the backward reads that pass.
+    scaling).  ``mu`` is the (L, m) output of the policy's latest forward
+    pass, with its parameters unchanged since: the backward reads that
+    pass.  ``actions`` is (L, m); ``mu_old`` holds the pre-update policy's
+    actions on the same states and is a constant (no gradient flows
+    through it), read only when ``beta != 0.0``.  Ascent convention.
     """
     advantages = np.asarray(advantages, dtype=float)
-    if not len(states) == len(actions) == len(advantages):
-        raise ValueError("states, actions and advantages must have equal length")
-    if not len(states):
+    if not len(mu) == len(actions) == len(advantages):
+        raise ValueError("mu, actions and advantages must have equal length")
+    if not len(mu):
         raise ValueError("empty batch")
-    if mu is None:
-        mu = policy.act(states)
     gate = (advantages > 0).astype(float)
     weight = gate * advantages if scale_by_delta else gate
     upstream = weight[:, None] * (actions - mu)
-    if mu_old is not None and beta != 0.0:
+    if beta != 0.0:
         upstream -= 2.0 * beta * (mu - mu_old)
-    return policy.backward(upstream) / len(states)
+    return policy.backward(upstream) / len(mu)

@@ -1,8 +1,10 @@
 """Test-side reference Jacobian of a policy's action w.r.t. its parameters.
 
-``detac`` computes every gated direction as one vector-Jacobian product
-(``batch_gated_direction``); the per-sample oracles in the tests build the
-full Jacobian instead, so that they do not share that code path.
+``detac`` computes every gated direction as one vector-Jacobian product:
+``batch_gated_direction`` runs one backward pass through the policy's
+forward that its caller ran.  The per-sample oracles in the tests build
+the full Jacobian instead, one forward and one backward per row and
+action dimension, so that they do not share that code path.
 ``linear_policy(theta)`` builds the bandit's ``LinearPolicy`` at a given
 theta.
 """

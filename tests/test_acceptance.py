@@ -15,7 +15,7 @@ from detac.agents import (AgentConfig, BanditConfig, evaluate_deterministic,
 from detac.critics import lambda_returns
 from detac.envs import PointMass, make_quadratic_bandit
 from detac.harness import (GRADCHECK_SEEDS, GRADCHECK_TOL, LEMMA2_TRIALS,
-                           fan_out, run_experiment, suite_gradcheck,
+                           fan_out, run_experiment, run_seed, suite_gradcheck,
                            suite_lemma2, suite_theorem1)
 from detac.config import parse_config
 from detac.oracle import gated_scaled_direction_1d
@@ -62,6 +62,7 @@ def pointmass_runs():
     total_time = time.time() - t0
     return dict(penfac_dhats=[dhats for dhats, _ in penfac],
                 penfac_finals=np.array([f for _, f in penfac]),
+                nfac_dhats=[dhats for dhats, _ in nfac],
                 nfac_finals=np.array([f for _, f in nfac]),
                 penfac_time=penfac_time, total_time=total_time)
 
@@ -194,14 +195,18 @@ def test_acceptance_6_bandit_dimension_sensitivity(report):
     assert elapsed < 600.0
 
 
+def _post_burn_in(dhat_histories):
+    """The d_hat of phases BURN_IN to PHASES - 1 of every seed, pooled."""
+    return np.concatenate([np.asarray(h[BURN_IN:]) for h in dhat_histories])
+
+
 @pytest.mark.slow
 def test_acceptance_7_trust_region_containment(pointmass_runs, report):
     # the band in which adapt_beta leaves beta alone, around the agent's
     # own target
     d_target = AgentConfig().d_target
     lo, hi = d_target / DHAT_BAND, d_target * DHAT_BAND
-    post = np.concatenate([np.asarray(h[BURN_IN:])
-                           for h in pointmass_runs["penfac_dhats"]])
+    post = _post_burn_in(pointmass_runs["penfac_dhats"])
     frac = float(np.mean((post >= lo) & (post <= hi)))
     elapsed = pointmass_runs["penfac_time"]
     ok = frac >= 0.60 and elapsed < 900.0
@@ -221,13 +226,34 @@ def test_acceptance_8_penfac_vs_nfac(pointmass_runs, capsys):
     hard_ok = elapsed < 1800.0
     soft_ok = p < 0.05
     status = "PASS" if soft_ok else "SOFT FAIL (reported, not a hard gate)"
+    # how far each rule's phases move mu, as a trust region would see it
+    dhat = {rule: np.median(_post_burn_in(pointmass_runs[f"{rule}_dhats"]))
+            for rule in ("penfac", "nfac")}
     with capsys.disabled():
         print(f"\nACCEPTANCE 8 (penfac vs nfac): {status} "
               f"penfac_mean={penfac.mean():.2f} nfac_mean={nfac.mean():.2f} "
-              f"p={p:.3f} time={elapsed:.0f}s")
+              f"p={p:.3f} penfac_dhat_median={dhat['penfac']:.3f} "
+              f"nfac_dhat_median={dhat['nfac']:.3f} time={elapsed:.0f}s")
     # the significance comparison is a soft criterion on this environment;
     # only the runtime budget is a hard gate
     assert hard_ok
+
+
+@pytest.mark.slow
+def test_pointmass_fixture_finals_match_run_seed(pointmass_runs):
+    # the fixture's loop computes what ``detac train`` computes: run_seed's
+    # evaluation after the 100th phase (100 phases of 5 episodes of 100
+    # steps) is the fixture's final return, bit for bit
+    jobs = [(rule, seed) for rule in ("penfac", "nfac") for seed in (0, 3)]
+    configs = [parse_config(None, dict(agent=rule, env="pointmass",
+                                       total_steps="50000",
+                                       eval_interval="50000",
+                                       eval_episodes="5"))
+               for rule, _ in jobs]
+    runs = fan_out(run_seed, configs, [seed for _, seed in jobs])
+    for (rule, seed), rows in zip(jobs, runs):
+        want = pointmass_runs[f"{rule}_finals"][seed]
+        assert rows[-1][:3] == (seed, 50000, want), (rule, seed)
 
 
 def test_acceptance_9_gating_property(report):

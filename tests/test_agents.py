@@ -376,7 +376,7 @@ def _incremental_reference(agent, env, rng, episodes):
             delta = reward + bootstrap - critic.values([state]).item()
             if delta > 0:
                 direction = batch_gated_direction(
-                    policy, [state], action[None], [delta],
+                    policy, policy.act([state]), action[None], [delta],
                     scale_by_delta=False)
                 if cfg.rule == "cac":
                     direction = delta * direction
@@ -540,14 +540,17 @@ def test_penfac_dhat_measures_against_pre_phase_policy():
     assert abs(agent.dhat_history[-1] - expected) < 1e-12
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_penfac_dhat_is_the_whole_move_of_its_phase(seed):
+@pytest.mark.parametrize("rule, seed", [
+    *(pytest.param("penfac", seed, id=str(seed)) for seed in (1, 2, 3)),
+    *(pytest.param("nfac", seed, id=f"nfac-{seed}") for seed in (1, 2, 3))])
+def test_penfac_dhat_is_the_whole_move_of_its_phase(rule, seed):
     # the trust region covers everything a phase changes: with the default
     # agent, d_hat is the distance between mu on the phase's states before
     # update_phase and after it, bit for bit, in phases where no gate
-    # opens (d_hat = 0) and in phases where the actor moves
+    # opens (d_hat = 0) and in phases where the actor moves.  NFAC has no
+    # trust region, and records the same distance
     env = PointMass()
-    agent = make_agent(AgentConfig(rule="penfac"), env,
+    agent = make_agent(AgentConfig(rule=rule), env,
                        np.random.default_rng([seed, 0x5EED]))
     update_phase = agent.update_phase
     moved = []
@@ -585,13 +588,14 @@ class _FixedValueCritic:
 
 
 def _update_phase_all_directions(agent, batch):
-    """``update_phase`` with a direction computed on every actor
-    iteration, zero or not; PeNFAC adapts beta only when the first
-    direction is nonzero."""
+    """``update_phase`` with a forward and a direction on every actor
+    iteration, zero or not, and a forward for d_hat, which both rules
+    record; PeNFAC adapts beta only when the first direction is
+    nonzero."""
     cfg = agent.config
     states = batch.per_step(batch.states)
     penfac = cfg.rule == "penfac"
-    mu_old = agent.policy.act(states) if penfac else None
+    mu_old = agent.policy.act(states)
     fitted_value_iteration(agent.critic, batch, cfg.gamma, cfg.lam,
                            cfg.fitted_iterations)
     actions = batch.per_step(batch.actions)
@@ -600,17 +604,16 @@ def _update_phase_all_directions(agent, batch):
     beta = agent.beta if penfac else 0.0
     directions = []
     for _ in range(cfg.actor_iterations):
-        g = batch_gated_direction(agent.policy, states, actions, advantages,
-                                  scale_by_delta=penfac, mu_old=mu_old,
-                                  beta=beta)
+        g = batch_gated_direction(agent.policy, agent.policy.act(states),
+                                  actions, advantages, scale_by_delta=penfac,
+                                  mu_old=mu_old, beta=beta)
         directions.append(g)
         agent.policy.set_params(agent.actor_adam.step(
             agent.policy.get_params(), g, ascent=True))
-    if penfac:
-        d_hat = policy_distance_dhat(mu_old, agent.policy.act(states))
-        agent.dhat_history.append(d_hat)
-        if directions[0].any():
-            agent.beta = adapt_beta(agent.beta, d_hat, cfg.d_target)
+    d_hat = policy_distance_dhat(mu_old, agent.policy.act(states))
+    agent.dhat_history.append(d_hat)
+    if penfac and directions[0].any():
+        agent.beta = adapt_beta(agent.beta, d_hat, cfg.d_target)
 
 
 def _count_calls(obj, method):
@@ -635,7 +638,7 @@ def _actor_state_bytes(agent):
 @pytest.mark.parametrize("rule", ["penfac", "nfac"])
 def test_update_phase_rejects_an_empty_batch_before_any_state_moves(rule):
     # lambda_returns owns the empty-batch check; by the time it raises, only
-    # PeNFAC's mu_old forward on 0 rows has run
+    # the mu_old forward on 0 rows, which both rules run, has run
     cfg = AgentConfig(rule=rule, hidden=(8,))
     agent = make_agent(cfg, PointMass(horizon=10), np.random.default_rng(5))
     critic = agent.critic
@@ -687,18 +690,15 @@ def test_update_phase_stops_directions_at_zero_bit_for_bit(rule, monkeypatch):
         _update_phase_all_directions(reference, batch)
         assert len(calls) == want_calls
         assert len(steps) == want_calls
-        # PeNFAC's one mu_old forward serves its first direction, and a
-        # policy that never moved needs no forward for d_hat
-        if rule == "penfac":
-            want_forwards = 1 if want_calls == 1 else want_calls + 1
-        else:
-            want_forwards = want_calls
+        # the one mu_old forward serves the first direction, each nonzero
+        # direction's step is followed by one forward, the last of which
+        # serves d_hat, and a policy that never moved needs no more
+        want_forwards = 1 if want_calls == 1 else want_calls + 1
         assert len(forwards) == want_forwards
         assert _actor_state_bytes(agent) == _actor_state_bytes(reference)
     assert agent.actor_adam.t == 3 * cfg.actor_iterations
-    if rule == "penfac":
-        closed, opened, closed_again = agent.dhat_history
-        assert closed == 0.0 and closed_again == 0.0 and opened > 0.0
+    closed, opened, closed_again = agent.dhat_history
+    assert closed == 0.0 and closed_again == 0.0 and opened > 0.0
 
 
 def test_penfac_closed_phase_keeps_beta_and_open_phase_adapts_it():

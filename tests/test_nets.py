@@ -407,9 +407,9 @@ def test_steady_state_actor_step_allocates_few_per_row_arrays():
     mu_old = policy.act(states)
 
     def step():
-        g = batch_gated_direction(policy, states, actions, advantages,
-                                  scale_by_delta=True, mu_old=mu_old,
-                                  beta=0.5)
+        g = batch_gated_direction(policy, policy.act(states), actions,
+                                  advantages, scale_by_delta=True,
+                                  mu_old=mu_old, beta=0.5)
         policy.set_params(adam.step(policy.get_params(), g, ascent=True))
 
     step()

@@ -185,19 +185,32 @@ def test_gated_directions_match_reference_jacobian_form(name):
 
 
 def test_cacla_direction_makes_one_backward_pass(monkeypatch):
+    # cacla_direction runs the forward on its one row; the kernel runs no
+    # forward, only the backward through the pass it is handed
     calls = []
-    backward = MlpNet.backward
+    forward, backward = MlpNet.forward, MlpNet.backward
 
-    def counted(net, grad_out):
-        calls.append(np.shape(grad_out))
+    def counted_forward(net, x, **kwargs):
+        calls.append(("forward", np.shape(x)))
+        return forward(net, x, **kwargs)
+
+    def counted_backward(net, grad_out):
+        calls.append(("backward", np.shape(grad_out)))
         return backward(net, grad_out)
 
-    monkeypatch.setattr(MlpNet, "backward", counted)
+    monkeypatch.setattr(MlpNet, "forward", counted_forward)
+    monkeypatch.setattr(MlpNet, "backward", counted_backward)
     rng = np.random.default_rng(22)
     pol = GATED_POLICIES["mlp-1-32-32-5"](rng)
     cacla_direction(pol, rng.standard_normal(1)[None],
                     rng.uniform(-1, 1, 5)[None], 0.5)
-    assert calls == [(1, 5)]
+    assert calls == [("forward", (1, 1)), ("backward", (1, 5))]
+    mu = pol.act(rng.standard_normal((4, 1)))
+    calls.clear()
+    batch_gated_direction(pol, mu, rng.uniform(-1, 1, (4, 5)),
+                          rng.standard_normal(4), scale_by_delta=True,
+                          mu_old=mu, beta=0.5)
+    assert calls == [("backward", (4, 5))]
 
 
 def test_spg_direction_formula():
@@ -313,8 +326,9 @@ def test_penfac_gradient_matches_finite_difference_of_objective():
     advs = rng.standard_normal(6)
     beta = 0.7
 
-    g = batch_gated_direction(pol, states, actions, advs, scale_by_delta=True,
-                              mu_old=snap.act(states), beta=beta)
+    g = batch_gated_direction(pol, pol.act(states), actions, advs,
+                              scale_by_delta=True, mu_old=snap.act(states),
+                              beta=beta)
 
     def surrogate(theta):
         pol.set_params(theta)
@@ -343,8 +357,9 @@ def test_penfac_zero_beta_reduces_to_mean_cac():
     states = rng.standard_normal((5, 2))
     actions = rng.uniform(-1, 1, (5, 1))
     advs = rng.standard_normal(5)
-    g = batch_gated_direction(pol, states, actions, advs, scale_by_delta=True,
-                              mu_old=pol.act(states), beta=0.0)
+    mu = pol.act(states)
+    g = batch_gated_direction(pol, mu, actions, advs, scale_by_delta=True,
+                              mu_old=mu, beta=0.0)
     ref = np.zeros(pol.num_params)
     for s, a, adv in zip(states, actions, advs):
         if adv > 0:
@@ -356,13 +371,13 @@ def test_penfac_rejects_length_mismatch():
     # (1, m) actions and one advantage would broadcast silently over two states
     pol = MlpPolicy(2, 1, hidden_sizes=(4,), hidden="tanh",
                     rng=np.random.default_rng(0))
-    states = np.zeros((2, 2))
+    mu = pol.act(np.zeros((2, 2)))
     with pytest.raises(ValueError):
-        batch_gated_direction(pol, states, np.zeros((1, 1)), [1.0],
+        batch_gated_direction(pol, mu, np.zeros((1, 1)), [1.0],
                               scale_by_delta=True)
-    with pytest.raises(ValueError):
-        batch_gated_direction(pol, states[:0], np.zeros((0, 1)), [],
-                              scale_by_delta=True)
+    with pytest.raises(ValueError, match="empty batch"):
+        batch_gated_direction(pol, pol.act(np.zeros((0, 2))),
+                              np.zeros((0, 1)), [], scale_by_delta=True)
 
 
 def test_batch_gated_direction_matches_per_sample_loops():
@@ -374,13 +389,13 @@ def test_batch_gated_direction_matches_per_sample_loops():
     actions = rng.uniform(-1, 1, (7, 2))
     advs = rng.standard_normal(7)
 
-    g_batch = batch_gated_direction(pol, states, actions, advs,
+    g_batch = batch_gated_direction(pol, pol.act(states), actions, advs,
                                     scale_by_delta=True,
                                     mu_old=snap.act(states), beta=0.4)
     g_loop = penfac_actor_gradient(pol, snap, states, actions, advs, 0.4)
     assert np.max(np.abs(g_batch - g_loop)) < 1e-10
 
-    g_batch = batch_gated_direction(pol, states, actions, advs,
+    g_batch = batch_gated_direction(pol, pol.act(states), actions, advs,
                                     scale_by_delta=False)
     g_loop = np.zeros(pol.num_params)
     for s, a, adv in zip(states, actions, advs):
@@ -396,11 +411,12 @@ def test_batch_gated_direction_keeps_the_gate_closed_at_exactly_zero():
     pol = MlpPolicy(2, 2, hidden_sizes=(5,), hidden="tanh", rng=rng)
     states = rng.standard_normal((3, 2))
     actions = np.array([[0.9, -0.9], [-0.8, 0.7], [0.5, 0.5]])
-    g = batch_gated_direction(pol, states, actions, [0.0, -0.0, 0.0],
+    mu = pol.act(states)
+    g = batch_gated_direction(pol, mu, actions, [0.0, -0.0, 0.0],
                               scale_by_delta=False)
     assert g.shape == (pol.num_params,) and not g.any()
     # not vacuous: the smallest positive advantage opens its row's gate
-    assert batch_gated_direction(pol, states, actions, [0.0, -0.0, 5e-324],
+    assert batch_gated_direction(pol, mu, actions, [0.0, -0.0, 5e-324],
                                  scale_by_delta=False).any()
 
 
