@@ -2,8 +2,8 @@
 
 Everything here operates on a single flat parameter vector so that optimizers
 and policy-update rules can treat a network as a point in R^n.  No autodiff
-dependency: gradients are written by hand and validated against central
-finite differences (see ``gradient_check``).  Values are not scanned for
+dependency: gradients are written by hand and validated against the
+complex step (see ``gradient_check``).  Values are not scanned for
 NaN or inf: ``harness.run_seed`` checks the parameters after each phase.
 """
 
@@ -301,78 +301,68 @@ class Adam:
         self.t += count
 
 
-def _leaky_pattern(net):
-    """On/off state (output > 0) of every leaky_relu unit in the last pass."""
-    if net.hidden != "leaky_relu":
-        return []
-    return [h > 0 for h in net._cache[1:-1]]
+def _reference_activation(name, z):
+    """Activation ``name`` of a real or complex array.  leaky_relu branches
+    on the real part, as ``backward`` does; ``np.maximum`` would compare
+    complex numbers by their imaginary parts at a real part of +-0."""
+    if name == "tanh":
+        return np.tanh(z)
+    if name == "leaky_relu":
+        return np.where(z.real > 0, z, LEAKY_SLOPE * z)
+    return z
 
 
 def gradient_check(net, x):
-    """Max relative error between analytic and central-difference gradients
-    on the rows of an (n, d) batch ``x``.
+    """Max relative error between the analytic gradient and the complex
+    step on the rows of a small (n, d) batch ``x``.
 
     The implied scalar loss is sum(upstream * net(x)), with a fixed
     upstream: standard normals from ``default_rng(0)``, one per output.
 
-    A central difference with step h = 1e-5 is only valid where the net
-    is smooth.  If the coordinate with the largest error was probed across
-    a leaky_relu kink (a +-h probe switched a unit on or off), it is probed
-    again with the step divided by 10 until no unit switches, and the next
-    largest error is examined the same way.
+    d(loss)/d(theta_i) = Im loss(theta + i h e_i) / h with h = 1e-30 has
+    no subtractive cancellation, so it is exact to rounding.  A reference
+    forward, read from ``weights`` and ``biases``, takes every coordinate
+    of layer k at once on a leading axis, the layers before k real.  Its
+    real part must match ``net.forward(x)``: the relative difference
+    counts as an error too.
     """
     x = np.asarray(x, dtype=float)
+    n = len(x)
+    if n == 0:
+        raise ValueError("gradient_check needs at least one input row")
     upstream = np.random.default_rng(0).standard_normal(
-        (x.shape[0], net.layer_sizes[-1]))
-    h = 1e-5
+        (n, net.layer_sizes[-1]))
+    h = 1e-30
 
-    net.forward(x)
-    pattern = _leaky_pattern(net)
+    out = net.forward(x)
     analytic = net.backward(upstream)
 
-    theta = net.get_params()
-    flat = net._flat
+    names = [net.hidden] * (len(net.weights) - 1) + [net.output]
+    numeric, drift = [], 0.0
+    layer_in = x
+    for k, (w, b) in enumerate(zip(net.weights, net.biases)):
+        width = w.shape[1]
+        # d(pre-activation)/d(W[a, j], b[j]) per row, in the flat layout
+        rows = np.hstack([layer_in, np.ones((n, 1))])
+        dz = np.einsum("na,jl->ajnl", rows, np.eye(width))
+        z = layer_in @ w + b
+        c = _reference_activation(names[k],
+                                  (z + 1j * h * dz).reshape(-1, width))
+        for w2, b2, name in zip(net.weights[k + 1:], net.biases[k + 1:],
+                                names[k + 1:]):
+            c = _reference_activation(name, c @ w2 + b2)
+        c = c.reshape(-1, *out.shape)
+        numeric.append(np.einsum("pnm,nm->p", c.imag, upstream) / h)
+        drift = max(drift, float(np.max(np.abs(c.real - out))))
+        layer_in = _reference_activation(names[k], z)
+    numeric = np.concatenate(numeric)
 
-    def central(i, step, check=False):
-        """Central difference along coordinate i and, when ``check`` is
-        set, whether either probe switched a leaky_relu unit.  Each probe
-        moves coordinate i of the net's own parameter vector, and the
-        coordinate is put back afterwards."""
-        loss = []
-        switched = False
-        for sign in (1.0, -1.0):
-            flat[i] = theta[i] + sign * step
-            out = net.forward(x)
-            loss.append(float(np.sum(upstream * out)))
-            if check and not switched:
-                switched = any(not np.array_equal(a, b)
-                               for a, b in zip(_leaky_pattern(net), pattern))
-        flat[i] = theta[i]
-        return (loss[0] - loss[1]) / (2 * step), switched
-
-    numeric = np.array([central(i, h)[0] for i in range(theta.size)])
-
-    def rel_err():
-        # floor the denominator at a fraction of the gradient's scale, so
-        # that entries whose true derivative is exactly zero (e.g. the
-        # weights of an input that is zero on every row) are judged
-        # against roundoff, not against 1e-8
-        floor = max(1e-8, 1e-4 * float(np.max(np.abs(analytic)
-                                               + np.abs(numeric))))
-        scale = np.maximum(np.abs(analytic) + np.abs(numeric), floor)
-        return np.abs(analytic - numeric) / scale
-
-    rechecked = set()
-    while pattern:
-        i = int(np.argmax(rel_err()))
-        if i in rechecked:
-            break
-        rechecked.add(i)
-        step = h
-        value, switched = central(i, step, check=True)
-        while switched and step > h * 1e-4:
-            step /= 10
-            value, switched = central(i, step, check=True)
-        numeric[i] = value
-    net.set_params(theta)
-    return float(np.max(rel_err()))
+    # floor the denominator at a fraction of the gradient's scale, so that
+    # entries whose true derivative is exactly zero (e.g. the weights of
+    # an input that is zero on every row) are judged against roundoff, not
+    # against 1e-8
+    floor = max(1e-8, 1e-4 * float(np.max(np.abs(analytic)
+                                           + np.abs(numeric))))
+    scale = np.maximum(np.abs(analytic) + np.abs(numeric), floor)
+    err = float(np.max(np.abs(analytic - numeric) / scale))
+    return max(err, drift / max(1e-8, float(np.max(np.abs(out)))))

@@ -117,14 +117,14 @@ def test_acceptance_3_occupancy_shift_bound(report):
 
 def test_acceptance_4_gradient_integrity(report):
     t0 = time.time()
-    # the suite's pass bound is the criterion's relative error of 1e-4,
-    # on 20 seeded nets per architecture
-    assert GRADCHECK_TOL == 1e-4
+    # the suite's pass bound is at most the criterion's relative error of
+    # 1e-4, on 20 seeded nets per architecture
+    assert GRADCHECK_TOL <= 1e-4
     assert GRADCHECK_SEEDS == 20
     passed, lines = suite_gradcheck(seed=0)
     elapsed = time.time() - t0
     ok = passed and elapsed < 30.0
-    report(4, "finite-difference gradient checks", ok,
+    report(4, "complex-step gradient checks", ok,
             f"{lines[-1]} time={elapsed:.1f}s")
     assert passed
     assert elapsed < 30.0

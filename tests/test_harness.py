@@ -295,13 +295,20 @@ def test_suite_gradcheck_fails_on_a_wrong_backward(monkeypatch):
     assert passed
     assert len(lines) == len(GRADCHECK_ARCHS) + 1
 
-    # a backward 1% off on every entry must fail every line
+    # a backward 1% off on every entry, or a relative 1e-6 off in its
+    # first coordinate, must fail every line
     backward = MlpNet.backward
-    monkeypatch.setattr(MlpNet, "backward",
-                        lambda self, g: 1.01 * backward(self, g))
-    passed, lines = suite_gradcheck()
-    assert not passed
-    assert all("pass=False" in line for line in lines)
+
+    def off_in_one(self, g):
+        grad = backward(self, g)
+        grad[0] *= 1 + 1e-6
+        return grad
+
+    for wrong in (lambda self, g: 1.01 * backward(self, g), off_in_one):
+        monkeypatch.setattr(MlpNet, "backward", wrong)
+        passed, lines = suite_gradcheck()
+        assert not passed
+        assert all("pass=False" in line for line in lines)
 
 
 def test_run_verification_unknown_suite():

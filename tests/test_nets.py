@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from detac.critics import MlpVCritic
+from detac.harness import GRADCHECK_TOL
 from detac.nets import (ACTIVATIONS, LEAKY_SLOPE, Adam, MlpNet, _column_sum,
-                        _leaky_pattern, _leaky_relu, gradient_check)
+                        _leaky_relu, gradient_check)
 from detac.policies import MlpPolicy
 from detac.updates import batch_gated_direction
 
@@ -143,18 +144,60 @@ def test_gradient_check_seeded_nets(hidden, output):
     rng = np.random.default_rng(123)
     net = MlpNet([3, 6, 4, 2], hidden=hidden, output=output, rng=rng)
     err = gradient_check(net, rng.standard_normal((5, 3)))
-    assert err < 1e-4
+    assert err < GRADCHECK_TOL
+
+
+def test_gradient_check_rejects_an_empty_batch():
+    # an empty batch has no gradient to check; it used to pass with 0.0
+    net = MlpNet([2, 4, 1], hidden="tanh", output="linear",
+                 rng=np.random.default_rng(0))
+    with pytest.raises(ValueError, match="at least one input row"):
+        gradient_check(net, np.zeros((0, 2)))
+
+
+def _net_with_units_at_zero(output="tanh"):
+    """A leaky_relu net, a batch and the rng that drew them: zero input
+    rows against +-0 biases put first-layer pre-activations at +-0.0."""
+    rng = np.random.default_rng(12)
+    net = MlpNet([2, 8, 8, 1], hidden="leaky_relu", output=output, rng=rng)
+    net.biases[0][:4] = [0.0, -0.0, 0.0, -0.0]
+    net.biases[1][:2] = [0.0, -0.0]
+    x = rng.standard_normal((6, 2))
+    x[::2] = 0.0
+    return net, x, rng
 
 
 @pytest.mark.parametrize("output", ["linear", "tanh"])
 def test_gradient_check_probe_across_leaky_relu_kink(output):
-    # a second-layer pre-activation of this net lies 7.1e-6 from the kink,
-    # inside the default step h=1e-5: the plain central difference at
-    # parameter 677 has the wrong sign (relative error 1.0)
+    # a second-layer pre-activation of the seed-32 net lies 7.1e-6 from
+    # the kink, where a central difference at h = 1e-5 has the wrong sign
+    # at parameter 677; the second net has units at exactly +-0, where
+    # backward takes the slope
     rng = np.random.default_rng(32)
-    net = MlpNet([2, 32, 32, 1], hidden="leaky_relu", output=output, rng=rng)
-    x = rng.standard_normal((4, 2))
-    assert gradient_check(net, x) < 1e-4
+    near_kink = MlpNet([2, 32, 32, 1], hidden="leaky_relu", output=output,
+                       rng=rng)
+    for net, x in [(near_kink, rng.standard_normal((4, 2))),
+                   _net_with_units_at_zero(output)[:2]]:
+        assert gradient_check(net, x) < GRADCHECK_TOL
+
+
+@pytest.mark.parametrize("drift", ["offset", "slope"])
+def test_gradient_check_fails_when_forward_drifts_from_its_reference(
+        monkeypatch, drift):
+    # an output offset leaves every gradient as it is, so only the tie of
+    # the complex-step forward to MlpNet.forward can see it
+    if drift == "offset":
+        forward = MlpNet.forward
+        monkeypatch.setattr(MlpNet, "forward",
+                            lambda self, x, training=False:
+                            forward(self, x) + 1e-6)
+    else:
+        monkeypatch.setitem(ACTIVATIONS, "leaky_relu",
+                            lambda x, out=None, scratch=None:
+                            np.maximum(x, 0.02 * x, out=out))
+    rng = np.random.default_rng(32)
+    net = MlpNet([2, 32, 32, 1], hidden="leaky_relu", output="tanh", rng=rng)
+    assert gradient_check(net, rng.standard_normal((4, 2))) > GRADCHECK_TOL
 
 
 def test_adam_zero_gradient_is_identity():
@@ -237,21 +280,16 @@ def test_backward_bitwise_equals_full_chain(arch):
 
 
 def test_leaky_relu_units_at_exactly_zero_count_as_off():
-    # zero input rows against +-0 biases put first-layer pre-activations
-    # at +-0.0, where the derivative is the slope and the unit is off
-    rng = np.random.default_rng(12)
-    net = MlpNet([2, 8, 8, 1], hidden="leaky_relu", output="tanh", rng=rng)
-    net.biases[0][:4] = [0.0, -0.0, 0.0, -0.0]
-    net.biases[1][:2] = [0.0, -0.0]
-    x = rng.standard_normal((6, 2))
-    x[::2] = 0.0
+    # at +-0.0 the derivative is the slope and the unit is off
+    net, x, rng = _net_with_units_at_zero()
     upstream = rng.standard_normal((6, 1))
     net.forward(x)
     z0 = x @ net.weights[0] + net.biases[0]
     z1 = _leaky_relu(z0) @ net.weights[1] + net.biases[1]
     assert np.any(z0 == 0.0)
     assert all(np.array_equal(on, z > 0)
-               for on, z in zip(_leaky_pattern(net), (z0, z1)))
+               for on, z in zip([h > 0 for h in net._cache[1:-1]],
+                                (z0, z1)))
     assert np.array_equal(net.backward(upstream),
                           _backward_with_full_chain(net, upstream))
 
