@@ -170,22 +170,25 @@ class BatchActorCritic:
         return int(batch.lengths.sum())
 
     def update_phase(self, batch):
+        """Fit the critic on ``batch`` by fitted value iteration, then run
+        ``actor_phase`` on its advantages, lambda-returns minus V."""
         cfg = self.config
         states = batch.per_step(batch.states)
-        penfac = cfg.rule == "penfac"
-        # mu is the policy's latest forward on the gathered states, the pass
-        # each direction's backward reads: fitting the critic leaves the
-        # policy alone, so the first direction reuses this one, and mu_old
-        # keeps the pre-update actions for the penalty and d_hat
-        mu = mu_old = self.policy.act(states)
-
         fitted_value_iteration(self.critic, batch, cfg.gamma, cfg.lam,
                                cfg.fitted_iterations)
-
-        actions = batch.per_step(batch.actions)
         advantages = (lambda_returns(batch, self.critic, cfg.gamma, cfg.lam)
                       - self.critic.values(states))
+        self.actor_phase(states, batch.per_step(batch.actions), advantages)
 
+    def actor_phase(self, states, actions, advantages):
+        """The actor's phase on given per-step ``states``, ``actions`` and
+        ``advantages``: Adam steps on the gated direction, then d_hat into
+        ``dhat_history`` and, for PeNFAC, beta adapted if the policy moved."""
+        cfg = self.config
+        penfac = cfg.rule == "penfac"
+        # mu is the policy's latest forward, the pass each direction's
+        # backward reads; mu_old keeps the pre-update actions
+        mu = mu_old = self.policy.act(states)
         beta = self.beta if penfac else 0.0
         for i in range(cfg.actor_iterations):
             g = batch_gated_direction(self.policy, mu, actions, advantages,

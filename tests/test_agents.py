@@ -11,12 +11,11 @@ import detac
 from detac.agents import (AgentConfig, BanditConfig, BatchActorCritic,
                           IncrementalActorCritic, evaluate_deterministic,
                           make_agent, run_bandit, run_episodes)
-from detac.critics import fitted_value_iteration, lambda_returns
 from detac.envs import (EnvSpec, PointMass, QuadraticBandit,
                         make_quadratic_bandit)
 from detac.policies import MlpPolicy
 from detac.trajectory import Trajectory
-from detac.updates import (adapt_beta, batch_gated_direction,
+from detac.updates import (BETA_START, adapt_beta, batch_gated_direction,
                            policy_distance_dhat)
 from constant_critic import ConstantVCritic
 
@@ -573,34 +572,19 @@ def test_penfac_dhat_is_the_whole_move_of_its_phase(rule, seed):
     assert set(moved) == {False, True}
 
 
-class _FixedValueCritic:
-    """V(s) = c on every state, and fitting leaves it there: with c far
-    above (below) every lambda-return, no (every) advantage is positive."""
-
-    def __init__(self, c):
-        self.c = c
-
-    def values(self, states):
-        return np.full(len(states), self.c)
-
-    def regress(self, states, targets):
-        pass
+def _phase_inputs(rng, n=20):
+    # per-step states and in-box actions of an n-step PointMass phase
+    return rng.standard_normal((n, 2)), rng.uniform(-1.0, 1.0, (n, 1))
 
 
-def _update_phase_all_directions(agent, batch):
-    """``update_phase`` with a forward and a direction on every actor
+def _actor_phase_all_directions(agent, states, actions, advantages):
+    """``actor_phase`` with a forward and a direction on every actor
     iteration, zero or not, and a forward for d_hat, which both rules
     record; PeNFAC adapts beta only when the first direction is
     nonzero."""
     cfg = agent.config
-    states = batch.per_step(batch.states)
     penfac = cfg.rule == "penfac"
     mu_old = agent.policy.act(states)
-    fitted_value_iteration(agent.critic, batch, cfg.gamma, cfg.lam,
-                           cfg.fitted_iterations)
-    actions = batch.per_step(batch.actions)
-    advantages = (lambda_returns(batch, agent.critic, cfg.gamma, cfg.lam)
-                  - agent.critic.values(states))
     beta = agent.beta if penfac else 0.0
     directions = []
     for _ in range(cfg.actor_iterations):
@@ -635,10 +619,18 @@ def _actor_state_bytes(agent):
             np.float64(agent.beta).tobytes())
 
 
+@pytest.mark.parametrize("shapes, match", [
+    pytest.param(None, "empty batch", id="empty-trajectory"),
+    pytest.param(((0, 2), (0, 1), 0), "empty batch", id="empty"),
+    pytest.param(((6, 2), (6, 1), 5), "equal length", id="advantages-short"),
+    pytest.param(((6, 2), (6, 2), 6), "upstream gradient", id="actions-wide")])
 @pytest.mark.parametrize("rule", ["penfac", "nfac"])
-def test_update_phase_rejects_an_empty_batch_before_any_state_moves(rule):
-    # lambda_returns owns the empty-batch check; by the time it raises, only
-    # the mu_old forward on 0 rows, which both rules run, has run
+def test_update_phase_rejects_an_empty_batch_before_any_state_moves(
+        rule, shapes, match):
+    # lambda_returns owns the empty-trajectory check and raises before
+    # the critic fit moves anything; actor_phase's states, actions and
+    # advantages of the given shapes reach the direction's length checks
+    # or the backward's shape check, which raise before any Adam step
     cfg = AgentConfig(rule=rule, hidden=(8,))
     agent = make_agent(cfg, PointMass(horizon=10), np.random.default_rng(5))
     critic = agent.critic
@@ -648,47 +640,38 @@ def test_update_phase_rejects_an_empty_batch_before_any_state_moves(rule):
                 critic.adam.v.tobytes(), critic.adam.t)
 
     before = state()
-    with pytest.raises(ValueError, match="empty batch"):
-        agent.update_phase(Trajectory(np.zeros((0, 2)), 10, 1))
+    with pytest.raises(ValueError, match=match):
+        if shapes is None:
+            agent.update_phase(Trajectory(np.zeros((0, 2)), 10, 1))
+        else:
+            agent.actor_phase(*map(np.ones, shapes))
     assert state() == before
 
 
 @pytest.mark.parametrize("rule", ["penfac", "nfac"])
-def test_update_phase_stops_directions_at_zero_bit_for_bit(rule, monkeypatch):
+def test_update_phase_stops_directions_at_zero_bit_for_bit(rule):
     # a phase with no positive advantage computes one direction, all zero,
     # and takes one Adam step; its other steps only decay v and advance t.
     # The closed phase after the open one starts from a nonzero Adam state,
     # so a zero-direction step that moved the policy would show there
-    cfg = AgentConfig(rule=rule, update_every=2, hidden=(8,),
-                      actor_iterations=6, fitted_iterations=2)
-    env = PointMass(horizon=10)
-    policy = MlpPolicy(2, 1, hidden_sizes=cfg.hidden,
-                       hidden=cfg.hidden_activation,
-                       rng=np.random.default_rng(3))
-    agent = BatchActorCritic(policy, _FixedValueCritic(0.0), cfg)
+    cfg = AgentConfig(rule=rule, hidden=(8,), actor_iterations=6)
+    agent = make_agent(cfg, PointMass(), np.random.default_rng(3))
     reference = copy.deepcopy(agent)
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return batch_gated_direction(*args, **kwargs)
-
-    monkeypatch.setattr(detac.agents, "batch_gated_direction", counted)
+    # each direction runs one backward
+    directions = _count_calls(agent.policy, "backward")
     steps = _count_calls(agent.actor_adam, "step")
     forwards = _count_calls(agent.policy, "forward")
     rng = np.random.default_rng(4)
-    for value, want_calls in ((1e3, 1), (-1e3, cfg.actor_iterations),
-                              (1e3, 1)):
-        batch = run_episodes(
-            lambda s: agent.exploration.act(agent.policy.act(s), rng), env,
-            cfg.update_every, rng)
-        agent.critic.c = reference.critic.c = value
-        calls.clear()
-        steps.clear()
-        forwards.clear()
-        agent.update_phase(batch)
-        _update_phase_all_directions(reference, batch)
-        assert len(calls) == want_calls
+    # advantages all < 0 close every gate, all > 0 open every one
+    for sign, want_calls in ((-1.0, 1), (1.0, cfg.actor_iterations),
+                             (-1.0, 1)):
+        states, actions = _phase_inputs(rng)
+        advantages = sign * rng.uniform(0.5, 1.0, len(states))
+        for calls in (directions, steps, forwards):
+            calls.clear()
+        agent.actor_phase(states, actions, advantages)
+        _actor_phase_all_directions(reference, states, actions, advantages)
+        assert len(directions) == want_calls
         assert len(steps) == want_calls
         # the one mu_old forward serves the first direction, each nonzero
         # direction's step is followed by one forward, the last of which
@@ -701,33 +684,43 @@ def test_update_phase_stops_directions_at_zero_bit_for_bit(rule, monkeypatch):
     assert closed == 0.0 and closed_again == 0.0 and opened > 0.0
 
 
+@pytest.mark.parametrize("rule", ["penfac", "nfac"])
+def test_actor_phase_matches_the_all_directions_reference_bit_for_bit(rule):
+    # seeded advantages of both signs open some gates and close others;
+    # the Adam state, d_hat and beta carry over from phase to phase
+    cfg = AgentConfig(rule=rule, hidden=(8,), actor_iterations=4)
+    agent = make_agent(cfg, PointMass(), np.random.default_rng(5))
+    reference = copy.deepcopy(agent)
+    rng = np.random.default_rng(6)
+    for _ in range(4):
+        states, actions = _phase_inputs(rng)
+        advantages = rng.standard_normal(len(states))
+        agent.actor_phase(states, actions, advantages)
+        _actor_phase_all_directions(reference, states, actions, advantages)
+        assert _actor_state_bytes(agent) == _actor_state_bytes(reference)
+    # every phase moved the policy, and only PeNFAC's beta follows d_hat
+    assert min(agent.dhat_history) > 0.0
+    assert (agent.beta != BETA_START) == (rule == "penfac")
+
+
 def test_penfac_closed_phase_keeps_beta_and_open_phase_adapts_it():
     # a phase whose first direction is zero never moves the policy: it
     # records d_hat = 0.0 and leaves beta alone.  An open phase adapts beta
     # on its d_hat, which here lies outside the band, so beta moves
-    cfg = AgentConfig(rule="penfac", update_every=2, hidden=(8,),
-                      actor_iterations=3, fitted_iterations=2)
-    env = PointMass(horizon=10)
-    policy = MlpPolicy(2, 1, hidden_sizes=cfg.hidden,
-                       hidden=cfg.hidden_activation,
-                       rng=np.random.default_rng(3))
-    agent = BatchActorCritic(policy, _FixedValueCritic(0.0), cfg)
+    cfg = AgentConfig(rule="penfac", hidden=(8,), actor_iterations=3)
+    agent = make_agent(cfg, PointMass(), np.random.default_rng(3))
     rng = np.random.default_rng(4)
-    for value, opened in ((1e3, False), (-1e3, True), (1e3, False)):
-        batch = run_episodes(
-            lambda s: agent.exploration.act(agent.policy.act(s), rng), env,
-            cfg.update_every, rng)
-        agent.critic.c = value
+    for sign in (-1.0, 1.0, -1.0):
+        states, actions = _phase_inputs(rng)
         beta = agent.beta
-        agent.update_phase(batch)
+        agent.actor_phase(states, actions,
+                          sign * rng.uniform(0.5, 1.0, len(states)))
         d_hat = agent.dhat_history[-1]
-        if opened:
-            want = adapt_beta(beta, d_hat, cfg.d_target)
+        if sign > 0:
             assert d_hat > 0.0
-            assert agent.beta == want != beta
+            assert agent.beta == adapt_beta(beta, d_hat, cfg.d_target) != beta
         else:
-            assert d_hat == 0.0
-            assert agent.beta == beta
+            assert d_hat == 0.0 and agent.beta == beta
     assert len(agent.dhat_history) == 3
 
 

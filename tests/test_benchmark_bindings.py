@@ -87,3 +87,15 @@ def test_pointmass_spans_fire():
              "agents.update_phase.p50_ms", "agents.update_phase.p90_ms",
              "agents.rollout.s", "agents.eval.s", "harness.run_seed.s"]
     assert [m for m in fires if not metrics[m] > 0] == []
+    # the actor loop runs inside the update_phase span, so its p50/p90
+    # time the whole phase, critic fit and actor together
+    ids = tracer._ids
+    phase = ids["agents.update_phase"]
+    orphans = []
+    for span in ("updates.gated_direction", "updates.dhat"):
+        for i in np.flatnonzero(np.frombuffer(tracer.name, np.int32)
+                                == ids[span]):
+            while i >= 0 and tracer.name[i] != phase:
+                i = tracer.parent[i]
+            orphans.append(i < 0)
+    assert orphans and not any(orphans)

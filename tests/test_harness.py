@@ -311,6 +311,26 @@ def test_suite_gradcheck_fails_on_a_wrong_backward(monkeypatch):
         assert all("pass=False" in line for line in lines)
 
 
+def test_suite_gradcheck_seeds_check_no_net_in_common(monkeypatch):
+    # two seeds check disjoint nets; under default_rng(seed + s), seed 1
+    # would re-check 19 of seed 0's 20 nets per arch.  Archs that differ
+    # only in activations draw the same parameters, so they key nets too
+    checked = {}
+
+    def record(net, x):
+        checked[seed].add((net.hidden, net.output,
+                           net.get_params().tobytes()))
+        return 0.0
+
+    monkeypatch.setattr(harness, "gradient_check", record)
+    for seed in (0, 1):
+        checked[seed] = set()
+        assert suite_gradcheck(seed)[0]
+    assert len(checked[0]) == len(checked[1]) == (
+        len(GRADCHECK_ARCHS) * harness.GRADCHECK_SEEDS)
+    assert len(checked[0] & checked[1]) == 0
+
+
 def test_run_verification_unknown_suite():
     with pytest.raises(KeyError):
         run_verification("lemma3")
