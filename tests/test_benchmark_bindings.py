@@ -10,6 +10,7 @@ import numpy as np
 
 from detac import agents, envs, harness
 from detac.config import parse_config
+from kept_agents import kept_agents
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -57,6 +58,27 @@ def test_bandit_spans_fire():
     assert [m for m in fires if not metrics[m] > 0] == []
 
 
+def _tiny_pointmass_config():
+    # two PeNFAC phases of 20 steps each
+    return parse_config(None, {
+        "agent": "penfac", "env": "pointmass", "pointmass_horizon": "10",
+        "update_every": "2", "hidden": "8", "total_steps": "40",
+        "eval_interval": "20", "eval_episodes": "2",
+        "fitted_iterations": "2", "actor_iterations": "3"})
+
+
+def test_run_seed_builds_its_agent_through_harness_make_agent():
+    # perfbench's penfac-pointmass run_op and the acceptance 7+8 fixture
+    # replace harness.make_agent to keep the agent that run_seed trains,
+    # so run_seed must look it up on harness each time it runs
+    config = _tiny_pointmass_config()
+    with kept_agents() as calls:
+        harness.run_seed(config, 0)
+    ((args, agent),) = calls
+    assert args[0] is config.agent
+    assert len(agent.dhat_history) == 2
+
+
 def test_pointmass_spans_fire():
     # perfbench's penfac-pointmass FIRES list on a tiny PeNFAC run, less
     # three kinds of metric: nets.forward.b1.calls, which only the
@@ -64,11 +86,7 @@ def test_pointmass_spans_fire():
     # until a gate opens, several phases later than this run ends; and
     # harness.csv.s, config.parse.s and import.s, which are recorded
     # outside run_seed
-    config = parse_config(None, {
-        "agent": "penfac", "env": "pointmass", "pointmass_horizon": "10",
-        "update_every": "2", "hidden": "8", "total_steps": "40",
-        "eval_interval": "20", "eval_episodes": "2",
-        "fitted_iterations": "2", "actor_iterations": "3"})
+    config = _tiny_pointmass_config()
     tracer = _load_tracer().Tracer()
     try:
         tracer.install()
